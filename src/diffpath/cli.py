@@ -154,7 +154,7 @@ def cmd_spectrum(args) -> int:
     params = _params_from_args(args, default_A=None)
     if params.omega <= 0:
         raise UsageError("spectrum requires --omega > 0")
-    grid = _grid(args, "T-grid".replace("-", "_"))
+    grid = _grid(args, "T_grid")
     results = _map_ordered(
         lambda t: osc_mod.log_pi(t, params, args.tol, args.n_terms), grid
     )
@@ -168,7 +168,7 @@ def cmd_unitarity(args) -> int:
     params = _params_from_args(args, default_A=None)
     if params.omega <= 0:
         raise UsageError("unitarity requires --omega > 0")
-    grid = _grid(args, "T-grid".replace("-", "_"))
+    grid = _grid(args, "T_grid")
     rep = osc_mod.unitarity_diagnostic(grid, params, args.tol, args.n_terms, args.threshold)
     verdict = "unitary-compatible" if rep.max_rel_deviation <= args.threshold else "non-exponential"
     payload = {"verdict": verdict, "threshold": args.threshold, **rep.as_dict()}
@@ -265,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="oscillator shift scan over T")
     _add_param_flags(p, omega_default=1.0)
     _add_grid_flags(p, "T-grid", 0.2, 5.0, 25)
-    p.add_argument("--n-terms", type=int, default=100_000)
+    p.add_argument("--n-terms", type=int, default=None)
     p.set_defaults(func=cmd_spectrum, tol=1e-6)
 
     p = sub.add_parser("unitarity", help="is ln Pi linear in T?")

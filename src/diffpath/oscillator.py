@@ -6,9 +6,19 @@ leaving the infinite product
     Pi(T) = prod_n Erf(c_n sqrt(lambda_n + omega^2)) / Erf(c_n sqrt(lambda_n)),
 
 lambda_n = (n pi / T)^2 and c_n = B / n^alpha.  Everything is computed in
-log space (a direct product of 1e5 factors each ~1 denormalizes), with a
-rigorous tail bound for the truncated product.  The uniform level shift
-is Delta omega = ln Pi(T) / T (Euclidean), so
+log space (a direct product of 1e5 factors each ~1 denormalizes).  With
+L(W) = ln(Erf(sqrt W) / sqrt W), each log factor splits into the free
+Gaussian factor (1/2) ln(1 + omega^2 / lambda_n) plus a bracket
+b_n = L(c_n^2 (lambda_n + omega^2)) - L(c_n^2 lambda_n), and the free
+factors multiply to the fluctuation determinant sinh(omega T) / omega T:
+
+    ln Pi(T) = (1/2) ln(sinh omega T / omega T) + sum_n b_n.
+
+Since L'(W) = -(1 - Z(W)) / 2W lies in [-1/3, 0], every bracket obeys
+max(-omega^2 c_n^2 / 3, -(1/2) ln(1 + omega^2 / lambda_n)) <= b_n <= 0:
+it decays like n^(-2 alpha), not like the 1/n^2 of the log factors, so a
+few hundred terms certify what the direct product needs millions for.
+The uniform level shift is Delta omega = ln Pi(T) / T (Euclidean), so
 E^D_n = hbar omega (n + 1/2) - hbar Delta omega with unchanged spacing.
 """
 
@@ -17,19 +27,18 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable, Optional
+from typing import IO, Callable, Iterable, Optional
 
 import numpy as np
 
 from .paths import ModelParams
-from .special import SeriesValue, chunked_sum, log_erf
+from .special import _log_erf_over_sqrt, chunked_sum, log_erf
 
 __all__ = [
     "PiResult",
     "SpectrumShift",
     "PartitionFunctions",
     "UnitarityReport",
-    "normalization_ratio",
     "log_pi",
     "spectrum_shift",
     "partition_functions",
@@ -38,6 +47,7 @@ __all__ = [
     "shift_rows_to_csv",
 ]
 
+_CHUNK = 1 << 20
 _ADAPTIVE_CAP = 1 << 24
 
 
@@ -85,22 +95,53 @@ def _c_n(params: ModelParams, T: float, n: np.ndarray) -> np.ndarray:
     return b_len / n**params.alpha
 
 
-def normalization_ratio(params: ModelParams, T: Optional[float] = None, N: int = 100_000) -> SeriesValue:
-    """Log of the free restricted normalization, sum_{n<=N} ln Erf(c_n n pi / T).
+def _log_sinh_over_x(x: float) -> float:
+    """ln(sinh x / x) for x > 0, without cancellation at small x."""
+    if x < 1.0:
+        # sinh x / x - 1 = sum_k x^(2k) / (2k + 1)!, all terms positive
+        acc, term = 0.0, 1.0
+        for k in range(1, 13):
+            term *= x * x / ((2 * k) * (2 * k + 1))
+            acc += term
+        return math.log1p(acc)
+    return x + math.log1p(-math.exp(-2.0 * x)) - math.log(2.0 * x)
 
-    Every term is <= 0; the value only ever appears inside ratios where
-    it cancels, but it is exposed for the truncation diagnostics.
+
+def _sum_terms(n_max: int, terms: Callable[[np.ndarray], np.ndarray]) -> float:
+    """sum_{n=1}^{n_max} terms(n), evaluated in chunks of 2^20 modes."""
+    total = 0.0
+    for start in range(1, n_max + 1, _CHUNK):
+        total += chunked_sum(terms(np.arange(start, min(start + _CHUNK, n_max + 1), dtype=float)))
+    return total
+
+
+def _bracket_tail(n: int, omega: float, T: float, b_len: float, alpha: float) -> float:
+    """Rigorous bound on |sum_{m>n} b_m|.
+
+    From b_m >= -omega^2 c_m^2 / 3 and sum_{m>n} m^(-2 alpha) <= n^(1-2 alpha) / (2 alpha - 1),
+    or from b_m >= -(1/2) ln(1 + omega^2 / lambda_m) >= -omega^2 T^2 / (2 pi^2 m^2).
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    T = params.T if T is None else T
-    n = np.arange(1, N + 1, dtype=float)
-    terms = log_erf(_c_n(params, T, n) * n * math.pi / T)
-    value = chunked_sum(terms)
-    # |ln Erf| grows with n (c_n n / n^alpha decreases for alpha > 1), so
-    # the next doubling is bounded by N times the last magnitude there.
-    edge = float(log_erf(_c_n(params, T, np.array([2.0 * N])) * 2.0 * N * math.pi / T)[0])
-    return SeriesValue(value, N, abs(edge) * N, False)
+    tail = omega**2 * T**2 / (2.0 * math.pi**2 * n)
+    if alpha > 0.5:
+        tail = min(tail, omega**2 * b_len**2 * n ** (1.0 - 2.0 * alpha) / (3.0 * (2.0 * alpha - 1.0)))
+    return tail
+
+
+def _bracket_terms_needed(tol: float, omega: float, T: float, b_len: float, alpha: float) -> int:
+    """Smallest N <= _ADAPTIVE_CAP whose bracket tail bound is <= tol (the cap if none is)."""
+    if not tol > 0:
+        return _ADAPTIVE_CAP
+    log_n = 2.0 * math.log(omega * T) - math.log(2.0 * math.pi**2 * tol)
+    if alpha > 0.5:
+        k = 2.0 * alpha - 1.0
+        log_n = min(log_n, (2.0 * math.log(omega * b_len) - math.log(3.0 * k * tol)) / k)
+    n = min(max(1, math.ceil(math.exp(min(log_n, math.log(_ADAPTIVE_CAP))))), _ADAPTIVE_CAP)
+    # the logs above round; step to the exact smallest N
+    while n > 1 and _bracket_tail(n - 1, omega, T, b_len, alpha) <= tol:
+        n -= 1
+    while n < _ADAPTIVE_CAP and _bracket_tail(n, omega, T, b_len, alpha) > tol:
+        n += 1
+    return n
 
 
 def log_pi(
@@ -109,11 +150,27 @@ def log_pi(
     tol: float = 1e-6,
     n_terms: Optional[int] = None,
 ) -> PiResult:
-    """ln Pi(T): truncated log-space product with rigorous tail bound.
+    """ln Pi(T) with a rigorous tail bound.
 
-    The omitted factors satisfy 0 <= ln[Erf(c sqrt(l + w^2))/Erf(c sqrt(l))]
-    <= (1/2) ln(1 + w^2/l) (Erf concavity: Erf(k x) <= k Erf(x)), whose
-    sum over n > N is below omega^2 T^2 / (2 pi^2 N).
+    ``n_terms=None`` (adaptive): ln Pi = (1/2) ln(sinh wT / wT) + sum_{n<=N} b_n,
+    with b_n = L(c_n^2 (lambda_n + w^2)) - L(c_n^2 lambda_n) and
+    L(W) = ln(Erf(sqrt W) / sqrt W).  As L' lies in [-1/3, 0] (1 - Z(W) is
+    2W times a tilted mean of u^2 over u in [0, 1], at most 2W/3), every
+    b_n lies in [max(-w^2 c_n^2 / 3, -(1/2) ln(1 + w^2/lambda_n)), 0], so
+    the terms after N sum to at most
+
+        min(w^2 B^2 N^(1 - 2 alpha) / (3 (2 alpha - 1)), w^2 T^2 / (2 pi^2 N)).
+
+    N is the smallest count whose bound is <= tol, up to 2^24 terms;
+    ``n_terms`` of the result counts these bracket terms.  The value is
+    clamped to the exact bounds [0, (1/2) ln(sinh wT / wT)].
+
+    ``n_terms=N``: the exact sum of the first N log factors
+    ln[Erf(c sqrt(l + w^2)) / Erf(c sqrt(l))].  Each omitted factor lies
+    in [0, (1/2) ln(1 + w^2/l)] (Erf concavity: Erf(k x) <= k Erf(x)), so
+    the tail is below w^2 T^2 / (2 pi^2 N).
+
+    ``converged`` means tail_bound <= tol * max(1, |ln Pi|).
     """
     if T <= 0:
         raise ValueError("T must be positive")
@@ -125,33 +182,35 @@ def log_pi(
     if omega == 0.0:
         return PiResult(0.0, T, 0, 0.0, True, params)
 
-    def evaluate(n_max: int) -> tuple[float, float]:
-        total = 0.0
-        for start in range(1, n_max + 1, 1 << 20):
-            n = np.arange(start, min(start + (1 << 20), n_max + 1), dtype=float)
+    if n_terms is not None:
+        if n_terms < 1:
+            raise ValueError("n_terms must be >= 1")
+
+        def erf_ratio(n):
             c = _c_n(params, T, n)
             lam_sqrt = n * math.pi / T
             hi = log_erf(c * np.sqrt(lam_sqrt**2 + omega**2))
             lo = log_erf(c * lam_sqrt)
             # each factor is >= 0 exactly; clip roundoff-negative values
-            total += chunked_sum(np.maximum(hi - lo, 0.0))
-        tail = omega**2 * T**2 / (2.0 * math.pi**2 * n_max)
-        return total, tail
+            return np.maximum(hi - lo, 0.0)
 
-    if n_terms is not None:
-        if n_terms < 1:
-            raise ValueError("n_terms must be >= 1")
-        value, tail = evaluate(int(n_terms))
-        return PiResult(value, T, int(n_terms), tail, tail <= tol * max(1.0, abs(value)), params)
+        n = int(n_terms)
+        value = _sum_terms(n, erf_ratio)
+        tail = omega**2 * T**2 / (2.0 * math.pi**2 * n)
+    else:
 
-    n = 1 << 12
-    while True:
-        value, tail = evaluate(n)
-        if tail <= tol * max(1.0, abs(value)):
-            return PiResult(value, T, n, tail, True, params)
-        if n >= _ADAPTIVE_CAP:
-            return PiResult(value, T, n, tail, False, params)
-        n *= 4
+        def bracket(n):
+            c2 = _c_n(params, T, n) ** 2
+            lam = (n * math.pi / T) ** 2
+            # each bracket is <= 0 exactly; clip roundoff-positive values
+            return np.minimum(_log_erf_over_sqrt(c2 * (lam + omega**2)) - _log_erf_over_sqrt(c2 * lam), 0.0)
+
+        b_len = _c_n(params, T, 1.0)
+        n = _bracket_terms_needed(tol, omega, T, b_len, params.alpha)
+        free = 0.5 * _log_sinh_over_x(omega * T)
+        value = min(max(free + _sum_terms(n, bracket), 0.0), free)
+        tail = _bracket_tail(n, omega, T, b_len, params.alpha)
+    return PiResult(value, T, n, tail, tail <= tol * max(1.0, abs(value)), params)
 
 
 def spectrum_shift(
@@ -274,7 +333,7 @@ def scan_E0_vs_omega(
     params: ModelParams,
     T: float = 1.0,
     tol: float = 1e-6,
-    n_terms: Optional[int] = 100_000,
+    n_terms: Optional[int] = None,
 ) -> dict:
     """Ground-state energy vs omega with a weighted linear fit E0 = a + b omega.
 

@@ -78,12 +78,12 @@ def log_erf(x):
     """
     x = np.asarray(x, dtype=float)
     small = x < 0.5
+    large = ~small
+    out = np.empty_like(x)
     with np.errstate(divide="ignore"):
-        out = np.where(
-            small,
-            np.log(sc.erf(np.where(small, x, 1.0))),
-            np.log1p(-sc.erfc(np.where(small, 1.0, x))),
-        )
+        # each branch is evaluated only on the elements that take it
+        out[small] = np.log(sc.erf(x[small]))
+        out[large] = np.log1p(-sc.erfc(x[large]))
     if out.ndim == 0:
         return float(out)
     return out
@@ -110,17 +110,18 @@ def _log_erf_over_sqrt(w):
     """
     w = np.asarray(w, dtype=float)
     small = w < 0.25
-    ws = np.where(small, w, 0.0)
+    large = ~small
+    out = np.empty_like(w)
+    ws = w[small]
     # Erf(z)/z * sqrt(pi)/2 = sum_k (-W)^k / (k! (2k+1)), z = sqrt(W)
     acc = np.zeros_like(ws)
     term = np.ones_like(ws)
     for k in range(1, 18):
         term = term * (-ws) / k
         acc = acc + term / (2 * k + 1)
-    series = np.log1p(acc) + math.log(2.0 / math.sqrt(math.pi))
-    wl = np.where(small, 1.0, w)
-    direct = log_erf(np.sqrt(wl)) - 0.5 * np.log(wl)
-    out = np.where(small, series, direct)
+    out[small] = np.log1p(acc) + math.log(2.0 / math.sqrt(math.pi))
+    wl = w[large]
+    out[large] = log_erf(np.sqrt(wl)) - 0.5 * np.log(wl)
     if out.ndim == 0:
         return float(out)
     return out

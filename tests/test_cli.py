@@ -57,6 +57,22 @@ def test_spectrum(capsys):
     assert "T,delta_omega,log_pi,n_terms" in out
 
 
+def test_spectrum_readme_example_adaptive(capsys):
+    # the README example runs the adaptive route by default
+    code, out = run(
+        capsys,
+        ["spectrum", "--epsilon-D", "0.1", "--omega", "1", "--T-grid-min", "0.5",
+         "--T-grid-max", "5", "--points", "20"],
+    )
+    assert code == EXIT_OK
+    assert "# n_terms" not in out
+    lines = [l for l in out.splitlines() if not l.startswith("#")]
+    assert lines[0] == "T,delta_omega,log_pi,n_terms"
+    n_terms = [int(l.split(",")[3]) for l in lines[1:]]
+    assert len(n_terms) == 20
+    assert all(1 <= n <= 2000 for n in n_terms)
+
+
 def test_spectrum_reports_convergence_failure(capsys):
     # a fixed truncation too short for the requested tolerance exits 2
     code, _ = run(

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from diffpath.oscillator import (
+    _log_sinh_over_x,
     log_pi,
-    normalization_ratio,
     partition_functions,
     scan_E0_vs_omega,
     spectrum_shift,
@@ -71,13 +71,50 @@ def test_log_pi_domain():
         log_pi(0.0, FIG4)
 
 
-def test_normalization_ratio_properties():
-    res = normalization_ratio(FIG4, N=2000)
-    assert res.value < 0.0  # every factor's log <= 0
-    res2 = normalization_ratio(FIG4, N=4000)
-    assert abs(res2.value - res.value) <= res.tail_bound
-    big = normalization_ratio(ModelParams(alpha=2.1, A=1e12), N=2000)
-    assert abs(big.value) < 1e-12  # Erf(huge) = 1
+def mp_log_erf_over_sqrt(w):
+    """L(W) = ln(Erf(sqrt W) / sqrt W) in mpmath."""
+    z = mp.sqrt(w)
+    return mp.log(mp.erf(z) / z)
+
+
+def test_bracket_lemma_mpmath():
+    # 0 <= L(W) - L(k^2 W) <= (k^2 - 1) W / 3: the bound behind every bracket
+    mp.mp.dps = 50
+    rng = np.random.default_rng(11)
+    for log_w, k in zip(rng.uniform(-8.0, 4.0, 200), 1.0 + 10.0 ** rng.uniform(-6.0, 1.5, 200)):
+        w = mp.mpf(10.0) ** log_w
+        k2 = mp.mpf(k) ** 2
+        drop = mp_log_erf_over_sqrt(w) - mp_log_erf_over_sqrt(k2 * w)
+        assert 0 <= drop <= (k2 - 1) * w / 3
+
+
+@pytest.mark.parametrize("alpha", [2.05, 3.0, 4.0])
+@pytest.mark.parametrize("primary", [{"A": 100.0}, {"epsilon_D": 0.1}])
+def test_log_pi_adaptive_within_tail_bound(alpha, primary):
+    for T, omega_t in ((0.5, 0.1), (1.0, 2.0), (5.0, 2.0), (1.0, 25.0), (5.0, 25.0)):
+        params = ModelParams(alpha=alpha, omega=omega_t / T, **primary)
+        coarse = log_pi(T, params, tol=1e-6)
+        fine = log_pi(T, params, tol=1e-13)
+        assert coarse.converged and fine.converged
+        assert coarse.tail_bound <= 1e-6 and fine.tail_bound <= 1e-13
+        assert abs(coarse.log_pi - fine.log_pi) <= coarse.tail_bound
+
+
+def test_log_pi_adaptive_between_exact_bounds():
+    mp.mp.dps = 30
+    cases = [
+        (ModelParams(alpha=2.05, epsilon_D=0.02), (1e-4, 0.3, 1.0, 5.0, 50.0)),
+        (ModelParams(alpha=4.0, A=1.0), (1e-4, 1.0, 25.0)),
+        (ModelParams(alpha=2.1, A=1e12), (1e-3, 1.0, 3.0)),  # Feynman limit: ln Pi -> 0
+        (ModelParams(alpha=0.8, A=10.0), (0.5, 2.0)),  # the n^(1-2 alpha) bound is the weaker one
+    ]
+    for params, omega_ts in cases:
+        for omega_t in omega_ts:
+            upper = 0.5 * float(mp.log(mp.sinh(omega_t) / omega_t))
+            assert 0.5 * _log_sinh_over_x(omega_t) == pytest.approx(upper, rel=1e-14)
+            for tol in (1e-4, 1e-7):
+                res = log_pi(1.0, params.with_omega(omega_t), tol=tol)
+                assert 0.0 <= res.log_pi <= upper * (1.0 + 1e-14)
 
 
 def test_spectrum_shift_values():

@@ -7,12 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import scipy.special as sc
 from scipy.integrate import quad
 
 from diffpath.special import (
+    _log_erf_over_sqrt,
     bernoulli,
     erf,
     li2_exp,
+    log_erf,
     log_erf_ratio,
     one_minus_zed,
     truncated_gaussian_ratio,
@@ -70,6 +73,61 @@ def test_log_erf_ratio_domain():
 def test_log_erf_ratio_cocycle(u, v, w):
     lhs = log_erf_ratio(u, v) + log_erf_ratio(v, w)
     assert lhs == pytest.approx(log_erf_ratio(u, w), abs=1e-12)
+
+
+def _log_erf_both_branches(x):
+    """The two-branch formula of log_erf, with both branches over the whole array."""
+    x = np.asarray(x, dtype=float)
+    small = x < 0.5
+    with np.errstate(divide="ignore"):
+        return np.where(
+            small,
+            np.log(sc.erf(np.where(small, x, 1.0))),
+            np.log1p(-sc.erfc(np.where(small, 1.0, x))),
+        )
+
+
+def _log_erf_over_sqrt_both_branches(w):
+    """The series/direct formula of _log_erf_over_sqrt, both over the whole array."""
+    w = np.asarray(w, dtype=float)
+    small = w < 0.25
+    ws = np.where(small, w, 0.0)
+    acc = np.zeros_like(ws)
+    term = np.ones_like(ws)
+    for k in range(1, 18):
+        term = term * (-ws) / k
+        acc = acc + term / (2 * k + 1)
+    series = np.log1p(acc) + math.log(2.0 / math.sqrt(math.pi))
+    wl = np.where(small, 1.0, w)
+    direct = _log_erf_both_branches(np.sqrt(wl)) - 0.5 * np.log(wl)
+    return np.where(small, series, direct)
+
+
+def _masked_kernel_inputs(split):
+    rng = np.random.default_rng(5)
+    near = split + np.arange(-64, 65) * np.spacing(split)
+    spread = np.geomspace(1e-300, 30.0, 2000)
+    shuffled = rng.permutation(np.concatenate([near, spread, 10.0 ** rng.uniform(-300, np.log10(30.0), 4000)]))
+    return np.concatenate([near, spread, shuffled])
+
+
+def test_log_erf_masked_branches_bit_identical():
+    x = _masked_kernel_inputs(0.5)
+    assert np.array_equal(log_erf(x), _log_erf_both_branches(x))
+    assert np.array_equal(log_erf(x.reshape(-1, 2)), _log_erf_both_branches(x.reshape(-1, 2)))
+    for x0 in (0.5, np.nextafter(0.5, 0.0), 1e-300, 30.0):
+        got = log_erf(np.float64(x0))
+        assert type(got) is float
+        assert got == float(_log_erf_both_branches(x0))
+
+
+def test_log_erf_over_sqrt_masked_branches_bit_identical():
+    w = _masked_kernel_inputs(0.25)
+    assert np.array_equal(_log_erf_over_sqrt(w), _log_erf_over_sqrt_both_branches(w))
+    for w0 in (0.25, np.nextafter(0.25, 0.0), 1e-300, 30.0):
+        got = _log_erf_over_sqrt(w0)
+        assert type(got) is float
+        assert got == float(_log_erf_over_sqrt_both_branches(w0))
 
 
 def test_zed_large_w_asymptote():
