@@ -12,10 +12,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
 import numpy as np
@@ -33,8 +30,6 @@ __all__ = ["main", "build_parser"]
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CONVERGENCE = 2
-
-MAX_WORKERS_ENV = "DIFFPATH_MAX_WORKERS"
 
 
 class UsageError(Exception):
@@ -115,22 +110,6 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _max_workers() -> int:
-    try:
-        return max(1, int(os.environ.get(MAX_WORKERS_ENV, "1")))
-    except ValueError:
-        return 1
-
-
-def _map_ordered(fn, items):
-    """Map preserving input order; parallel only if the env cap allows."""
-    workers = _max_workers()
-    if workers == 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -155,9 +134,7 @@ def cmd_spectrum(args) -> int:
     if params.omega <= 0:
         raise UsageError("spectrum requires --omega > 0")
     grid = _grid(args, "T_grid")
-    results = _map_ordered(
-        lambda t: osc_mod.log_pi(t, params, args.tol, args.n_terms), grid
-    )
+    results = [osc_mod.log_pi(t, params, args.tol, args.n_terms) for t in grid]
     buf = io.StringIO()
     osc_mod.shift_rows_to_csv(results, buf, _metadata(args))
     _emit(args, buf.getvalue())
@@ -200,12 +177,7 @@ def cmd_commutator(args) -> int:
     grid = _grid(args, "eps")
     if grid[-1] >= params.T:
         raise UsageError("eps grid must lie inside (0, T)")
-    try:
-        rows = _map_ordered(
-            lambda e: commutator_expectation(e, params, args.model, args.tol), grid
-        )
-    except ConvergenceError:
-        return EXIT_CONVERGENCE
+    rows = [commutator_expectation(e, params, args.model, args.tol) for e in grid]
     buf = io.StringIO()
     commutator_rows_to_csv(rows, buf, _metadata(args))
     _emit(args, buf.getvalue())
@@ -217,7 +189,6 @@ def cmd_casimir(args) -> int:
         res = casimir_mod.epsilon_d_bound(args.L_exp, args.rel_error, args.c)
         _emit(args, json.dumps(res.as_dict(), indent=2, sort_keys=True) + "\n")
         return EXIT_OK
-    lines = []
     grid = _grid(args, "L")
     rows = []
     for L in grid:
@@ -228,8 +199,7 @@ def cmd_casimir(args) -> int:
         res = casimir_mod.casimir_energy(cfg, args.model)
         rows.append((float(L), res.energy, res.model, res.x))
     buf = io.StringIO()
-    for key, val in _metadata(args).items():
-        buf.write(f"# {key} = {val}\n")
+    paths_mod._write_metadata(buf, _metadata(args))
     buf.write("L,delta_E,model,x\n")
     for L, e, model, x in rows:
         buf.write(f"{L!r},{e!r},{model},{x!r}\n")

@@ -6,6 +6,9 @@ order in eps), but vanishing linearly in eps deep below epsilon_D for the
 restricted one.  Recasting the small correction in canonical language
 gives [x, p] = hbar (1 - beta p^2) with beta = (2/pi)^2 / p_UV^2, valid
 for p below p_D = sqrt(hbar m / epsilon_D).
+
+p_UV = m sqrt(v2_uv) uses the scale v2_uv = (pi A / T) sqrt(hbar / m T), not
+the plateau <v^2>(eps -> 0), which is v2_uv / 4 at alpha = 3, A = 10.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import IO, Iterable, Optional
 
-from .paths import ModelParams
+from .paths import ModelParams, _write_metadata
 from .velocity import regime_report, v2_diff, v2_feynman
 
 __all__ = [
@@ -43,7 +46,7 @@ def commutator_expectation(
     if model not in ("feynman", "differentiable"):
         raise ValueError("model must be 'feynman' or 'differentiable'")
     if model == "feynman":
-        v2 = v2_feynman(eps, params, tol)
+        v2 = v2_feynman(eps, params)
     else:
         v2 = v2_diff(eps, params, tol)
     value = params.m * eps * v2
@@ -68,7 +71,8 @@ def gup_coefficient(params: ModelParams) -> dict:
     """beta, p_uv and p_D of the modified commutator [x,p] = hbar(1 - beta p^2).
 
     beta = (2/pi)^2 / p_uv^2 coincides with C / hbar^2 from the velocity
-    regime report (same algebra, two routes).
+    regime report (same algebra, two routes).  p_uv = m sqrt(v2_uv) comes from
+    the scale v2_uv = (pi A / T) sqrt(hbar / m T), not from the plateau.
     """
     rep = regime_report(params)  # raises for alpha <= 2
     beta = (2.0 / math.pi) ** 2 / rep.p_uv**2
@@ -79,9 +83,7 @@ def gup_coefficient(params: ModelParams) -> dict:
 def commutator_rows_to_csv(
     rows: Iterable[CommutatorReport], fh: IO[str], metadata: Optional[dict] = None
 ) -> None:
-    if metadata:
-        for key, val in metadata.items():
-            fh.write(f"# {key} = {val}\n")
+    _write_metadata(fh, metadata)
     writer = csv.writer(fh)
     writer.writerow(["eps", "commutator", "regime"])
     for row in rows:

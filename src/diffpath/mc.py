@@ -17,7 +17,7 @@ from typing import IO, Iterable, Optional
 
 import numpy as np
 
-from .paths import ModelParams, RNG_ALGORITHM
+from .paths import ModelParams, RNG_ALGORITHM, _write_metadata
 from .special import erf, truncated_gaussian_ratio
 
 __all__ = [
@@ -192,11 +192,7 @@ def estimate_pi_factor(
 def estimates_to_csv(
     estimates: Iterable[McEstimate], fh: IO[str], metadata: Optional[dict] = None
 ) -> None:
-    if metadata is None:
-        metadata = {}
-    metadata = {"rng": RNG_ALGORITHM, **metadata}
-    for key, val in metadata.items():
-        fh.write(f"# {key} = {val}\n")
+    _write_metadata(fh, {"rng": RNG_ALGORITHM, **(metadata or {})})
     writer = csv.writer(fh)
     writer.writerow(["quantity", "mean", "stderr", "n_samples", "seed"])
     for e in estimates:

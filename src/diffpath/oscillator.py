@@ -31,7 +31,7 @@ from typing import IO, Callable, Iterable, Optional
 
 import numpy as np
 
-from .paths import ModelParams
+from .paths import ModelParams, _write_metadata
 from .special import _log_erf_over_sqrt, chunked_sum, log_erf
 
 __all__ = [
@@ -371,9 +371,7 @@ def shift_rows_to_csv(
     results: Iterable[PiResult], fh: IO[str], metadata: Optional[dict] = None
 ) -> None:
     """CSV `T,delta_omega,log_pi,n_terms` from a sequence of PiResults."""
-    if metadata:
-        for key, val in metadata.items():
-            fh.write(f"# {key} = {val}\n")
+    _write_metadata(fh, metadata)
     writer = csv.writer(fh)
     writer.writerow(["T", "delta_omega", "log_pi", "n_terms"])
     for r in results:

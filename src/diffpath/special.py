@@ -26,6 +26,7 @@ __all__ = [
     "li2_exp",
     "bernoulli",
     "chunked_sum",
+    "chunk_partials",
 ]
 
 ZETA2 = math.pi**2 / 6.0
@@ -57,11 +58,14 @@ def chunked_sum(terms: np.ndarray, chunk: int = 1 << 16) -> float:
     are combined with ``math.fsum``, so accumulation order is fixed and
     rounding error stays near one ulp even for ~1e7 terms.
     """
+    return math.fsum(chunk_partials(terms, chunk))
+
+
+def chunk_partials(terms: np.ndarray, chunk: int = 1 << 16) -> list[float]:
+    """Pairwise sums of consecutive chunks; those of chunk-aligned slices
+    concatenate to the whole array's, so a chunked_sum can go slice by slice."""
     terms = np.asarray(terms, dtype=float)
-    if terms.size <= chunk:
-        return float(terms.sum())
-    partials = [float(terms[i : i + chunk].sum()) for i in range(0, terms.size, chunk)]
-    return math.fsum(partials)
+    return [float(terms[i : i + chunk].sum()) for i in range(0, terms.size, chunk)]
 
 
 def erf(x):

@@ -12,14 +12,26 @@ Accuracy notes: a naive truncation of these series needs ~1e8 terms for
 1e-9 absolute accuracy because the tail only decays like 1/N.  Instead
 the partial sum is corrected and bounded analytically:
 
-* the squared sine difference expands into a constant plus four cosine
-  terms; the constant's exact tail is the trigamma function psi_1(N+1),
-  while each oscillatory tail obeys the Abel/Dirichlet-kernel bound
+* the free series sums to S_F(tau) = (pi^2/2) tau (1 - tau), which
+  v2_feynman and scan_v2 use.  s_feynman, the independent check, expands
+  the squared sine difference into a constant plus four cosine terms; the
+  constant's exact tail is the trigamma function psi_1(N+1), while each
+  oscillatory tail obeys the Abel/Dirichlet-kernel bound
   |sum_{j>N} cos(j theta)/j^2| <= 2 / ((N+1)^2 sin(theta/2)); where that
   bound is too weak (theta near 0) the tail is instead evaluated as a
   QUADPACK Fourier integral with a midpoint-rule error bound;
-* in the restricted series the weights 1 - Z(W_j) <= min(1, 2 W_j / 3)
-  make the tail integrable, giving a power-law integral bound.
+* s_diff sums the head of S_D = sum_j w_j s_j, s_j = sin^2(j pi tau)/j^2,
+  up to n = 4096 * 4^k and certifies the tail R_n by the tighter of two
+  bounds.  W-form: the weights 1 - Z(W_j) <= min(1, 2 W_j / 3) give a
+  power-law integral bound, tight once n is well past j* = Abar^(1/(alpha-1)).
+  Z-form: R_n = [S_F - sum_{j<=n} s_j] - sum_{j>n} Z_j s_j, and with
+  f(t) = Z(W(t))/t^2 and sin^2 = (1 - cos(2 pi j tau))/2 the last sum is
+  (1/2) int_{n+1/2}^inf f up to the midpoint-rule error
+  (6 + k2)/(144 (n - 3/2)^3) and an Abel bound sup_{j>n} f(j) / sin(pi tau)
+  on the cosine half (f rises once, then falls).  k2 = 2 alpha (2 alpha + 1)
+  holds because W w'/w and |W (W w')'|/w are at most 1 for w = 1 - Z, and
+  sup f <= min(1/(n+1)^2, c/j*^2), c = max(1, 1.34 (p/e)^p),
+  p = 1/2 + 1/(alpha-1), because Z(W) <= 2 sqrt(W/pi) e^-W / Erf(1) for W >= 1.
 """
 
 from __future__ import annotations
@@ -27,17 +39,19 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import IO, Iterable, Optional
 
 import numpy as np
 import scipy.special as sc
 from scipy.integrate import quad as _quad
 
-from .paths import ModelParams, scale_relations
+from .paths import ModelParams, _write_metadata, scale_relations
 from .special import (
     ZETA2,
     ConvergenceError,
     SeriesValue,
+    chunk_partials,
     chunked_sum,
     li2_exp,
     one_minus_zed,
@@ -181,25 +195,76 @@ def s_feynman_closed(tau: float) -> float:
     return 0.5 * ZETA2 - 0.5 * li2_exp(2j * math.pi * tau).real
 
 
+def _s_feynman_exact(tau: float) -> float:
+    """(pi^2/2) tau (1 - tau), the exact sum of the free series at t0 = 0."""
+    return 0.5 * math.pi**2 * tau * (1.0 - tau)
+
+
 def _weights_w(params: ModelParams, j: np.ndarray) -> np.ndarray:
     """W_j = (Abar / j^(alpha-1))^2 for the restricted weights 1 - Z(W_j)."""
     return (params.a_bar / j ** (params.alpha - 1.0)) ** 2
 
 
-def _s_diff_direct(tau: float, params: ModelParams, tol: float) -> SeriesValue:
+def _head_sums(tau: float, params: ModelParams, n: int) -> tuple[float, float]:
+    """chunked_sum of w_j s_j and of s_j over j <= n, built 2^20 modes at a time."""
+    weighted, free = [], []
+    for start in range(1, n + 1, 1 << 20):
+        j = np.arange(start, min(start + (1 << 20), n + 1), dtype=float)
+        s = (np.sin(j * (math.pi * tau)) / j) ** 2
+        weighted += chunk_partials(s * one_minus_zed(_weights_w(params, j)))
+        free += chunk_partials(s)
+    return math.fsum(weighted), math.fsum(free)
+
+
+def _zed_scalar(w: float) -> float:
+    """Z(W) for one float, ~100x cheaper than special.zed on a 0-d array.
+
+    QUADPACK calls it a few hundred times per integral, W = 0 (Z = 1) included.
+    """
+    r = math.sqrt(w)
+    return 2.0 / math.sqrt(math.pi) * r * math.exp(-w) / math.erf(r) if w > 0.0 else 1.0
+
+
+@lru_cache(maxsize=256)
+def _z_integral(a: float, a_bar: float, alpha: float) -> tuple[float, float]:
+    """int_a^inf Z(W(t)) / t^2 dt = (1/(2 beta j*)) int_0^W(a) Z(W) W^(1/(2 beta) - 1) dW,
+    with its quadrature error.  Z(800) underflows, so W stops there; no tau
+    dependence, so a scan computes it once per n."""
+    beta = alpha - 1.0
+    w_top = min((a_bar / a**beta) ** 2, 800.0)
+    val, err = _quad(_zed_scalar, 0.0, w_top, weight="alg", wvar=(0.5 / beta - 1.0, 0.0), limit=200)
+    pref = a_bar ** (-1.0 / beta) / (2.0 * beta)
+    return pref * val, pref * abs(err)
+
+
+def s_diff(tau: float, params: ModelParams, tol: float = 1e-10) -> SeriesValue:
+    """Restricted-measure series sum_j j^{-2} sin^2(j pi tau) (1 - Z(W_j)).
+
+    t0 is fixed to 0 for the restricted measure (mean velocity at the
+    origin); the t0-dependence is only exposed in s_feynman.  Tail bounds:
+    module docstring; where the W-form meets tol the value is the head sum.
+    """
+    if not 0.0 <= tau < 1.0:
+        raise ValueError("tau must lie in [0, 1)")
+    if params.alpha <= 1:
+        raise ValueError("s_diff requires alpha > 1")
+    if tau == 0.0:
+        return SeriesValue(0.0, 0, 0.0, True)
     abar = params.a_bar
     alpha = params.alpha
+    beta = alpha - 1.0
     j_turn = 1.0 / (math.pi * tau)  # sin^2(j pi tau) <= min(1, (j pi tau)^2)
+    p = 0.5 + 1.0 / beta
+    z_peak = max(1.0, 1.34 * (p / math.e) ** p) * abar ** (-2.0 / beta)  # >= sup Z/t^2
+    k2 = 2.0 * alpha * (2.0 * alpha + 1.0)  # |(w/t^2)''| <= k2 w / t^4
+    # W-form tail: terms <= (2/3) Abar^2 * min(1, (pi tau j)^2) * j^{-2 alpha},
+    # a piecewise integral over j > n, split at j_turn.
+    pref = (2.0 / 3.0) * abar * abar
+    p_low = 2.0 * (alpha - 1.0)  # exponent while sin^2 ~ (j pi tau)^2
+    p_high = 2.0 * alpha
     n = 1 << 12
     while True:
-        j = np.arange(1, n + 1, dtype=float)
-        terms = (np.sin(j * (math.pi * tau)) / j) ** 2 * one_minus_zed(_weights_w(params, j))
-        value = chunked_sum(terms)
-        # Tail: terms <= (2/3) Abar^2 * min(1, (pi tau j)^2) * j^{-2 alpha} ...
-        # piecewise integral over j > n, split at j_turn.
-        pref = (2.0 / 3.0) * abar * abar
-        p_low = 2.0 * (alpha - 1.0)  # exponent while sin^2 ~ (j pi tau)^2
-        p_high = 2.0 * alpha
+        value, free_head = _head_sums(tau, params, n)
         hi_start = max(float(n), j_turn)
         tail = pref * hi_start ** (1.0 - p_high) / (p_high - 1.0)
         if j_turn > n:
@@ -211,54 +276,19 @@ def _s_diff_direct(tau: float, params: ModelParams, tol: float) -> SeriesValue:
         # weights also obey 1 - Z <= 1, so the free-measure trigamma tail
         # is an alternative bound; keep the smaller.
         tail = min(tail, 4.0 * float(sc.polygamma(1, n + 1)))
+        # Z-form, tried only where its Abel term alone beats the W-form
+        abel = min(1.0 / (n + 1) ** 2, z_peak) / math.sin(math.pi * tau)
+        if not _tolerance_met(value, tail, tol) and abel < tail:
+            i_z, quad_err = _z_integral(n + 0.5, abar, alpha)
+            z_tail = abel + 0.5 * quad_err + (6.0 + k2) / (144.0 * (n - 1.5) ** 3)
+            if z_tail < tail:
+                value += _s_feynman_exact(tau) - free_head - 0.5 * i_z
+                tail = z_tail
         if _tolerance_met(value, tail, tol):
             return SeriesValue(value, n, tail, True)
         if n >= SERIES_CAP:
             return SeriesValue(value, n, tail, False)
         n *= 4
-
-
-_Z_NEGLIGIBLE_W = 45.0  # Z(45) < 3e-19: modes this deep are effectively free
-
-
-def _s_diff_via_feynman(tau: float, params: ModelParams, tol: float) -> SeriesValue:
-    """S_D = S_F - sum_j j^{-2} sin^2(j pi tau) Z(W_j), for very large Abar.
-
-    When Abar is huge the weights differ from 1 only beyond astronomically
-    large j; summing the (tiny) Z-correction converges long before the
-    weights do, so the free-series machinery carries the oscillatory part.
-    """
-    sf = s_feynman(tau, 0.0, 0.5 * tol)
-    n = sf.n_terms
-    j = np.arange(1, n + 1, dtype=float)
-    w = _weights_w(params, j)
-    zsum = chunked_sum((np.sin(j * (math.pi * tau)) / j) ** 2 * (1.0 - one_minus_zed(w)))
-    # j_c: index below which W_j >= 45 so Z < 3e-19; above it bound Z by 1.
-    j_c = (params.a_bar / math.sqrt(_Z_NEGLIGIBLE_W)) ** (1.0 / (params.alpha - 1.0))
-    tail = 3e-19 / n + (1.0 / j_c if j_c > n else float(sc.polygamma(1, n + 1)))
-    tail += sf.tail_bound
-    value = sf.value - zsum
-    return SeriesValue(value, n, tail, _tolerance_met(value, tail, tol) and sf.converged)
-
-
-def s_diff(tau: float, params: ModelParams, tol: float = 1e-10) -> SeriesValue:
-    """Restricted-measure series sum_j j^{-2} sin^2(j pi tau) (1 - Z(W_j)).
-
-    t0 is fixed to 0 for the restricted measure (mean velocity at the
-    origin); the t0-dependence is only exposed in s_feynman.
-    """
-    if not 0.0 <= tau < 1.0:
-        raise ValueError("tau must lie in [0, 1)")
-    if params.alpha <= 1:
-        raise ValueError("s_diff requires alpha > 1")
-    if tau == 0.0:
-        return SeriesValue(0.0, 0, 0.0, True)
-    # j* is where the weights saturate to ~1; beyond ~1e6 the direct route
-    # cannot reach tight tolerances within the term cap.
-    j_star = params.a_bar ** (1.0 / (params.alpha - 1.0))
-    if j_star <= 1e6:
-        return _s_diff_direct(tau, params, tol)
-    return _s_diff_via_feynman(tau, params, tol)
 
 
 def _v2_prefactor(eps: float, params: ModelParams) -> float:
@@ -270,13 +300,10 @@ def _check_eps(eps: float, params: ModelParams) -> None:
         raise ValueError("eps must lie in (0, T)")
 
 
-def v2_feynman(eps: float, params: ModelParams, tol: float = 1e-9) -> float:
-    """<v^2> at resolution eps for the free measure; ~ hbar/(m eps) to leading order."""
+def v2_feynman(eps: float, params: ModelParams) -> float:
+    """<v^2> at resolution eps for the free measure, exactly (hbar / m eps)(1 - eps / T)."""
     _check_eps(eps, params)
-    s = s_feynman(eps / params.T, 0.0, tol)
-    if not s.converged:
-        raise ConvergenceError("s_feynman did not converge")
-    return _v2_prefactor(eps, params) * s.value
+    return _v2_prefactor(eps, params) * _s_feynman_exact(eps / params.T)
 
 
 def v2_diff(eps: float, params: ModelParams, tol: float = 1e-9) -> float:
@@ -336,7 +363,7 @@ def crossing_eps(params: ModelParams, lo: float = 1e-6, hi: Optional[float] = No
     hi = hi if hi is not None else 0.5 * params.T
 
     def ratio(eps: float) -> float:
-        return v2_diff(eps, params, 1e-7) / v2_feynman(eps, params, 1e-7)
+        return v2_diff(eps, params, 1e-7) / v2_feynman(eps, params)
 
     r_lo, r_hi = ratio(lo), ratio(hi)
     if not (r_lo < 0.5 < r_hi):
@@ -372,7 +399,10 @@ def scan_v2(
     for eps in eps_grid:
         _check_eps(eps, params)
         tau = eps / params.T
-        s = s_feynman(tau, 0.0, tol) if model == "feynman" else s_diff(tau, params, tol)
+        if model == "feynman":
+            s = SeriesValue(_s_feynman_exact(tau), 0, 0.0, True)
+        else:
+            s = s_diff(tau, params, tol)
         rows.append(
             ScanRow(
                 eps=float(eps),
@@ -387,9 +417,7 @@ def scan_v2(
 
 
 def scan_rows_to_csv(rows: Iterable[ScanRow], fh: IO[str], metadata: Optional[dict] = None) -> None:
-    if metadata:
-        for key, val in metadata.items():
-            fh.write(f"# {key} = {val}\n")
+    _write_metadata(fh, metadata)
     writer = csv.writer(fh)
     writer.writerow(["eps", "v2", "n_terms", "tail_bound", "model"])
     for row in rows:

@@ -185,7 +185,7 @@ def test_criterion_06_low_resolution_correction():
     grid = np.clip(np.linspace(3.0 * eps_d, 10.0 * eps_d, 5), None, 0.99 * FIG2.T)
     coeff = 2.0 * FIG2.hbar * FIG2.T / (math.pi**2 * FIG2.m * FIG2.a_bar)
     gaps = [
-        (float(eps), v2_feynman(float(eps), FIG2, 1e-9) - v2_diff(float(eps), FIG2, 1e-9))
+        (float(eps), v2_feynman(float(eps), FIG2) - v2_diff(float(eps), FIG2, 1e-9))
         for eps in grid
     ]
     _report(

@@ -1,10 +1,16 @@
 """CLI contract: subcommands, metadata, determinism, exit codes."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
+from diffpath import velocity
 from diffpath.cli import EXIT_CONVERGENCE, EXIT_OK, EXIT_USAGE, main
+from diffpath.special import SeriesValue
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, argv):
@@ -163,3 +169,48 @@ def test_out_file(tmp_path, capsys):
 
 def test_exit_codes_exported():
     assert (EXIT_OK, EXIT_USAGE, EXIT_CONVERGENCE) == (0, 1, 2)
+
+
+@pytest.mark.parametrize("subcommand", ["v2", "commutator"])
+def test_large_amplitude_scans_converge(capsys, subcommand):
+    # A = 1e9 puts j* near 2e8, deep in the Feynman limit of the restricted series
+    code, out = run(capsys, [subcommand, "--A", "1e9", "--points", "20"])
+    assert code == EXIT_OK
+    assert len([l for l in out.splitlines() if not l.startswith("#")]) == 1 + 20 * (
+        2 if subcommand == "v2" else 1
+    )
+
+
+def test_commutator_reports_convergence_failure(capsys, monkeypatch):
+    def unconverged(tau, params, tol=1e-10):
+        return SeriesValue(0.1, 4096, 1.0, False)
+
+    monkeypatch.setattr(velocity, "s_diff", unconverged)
+    code = main(["commutator", "--A", "10", "--points", "2"])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONVERGENCE
+    assert captured.out == ""
+    assert captured.err.startswith("convergence failure: ")
+
+
+def _readme_commands():
+    lines, in_bash = [], False
+    for line in README.read_text().splitlines():
+        if line.startswith("```"):
+            in_bash = line.strip() == "```bash"
+        elif in_bash and line.startswith("diffpath "):
+            lines.append(line)
+    return lines
+
+
+def test_readme_examples_exit_zero(tmp_path, capsys):
+    commands = _readme_commands()
+    assert len(commands) >= 7
+    for i, line in enumerate(commands):
+        argv = shlex.split(line)[1:]
+        if "--out" in argv:
+            del argv[argv.index("--out") : argv.index("--out") + 2]
+        target = tmp_path / f"example{i}.out"
+        assert main(argv + ["--out", str(target)]) == EXIT_OK, line
+        assert target.stat().st_size > 0, line
+    assert capsys.readouterr().out == ""

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -157,14 +158,14 @@ def test_v2_diff_monotone_in_amplitude():
 
 def test_v2_diff_below_v2_feynman():
     for eps in (0.001, 0.05, 0.3):
-        assert v2_diff(eps, FIG2, 1e-9) <= v2_feynman(eps, FIG2, 1e-9)
+        assert v2_diff(eps, FIG2, 1e-9) <= v2_feynman(eps, FIG2)
 
 
 def test_low_resolution_correction_bound():
     # 0 <= v2_F - v2_D <= (2 hbar T / pi^2 m Abar) / eps^2 for eps above eps_D
     coeff = 2.0 * FIG2.hbar * FIG2.T / (math.pi**2 * FIG2.m * FIG2.a_bar)
     for eps in (0.37, 0.6, 0.9):
-        gap = v2_feynman(eps, FIG2, 1e-9) - v2_diff(eps, FIG2, 1e-9)
+        gap = v2_feynman(eps, FIG2) - v2_diff(eps, FIG2, 1e-9)
         assert 0.0 <= gap <= coeff / eps**2
 
 
@@ -208,3 +209,136 @@ def test_uv_plateau_scale_matches_regime_report():
     assert uv_plateau_scale(ModelParams(alpha=3.0, A=10.0)) == pytest.approx(
         regime_report(ModelParams(alpha=3.0, A=10.0)).v2_uv, rel=1e-14
     )
+
+
+def test_v2_feynman_is_the_closed_form():
+    # (2 hbar / m T)(T / pi eps)^2 (pi^2/2) tau (1 - tau) = (hbar / m eps)(1 - eps / T)
+    for eps in (1e-4, 0.01, 0.3, 0.9):
+        exact = 2.0 * (1.0 / (math.pi * eps)) ** 2 * (0.5 * math.pi**2 * eps * (1.0 - eps))
+        assert v2_feynman(eps, FIG2) == exact
+        assert v2_feynman(eps, FIG2) == pytest.approx((1.0 - eps) / eps, rel=1e-14)
+    rows = scan_v2([0.01, 0.3], FIG2, "feynman")
+    assert [r.v2 for r in rows] == [v2_feynman(0.01, FIG2), v2_feynman(0.3, FIG2)]
+    assert all(r.n_terms == 0 and r.tail_bound == 0.0 and r.converged for r in rows)
+    # the series, kept as the independent route, sums to the same value
+    sf = s_feynman(0.3, 0.0, 1e-10)
+    assert abs(0.5 * math.pi**2 * 0.3 * 0.7 - sf.value) <= sf.tail_bound + 1e-15
+
+
+# W-form values at Fig. 2 parameters, pinned in hex: where the W-form bound
+# meets tol the value is the plain head sum, unchanged bit for bit.  The
+# A = 1e6 point sums 4194304 terms, four 2^20-mode slices.
+PINNED_W_FORM = [
+    (FIG2, 1e-4, "0x1.b1bd1d79e9cd9p-20", 4096),
+    (FIG2, 1e-3, "0x1.4fdfd17bfd76cp-13", 4096),
+    (FIG2, 0.01, "0x1.cd6de7633ba17p-7", 4096),
+    (FIG2, 0.2, "0x1.7ed0a7deacebep-1", 4096),
+    (FIG2, 0.5, "0x1.3125f88feeea8p+0", 4096),
+    (FIG2, 0.9, "0x1.9de5b6116b6f3p-2", 4096),
+    (ModelParams(alpha=2.1, A=1e6), 1e-4, "0x1.0213adbd0ad80p-11", 4194304),
+]
+
+
+@pytest.mark.parametrize("params, tau, value_hex, n_terms", PINNED_W_FORM)
+def test_s_diff_w_form_values_pinned(params, tau, value_hex, n_terms):
+    sv = s_diff(tau, params, 1e-9)
+    assert sv.converged
+    assert (sv.value.hex(), sv.n_terms) == (value_hex, n_terms)
+
+
+def _mp_zed(w):
+    r = mp.sqrt(w)
+    return 2 / mp.sqrt(mp.pi) * r * mp.exp(-w) / mp.erf(r)
+
+
+def _mp_s_diff_reference(tau, a_bar, alpha):
+    """(S_D(tau), error bound) from Poisson summation, in mpmath.
+
+    With f(t) = Z(W(t)) / t^2, S_D = S_F - sum_j f(j) sin^2(pi tau j).  f is
+    smooth and flat to all orders at t = 0, so the sum equals
+    int_0^inf f(t) sin^2(pi tau t) dt up to aliases of order j*^-3, where
+    j* = Abar^(1/(alpha-1)); every case below has j* > 7e4.  In u = t / j*
+    the integral is (J0 - Jc) / (2 j*), J0 = int g, Jc = int g cos(Omega u),
+    g(u) = Z(u^(-2 beta)) / u^2, Omega = 2 pi tau j*.  For Omega >= 1e4, Jc
+    is dropped: g rises once and falls, with max g <= 1 for alpha <= 4, so
+    integration by parts gives |Jc| <= 2 / Omega.
+    """
+    with mp.workdps(20):
+        beta = mp.mpf(alpha) - 1
+        j_star = mp.mpf(a_bar) ** (1 / beta)
+
+        def g(u):
+            return _mp_zed(u ** (-2 * beta)) / u**2
+
+        j0 = mp.quad(g, [0, 0.25, 0.5, 1, 2, 4, 16, mp.inf])
+        omega = 2 * mp.pi * mp.mpf(tau) * j_star
+        if omega < 1e4:
+            jc = mp.quadosc(lambda u: g(u) * mp.cos(omega * u), [0, mp.inf], omega=omega)
+            err = 0
+        else:
+            jc, err = 0, 1 / (omega * j_star)
+        t = mp.mpf(tau)
+        return float(mp.pi**2 / 2 * t * (1 - t) - (j0 - jc) / (2 * j_star)), float(err)
+
+
+# Large amplitudes, where the weights fall only beyond j* ~ 1e5 - 1e8: the
+# Z-form certifies the tail after 4096 terms, except at A = 1e12, alpha =
+# 3.5, tau = 1e-4, where sin(pi tau) is too small for its Abel term and the
+# W-form does after 262144.
+@pytest.mark.parametrize(
+    "A, alpha, tau",
+    [(1e9, 2.1, 1e-4), (1e9, 2.1, 0.01), (1e9, 2.1, 0.2), (1e9, 2.1, 0.5),
+     (1e12, 3.5, 1e-4), (3e10, 2.8, 1e-3)],
+)
+def test_s_diff_large_amplitude_against_mpmath(A, alpha, tau):
+    params = ModelParams(alpha=alpha, A=A)
+    ref, ref_err = _mp_s_diff_reference(tau, params.a_bar, alpha)
+    sv = s_diff(tau, params, 1e-9)
+    assert sv.converged
+    assert abs(sv.value - ref) <= sv.tail_bound + ref_err + 1e-15
+
+
+def _mp_log_w_derivatives(w):
+    """phi = 1 - Z(W) and its log-derivatives D phi, D^2 phi, D = W d/dW.
+
+    D ln Z = 1/2 - W - Z/2, from d ln Erf(sqrt W)/dW = Z / (2 W).
+    """
+    z = _mp_zed(w)
+    dz = z * (mp.mpf(1) / 2 - w - z / 2)
+    ddz = dz * (mp.mpf(1) / 2 - w - z / 2) + z * (-w - dz / 2)
+    return 1 - z, -dz, -ddz
+
+
+def test_weight_log_derivative_ratios_at_most_one():
+    # These give |(phi / t^2)''| <= 2 alpha (2 alpha + 1) phi / t^4, the
+    # midpoint-rule constant of the Z-form.
+    with mp.workdps(50):
+        for k in range(0, 131):
+            w = mp.mpf(10) ** (-10 + k / 10)
+            phi, d1, d2 = _mp_log_w_derivatives(w)
+            assert 0 <= d1 <= phi
+            assert abs(d2) <= phi
+
+
+def _mp_peak_profile(beta):
+    """h(W) = Z(W) W^(1/beta) on a log grid; Z(W(t))/t^2 = h(W(t)) / j*^2."""
+    with mp.workdps(30):
+        grid = [mp.mpf(10) ** (-6 + k / 200) for k in range(1801)]
+        return grid, [_mp_zed(w) * w ** (1 / beta) for w in grid]
+
+
+@pytest.mark.parametrize("alpha", [2.01, 2.5, 3.0, 3.5, 4.0, 1.5, 1.2])
+def test_abel_peak_constant_bounds_z_over_t_squared(alpha):
+    beta = alpha - 1.0
+    p = 0.5 + 1.0 / beta
+    c_beta = max(1.0, 1.34 * (p / math.e) ** p)
+    # Z(W) <= (2/sqrt(pi)) sqrt(W) e^-W / Erf(1) for W >= 1, and
+    # max_W W^p e^-W = (p/e)^p
+    assert 2 / mp.sqrt(mp.pi) / mp.erf(1) <= 1.34
+    grid, h = _mp_peak_profile(beta)
+    assert max(h) <= c_beta
+    # h rises once and then falls: its log-slope 1/2 - W - Z/2 + 1/beta
+    # changes sign exactly once, so Z(W(t))/t^2 has a single maximum
+    slopes = [0.5 - w - _mp_zed(w) / 2 + 1 / mp.mpf(beta) for w in grid]
+    assert all(b < a for a, b in zip(slopes, slopes[1:]))
+    assert slopes[0] > 0 > slopes[-1]
