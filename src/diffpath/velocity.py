@@ -27,11 +27,18 @@ the partial sum is corrected and bounded analytically:
   Z-form: R_n = [S_F - sum_{j<=n} s_j] - sum_{j>n} Z_j s_j, and with
   f(t) = Z(W(t))/t^2 and sin^2 = (1 - cos(2 pi j tau))/2 the last sum is
   (1/2) int_{n+1/2}^inf f up to the midpoint-rule error
-  (6 + k2)/(144 (n - 3/2)^3) and an Abel bound sup_{j>n} f(j) / sin(pi tau)
-  on the cosine half (f rises once, then falls).  k2 = 2 alpha (2 alpha + 1)
-  holds because W w'/w and |W (W w')'|/w are at most 1 for w = 1 - Z, and
-  sup f <= min(1/(n+1)^2, c/j*^2), c = max(1, 1.34 (p/e)^p),
-  p = 1/2 + 1/(alpha-1), because Z(W) <= 2 sqrt(W/pi) e^-W / Erf(1) for W >= 1.
+  (6 + k2)/(144 (n - 3/2)^3), plus (1/2) C_Z, C_Z = sum_{j>n} f(j) cos(j theta),
+  theta = 2 pi tau.  k2 = 2 alpha (2 alpha + 1) bounds |(w/t^2)''| t^4 / w
+  because W w'/w and |W (W w')'|/w are at most 1 for w = 1 - Z.  C_Z is 0
+  within 2 sup f / sin(pi tau) (Abel; f rises once, then falls;
+  sup f <= min(1/(n+1)^2, c/j*^2), c = max(1, 1.34 (p/e)^p), p = 1/2 + 1/(alpha-1),
+  since Z(W) <= 2 sqrt(W/pi) e^-W / Erf(1) for W >= 1), or the exact free
+  cosine sum minus C_w = sum_{j>n} u(j) cos(j theta), u = w/t^2 decreasing:
+  C_w is 0 within u(n+1)/sin(pi tau), or -u(n+1) D_n (D_n the Dirichlet
+  kernel) within int_{n+1}^inf |u''| / (2 sin^2(pi tau)) (Abel once or
+  twice).  At small tau, C_w or C_Z is the Fourier integral from n+1/2
+  (QUADPACK, error estimate included) within the midpoint-rule error,
+  bounded through k2 and the integrals and total variations of u and f.
 """
 
 from __future__ import annotations
@@ -39,7 +46,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import IO, Iterable, Optional
 
 import numpy as np
@@ -225,16 +231,83 @@ def _zed_scalar(w: float) -> float:
     return 2.0 / math.sqrt(math.pi) * r * math.exp(-w) / math.erf(r) if w > 0.0 else 1.0
 
 
-@lru_cache(maxsize=256)
+_Z_INTEGRALS: dict[tuple[float, float, float], tuple[float, float]] = {}
+
+
 def _z_integral(a: float, a_bar: float, alpha: float) -> tuple[float, float]:
     """int_a^inf Z(W(t)) / t^2 dt = (1/(2 beta j*)) int_0^W(a) Z(W) W^(1/(2 beta) - 1) dW,
     with its quadrature error.  Z(800) underflows, so W stops there; no tau
-    dependence, so a scan computes it once per n."""
+    dependence, so a scan computes it once per n (up to 256 keys are kept)."""
+    if (a, a_bar, alpha) not in _Z_INTEGRALS:
+        beta = alpha - 1.0
+        w_top = min((a_bar / a**beta) ** 2, 800.0)
+        val, err = _quad(_zed_scalar, 0.0, w_top, weight="alg", wvar=(0.5 / beta - 1.0, 0.0), limit=200)
+        pref = a_bar ** (-1.0 / beta) / (2.0 * beta)
+        if len(_Z_INTEGRALS) >= 256:
+            _Z_INTEGRALS.clear()
+        _Z_INTEGRALS[a, a_bar, alpha] = (pref * val, pref * abs(err))
+    return _Z_INTEGRALS[a, a_bar, alpha]
+
+
+def _w_cosine_integral(a: float, a_bar: float, alpha: float, theta: float, epsabs: float) -> tuple[float, float]:
+    """int_a^inf (1 - Z(W(t))) cos(theta t) / t^2 dt by QUADPACK's Fourier routine,
+    with its error estimate (inf where QUADPACK reports a failure)."""
     beta = alpha - 1.0
-    w_top = min((a_bar / a**beta) ** 2, 800.0)
-    val, err = _quad(_zed_scalar, 0.0, w_top, weight="alg", wvar=(0.5 / beta - 1.0, 0.0), limit=200)
-    pref = a_bar ** (-1.0 / beta) / (2.0 * beta)
-    return pref * val, pref * abs(err)
+    out = _quad(lambda t: (1.0 - _zed_scalar((a_bar / t**beta) ** 2)) / (t * t), a, np.inf,
+                weight="cos", wvar=theta, epsabs=epsabs, limlst=100, full_output=1)
+    return out[0], (abs(out[1]) if len(out) == 3 else math.inf)
+
+
+def _z_form(tau: float, params: ModelParams, n: int, head: float, free_head: float,
+            budget: float) -> tuple[float, float]:
+    """S_D and its error bound by the Z-form (module docstring).
+
+    Of the estimates of the cosine sum C_Z, the first whose bound meets
+    ``budget`` is kept, else the tightest.
+    """
+    abar = params.a_bar
+    alpha = params.alpha
+    beta = alpha - 1.0
+    k2 = 2.0 * alpha * (2.0 * alpha + 1.0)  # |(w/t^2)''| <= k2 w / t^4
+    a = n + 0.5
+    theta = 2.0 * math.pi * tau
+    sin_h = math.sin(math.pi * tau)
+    rest = _s_feynman_exact(tau) - free_head  # sum_{j>n} s_j
+    i_z, i_err = _z_integral(a, abar, alpha)
+    base = (6.0 + k2) / (144.0 * (n - 1.5) ** 3) + 0.5 * i_err
+    p = 0.5 + 1.0 / beta
+    z_peak = max(1.0, 1.34 * (p / math.e) ** p) * abar ** (-2.0 / beta)  # >= sup Z/t^2
+
+    def w_moment(x: float, k: int) -> float:
+        """>= int_x^inf (1 - Z) t^-k dt, from 1 - Z <= min(1, 2 W / 3)."""
+        return min(x ** (1 - k) / (k - 1), (2.0 / 3.0) * abar**2 * x ** (1 - k - 2 * beta) / (k - 1 + 2 * beta))
+
+    f_c = float(sc.polygamma(1, n + 1)) - 2.0 * rest  # sum_{j>n} cos(j theta) / j^2
+    u_1 = one_minus_zed((abar / (n + 1.0) ** beta) ** 2) / (n + 1.0) ** 2  # (1 - Z)/t^2 at n + 1
+    d_n = math.sin(a * theta) / (2.0 * sin_h)  # Dirichlet kernel
+    estimates = [
+        (0.0, 2.0 * min(1.0 / (n + 1.0) ** 2, z_peak) / sin_h),  # Abel on Z/t^2
+        (f_c, u_1 / sin_h),  # Abel on (1 - Z)/t^2
+        (f_c + u_1 * d_n, k2 * w_moment(n + 1.0, 4) / (2.0 * sin_h**2)),  # Abel twice
+    ]
+    c_hat, c_err = next((e for e in estimates if base + 0.5 * e[1] <= budget), min(estimates, key=lambda e: e[1]))
+    # Fourier integral, within the midpoint-rule error on u cos(theta t) for
+    # u = (1 - Z)/t^2 (e_w) or u = Z/t^2 (e_z)
+    u_a = min(1.0, (2.0 / 3.0) * (abar / a**beta) ** 2) / a**2
+    s_z = min(1.0 / a**2, z_peak)
+    e_w = (k2 * w_moment(n - 0.5, 4) + 2.0 * theta * (u_a + k2 * w_moment(a, 4))
+           + theta**2 * (w_moment(a, 2) + u_a)) / 24.0
+    e_z = ((6.0 + k2) / (3.0 * (n - 0.5) ** 3) + 2.0 * theta * (2.0 * s_z + (6.0 + k2) / (3.0 * a**3))
+           + theta**2 * (i_z + i_err + 2.0 * s_z)) / 24.0
+    e_mid = min(e_w, e_z)
+    if base + 0.5 * c_err > budget > base + 0.5 * e_mid:
+        q, q_err = _w_cosine_integral(a, abar, alpha, theta, 0.5 * (budget - base - 0.5 * e_mid))
+        if e_mid + q_err < c_err:
+            # int_a^inf cos(theta t) / t^2 dt
+            f_int = math.cos(theta * a) / a - theta * (0.5 * math.pi - float(sc.sici(theta * a)[0]))
+            c_hat = (f_c if e_w <= e_z else f_int) - q
+            c_err = e_mid + q_err
+    return head + rest - 0.5 * (i_z - c_hat), base + 0.5 * c_err
 
 
 def s_diff(tau: float, params: ModelParams, tol: float = 1e-10) -> SeriesValue:
@@ -252,11 +325,7 @@ def s_diff(tau: float, params: ModelParams, tol: float = 1e-10) -> SeriesValue:
         return SeriesValue(0.0, 0, 0.0, True)
     abar = params.a_bar
     alpha = params.alpha
-    beta = alpha - 1.0
     j_turn = 1.0 / (math.pi * tau)  # sin^2(j pi tau) <= min(1, (j pi tau)^2)
-    p = 0.5 + 1.0 / beta
-    z_peak = max(1.0, 1.34 * (p / math.e) ** p) * abar ** (-2.0 / beta)  # >= sup Z/t^2
-    k2 = 2.0 * alpha * (2.0 * alpha + 1.0)  # |(w/t^2)''| <= k2 w / t^4
     # W-form tail: terms <= (2/3) Abar^2 * min(1, (pi tau j)^2) * j^{-2 alpha},
     # a piecewise integral over j > n, split at j_turn.
     pref = (2.0 / 3.0) * abar * abar
@@ -273,17 +342,10 @@ def s_diff(tau: float, params: ModelParams, tol: float = 1e-10) -> SeriesValue:
             else:
                 seg = (j_turn ** (1.0 - p_low) - float(n) ** (1.0 - p_low)) / (1.0 - p_low)
             tail += pref * (math.pi * tau) ** 2 * seg
-        # weights also obey 1 - Z <= 1, so the free-measure trigamma tail
-        # is an alternative bound; keep the smaller.
-        tail = min(tail, 4.0 * float(sc.polygamma(1, n + 1)))
-        # Z-form, tried only where its Abel term alone beats the W-form
-        abel = min(1.0 / (n + 1) ** 2, z_peak) / math.sin(math.pi * tau)
-        if not _tolerance_met(value, tail, tol) and abel < tail:
-            i_z, quad_err = _z_integral(n + 0.5, abar, alpha)
-            z_tail = abel + 0.5 * quad_err + (6.0 + k2) / (144.0 * (n - 1.5) ** 3)
+        if not _tolerance_met(value, tail, tol):
+            z_value, z_tail = _z_form(tau, params, n, value, free_head, tol * max(1.0, abs(value)))
             if z_tail < tail:
-                value += _s_feynman_exact(tau) - free_head - 0.5 * i_z
-                tail = z_tail
+                value, tail = z_value, z_tail
         if _tolerance_met(value, tail, tol):
             return SeriesValue(value, n, tail, True)
         if n >= SERIES_CAP:

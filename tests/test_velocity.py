@@ -226,8 +226,7 @@ def test_v2_feynman_is_the_closed_form():
 
 
 # W-form values at Fig. 2 parameters, pinned in hex: where the W-form bound
-# meets tol the value is the plain head sum, unchanged bit for bit.  The
-# A = 1e6 point sums 4194304 terms, four 2^20-mode slices.
+# meets tol the value is the plain head sum, unchanged bit for bit.
 PINNED_W_FORM = [
     (FIG2, 1e-4, "0x1.b1bd1d79e9cd9p-20", 4096),
     (FIG2, 1e-3, "0x1.4fdfd17bfd76cp-13", 4096),
@@ -235,7 +234,6 @@ PINNED_W_FORM = [
     (FIG2, 0.2, "0x1.7ed0a7deacebep-1", 4096),
     (FIG2, 0.5, "0x1.3125f88feeea8p+0", 4096),
     (FIG2, 0.9, "0x1.9de5b6116b6f3p-2", 4096),
-    (ModelParams(alpha=2.1, A=1e6), 1e-4, "0x1.0213adbd0ad80p-11", 4194304),
 ]
 
 
@@ -282,20 +280,46 @@ def _mp_s_diff_reference(tau, a_bar, alpha):
 
 
 # Large amplitudes, where the weights fall only beyond j* ~ 1e5 - 1e8: the
-# Z-form certifies the tail after 4096 terms, except at A = 1e12, alpha =
-# 3.5, tau = 1e-4, where sin(pi tau) is too small for its Abel term and the
-# W-form does after 262144.
+# Z-form certifies the tail after 4096 terms, its cosine half by the Abel
+# bound or, where sin(pi tau) is too small for that (tau = 1e-4 and the
+# j* ~ 4e5 - 1e6 points), by the Fourier integral.  These small-tau points
+# took 262144 to 4194304 terms under the Abel bound alone.
 @pytest.mark.parametrize(
     "A, alpha, tau",
     [(1e9, 2.1, 1e-4), (1e9, 2.1, 0.01), (1e9, 2.1, 0.2), (1e9, 2.1, 0.5),
-     (1e12, 3.5, 1e-4), (3e10, 2.8, 1e-3)],
+     (1e12, 3.5, 1e-4), (3e10, 2.8, 1e-3), (1e6, 2.1, 1e-4), (6.85e6, 2.216, 2.6e-4),
+     (1.8e8, 2.4, 1e-4)],
 )
 def test_s_diff_large_amplitude_against_mpmath(A, alpha, tau):
     params = ModelParams(alpha=alpha, A=A)
     ref, ref_err = _mp_s_diff_reference(tau, params.a_bar, alpha)
     sv = s_diff(tau, params, 1e-9)
-    assert sv.converged
+    assert sv.converged and sv.n_terms == 4096
     assert abs(sv.value - ref) <= sv.tail_bound + ref_err + 1e-15
+
+
+def _brute_s_diff_bracket(params, taus, n=1 << 21):
+    """(S_D, bound) per tau: the first n terms summed with math.fsum, plus the
+    remainder bound (2/3) Abar^2 n^(1 - 2 alpha) / (2 alpha - 1) from
+    1 - Z <= 2 W / 3, independent of the tail forms under test."""
+    j = np.arange(1, n + 1, dtype=float)
+    w = one_minus_zed((params.a_bar / j ** (params.alpha - 1.0)) ** 2) / j**2
+    rem = (2.0 / 3.0) * params.a_bar**2 * float(n) ** (1.0 - 2.0 * params.alpha) / (2.0 * params.alpha - 1.0)
+    return [(math.fsum(np.sin(j * (math.pi * tau)) ** 2 * w), rem) for tau in taus]
+
+
+# j* = Abar^(1/(alpha-1)) from 3e2 to 1e4, where the head ends near j* and
+# both halves of the tail matter: the cosine half goes by the first- or
+# second-order Abel bound or by the Fourier integral, in at most 16384 terms
+# (the W-form bound alone took up to 262144).
+@pytest.mark.parametrize("A, alpha", [(3.58e3, 2.5), (1.27e3, 2.1), (4.51e3, 2.1), (6.37e5, 2.5), (1.6e9, 3.5)])
+def test_s_diff_near_j_star_against_brute_force(A, alpha):
+    params = ModelParams(alpha=alpha, A=A)
+    taus = (1e-4, 3.2e-3, 0.012, 0.06, 0.4)
+    for tau, (ref, ref_err) in zip(taus, _brute_s_diff_bracket(params, taus)):
+        sv = s_diff(tau, params, 1e-9)
+        assert sv.converged and sv.n_terms <= 16384
+        assert abs(sv.value - ref) <= sv.tail_bound + ref_err + 1e-15
 
 
 def _mp_log_w_derivatives(w):
