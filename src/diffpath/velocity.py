@@ -50,7 +50,6 @@ from typing import IO, Iterable, Optional
 
 import numpy as np
 import scipy.special as sc
-from scipy.integrate import quad as _quad
 
 from .paths import ModelParams, _write_metadata, scale_relations
 from .special import (
@@ -146,6 +145,8 @@ def s_feynman(tau: float, t0_frac: float = 0.0, tol: float = 1e-10) -> SeriesVal
     corrected by the exact trigamma tail of its smooth part, so tail_bound
     covers only the oscillatory remainder.
     """
+    from scipy.integrate import quad  # here, not at module level: keeps it out of start-up
+
     if not 0.0 <= tau < 1.0:
         raise ValueError("tau must lie in [0, 1)")
     if not 0.0 <= t0_frac < 1.0:
@@ -171,7 +172,7 @@ def s_feynman(tau: float, t0_frac: float = 0.0, tol: float = 1e-10) -> SeriesVal
             # Evaluate the oscillatory tail itself: sum_{j>n} cos(j theta)/j^2
             # equals the Fourier integral from n+1/2 (midpoint rule) up to a
             # correction bounded through f'' of cos(theta t)/t^2.
-            est, quad_err = _quad(
+            est, quad_err = quad(
                 lambda t: 1.0 / (t * t),
                 n + 0.5,
                 np.inf,
@@ -239,9 +240,11 @@ def _z_integral(a: float, a_bar: float, alpha: float) -> tuple[float, float]:
     with its quadrature error.  Z(800) underflows, so W stops there; no tau
     dependence, so a scan computes it once per n (up to 256 keys are kept)."""
     if (a, a_bar, alpha) not in _Z_INTEGRALS:
+        from scipy.integrate import quad
+
         beta = alpha - 1.0
         w_top = min((a_bar / a**beta) ** 2, 800.0)
-        val, err = _quad(_zed_scalar, 0.0, w_top, weight="alg", wvar=(0.5 / beta - 1.0, 0.0), limit=200)
+        val, err = quad(_zed_scalar, 0.0, w_top, weight="alg", wvar=(0.5 / beta - 1.0, 0.0), limit=200)
         pref = a_bar ** (-1.0 / beta) / (2.0 * beta)
         if len(_Z_INTEGRALS) >= 256:
             _Z_INTEGRALS.clear()
@@ -252,9 +255,11 @@ def _z_integral(a: float, a_bar: float, alpha: float) -> tuple[float, float]:
 def _w_cosine_integral(a: float, a_bar: float, alpha: float, theta: float, epsabs: float) -> tuple[float, float]:
     """int_a^inf (1 - Z(W(t))) cos(theta t) / t^2 dt by QUADPACK's Fourier routine,
     with its error estimate (inf where QUADPACK reports a failure)."""
+    from scipy.integrate import quad
+
     beta = alpha - 1.0
-    out = _quad(lambda t: (1.0 - _zed_scalar((a_bar / t**beta) ** 2)) / (t * t), a, np.inf,
-                weight="cos", wvar=theta, epsabs=epsabs, limlst=100, full_output=1)
+    out = quad(lambda t: (1.0 - _zed_scalar((a_bar / t**beta) ** 2)) / (t * t), a, np.inf,
+               weight="cos", wvar=theta, epsabs=epsabs, limlst=100, full_output=1)
     return out[0], (abs(out[1]) if len(out) == 3 else math.inf)
 
 

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -51,6 +52,32 @@ def test_sum_minus_integral_standard_exp_regulator():
     assert val == pytest.approx(-1.0 / 12.0, abs=1e-4)
 
 
+@pytest.mark.parametrize("n_c", [10, 100, 1000, 10_000])
+def test_sum_minus_integral_linear_exp_closed_form(n_c):
+    # sum_n n q^n = q/(1-q)^2 with q = e^(-1/n_c), and int_0^inf n e^(-n/n_c) dn = n_c^2;
+    # the sum and the integral each carry a few ulps of n_c^2
+    with mpmath.workdps(40):
+        q = mpmath.exp(-mpmath.mpf(1) / n_c)
+        exact = q / (1 - q) ** 2 - mpmath.mpf(n_c) ** 2
+        err = abs(sum_minus_integral(lambda n: n, "exp", n_c) - exact)
+    assert err <= 2.0 * np.finfo(float).eps * n_c**2
+
+
+@pytest.mark.parametrize("regulator, n_max", [("exp", 450_001), ("gauss", 70_001)])
+def test_sum_minus_integral_works_in_blocks(regulator, n_max):
+    # one point and 12 Gauss-Legendre nodes per unit interval, in blocks of
+    # at most 2^14 points: no array of the size of the whole range
+    sizes = []
+
+    def f(n):
+        sizes.append(np.size(n))
+        return n
+
+    sum_minus_integral(f, regulator, 10_000)
+    assert max(sizes) <= 1 << 14
+    assert sum(sizes) == 13 * n_max
+
+
 def test_sum_minus_integral_zero_function():
     assert sum_minus_integral(lambda n: np.zeros_like(n), "exp", 100) == 0.0
 
@@ -94,6 +121,8 @@ def test_config_validation():
         CasimirConfig(L=0.0, omega_D=1.0)
     with pytest.raises(ValueError):
         CasimirConfig(L=1.0, omega_D=1.0, regulator="nope")
+    with pytest.raises(ValueError, match="n_c"):
+        CasimirConfig(L=1.0, omega_D=1.0, n_c=5)
     with pytest.raises(ValueError):
         sum_minus_integral(lambda n: n, "exp", 5)
 

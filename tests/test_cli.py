@@ -1,7 +1,10 @@
 """CLI contract: subcommands, metadata, determinism, exit codes."""
 
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -143,6 +146,21 @@ def test_casimir_scan_and_bound(capsys):
     assert code == EXIT_OK
     payload = json.loads(out)
     assert 1e-16 <= payload["epsilon_d"] <= 1e-14
+
+
+def test_casimir_rejects_small_cutoff(capsys):
+    code = main(["casimir", "--n-c", "5"])
+    assert code == EXIT_USAGE
+    assert "n_c" in capsys.readouterr().err
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # scipy.integrate is imported by the functions that call quad, not at start-up
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, diffpath.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_oracle(capsys):
