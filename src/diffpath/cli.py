@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import sys
 from typing import Optional
 
@@ -191,13 +192,20 @@ def cmd_casimir(args) -> int:
         return EXIT_OK
     grid = _grid(args, "L")
     rows = []
+    delta = None
     for L in grid:
         cfg = casimir_mod.CasimirConfig(
             L=float(L), omega_D=args.omega_D, c=args.c, hbar=args.hbar, n_c=args.n_c,
             regulator=args.regulator,
         )
-        res = casimir_mod.casimir_energy(cfg, args.model)
-        rows.append((float(L), res.energy, res.model, res.x))
+        if args.model == "standard" and delta is not None:
+            # f(n) = n does not depend on L, so delta is the first point's;
+            # the energy is casimir_energy's expression, operation for operation
+            energy = 0.5 * cfg.hbar * cfg.c * math.pi / cfg.L * delta
+        else:
+            res = casimir_mod.casimir_energy(cfg, args.model)
+            energy, delta = res.energy, res.delta
+        rows.append((float(L), energy, args.model, cfg.x))
     buf = io.StringIO()
     paths_mod._write_metadata(buf, _metadata(args))
     buf.write("L,delta_E,model,x\n")

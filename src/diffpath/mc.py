@@ -3,8 +3,9 @@
 The action is diagonal in Fourier modes, so the restricted measure
 factorizes into independent truncated Gaussians — direct sampling, no
 Metropolis chain, zero autocorrelation.  Each mode gets its own RNG
-stream spawned from a root SeedSequence so results are reproducible
-bit-for-bit and independent of any internal vectorization.
+stream spawned from a root SeedSequence, so results are reproducible
+bit-for-bit for a fixed seed; how a stream is consumed (the sampler's
+envelopes and round sizes) is part of the version.
 """
 
 from __future__ import annotations
@@ -12,13 +13,13 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import IO, Iterable, Optional
 
 import numpy as np
 
 from .paths import ModelParams, RNG_ALGORITHM, _write_metadata
-from .special import erf, truncated_gaussian_ratio
+from .special import hurwitz_zeta, truncated_gaussian_ratio
 
 __all__ = [
     "McEstimate",
@@ -44,34 +45,58 @@ class McEstimate:
     truncation_bias_bound: float = 0.0
 
 
+# Samples per rejection round: a round's few arrays then stay in cache.
+_BLOCK = 1 << 13
+
+
 def sample_truncated_gaussian(
     b: float, big_b: float, rng: np.random.Generator, size: Optional[int] = None
 ) -> np.ndarray | float:
     """Exact samples from the density ∝ e^{-b a^2} on |a| <= B.
 
-    Rejection from the untruncated Gaussian when its acceptance
-    Erf(B sqrt(b)) >= 0.1, otherwise rejection from the uniform envelope
-    on [-B, B] (acceptance ~1 for a flat truncated Gaussian).
+    Rejection sampling from one of two envelopes, switched at x = B sqrt(b) = 1:
+
+    * x <= 1: the uniform envelope on [-B, B], accepting a candidate a with
+      probability e^{-b a^2}; acceptance sqrt(pi) Erf(x) / 2x >= 0.747.
+    * x > 1: the untruncated Gaussian, accepting |a| <= B; acceptance
+      Erf(x) >= Erf(1) = 0.843.
+
+    Why x = 1: the Gaussian envelope's acceptance falls like x as x -> 0
+    and the uniform one's like 1/x as x grows, and at x = 1 both are still
+    above 3/4.  A uniform candidate costs two random numbers and a
+    Gaussian one, so no mode needs more than 2 / 0.747 = 2.68 draws per
+    sample on average; moving the switch anywhere in x = 0.5 to 2 changes
+    the cost little.
+
+    The acceptance is known exactly, so each round of at most ``_BLOCK``
+    samples draws need / acceptance candidates plus three binomial
+    standard deviations and almost never falls short; a short round is
+    followed by another.
     """
     if b <= 0 or big_b <= 0:
         raise ValueError("b and B must be positive")
     scalar = size is None
     n = 1 if scalar else int(size)
+    x = big_b * math.sqrt(b)
+    uniform = x <= 1.0
+    acceptance = math.sqrt(math.pi) * math.erf(x) / (2.0 * x) if uniform else math.erf(x)
     sigma = 1.0 / math.sqrt(2.0 * b)
-    gauss_acceptance = float(erf(big_b / (sigma * math.sqrt(2.0))))
     out = np.empty(n)
     filled = 0
     while filled < n:
-        need = n - filled
-        # modest oversampling keeps the number of redraw rounds small
-        batch = int(need * 1.5) + 16
-        if gauss_acceptance >= 0.1:
+        need = min(n - filled, _BLOCK)
+        batch = int((need + 3.0 * math.sqrt(need * (1.0 - acceptance))) / acceptance) + 16
+        if uniform:
+            cand = rng.random(batch)
+            cand *= 2.0 * big_b
+            cand -= big_b
+            weight = cand * cand
+            weight *= -b
+            np.exp(weight, out=weight)
+            keep = cand[rng.random(batch) < weight]
+        else:
             cand = rng.normal(0.0, sigma, size=batch)
             keep = cand[np.abs(cand) <= big_b]
-        else:
-            cand = rng.uniform(-big_b, big_b, size=batch)
-            accept = rng.uniform(0.0, 1.0, size=batch) < np.exp(-b * cand**2)
-            keep = cand[accept]
         take = min(keep.size, need)
         out[filled : filled + take] = keep[:take]
         filled += take
@@ -91,6 +116,38 @@ def _mode_params(params: ModelParams, j: int) -> tuple[float, float]:
     return b_j, big_b
 
 
+def _check_sizes(N_modes: int, n_samples: int) -> None:
+    if N_modes < 1:
+        raise ValueError(f"N_modes must be >= 1, got {N_modes!r}")
+    if n_samples < 2:
+        raise ValueError(f"n_samples must be >= 2 for a stderr, got {n_samples!r}")
+
+
+def _omitted_mode_bound(params: ModelParams, eps: float, N_modes: int) -> float:
+    """Bound on the <v^2> that modes j > N_modes would add, in closed form.
+
+    Omitted mode j adds at most min(4 pref / j^2, 4 A^2 / eps^2 j^{2 alpha}),
+    pref = (2 hbar / m T)(T / pi eps)^2: the free second moment and the
+    cap B_j^2, times the bound 4 on the squared sine difference.  For
+    alpha > 1 the free term is the smaller one up to the crossover
+    j_x = (A^2 / eps^2 pref)^{1 / (2 alpha - 2)} and the cap term beyond,
+    so with K = max(N_modes, floor(j_x)) the sum is exactly
+
+        4 pref [zeta(2, N+1) - zeta(2, K+1)] + (4 A^2 / eps^2) zeta(2 alpha, K+1)
+
+    in Hurwitz zetas.  For alpha <= 1 the free sum alone bounds it.
+    """
+    pref = (2.0 * params.hbar / (params.m * params.T)) * (params.T / (math.pi * eps)) ** 2
+    free = 4.0 * pref * hurwitz_zeta(2.0, N_modes + 1.0)
+    if params.alpha <= 1.0:
+        return free
+    cap = 4.0 * params.amplitude**2 / eps**2
+    # exp(700) is past any term count, and keeps huge crossovers finite
+    log_jx = (2.0 * math.log(params.amplitude / eps) - math.log(pref)) / (2.0 * params.alpha - 2.0)
+    q = max(N_modes, math.floor(math.exp(min(log_jx, 700.0)))) + 1.0  # K + 1
+    return free - 4.0 * pref * hurwitz_zeta(2.0, q) + cap * hurwitz_zeta(2.0 * params.alpha, q)
+
+
 def estimate_v2(
     params: ModelParams,
     eps: float,
@@ -102,14 +159,14 @@ def estimate_v2(
     """Sample <v^2> at resolution eps under the restricted measure.
 
     v = sum_j a_j [sin(j pi (t0+eps)/T) - sin(j pi t0/T)] / eps per sample;
-    the omitted modes j > N_modes contribute a bias bounded termwise by the
-    analytic tail (reported in ``truncation_bias_bound``, warned about if
-    it rivals the stderr — never silent).
+    the omitted modes j > N_modes contribute a bias bounded termwise by
+    the smaller of the free and the capped second moment, summed in
+    closed form (reported in ``truncation_bias_bound``, warned about if it
+    rivals the stderr — never silent).
     """
     if not 0.0 < eps < params.T:
         raise ValueError("eps must lie in (0, T)")
-    if N_modes < 1 or n_samples < 2:
-        raise ValueError("need N_modes >= 1 and n_samples >= 2")
+    _check_sizes(N_modes, n_samples)
     streams = _mode_streams(seed, N_modes)
     v = np.zeros(n_samples)
     for j in range(1, N_modes + 1):
@@ -121,22 +178,7 @@ def estimate_v2(
     v2 = v * v
     mean = float(v2.mean())
     stderr = float(v2.std(ddof=1) / math.sqrt(n_samples))
-    # Termwise bias bound: omitted mode j adds at most
-    # (2 hbar / m T)(T / pi eps)^2 * 4 / j^2 summed over j > N_modes, and
-    # the restricted second moment is also below B_j^2.
-    pref = (2.0 * params.hbar / (params.m * params.T)) * (params.T / (math.pi * eps)) ** 2
-    j = np.arange(N_modes + 1, N_modes + 1_000_001, dtype=float)
-    free_terms = pref * 4.0 / j**2
-    cap_terms = (params.amplitude / j**params.alpha / eps) ** 2 * 4.0
-    j_end = float(j[-1])
-    free_tail = pref * 4.0 / j_end
-    cap_tail = (
-        4.0 * params.amplitude**2 / (eps**2 * (2.0 * params.alpha - 1.0))
-        * j_end ** (1.0 - 2.0 * params.alpha)
-        if params.alpha > 0.5
-        else math.inf
-    )
-    bias = float(np.minimum(free_terms, cap_terms).sum()) + min(free_tail, cap_tail)
+    bias = _omitted_mode_bound(params, eps, N_modes)
     if bias > stderr:
         warnings.warn(
             f"omitted-mode bias bound {bias:.3g} exceeds stderr {stderr:.3g}; "
@@ -166,18 +208,21 @@ def estimate_pi_factor(
     equals the truncated product of Erf ratios times the Gaussian
     normalization prod_j sqrt(lambda_j / (lambda_j + omega^2)); the latter
     is known in closed form and divided out, so the returned mean
-    estimates the first N_modes factors of Pi(T) directly.
+    estimates the first N_modes factors of Pi(T) directly.  The modes are
+    those of the model over [0, T], as in ``oscillator.log_pi``: with
+    epsilon_D primary the amplitude is A(T).
     """
-    T = params.T if T is None else T
+    if T is not None:
+        params = replace(params, T=T)  # validates T
+    T = params.T
+    _check_sizes(N_modes, n_samples)
     if params.omega <= 0:
         raise ValueError("estimate_pi_factor requires omega > 0")
     streams = _mode_streams(seed, N_modes)
     log_w = np.zeros(n_samples)
     coef = params.m * T * params.omega**2 / (4.0 * params.hbar)
     for j in range(1, N_modes + 1):
-        lam = (j * math.pi / T) ** 2
-        b_j = params.m * T * lam / (4.0 * params.hbar)
-        big_b = params.amplitude / j**params.alpha
+        b_j, big_b = _mode_params(params, j)
         a = sample_truncated_gaussian(b_j, big_b, streams[j - 1], size=n_samples)
         log_w -= coef * a * a
     w = np.exp(log_w)

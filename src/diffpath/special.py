@@ -23,6 +23,7 @@ __all__ = [
     "zed",
     "one_minus_zed",
     "truncated_gaussian_ratio",
+    "hurwitz_zeta",
     "li2_exp",
     "bernoulli",
     "chunked_sum",
@@ -167,6 +168,11 @@ def truncated_gaussian_ratio(b: float, big_b: float) -> float:
     if b <= 0 or big_b <= 0:
         raise ValueError("truncated_gaussian_ratio requires positive b and B")
     return (0.5 / b) * one_minus_zed(b * big_b * big_b)
+
+
+def hurwitz_zeta(s: float, q: float) -> float:
+    """Hurwitz zeta(s, q) = sum_{k>=0} (k + q)^{-s} for s > 1, q > 0."""
+    return float(sc.zeta(s, q))
 
 
 # ---------------------------------------------------------------------------

@@ -148,6 +148,19 @@ def test_casimir_scan_and_bound(capsys):
     assert 1e-16 <= payload["epsilon_d"] <= 1e-14
 
 
+@pytest.mark.parametrize("model, calls", [("standard", 1), ("tanh", 4)])
+def test_casimir_scan_delta_calls(capsys, monkeypatch, model, calls):
+    # f(n) = n does not depend on L: one delta per standard scan, one per L for tanh
+    from diffpath import casimir
+
+    seen = []
+    real = casimir.extrapolated_delta
+    monkeypatch.setattr(casimir, "extrapolated_delta", lambda *a, **k: seen.append(1) or real(*a, **k))
+    code, _ = run(capsys, ["casimir", "--model", model, "--points", "4", "--n-c", "1000"])
+    assert code == EXIT_OK
+    assert len(seen) == calls
+
+
 def test_casimir_rejects_small_cutoff(capsys):
     code = main(["casimir", "--n-c", "5"])
     assert code == EXIT_USAGE

@@ -3,8 +3,10 @@
 import io
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from scipy import stats
 
 from diffpath.mc import (
     McEstimate,
@@ -16,7 +18,7 @@ from diffpath.mc import (
 )
 from diffpath.oscillator import log_pi
 from diffpath.paths import ModelParams
-from diffpath.special import truncated_gaussian_ratio
+from diffpath.special import erf, truncated_gaussian_ratio
 from diffpath.velocity import v2_diff, v2_feynman
 
 FIG2 = ModelParams(m=1.0, hbar=1.0, T=1.0, alpha=2.1, A=10.0)
@@ -35,14 +37,94 @@ def test_sampler_support_and_symmetry():
 
 
 def test_sampler_second_moment_both_branches():
-    # (b, B) pairs chosen to hit the Gaussian-rejection and the
-    # uniform-rejection branches respectively
-    for b, big_b in [(1.0, 1.0), (1.0, 0.01)]:
+    # x = B sqrt(b) = 1 and 0.01 take the uniform envelope, x = 2 the Gaussian
+    for b, big_b in [(1.0, 1.0), (1.0, 0.01), (1.0, 2.0)]:
         x = sample_truncated_gaussian(b, big_b, _rng(2), size=400_000)
         m2 = x**2
         ref = truncated_gaussian_ratio(b, big_b)
         stderr = m2.std(ddof=1) / math.sqrt(m2.size)
         assert abs(m2.mean() - ref) < 3.0 * stderr
+
+
+# x = B sqrt(b) on both sides of the envelope switch at x = 1
+SWITCH_GRID = (0.01, 0.5, 0.99, 1.01, 2.0, 6.0)
+
+
+@pytest.mark.parametrize("x", SWITCH_GRID)
+def test_sampler_ks_against_exact_cdf(x):
+    b = 3.0
+    big_b = x / math.sqrt(b)
+    a = sample_truncated_gaussian(b, big_b, _rng(40), size=100_000)
+    cdf = lambda t: 0.5 * (1.0 + erf(t * math.sqrt(b)) / erf(x))
+    assert stats.kstest(a, cdf).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("x", SWITCH_GRID)
+def test_sampler_moments_against_mpmath(x):
+    # 12 comparisons in all, so 4 standard errors rather than 3
+    b = 0.7
+    big_b = x / math.sqrt(b)
+    a = sample_truncated_gaussian(b, big_b, _rng(41), size=200_000)
+    mp.mp.dps = 30
+    weight = lambda t: mp.exp(-b * t * t)
+    norm = mp.quad(weight, [-big_b, big_b])
+    for k in (2, 4):
+        ref = float(mp.quad(lambda t: t**k * weight(t), [-big_b, big_b]) / norm)
+        ak = a**k
+        assert abs(ak.mean() - ref) < 4.0 * ak.std(ddof=1) / math.sqrt(ak.size)
+
+
+class _CountingRng:
+    """Forwards to a Generator and counts the random numbers it returns."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.draws = 0
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            out = method(*args, **kwargs)
+            self.draws += int(np.size(out))
+            return out
+
+        return counted
+
+
+@pytest.mark.parametrize("x", SWITCH_GRID)
+def test_sampler_draws_per_sample(x):
+    # two numbers per uniform candidate at acceptance >= 0.747, one per
+    # Gaussian candidate at acceptance >= 0.843, plus the batch margins
+    rng = _CountingRng(_rng(42))
+    n = 100_000
+    sample_truncated_gaussian(2.0, x / math.sqrt(2.0), rng, size=n)
+    assert rng.draws / n <= 2.8
+
+
+class _ShortFirstRoundRng:
+    """Gaussian candidates whose first batch is rejected but for one value."""
+
+    def __init__(self, rng, big_b):
+        self._rng, self._big_b = rng, big_b
+        self.candidates = []
+
+    def normal(self, loc, scale, size):
+        out = self._rng.normal(loc, scale, size)
+        if not self.candidates:
+            out[1:] = 2.0 * self._big_b
+        self.candidates.append(out)
+        return out
+
+
+def test_sampler_fills_after_a_short_round():
+    big_b = 2.0  # x = 2: the Gaussian envelope
+    rng = _ShortFirstRoundRng(_rng(43), big_b)
+    a = sample_truncated_gaussian(1.0, big_b, rng, size=1000)
+    assert len(rng.candidates) >= 2
+    accepted = np.concatenate(rng.candidates)
+    accepted = accepted[np.abs(accepted) <= big_b]
+    assert np.unique(a).size == a.size and np.isin(a, accepted).all()
 
 
 def test_sampler_scalar_mode_and_domain():
@@ -125,6 +207,48 @@ def test_estimate_pi_factor_against_log_pi():
         estimate_pi_factor(ModelParams(alpha=2.1, A=10.0), 1.0, 10, 100, 0)
 
 
+def _parent_bias_bound(params, eps, n_modes):
+    """The omitted-mode bound as a 1e6-term sum plus an integral tail."""
+    pref = (2.0 * params.hbar / (params.m * params.T)) * (params.T / (math.pi * eps)) ** 2
+    j = np.arange(n_modes + 1, n_modes + 1_000_001, dtype=float)
+    free_terms = pref * 4.0 / j**2
+    cap_terms = (params.amplitude / j**params.alpha / eps) ** 2 * 4.0
+    j_end = float(j[-1])
+    free_tail = pref * 4.0 / j_end
+    cap_tail = (
+        4.0 * params.amplitude**2 / (eps**2 * (2.0 * params.alpha - 1.0))
+        * j_end ** (1.0 - 2.0 * params.alpha)
+    )
+    return float(np.minimum(free_terms, cap_terms).sum()) + min(free_tail, cap_tail)
+
+
+def _mp_bias_bound(params, eps, n_modes):
+    """sum_{j>N} min(4 pref / j^2, 4 A^2 / eps^2 j^{2 alpha}) split at the crossover."""
+    with mp.workdps(40):
+        amp, alpha, e = mp.mpf(params.amplitude), mp.mpf(params.alpha), mp.mpf(eps)
+        pref = 2 * params.hbar / (params.m * params.T) * (params.T / (mp.pi * e)) ** 2
+        cap = 4 * amp**2 / e**2
+        j_x = (amp**2 / (e**2 * pref)) ** (1 / (2 * alpha - 2))
+        k = max(n_modes, int(mp.floor(j_x)))
+        total = 4 * pref * (mp.zeta(2, n_modes + 1) - mp.zeta(2, k + 1))
+        return float(total + cap * mp.zeta(2 * alpha, k + 1))
+
+
+@pytest.mark.filterwarnings("ignore::diffpath.mc.ModeTruncationWarning")
+def test_truncation_bias_bound_closed_form():
+    # exact to rounding against mpmath, and never looser than the 1e6-term
+    # sum beyond the few ulps by which that float sum itself can round low
+    ulps = 16.0 * np.finfo(float).eps
+    for n_modes in (5, 100, 1000):
+        for alpha in (2.05, 3.0, 4.0):
+            for amp in (1.0, 10.0, 1e12):
+                params = ModelParams(A=amp, alpha=alpha)
+                for eps in (1e-3, 0.05):
+                    bias = estimate_v2(params, eps, 0.0, n_modes, 2, seed=0).truncation_bias_bound
+                    assert bias >= _mp_bias_bound(params, eps, n_modes) * (1.0 - 1e-13)
+                    assert bias <= _parent_bias_bound(params, eps, n_modes) * (1.0 + ulps)
+
+
 def test_csv_export():
     est = McEstimate(1.5, 0.1, 100, 7, "v2")
     buf = io.StringIO()
@@ -138,5 +262,25 @@ def test_csv_export():
 def test_domain_errors():
     with pytest.raises(ValueError):
         estimate_v2(FIG2, 0.0, 0.0, 10, 100, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="N_modes"):
         estimate_v2(FIG2, 0.05, 0.0, 0, 100, 0)
+    with pytest.raises(ValueError, match="n_samples"):
+        estimate_v2(FIG2, 0.05, 0.0, 10, 1, 0)
+
+
+def test_estimate_pi_factor_at_t_other_than_params_t():
+    # the modes follow the T argument, not params.T
+    params = ModelParams(alpha=2.1, epsilon_D=0.1, omega=1.5)
+    est = estimate_pi_factor(params, 2.5, 200, 20_000, seed=17)
+    ref = math.exp(log_pi(2.5, params, n_terms=200).log_pi)
+    assert abs(est.mean - ref) < 3.0 * est.stderr
+
+
+def test_estimate_pi_factor_validates_arguments():
+    params = ModelParams(alpha=2.1, A=10.0, omega=1.0)
+    with pytest.raises(ValueError, match="N_modes"):
+        estimate_pi_factor(params, 1.0, 0, 100, 0)
+    with pytest.raises(ValueError, match="n_samples"):
+        estimate_pi_factor(params, 1.0, 10, 1, 0)
+    with pytest.raises(ValueError, match="T must be positive"):
+        estimate_pi_factor(params, -1.0, 10, 100, 0)
