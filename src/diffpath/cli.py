@@ -151,7 +151,7 @@ def cmd_unitarity(args) -> int:
     verdict = "unitary-compatible" if rep.max_rel_deviation <= args.threshold else "non-exponential"
     payload = {"verdict": verdict, "threshold": args.threshold, **rep.as_dict()}
     _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return EXIT_OK
+    return EXIT_OK if rep.converged else EXIT_CONVERGENCE
 
 
 def cmd_paths(args) -> int:

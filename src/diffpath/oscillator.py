@@ -18,6 +18,11 @@ Since L'(W) = -(1 - Z(W)) / 2W lies in [-1/3, 0], every bracket obeys
 max(-omega^2 c_n^2 / 3, -(1/2) ln(1 + omega^2 / lambda_n)) <= b_n <= 0:
 it decays like n^(-2 alpha), not like the 1/n^2 of the log factors, so a
 few hundred terms certify what the direct product needs millions for.
+The exact N-mode product (``n_terms=N``) is summed directly only up to
+n1, where c_n^2 lambda_n has fallen to 1/4 and n >= 4 omega T / pi;
+above n1 the power series of the free factor and of L in c_n^2 lambda_n
+and c_n^2 omega^2 turn the rest into one vector of Hurwitz zeta
+differences, with a rigorous bound on the truncated series.
 The uniform level shift is Delta omega = ln Pi(T) / T (Euclidean), so
 E^D_n = hbar omega (n + 1/2) - hbar Delta omega with unchanged spacing.
 """
@@ -27,12 +32,13 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import IO, Callable, Iterable, Optional
 
 import numpy as np
 
 from .paths import ModelParams, _write_metadata
-from .special import _log_erf_over_sqrt, chunked_sum, log_erf
+from .special import _log_erf_over_sqrt, chunked_sum, hurwitz_zeta, log_erf
 
 __all__ = [
     "PiResult",
@@ -49,6 +55,39 @@ __all__ = [
 
 _CHUNK = 1 << 20
 _ADAPTIVE_CAP = 1 << 24
+
+
+def _log_erf_series(k_max: int) -> list[float]:
+    """l_1..l_{k_max} of L(W) = ln(2/sqrt(pi)) + sum_k l_k W^k, exactly.
+
+    Erf(sqrt W)/sqrt W = (2/sqrt(pi)) f(W) with f = sum_k (-W)^k / (k! (2k+1)),
+    and g = ln f obeys g' f = f', i.e. k g_k = k f_k - sum_{0<j<k} j g_j f_{k-j}.
+    """
+    f = [Fraction((-1) ** k, math.factorial(k) * (2 * k + 1)) for k in range(k_max + 1)]
+    g = [Fraction(0)] * (k_max + 1)
+    for k in range(1, k_max + 1):
+        g[k] = f[k] - sum((j * g[j] * f[k - j] for j in range(1, k)), Fraction(0)) / k
+    return [float(x) for x in g[1:]]
+
+
+# Fixed-N tail: above n1 every W_n = c_n^2 lambda_n is <= _W0, the switch
+# special._log_erf_over_sqrt uses, and the series of L runs to k = _K.
+_W0 = 0.25
+_K = 18
+_ELL = _log_erf_series(_K)
+# Cauchy estimate |l_k| <= _ELL_M / _ELL_R^k: L - L(0) is analytic for
+# |W| < 5.642 (|z|^2 at Erf's first complex zero z), and max |L - L(0)| on
+# |W| = 4 is 2.107 (mpmath).
+_ELL_R, _ELL_M = 4.0, 2.2
+# One entry per term of the tail series, free part first:
+# (1/2) ln(1 + x) = sum_k (-1)^(k+1) x^k / 2k with x = (wT/pi)^2 / n^2, and
+# (W + u)^k - W^k = sum_{j<k} C(k, j) W^j u^(k-j) for the brackets.
+_FREE_K = np.arange(1, _K + 1)
+_FREE_COEF = (-1.0) ** (_FREE_K + 1) / (2.0 * _FREE_K)
+_PAIR_K, _PAIR_J = np.array([(k, j) for k in range(1, _K + 1) for j in range(k)]).T
+_PAIR_COEF = np.array([_ELL[k - 1] * math.comb(k, j) for k, j in zip(_PAIR_K, _PAIR_J)])
+# zeta values below this are taken from their integral-test bracket
+_ZETA_MIN = 1e-290
 
 
 @dataclass(frozen=True)
@@ -115,6 +154,82 @@ def _sum_terms(n_max: int, terms: Callable[[np.ndarray], np.ndarray]) -> float:
     return total
 
 
+def _series_remainder(w: float, u: float) -> float:
+    """Bound on |sum_{k>_K} l_k ((w + u)^k - w^k)| for w, u >= 0, w + u < _ELL_R.
+
+    From |l_k| <= _ELL_M / _ELL_R^k and (w + u)^k - w^k <= k u (w + u)^(k-1):
+    (_ELL_M u / _ELL_R) sum_{k>_K} k rho^(k-1), rho = (w + u) / _ELL_R.
+    """
+    rho = (w + u) / _ELL_R
+    return _ELL_M * u / _ELL_R * rho**_K * (_K + 1 - _K * rho) / (1.0 - rho) ** 2
+
+
+def _scaled_zeta(s: np.ndarray, q: float, m: float) -> tuple[np.ndarray, np.ndarray]:
+    """m^s zeta(s, q) for q > m >= 1, and a bound on its error.
+
+    zeta(s, q) underflows long before m^s zeta(s, q) is negligible, so a
+    zeta below _ZETA_MIN is replaced by the midpoint of its integral-test
+    bracket q^-s [q / (s - 1), q / (s - 1) + 1], half the width being the
+    bound.
+    """
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        z = hurwitz_zeta(s, q)
+        m_s = np.power(m, s)
+        direct = np.where(np.isfinite(m_s), m_s * z, np.exp(s * math.log(m) + np.log(z)))
+        ratio = np.exp(s * math.log(m / q))
+        normal = z >= _ZETA_MIN
+        value = np.where(normal, direct, ratio * (q / (s - 1.0) + 0.5))
+        err = np.where(normal, 0.0, 0.5 * ratio)
+    return value, err
+
+
+def _head_size(n: int, omega: float, T: float, b_len: float, alpha: float) -> int:
+    """n1 = min(n, max(n_W, 4 wT / pi)), n_W the first mode with W_n <= _W0.
+
+    W_n = (b_len pi / T)^2 n^(2 - 2 alpha), so W_n <= _W0 from
+    n_W = (b_len pi / (T sqrt(_W0)))^(1 / (alpha - 1)) on; above 4 wT / pi
+    the free series ratio (wT / n pi)^2 is <= 1/16.
+    """
+    if alpha <= 1.0:
+        return n
+    log_n_w = math.log(b_len * math.pi / (T * math.sqrt(_W0))) / (alpha - 1.0)
+    if log_n_w >= math.log(n):
+        return n
+    return min(n, max(math.ceil(math.exp(log_n_w)), math.ceil(4.0 * omega * T / math.pi)))
+
+
+def _log_factor_tail(
+    n1: int, n: int, omega: float, T: float, b_len: float, alpha: float
+) -> tuple[float, float]:
+    """Sum of the log factors n1 < m <= n in closed form, and a bound on its error.
+
+    Each factor is (1/2) ln(1 + x_m) + L(W_m + u_m) - L(W_m), with
+    x_m = (wT / m pi)^2, W_m = (b_len pi / T)^2 m^(2 - 2 alpha) and
+    u_m = w^2 b_len^2 m^(-2 alpha).  Expanding both in powers of m turns
+    every sum over m into zeta(s, n1 + 1) - zeta(s, n + 1), s = 2k for the
+    free part and s = 2 alpha k - 2j for the term W^j u^(k-j) of the
+    bracket.  Powers are taken at m = n1, so the coefficients stay <= 1.
+    Above k = _K the free series is alternating (x_m <= 1/16), and
+    _series_remainder(W_m, u_m) is at most that of m = n1 times
+    (n1 / m)^(2 alpha + (2 alpha - 2) _K).
+    """
+    z2 = (omega * T / (math.pi * n1)) ** 2
+    w1 = (b_len * math.pi / (T * n1 ** (alpha - 1.0))) ** 2
+    u1 = (omega * b_len / n1**alpha) ** 2
+    s = np.concatenate((2.0 * _FREE_K, 2.0 * alpha * _PAIR_K - 2.0 * _PAIR_J))
+    coef = np.concatenate(
+        (_FREE_COEF * z2**_FREE_K, _PAIR_COEF * w1**_PAIR_J * u1 ** (_PAIR_K - _PAIR_J))
+    )
+    lo, lo_err = _scaled_zeta(s, n1 + 1.0, n1)
+    hi, hi_err = _scaled_zeta(s, n + 1.0, n1)
+    value = math.fsum(coef * (lo - hi))
+    err = float(np.abs(coef) @ (lo_err + hi_err))
+    # sum_{m>n1} (n1 / m)^p <= n1 / (p - 1)
+    err += z2 ** (_K + 1) / (2 * _K + 2) * n1 / (2 * _K + 1)
+    err += _series_remainder(w1, u1) * n1 / (2.0 * alpha + (2.0 * alpha - 2.0) * _K - 1.0)
+    return value, err
+
+
 def _bracket_tail(n: int, omega: float, T: float, b_len: float, alpha: float) -> float:
     """Rigorous bound on |sum_{m>n} b_m|.
 
@@ -165,10 +280,19 @@ def log_pi(
     ``n_terms`` of the result counts these bracket terms.  The value is
     clamped to the exact bounds [0, (1/2) ln(sinh wT / wT)].
 
-    ``n_terms=N``: the exact sum of the first N log factors
-    ln[Erf(c sqrt(l + w^2)) / Erf(c sqrt(l))].  Each omitted factor lies
-    in [0, (1/2) ln(1 + w^2/l)] (Erf concavity: Erf(k x) <= k Erf(x)), so
-    the tail is below w^2 T^2 / (2 pi^2 N).
+    ``n_terms=N``: the sum of the first N log factors
+    ln[Erf(c sqrt(l + w^2)) / Erf(c sqrt(l))].  The first
+    n1 = min(N, max(n_W, 4 wT / pi)) are summed directly, n_W being the
+    first mode with W_n = c_n^2 l_n <= 1/4 (n1 = N when alpha <= 1); so
+    for N <= n1 the value is the direct sum.  Modes n1 < n <= N are summed
+    in closed form: the power series of (1/2) ln(1 + w^2/l_n) and of the
+    bracket in W_n and u_n = c_n^2 w^2, truncated at k = 18, make every
+    sum over n a difference of Hurwitz zetas zeta(s, n1 + 1) - zeta(s, N + 1).
+    Each factor omitted after N lies in [0, (1/2) ln(1 + w^2/l)] (Erf
+    concavity: Erf(k x) <= k Erf(x)), so tail_bound is
+    w^2 T^2 / (2 pi^2 N) plus a rigorous bound on the series truncation
+    (and on any zeta value below the floating-point range); ``n_terms``
+    of the result is N.
 
     ``converged`` means tail_bound <= tol * max(1, |ln Pi|).
     """
@@ -195,8 +319,14 @@ def log_pi(
             return np.maximum(hi - lo, 0.0)
 
         n = int(n_terms)
-        value = _sum_terms(n, erf_ratio)
+        b_len = _c_n(params, T, 1.0)
+        n1 = _head_size(n, omega, T, b_len, params.alpha)
+        value = _sum_terms(n1, erf_ratio)
         tail = omega**2 * T**2 / (2.0 * math.pi**2 * n)
+        if n1 < n:
+            rest, err = _log_factor_tail(n1, n, omega, T, b_len, params.alpha)
+            value += rest
+            tail += err
     else:
 
         def bracket(n):
@@ -262,6 +392,7 @@ class UnitarityReport:
     sub_eps_mean: Optional[float]
     sub_eps_max_rel_deviation: Optional[float]
     verdicts: tuple  # per-T strings
+    converged: bool  # every ln Pi met its tolerance (not part of as_dict)
 
     def as_dict(self) -> dict:
         return {
@@ -289,12 +420,14 @@ def unitarity_diagnostic(
     relative deviation from the sub-grid mean is the unitarity figure of
     merit.  The sub-eps_D points are reported separately — there the
     product is far from exponential and the deviation is expected O(1).
+    ``converged`` is False when any ln Pi missed ``tol``.
     """
     t_grid = sorted(float(t) for t in t_grid)
     if not t_grid:
         raise ValueError("grid must be nonempty")
     eps_d = params.eps_d if params.alpha > 1 else 0.0
-    dws = [spectrum_shift(t, params, 0, tol, n_terms).delta_omega for t in t_grid]
+    pis = [log_pi(t, params, tol, n_terms) for t in t_grid]
+    dws = [p.log_pi / t for p, t in zip(pis, t_grid)]
 
     def stats(idx):
         vals = [dws[i] for i in idx]
@@ -325,6 +458,7 @@ def unitarity_diagnostic(
         sub_eps_mean=mean_below,
         sub_eps_max_rel_deviation=dev_below,
         verdicts=tuple(verdicts),
+        converged=all(p.converged for p in pis),
     )
 
 

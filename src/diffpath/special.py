@@ -170,9 +170,15 @@ def truncated_gaussian_ratio(b: float, big_b: float) -> float:
     return (0.5 / b) * one_minus_zed(b * big_b * big_b)
 
 
-def hurwitz_zeta(s: float, q: float) -> float:
-    """Hurwitz zeta(s, q) = sum_{k>=0} (k + q)^{-s} for s > 1, q > 0."""
-    return float(sc.zeta(s, q))
+def hurwitz_zeta(s, q):
+    """Hurwitz zeta(s, q) = sum_{k>=0} (k + q)^{-s} for s > 1, q > 0.
+
+    Broadcasts over array arguments; scalars give a float.
+    """
+    out = sc.zeta(s, q)
+    if np.ndim(out) == 0:
+        return float(out)
+    return out
 
 
 # ---------------------------------------------------------------------------

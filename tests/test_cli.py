@@ -93,16 +93,28 @@ def test_spectrum_reports_convergence_failure(capsys):
 
 
 def test_unitarity_verdict_json(capsys):
+    # N = 20000 meets the default tol 1e-4 at T = 5: w^2 T^2 / (2 pi^2 N) = 6.3e-5
     code, out = run(
         capsys,
         ["unitarity", "--epsilon-D", "0.1", "--omega", "1", "--points", "4",
-         "--n-terms", "5000"],
+         "--n-terms", "20000"],
     )
     assert code == EXIT_OK
     payload = json.loads(out)
     assert payload["verdict"] == "unitary-compatible"
     assert payload["max_rel_deviation"] <= 0.1
     assert len(payload["rows"]) == 4
+
+
+def test_unitarity_reports_convergence_failure(capsys):
+    # N = 1000 misses tol 1e-4 once w^2 T^2 / (2 pi^2 N) > 1e-4 (T > 1.4);
+    # the JSON is still written
+    argv = ["unitarity", "--epsilon-D", "0.1", "--omega", "1", "--points", "12"]
+    code, out = run(capsys, argv + ["--n-terms", "1000"])
+    assert code == EXIT_CONVERGENCE
+    assert len(json.loads(out)["rows"]) == 12
+    code, out = run(capsys, argv + ["--n-terms", "1000", "--T-grid-max", "0.8"])
+    assert code == EXIT_OK
 
 
 def test_paths_export(capsys):

@@ -6,8 +6,18 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from diffpath import oscillator
 from diffpath.oscillator import (
+    _ELL,
+    _ELL_M,
+    _ELL_R,
+    _K,
+    _W0,
+    _c_n,
+    _head_size,
     _log_sinh_over_x,
+    _scaled_zeta,
+    _series_remainder,
     log_pi,
     partition_functions,
     scan_E0_vs_omega,
@@ -15,22 +25,53 @@ from diffpath.oscillator import (
     unitarity_diagnostic,
 )
 from diffpath.paths import ModelParams
+from diffpath.special import chunked_sum, log_erf
 
 FIG4 = ModelParams(m=1.0, hbar=1.0, T=1.0, alpha=2.1, epsilon_D=0.1, omega=1.0)
+EPS = np.finfo(float).eps
 
 
-def mpmath_log_pi(params, T, n_terms):
-    """Independent 50-digit oracle for the truncated log product."""
-    mp.mp.dps = 50
-    sigma_t = mp.sqrt(params.hbar * T / params.m)
-    a_t = sigma_t * (T / mp.mpf(params.epsilon_D)) ** (params.alpha - 1)
+def mpmath_log_pi(params, T, n_terms, head=64):
+    """Independent 30-digit oracle for the truncated log product.
+
+    The first ``head`` log factors are summed directly; the rest by
+    Euler-Maclaurin: the integral, the end-point half terms and the B_2,
+    B_4, B_6 derivative terms.  The factor is analytic at distance O(n)
+    from every n > head, so the omitted remainder is far below 1e-20.
+    """
+    mp.mp.dps = 30
+    T = mp.mpf(T)
+    if params.epsilon_D is not None:
+        sigma_t = mp.sqrt(params.hbar * T / params.m)
+        a_t = sigma_t * (T / mp.mpf(params.epsilon_D)) ** (params.alpha - 1)
+    else:
+        a_t = mp.mpf(params.A)
     b_len = a_t * mp.sqrt(params.m * T / (4 * params.hbar))
-    total = mp.mpf(0)
-    for n in range(1, n_terms + 1):
-        c = b_len / mp.mpf(n) ** params.alpha
+    w2 = mp.mpf(params.omega) ** 2
+
+    def factor(n):
+        c = b_len / n**params.alpha
         lam = (n * mp.pi / T) ** 2
-        total += mp.log(mp.erf(c * mp.sqrt(lam + params.omega**2)) / mp.erf(c * mp.sqrt(lam)))
-    return float(total)
+        return mp.log(mp.erf(c * mp.sqrt(lam + w2)) / mp.erf(c * mp.sqrt(lam)))
+
+    h = min(n_terms, head)
+    total = mp.fsum(factor(n) for n in range(1, h + 1))
+    if n_terms > h:
+        a, b = mp.mpf(h + 1), mp.mpf(n_terms)
+        cuts = [a]
+        while 2 * cuts[-1] < b:
+            cuts.append(2 * cuts[-1])
+        total += mp.quad(factor, cuts + [b]) + (factor(a) + factor(b)) / 2
+        for m in (1, 2, 3):
+            d_b, d_a = mp.diff(factor, b, 2 * m - 1), mp.diff(factor, a, 2 * m - 1)
+            total += mp.bernoulli(2 * m) / mp.factorial(2 * m) * (d_b - d_a)
+    return total
+
+
+def head_rounding(params, T, n1, value):
+    """Rounding allowance of a direct sum of n1 differences of ln Erf (cf. bench/workloads.py)."""
+    x = _c_n(params, T, float(n1)) * n1 * math.pi / T
+    return 8.0 * EPS * n1 * max(abs(math.log(math.erf(x))), 1.0) + 64.0 * EPS * abs(value)
 
 
 def test_log_pi_zero_omega_exact():
@@ -46,6 +87,136 @@ def test_log_pi_against_mpmath_oracle():
     res = log_pi(1.0, FIG4, n_terms=400)
     ref = mpmath_log_pi(FIG4, 1.0, 400)
     assert res.log_pi == pytest.approx(ref, rel=1e-11)
+
+
+@pytest.mark.parametrize("alpha", [2.05, 3.0, 4.0])
+@pytest.mark.parametrize("primary", [{"A": 100.0}, {"epsilon_D": 0.1}])
+def test_log_pi_fixed_n_against_mpmath(alpha, primary):
+    # the head/closed-form split at N = n1 (all direct), n1 + 1 (one mode in
+    # closed form), 2 n1 and 1e5; omega = 1e4 puts n1 at 4 wT / pi
+    for T, omega in ((1.0, 1.0), (0.5, 0.1), (1.0, 1e4)):
+        params = ModelParams(alpha=alpha, omega=omega, **primary)
+        n1 = _head_size(100_000, omega, T, _c_n(params, T, 1.0), alpha)
+        assert n1 < 50_000
+        if omega == 1e4:
+            assert n1 == math.ceil(4e4 / math.pi)
+        for n in (n1, n1 + 1, 2 * n1, 100_000):
+            res = log_pi(T, params, n_terms=n)
+            ref = mpmath_log_pi(params, T, n)
+            free_tail = omega**2 * T**2 / (2.0 * math.pi**2 * n)
+            assert res.n_terms == n
+            assert res.tail_bound >= free_tail
+            # the series part of tail_bound, plus rounding
+            allowed = res.tail_bound - free_tail + head_rounding(params, T, n1, res.log_pi)
+            assert abs(res.log_pi - float(ref)) <= allowed, (T, omega, n, n1)
+
+
+def direct_log_pi(params, T, n_terms):
+    """The N-mode sum term by term, as the direct route computes it (N <= 2^20)."""
+    n = np.arange(1, n_terms + 1, dtype=float)
+    c = _c_n(params, T, n)
+    lam_sqrt = n * math.pi / T
+    hi = log_erf(c * np.sqrt(lam_sqrt**2 + params.omega**2))
+    lo = log_erf(c * lam_sqrt)
+    return chunked_sum(np.maximum(hi - lo, 0.0))
+
+
+@pytest.mark.parametrize(
+    "params, n_terms",
+    [
+        (ModelParams(alpha=0.8, A=10.0, omega=2.0), 5000),  # alpha <= 1: n1 = N
+        (ModelParams(alpha=2.1, A=1e12, omega=1.0), 100_000),  # W_n > 1/4 for every n <= N
+        (FIG4, 29),  # N = n1
+    ],
+)
+def test_log_pi_fixed_n_direct_up_to_n1(params, n_terms):
+    assert _head_size(n_terms, params.omega, 1.0, _c_n(params, 1.0, 1.0), params.alpha) == n_terms
+    res = log_pi(1.0, params, n_terms=n_terms)
+    assert res.log_pi == direct_log_pi(params, 1.0, n_terms)
+    assert res.tail_bound == params.omega**2 / (2.0 * math.pi**2 * n_terms)
+
+
+def test_log_pi_fixed_n_evaluates_only_the_head(monkeypatch):
+    elems = []
+
+    def counting_log_erf(x):
+        elems.append(np.size(x))
+        return log_erf(x)
+
+    monkeypatch.setattr(oscillator, "log_erf", counting_log_erf)
+    res = log_pi(1.0, FIG4, n_terms=100_000)
+    n1 = _head_size(100_000, FIG4.omega, 1.0, _c_n(FIG4, 1.0, 1.0), FIG4.alpha)
+    assert n1 == 29
+    assert sum(elems) <= 2 * n1
+    assert res.n_terms == 100_000
+
+
+def mp_log_erf_series(w):
+    """L(W) - L(0) = ln(Erf(sqrt W) sqrt(pi) / (2 sqrt W)) = ln 1F1(1/2; 3/2; -W)."""
+    return mp.log(mp.hyp1f1(0.5, 1.5, -w))
+
+
+def test_log_erf_series_table_mpmath():
+    mp.mp.dps = 40
+    taylor = mp.taylor(mp_log_erf_series, 0, _K + 1)
+    assert len(_ELL) == _K
+    for k in range(1, _K + 1):
+        assert _ELL[k - 1] == pytest.approx(float(taylor[k]), rel=1e-14, abs=0.0)
+
+
+def test_log_erf_series_cauchy_constant():
+    # the series converges for |W| < |z0|^2, z0 Erf's first complex zero
+    mp.mp.dps = 20
+    z0 = mp.findroot(mp.erf, mp.mpc(1.45, 1.88))
+    assert abs(mp.erf(z0)) < 1e-15 and _ELL_R < abs(z0) ** 2 - 1.0
+    # max |L - L(0)| on |W| = _ELL_R; the principal log is the analytic
+    # branch there (no jump of 2 pi between neighbouring points)
+    values = [mp_log_erf_series(_ELL_R * mp.expj(2 * mp.pi * i / 2000)) for i in range(2001)]
+    assert max(abs(b - a) for a, b in zip(values, values[1:])) < 0.1
+    assert max(abs(v) for v in values) * 1.02 <= _ELL_M
+
+
+def test_series_remainder_bounds_the_omitted_terms():
+    # W + u up to 1.07 W0: past n1, W_n <= W0 and u_n <= W_n / 16
+    mp.mp.dps = 80
+    taylor = mp.taylor(mp_log_erf_series, 0, _K + 1)
+    w_max = 1.07 * _W0
+    for w in np.linspace(0.0, w_max, 12):
+        for u in (1e-12, 1e-6 * w, w / 16.0, w_max - w):
+            if u <= 0.0 or w + u > w_max:
+                continue
+            wm, um = mp.mpf(w), mp.mpf(u)
+            bound = _series_remainder(w, u)
+            assert abs(taylor[_K + 1] * ((wm + um) ** (_K + 1) - wm ** (_K + 1))) <= bound
+            if w >= _W0 / 8:
+                # the whole remainder, where 80 digits resolve it
+                exact = mp_log_erf_series(wm + um) - mp_log_erf_series(wm)
+                head = mp.fsum(taylor[k] * ((wm + um) ** k - wm**k) for k in range(1, _K + 1))
+                assert abs(exact - head) <= bound
+
+
+def test_scaled_zeta_mpmath():
+    # m^s zeta(s, q), including zeta values far below the double range
+    mp.mp.dps = 50
+    cases = [
+        (4.2, 30.0, 29.0), (8.0, 1e5 + 1.0, 29.0), (61.0, 1e5 + 1.0, 1e5), (80.0, 1e5 + 1.0, 1e5),
+        (150.0, 1e7 + 1.0, 1e7), (44.0, 2e7 + 1.0, 1e7), (300.0, 1e4 + 1.0, 1e4),
+    ]
+    errs = []
+    for si, q, m in cases:
+        value, err = _scaled_zeta(np.array([si]), q, m)
+        sm, qm = mp.mpf(si), mp.mpf(q)
+        if q > 10 * si:
+            # Euler-Maclaurin for q^s zeta(s, q); mpmath's zeta loses digits here
+            em = qm / (sm - 1) + mp.mpf(1) / 2 + sm / (12 * qm)
+            em -= sm * (sm + 1) * (sm + 2) / (720 * qm**3)
+            ref = (mp.mpf(m) / qm) ** sm * em
+        else:
+            ref = mp.mpf(m) ** sm * mp.zeta(sm, qm)
+        assert abs(value[0] - ref) <= err[0] + 1e-13 * ref, (si, q, m)
+        errs.append(err[0])
+    # both the zeta values in range and the bracketed ones occur
+    assert 0.0 in errs and max(errs) > 0.0
 
 
 def test_log_pi_nonnegative_and_monotone_in_omega():
@@ -153,7 +324,10 @@ def test_partition_functions():
 
 def test_unitarity_above_eps_d_constant():
     rep = unitarity_diagnostic(np.linspace(0.2, 5.0, 10), FIG4, tol=1e-4)
+    assert rep.converged
     assert rep.max_rel_deviation <= 0.1
+    short = unitarity_diagnostic(np.linspace(0.2, 5.0, 10), FIG4, tol=1e-4, n_terms=1000)
+    assert not short.converged
     assert all(v == "unitary-compatible" for v in rep.verdicts)
 
 
