@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .special import bernoulli
+from .special import bernoulli, block_sum
 
 __all__ = [
     "CasimirConfig",
@@ -124,14 +124,14 @@ def sum_minus_integral(
     F = lambda t: np.asarray(f(t), dtype=float) * g(t / n_c)
     x, w = np.polynomial.legendre.leggauss(12)
     n_max = int(_REG_RANGE[regulator] * n_c) + 1
-    partials = []
-    for start in range(0, n_max, _BLOCK):
-        n = np.arange(start, min(start + _BLOCK, n_max), dtype=float)
+
+    def local_differences(n):
         d = F(n)
         for xk, wk in zip(0.5 * (x + 1.0), 0.5 * w):
             d -= wk * F(n + xk)
-        partials.append(float(d.sum()))
-    return math.fsum(partials)
+        return d
+
+    return block_sum(local_differences, n_max - 1, start=0, block=_BLOCK)
 
 
 def extrapolated_delta(

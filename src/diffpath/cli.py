@@ -44,7 +44,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_param_flags(p: argparse.ArgumentParser, omega_default: Optional[float] = None):
+def _add_param_flags(p: argparse.ArgumentParser, omega_default: Optional[float] = None, tol: bool = True):
+    """Model flags; --omega only where a frequency is used, --tol only where a series is summed."""
     p.add_argument("--m", type=float, default=1.0, help="mass (default 1)")
     p.add_argument("--hbar", type=float, default=1.0, help="hbar (default 1)")
     p.add_argument("--T", type=float, default=1.0, help="total time (default 1)")
@@ -52,8 +53,11 @@ def _add_param_flags(p: argparse.ArgumentParser, omega_default: Optional[float] 
     amp = p.add_mutually_exclusive_group()
     amp.add_argument("--A", type=float, default=None, help="amplitude bound (length)")
     amp.add_argument("--epsilon-D", type=float, default=None, help="differentiable time scale")
-    p.add_argument("--omega", type=float, default=omega_default, help="oscillator frequency")
-    p.add_argument("--tol", type=float, default=1e-9, help="series tolerance")
+    if omega_default is not None:
+        p.add_argument("--omega", type=float, default=omega_default, help="oscillator frequency")
+    if tol:
+        p.add_argument("--tol", type=float, default=1e-9,
+                       help="series tolerance: tail bound <= tol * max(1, |value|), absolute below |value| = 1")
     p.add_argument("--out", type=str, default=None, help="output file (default stdout)")
 
 
@@ -254,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_unitarity, tol=1e-4)
 
     p = sub.add_parser("paths", help="Brownian path and differentiable twin export")
-    _add_param_flags(p)
+    _add_param_flags(p, tol=False)
     p.add_argument("--modes", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--grid-points", type=int, default=401)

@@ -33,12 +33,12 @@ import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Callable, Iterable, Optional
+from typing import IO, Iterable, Optional
 
 import numpy as np
 
 from .paths import ModelParams, _write_metadata
-from .special import _log_erf_over_sqrt, chunked_sum, hurwitz_zeta, log_erf
+from .special import _log_erf_over_sqrt, block_sum, hurwitz_zeta, log_erf, tol_budget
 
 __all__ = [
     "PiResult",
@@ -53,7 +53,6 @@ __all__ = [
     "shift_rows_to_csv",
 ]
 
-_CHUNK = 1 << 20
 _ADAPTIVE_CAP = 1 << 24
 
 
@@ -144,14 +143,6 @@ def _log_sinh_over_x(x: float) -> float:
             acc += term
         return math.log1p(acc)
     return x + math.log1p(-math.exp(-2.0 * x)) - math.log(2.0 * x)
-
-
-def _sum_terms(n_max: int, terms: Callable[[np.ndarray], np.ndarray]) -> float:
-    """sum_{n=1}^{n_max} terms(n), evaluated in chunks of 2^20 modes."""
-    total = 0.0
-    for start in range(1, n_max + 1, _CHUNK):
-        total += chunked_sum(terms(np.arange(start, min(start + _CHUNK, n_max + 1), dtype=float)))
-    return total
 
 
 def _series_remainder(w: float, u: float) -> float:
@@ -294,7 +285,8 @@ def log_pi(
     (and on any zeta value below the floating-point range); ``n_terms``
     of the result is N.
 
-    ``converged`` means tail_bound <= tol * max(1, |ln Pi|).
+    ``converged`` means tail_bound <= tol_budget(ln Pi, tol) = tol * max(1, |ln Pi|),
+    an absolute tolerance wherever |ln Pi| < 1.
     """
     if T <= 0:
         raise ValueError("T must be positive")
@@ -321,7 +313,7 @@ def log_pi(
         n = int(n_terms)
         b_len = _c_n(params, T, 1.0)
         n1 = _head_size(n, omega, T, b_len, params.alpha)
-        value = _sum_terms(n1, erf_ratio)
+        value = block_sum(erf_ratio, n1)
         tail = omega**2 * T**2 / (2.0 * math.pi**2 * n)
         if n1 < n:
             rest, err = _log_factor_tail(n1, n, omega, T, b_len, params.alpha)
@@ -338,9 +330,9 @@ def log_pi(
         b_len = _c_n(params, T, 1.0)
         n = _bracket_terms_needed(tol, omega, T, b_len, params.alpha)
         free = 0.5 * _log_sinh_over_x(omega * T)
-        value = min(max(free + _sum_terms(n, bracket), 0.0), free)
+        value = min(max(free + block_sum(bracket, n), 0.0), free)
         tail = _bracket_tail(n, omega, T, b_len, params.alpha)
-    return PiResult(value, T, n, tail, tail <= tol * max(1.0, abs(value)), params)
+    return PiResult(value, T, n, tail, tail <= tol_budget(value, tol), params)
 
 
 def spectrum_shift(

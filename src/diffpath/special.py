@@ -1,8 +1,11 @@
 """Numerically hardened special functions shared by every other module.
 
 Everything here is pure and deterministic: error-function ratios in log
-space, the truncated-Gaussian moment factor Z(W), the dilogarithm on and
-inside the unit circle, and exact Bernoulli numbers.
+space, the truncated-Gaussian moment factor Z(W), exact Bernoulli numbers,
+and the one series primitive every certified sum goes through: block_sum
+(compensated blocked summation), tol_budget (the tolerance rule
+tail <= tol * max(1, |value|), absolute for |value| < 1) and certify (the
+x4 term-count loop that returns a SeriesValue).
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 import scipy.special as sc
@@ -24,10 +28,10 @@ __all__ = [
     "one_minus_zed",
     "truncated_gaussian_ratio",
     "hurwitz_zeta",
-    "li2_exp",
     "bernoulli",
-    "chunked_sum",
-    "chunk_partials",
+    "block_sum",
+    "tol_budget",
+    "certify",
 ]
 
 ZETA2 = math.pi**2 / 6.0
@@ -39,7 +43,7 @@ class SeriesValue:
 
     ``tail_bound`` is a rigorous upper bound on the absolute value of the
     omitted tail.  ``converged`` means the bound met the requested
-    tolerance (relative, floored at 1 in absolute terms).
+    tolerance: tail_bound <= tol_budget(value, tol).
     """
 
     value: float
@@ -52,21 +56,48 @@ class ConvergenceError(RuntimeError):
     """A series failed to meet its tail-bound tolerance within the term cap."""
 
 
-def chunked_sum(terms: np.ndarray, chunk: int = 1 << 16) -> float:
-    """Compensated sum of a 1-D array.
+def block_sum(terms: Callable, stop: int, start: int = 1, block: int = 1 << 16):
+    """Compensated sum of terms(n) over n = start..stop (an empty range gives 0.0).
 
-    numpy's pairwise reduction is applied per chunk and the chunk totals
-    are combined with ``math.fsum``, so accumulation order is fixed and
-    rounding error stays near one ulp even for ~1e7 terms.
+    ``terms`` is called on float arrays of at most ``block`` consecutive n.
+    Each block is summed by numpy's pairwise reduction and the block totals
+    by one ``math.fsum``, so the accumulation order is fixed and rounding
+    stays near one ulp even for ~1e7 terms.  If ``terms`` returns a tuple
+    of arrays, the result is the tuple of their sums.
     """
-    return math.fsum(chunk_partials(terms, chunk))
+    partials = []
+    for lo in range(start, stop + 1, block):
+        out = terms(np.arange(lo, min(lo + block, stop + 1), dtype=float))
+        partials.append(tuple(float(a.sum()) for a in out) if isinstance(out, tuple) else float(out.sum()))
+    if partials and isinstance(partials[0], tuple):
+        return tuple(math.fsum(col) for col in zip(*partials))
+    return math.fsum(partials)
 
 
-def chunk_partials(terms: np.ndarray, chunk: int = 1 << 16) -> list[float]:
-    """Pairwise sums of consecutive chunks; those of chunk-aligned slices
-    concatenate to the whole array's, so a chunked_sum can go slice by slice."""
-    terms = np.asarray(terms, dtype=float)
-    return [float(terms[i : i + chunk].sum()) for i in range(0, terms.size, chunk)]
+def tol_budget(value: float, tol: float) -> float:
+    """The largest tail bound that certifies ``value`` at tolerance ``tol``.
+
+    tol * max(1, |value|): relative for |value| >= 1, absolute below.
+    """
+    return tol * max(1.0, abs(value))
+
+
+def certify(evaluate: Callable[[int], tuple], tol: float, n0: int, cap: int) -> SeriesValue:
+    """Sum a series with a rigorous tail bound, quadrupling the term count.
+
+    ``evaluate(n)`` gives (value, tail bound) for n terms; n runs n0, 4 n0,
+    16 n0, ...  The first n whose bound is within tol_budget(value, tol) is
+    returned as converged; once n >= cap, the last evaluation is returned
+    with ``converged=False``.
+    """
+    n = n0
+    while True:
+        value, tail = evaluate(n)
+        if tail <= tol_budget(value, tol):
+            return SeriesValue(value, n, tail, True)
+        if n >= cap:
+            return SeriesValue(value, n, tail, False)
+        n *= 4
 
 
 def erf(x):
@@ -182,7 +213,7 @@ def hurwitz_zeta(s, q):
 
 
 # ---------------------------------------------------------------------------
-# Bernoulli numbers and the dilogarithm
+# Bernoulli numbers
 # ---------------------------------------------------------------------------
 
 _BERNOULLI_CACHE: list[Fraction] = [Fraction(1)]
@@ -206,50 +237,3 @@ def bernoulli(k: int) -> float:
     if not isinstance(k, (int, np.integer)) or k < 0 or k > _BERNOULLI_MAX:
         raise ValueError(f"unsupported Bernoulli index {k!r}")
     return float(_bernoulli_fraction(int(k)))
-
-
-def _zeta_nonpositive(n: int) -> float:
-    """zeta(-n) for integer n >= 0: zeta(-n) = (-1)^n B_{n+1}/(n+1)."""
-    return (-1.0) ** n * float(_bernoulli_fraction(n + 1)) / (n + 1)
-
-
-def li2_exp(mu: complex) -> complex:
-    """Li2(e^mu) for Re(mu) <= 0 and |Im(mu)| < 2 pi, to ~1e-13 absolute.
-
-    Away from the singular point mu = 0 (i.e. Re(mu) <= -1/2) the direct
-    series sum e^{j mu} / j^2 converges geometrically.  Near mu = 0 the
-    series stalls (|e^mu| ~ 1), so we switch to the log expansion
-
-        Li2(e^mu) = zeta(2) + mu (1 - ln(-mu)) + sum_{k>=2} zeta(2-k) mu^k / k!
-
-    valid for |mu| < 2 pi; zeta at non-positive integers comes from exact
-    Bernoulli numbers.
-    """
-    mu = complex(mu)
-    if mu.real > 1e-12:
-        raise ValueError("li2_exp requires |e^mu| <= 1 (Re mu <= 0)")
-    if abs(mu.imag) >= 2 * math.pi:
-        raise ValueError("li2_exp requires |Im mu| < 2*pi")
-    # Reduce the phase to (-pi, pi]; Li2(e^mu) only sees mu mod 2*pi*i.
-    y = math.remainder(mu.imag, 2 * math.pi)
-    mu = complex(min(mu.real, 0.0), y)
-
-    if mu == 0:
-        return complex(ZETA2, 0.0)
-
-    if mu.real <= -0.5:
-        q = abs(np.exp(mu))
-        # |tail after N| <= q^{N+1} / ((N+1)^2 (1-q))
-        n = 10
-        while q ** (n + 1) / ((n + 1) ** 2 * (1.0 - q)) > 1e-15 and n < 300:
-            n *= 2
-        j = np.arange(1, n + 1)
-        return complex(np.sum(np.exp(j * mu) / j**2))
-
-    acc = complex(ZETA2) + mu * (1.0 - np.log(-mu))
-    power = complex(1.0)  # mu^k / k!
-    for k in range(1, 64):
-        power *= mu / k
-        if k >= 2:
-            acc += _zeta_nonpositive(k - 2) * power
-    return complex(acc)

@@ -52,15 +52,7 @@ import numpy as np
 import scipy.special as sc
 
 from .paths import ModelParams, _write_metadata, scale_relations
-from .special import (
-    ZETA2,
-    ConvergenceError,
-    SeriesValue,
-    chunk_partials,
-    chunked_sum,
-    li2_exp,
-    one_minus_zed,
-)
+from .special import ZETA2, ConvergenceError, SeriesValue, block_sum, certify, one_minus_zed, tol_budget
 
 __all__ = [
     "RegimeReport",
@@ -96,10 +88,6 @@ class RegimeReport:
     c_coeff: float
     epsilon_D: float
     p_uv: float
-
-
-def _tolerance_met(value: float, tail: float, tol: float) -> bool:
-    return tail <= tol * max(1.0, abs(value))
 
 
 def _cosine_components(tau: float, t0_frac: float):
@@ -155,15 +143,13 @@ def s_feynman(tau: float, t0_frac: float = 0.0, tol: float = 1e-10) -> SeriesVal
         return SeriesValue(0.0, 0, 0.0, True)
 
     c0, components = _cosine_components(tau, t0_frac)
-    n = 1 << 14
-    value = 0.0
-    while True:
-        j = np.arange(1, n + 1, dtype=float)
-        partial = chunked_sum(_feynman_terms(tau, t0_frac, j))
+
+    def evaluate(n: int) -> tuple[float, float]:
+        partial = block_sum(lambda j: _feynman_terms(tau, t0_frac, j), n)
         trigamma = float(sc.polygamma(1, n + 1))
         value = partial + c0 * trigamma
         tail = 0.0
-        share = tol * max(1.0, abs(value)) / max(1, len(components))
+        share = tol_budget(value, tol) / max(1, len(components))
         for coef, theta in components:
             cheap = min(2.0 / ((n + 1) ** 2 * math.sin(0.5 * theta)), trigamma)
             if cheap <= share:
@@ -184,22 +170,20 @@ def s_feynman(tau: float, t0_frac: float = 0.0, tol: float = 1e-10) -> SeriesVal
             midpoint_err = (theta**2 / a + 2.0 * theta / a**2 + 2.0 / a**3) / 24.0
             value += coef * est
             tail += abs(coef) * (abs(quad_err) + midpoint_err)
-        if _tolerance_met(value, tail, tol):
-            return SeriesValue(value, n, tail, True)
-        if n >= SERIES_CAP:
-            return SeriesValue(value, n, tail, False)
-        n *= 4
+        return value, tail
+
+    return certify(evaluate, tol, 1 << 14, SERIES_CAP)
 
 
 def s_feynman_closed(tau: float) -> float:
     """Dilogarithm closed form of the free series.
 
     S_F(tau) = zeta(2)/2 - Re Li2(e^{2 pi i tau}) / 2, which reduces to
-    (pi^2/2) tau (1 - tau).
+    (pi^2/2) tau (1 - tau); scipy's spence(z) is Li2(1 - z).
     """
     if not 0.0 < tau < 1.0:
         raise ValueError("tau must lie in (0, 1)")
-    return 0.5 * ZETA2 - 0.5 * li2_exp(2j * math.pi * tau).real
+    return float(0.5 * ZETA2 - 0.5 * sc.spence(1.0 - np.exp(2j * math.pi * tau)).real)
 
 
 def _s_feynman_exact(tau: float) -> float:
@@ -212,15 +196,10 @@ def _weights_w(params: ModelParams, j: np.ndarray) -> np.ndarray:
     return (params.a_bar / j ** (params.alpha - 1.0)) ** 2
 
 
-def _head_sums(tau: float, params: ModelParams, n: int) -> tuple[float, float]:
-    """chunked_sum of w_j s_j and of s_j over j <= n, built 2^20 modes at a time."""
-    weighted, free = [], []
-    for start in range(1, n + 1, 1 << 20):
-        j = np.arange(start, min(start + (1 << 20), n + 1), dtype=float)
-        s = (np.sin(j * (math.pi * tau)) / j) ** 2
-        weighted += chunk_partials(s * one_minus_zed(_weights_w(params, j)))
-        free += chunk_partials(s)
-    return math.fsum(weighted), math.fsum(free)
+def _head_terms(tau: float, params: ModelParams, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """w_j s_j and s_j, s_j = sin^2(j pi tau) / j^2, evaluating the sines once."""
+    s = (np.sin(j * (math.pi * tau)) / j) ** 2
+    return s * one_minus_zed(_weights_w(params, j)), s
 
 
 def _zed_scalar(w: float) -> float:
@@ -336,9 +315,9 @@ def s_diff(tau: float, params: ModelParams, tol: float = 1e-10) -> SeriesValue:
     pref = (2.0 / 3.0) * abar * abar
     p_low = 2.0 * (alpha - 1.0)  # exponent while sin^2 ~ (j pi tau)^2
     p_high = 2.0 * alpha
-    n = 1 << 12
-    while True:
-        value, free_head = _head_sums(tau, params, n)
+
+    def evaluate(n: int) -> tuple[float, float]:
+        value, free_head = block_sum(lambda j: _head_terms(tau, params, j), n)
         hi_start = max(float(n), j_turn)
         tail = pref * hi_start ** (1.0 - p_high) / (p_high - 1.0)
         if j_turn > n:
@@ -347,15 +326,14 @@ def s_diff(tau: float, params: ModelParams, tol: float = 1e-10) -> SeriesValue:
             else:
                 seg = (j_turn ** (1.0 - p_low) - float(n) ** (1.0 - p_low)) / (1.0 - p_low)
             tail += pref * (math.pi * tau) ** 2 * seg
-        if not _tolerance_met(value, tail, tol):
-            z_value, z_tail = _z_form(tau, params, n, value, free_head, tol * max(1.0, abs(value)))
+        budget = tol_budget(value, tol)
+        if not tail <= budget:
+            z_value, z_tail = _z_form(tau, params, n, value, free_head, budget)
             if z_tail < tail:
                 value, tail = z_value, z_tail
-        if _tolerance_met(value, tail, tol):
-            return SeriesValue(value, n, tail, True)
-        if n >= SERIES_CAP:
-            return SeriesValue(value, n, tail, False)
-        n *= 4
+        return value, tail
+
+    return certify(evaluate, tol, 1 << 12, SERIES_CAP)
 
 
 def _v2_prefactor(eps: float, params: ModelParams) -> float:

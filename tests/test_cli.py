@@ -56,6 +56,22 @@ def test_unknown_flag_exits_one():
     assert main(["v2", "--bogus"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["v2", "--A", "10", "--points", "3", "--omega", "5"],
+        ["paths", "--omega", "5"],
+        ["commutator", "--points", "2", "--omega", "5"],
+        ["oracle", "--samples", "100", "--omega", "5"],
+        ["paths", "--tol", "1e-3"],
+    ],
+)
+def test_unused_flags_are_not_accepted(capsys, argv):
+    # these subcommands never read --omega (nor paths --tol), so passing one is a usage error
+    assert main(argv) == EXIT_USAGE
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_spectrum(capsys):
     code, out = run(
         capsys,

@@ -25,7 +25,7 @@ from diffpath.oscillator import (
     unitarity_diagnostic,
 )
 from diffpath.paths import ModelParams
-from diffpath.special import chunked_sum, log_erf
+from diffpath.special import log_erf
 
 FIG4 = ModelParams(m=1.0, hbar=1.0, T=1.0, alpha=2.1, epsilon_D=0.1, omega=1.0)
 EPS = np.finfo(float).eps
@@ -118,7 +118,8 @@ def direct_log_pi(params, T, n_terms):
     lam_sqrt = n * math.pi / T
     hi = log_erf(c * np.sqrt(lam_sqrt**2 + params.omega**2))
     lo = log_erf(c * lam_sqrt)
-    return chunked_sum(np.maximum(hi - lo, 0.0))
+    x = np.maximum(hi - lo, 0.0)
+    return math.fsum(float(x[i : i + (1 << 16)].sum()) for i in range(0, x.size, 1 << 16))
 
 
 @pytest.mark.parametrize(

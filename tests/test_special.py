@@ -10,14 +10,18 @@ from hypothesis import strategies as st
 import scipy.special as sc
 from scipy.integrate import quad
 
+from diffpath import velocity
 from diffpath.special import (
+    SeriesValue,
     _log_erf_over_sqrt,
     bernoulli,
+    block_sum,
+    certify,
     erf,
-    li2_exp,
     log_erf,
     log_erf_ratio,
     one_minus_zed,
+    tol_budget,
     truncated_gaussian_ratio,
     zed,
 )
@@ -190,42 +194,77 @@ def test_truncated_gaussian_ratio_domain():
             truncated_gaussian_ratio(*bad)
 
 
-def test_li2_trivials():
-    assert li2_exp(0.0) == pytest.approx(math.pi**2 / 6.0, abs=1e-14)
-    # alternating series oracle for mu = i pi
-    j = np.arange(1, 2_000_001)
-    ref = float(np.sum((-1.0) ** j / j**2))
-    assert li2_exp(1j * math.pi).real == pytest.approx(ref, abs=1e-11)
-    assert li2_exp(1j * math.pi) == pytest.approx(-math.pi**2 / 12.0, abs=1e-12)
+def test_s_feynman_closed_against_mpmath():
+    # (pi^2/2) tau (1 - tau) from the spence form, on both sides of tau = 1/2
+    half = np.geomspace(1e-9, 0.5, 200)
+    for tau in np.concatenate((half, 1.0 - half)):
+        t = mp.mpf(float(tau))
+        assert abs(velocity.s_feynman_closed(float(tau)) - float(mp.pi**2 / 2 * t * (1 - t))) <= 4e-15, tau
+    for tau in half:
+        assert abs(velocity.s_feynman_closed(float(tau)) - velocity.s_feynman_closed(float(1.0 - tau))) <= 4e-15
 
 
-def test_li2_small_imaginary_combination():
-    # Li2(e^mu) + Li2(e^-mu) = i pi mu + 2 zeta(2) + O(mu^2) for mu -> 0+ i
-    for t in (1e-3, 1e-4):
-        mu = 1j * t
-        combo = li2_exp(mu) + li2_exp(-mu)
-        expected = 1j * math.pi * mu + 2.0 * math.pi**2 / 6.0
-        assert abs(combo - expected) < 5.0 * t**2
+def test_block_sum_compensates_across_blocks():
+    # block totals 1e16, 1, -1e16: adding them in order would give 0.0
+    terms = lambda n: np.where(n == 1.0, 1e16, np.where(n == 2.0, 1.0, -1e16))
+    assert block_sum(terms, 3, block=1) == 1.0
 
 
-def test_li2_against_mpmath():
-    for mu in [0.5j, 3.0j, -0.25 + 1.5j, -2.0 + 0.5j, -1e-6 + 1e-5j, 6.0j]:
-        ref = complex(mp.polylog(2, mp.e ** mp.mpc(mu)))
-        assert abs(li2_exp(mu) - ref) < 1e-12
+def test_block_sum_ranges_and_blocks():
+    seen = []
+
+    def terms(n):
+        seen.append(n.copy())
+        return n
+
+    assert block_sum(terms, 0) == 0.0 and seen == []  # empty range
+    assert block_sum(terms, 10, start=5) == 45.0
+    seen.clear()
+    assert block_sum(terms, 10, block=4) == 55.0
+    assert [list(n) for n in seen] == [[1, 2, 3, 4], [5, 6, 7, 8], [9, 10]]  # ragged last block
+    assert block_sum(lambda n: (n, n * n), 10, block=3) == (55.0, 385.0)
 
 
-def test_li2_brute_force_on_unit_circle():
-    theta = 2.5
-    j = np.arange(1, 10_000_001)
-    ref = complex(np.sum(np.exp(1j * theta * j) / j**2))
-    assert abs(li2_exp(1j * theta) - ref) < 1e-6
+def test_block_sum_bit_identical_to_blocked_fsum():
+    n = np.arange(1, 200_001, dtype=float)
+    terms = lambda n: np.sin(n) / n**2
+    x = terms(n)
+    ref = math.fsum(float(x[i : i + (1 << 16)].sum()) for i in range(0, x.size, 1 << 16))
+    assert block_sum(terms, 200_000) == ref
 
 
-def test_li2_domain():
-    with pytest.raises(ValueError):
-        li2_exp(0.5)  # |e^mu| > 1
-    with pytest.raises(ValueError):
-        li2_exp(7.0j)  # |Im| >= 2 pi
+def test_s_feynman_blocks_are_bounded(monkeypatch):
+    # tol = 0 is never met, so the x4 loop runs to the (lowered) cap of 2^18
+    sizes = []
+    feynman_terms = velocity._feynman_terms
+
+    def recording(tau, t0_frac, j):
+        sizes.append(j.size)
+        return feynman_terms(tau, t0_frac, j)
+
+    monkeypatch.setattr(velocity, "_feynman_terms", recording)
+    monkeypatch.setattr(velocity, "SERIES_CAP", 1 << 18)
+    res = velocity.s_feynman(0.1, 0.3, tol=0.0)
+    assert res.n_terms == 1 << 18 and not res.converged
+    assert max(sizes) == 1 << 16 and sum(sizes) == (1 << 14) + (1 << 16) + (1 << 18)
+
+
+def test_tol_budget_rule():
+    assert tol_budget(0.5, 1e-3) == 1e-3  # absolute below |value| = 1
+    assert tol_budget(-20.0, 1e-3) == 20.0 * 1e-3  # relative above
+
+
+def test_certify_returns_first_n_meeting_budget():
+    calls = []
+
+    def evaluate(n):
+        calls.append(n)
+        return 100.0, 50.0 / n  # budget tol * 100
+
+    assert certify(evaluate, 1e-2, 1, 10**6) == SeriesValue(100.0, 64, 50.0 / 64, True)
+    assert calls == [1, 4, 16, 64]
+    assert certify(lambda n: (0.5, 1.0 / n), 1e-3, 1, 10**6).n_terms == 1024
+    assert certify(lambda n: (0.5, 1.0 / n), 1e-3, 1, 64) == SeriesValue(0.5, 64, 1.0 / 64, False)
 
 
 def test_bernoulli_values():
