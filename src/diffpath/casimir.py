@@ -181,14 +181,6 @@ class EpsilonDBound:
     omega_d_min: float  # exact inequality solution for omega_D
     omega_d_min_order: float  # order-of-magnitude form c / L_exp
 
-    def as_dict(self) -> dict:
-        return {
-            "epsilon_d": self.epsilon_d,
-            "epsilon_d_exact": self.epsilon_d_exact,
-            "omega_d_min": self.omega_d_min,
-            "omega_d_min_order": self.omega_d_min_order,
-        }
-
 
 def epsilon_d_bound(L_exp: float, rel_error: float, c: float) -> EpsilonDBound:
     """Experimental bound on eps_D from a Casimir accuracy requirement.

@@ -1,16 +1,23 @@
-"""Command-line front end: every figure/table as deterministic CSV.
+"""Command-line front end: every figure/table as deterministic CSV or JSON.
 
 Subcommands: v2, spectrum, unitarity, paths, commutator, casimir, oracle.
 Exit codes: 0 ok, 1 usage/validation error, 2 numerical convergence
 failure — so CI can gate on numerical health.  Output is byte-identical
-for identical flags + seed; each CSV starts with a '#' metadata block
-sufficient to re-run the command.
+for identical flags + seed.
+
+The library modules only compute; this module alone decides the output
+format.  A CSV is a '# key = value' metadata block sufficient to re-run
+the command, a header line and one comma-separated line per row, every
+line ending in '\\n'; floats are written as repr(float(x)).  JSON is
+indented by 2 with sorted keys.  Each subcommand returns its text and
+whether every value converged, and ``main`` writes it once, to --out or
+stdout.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
+import dataclasses
 import json
 import math
 import sys
@@ -99,28 +106,37 @@ def _grid(args, name: str) -> np.ndarray:
     return np.linspace(lo, hi, args.points)
 
 
-def _metadata(args, extra: Optional[dict] = None) -> dict:
+def _metadata(args) -> dict:
     skip = {"func", "out"}
-    meta = {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
-    if extra:
-        meta.update(extra)
-    return meta
+    return {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
 
 
-def _emit(args, text: str) -> None:
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _cell(x) -> str:
+    if isinstance(x, str):
+        return x
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return repr(float(x))
+
+
+def _csv(meta: dict, header: str, rows) -> str:
+    """'# key = value' lines, the header, then one comma-separated line per row."""
+    lines = [f"# {k} = {v}" for k, v in meta.items()]
+    lines.append(header)
+    lines.extend(",".join(_cell(x) for x in row) for row in rows)
+    return "".join(line + "\n" for line in lines)
+
+
+def _json(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (output text, every value converged)
 # ---------------------------------------------------------------------------
 
 
-def cmd_v2(args) -> int:
+def cmd_v2(args) -> tuple[str, bool]:
     params = _params_from_args(args)
     grid = _grid(args, "eps")
     if grid[-1] >= params.T:
@@ -128,72 +144,78 @@ def cmd_v2(args) -> int:
     rows = []
     for model in ("feynman", "differentiable"):
         rows.extend(vel_mod.scan_v2(grid, params, model, args.tol))
-    buf = io.StringIO()
-    vel_mod.scan_rows_to_csv(rows, buf, _metadata(args))
-    _emit(args, buf.getvalue())
-    return EXIT_OK if all(r.converged for r in rows) else EXIT_CONVERGENCE
+    text = _csv(
+        _metadata(args),
+        "eps,v2,n_terms,tail_bound,model",
+        [(r.eps, r.v2, r.n_terms, r.tail_bound, r.model) for r in rows],
+    )
+    return text, all(r.converged for r in rows)
 
 
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(args) -> tuple[str, bool]:
     params = _params_from_args(args, default_A=None)
     if params.omega <= 0:
         raise UsageError("spectrum requires --omega > 0")
     grid = _grid(args, "T_grid")
     results = [osc_mod.log_pi(t, params, args.tol, args.n_terms) for t in grid]
-    buf = io.StringIO()
-    osc_mod.shift_rows_to_csv(results, buf, _metadata(args))
-    _emit(args, buf.getvalue())
-    return EXIT_OK if all(r.converged for r in results) else EXIT_CONVERGENCE
+    text = _csv(
+        _metadata(args),
+        "T,delta_omega,log_pi,n_terms",
+        [(r.T, r.log_pi / r.T, r.log_pi, r.n_terms) for r in results],
+    )
+    return text, all(r.converged for r in results)
 
 
-def cmd_unitarity(args) -> int:
+def cmd_unitarity(args) -> tuple[str, bool]:
     params = _params_from_args(args, default_A=None)
     if params.omega <= 0:
         raise UsageError("unitarity requires --omega > 0")
     grid = _grid(args, "T_grid")
     rep = osc_mod.unitarity_diagnostic(grid, params, args.tol, args.n_terms, args.threshold)
-    verdict = "unitary-compatible" if rep.max_rel_deviation <= args.threshold else "non-exponential"
-    payload = {"verdict": verdict, "threshold": args.threshold, **rep.as_dict()}
-    _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return EXIT_OK if rep.converged else EXIT_CONVERGENCE
+    payload = {
+        "verdict": "unitary-compatible" if rep.max_rel_deviation <= args.threshold else "non-exponential",
+        "threshold": args.threshold,
+        "mean_delta_omega": rep.mean_delta_omega,
+        "max_rel_deviation": rep.max_rel_deviation,
+        "sub_eps_mean": rep.sub_eps_mean,
+        "sub_eps_max_rel_deviation": rep.sub_eps_max_rel_deviation,
+        "rows": [
+            {"T": t, "delta_omega": dw, "verdict": v}
+            for t, dw, v in zip(rep.t_grid, rep.delta_omega, rep.verdicts)
+        ],
+    }
+    return _json(payload), rep.converged
 
 
-def cmd_paths(args) -> int:
+def cmd_paths(args) -> tuple[str, bool]:
     params = _params_from_args(args)
     p = paths_mod.sample_brownian(params, args.modes, args.seed)
     twin = paths_mod.differentiable_twin(p, params)
     grid = np.linspace(0.0, params.T, args.grid_points)
-    buf = io.StringIO()
-    meta = _metadata(args, {"rng": paths_mod.RNG_ALGORITHM, "j_D": twin["j_D"]})
-    if args.export == "coeffs":
-        paths_mod.coeffs_to_csv(p, buf, {**meta, "which": "brownian"})
-        paths_mod.coeffs_to_csv(twin["twin"], buf, {"which": "twin"})
-    else:
-        paths_mod.trajectory_to_csv(p, grid, buf, {**meta, "which": "brownian"})
-        paths_mod.trajectory_to_csv(twin["twin"], grid, buf, {"which": "twin"})
-    _emit(args, buf.getvalue())
-    return EXIT_OK
+
+    def block(meta, path):
+        if args.export == "coeffs":
+            return _csv(meta, "n,a_n", enumerate(path.coeffs, start=1))
+        return _csv(meta, "t,x", zip(grid, paths_mod.eval_path(path, grid)))
+
+    meta = {**_metadata(args), "rng": paths_mod.RNG_ALGORITHM, "j_D": twin["j_D"], "which": "brownian"}
+    return block(meta, p) + block({"which": "twin"}, twin["twin"]), True
 
 
-def cmd_commutator(args) -> int:
-    from .commutator import commutator_expectation, commutator_rows_to_csv
+def cmd_commutator(args) -> tuple[str, bool]:
+    from .commutator import commutator_expectation
 
     params = _params_from_args(args)
     grid = _grid(args, "eps")
     if grid[-1] >= params.T:
         raise UsageError("eps grid must lie inside (0, T)")
     rows = [commutator_expectation(e, params, args.model, args.tol) for e in grid]
-    buf = io.StringIO()
-    commutator_rows_to_csv(rows, buf, _metadata(args))
-    _emit(args, buf.getvalue())
-    return EXIT_OK
+    return _csv(_metadata(args), "eps,commutator,regime", [(r.eps, r.value, r.regime) for r in rows]), True
 
 
-def cmd_casimir(args) -> int:
+def cmd_casimir(args) -> tuple[str, bool]:
     if args.bound:
-        res = casimir_mod.epsilon_d_bound(args.L_exp, args.rel_error, args.c)
-        _emit(args, json.dumps(res.as_dict(), indent=2, sort_keys=True) + "\n")
-        return EXIT_OK
+        return _json(dataclasses.asdict(casimir_mod.epsilon_d_bound(args.L_exp, args.rel_error, args.c))), True
     grid = _grid(args, "L")
     rows = []
     delta = None
@@ -209,30 +231,20 @@ def cmd_casimir(args) -> int:
         else:
             res = casimir_mod.casimir_energy(cfg, args.model)
             energy, delta = res.energy, res.delta
-        rows.append((float(L), energy, args.model, cfg.x))
-    buf = io.StringIO()
-    paths_mod._write_metadata(buf, _metadata(args))
-    buf.write("L,delta_E,model,x\n")
-    for L, e, model, x in rows:
-        buf.write(f"{L!r},{e!r},{model},{x!r}\n")
-    _emit(args, buf.getvalue())
-    return EXIT_OK
+        rows.append((cfg.L, energy, args.model, cfg.x))
+    return _csv(_metadata(args), "L,delta_E,model,x", rows), True
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args) -> tuple[str, bool]:
     params = _params_from_args(args)
-    est = mc_mod.estimate_v2(
-        params, args.eps, args.t0, args.modes, args.samples, args.seed
-    )
+    est = mc_mod.estimate_v2(params, args.eps, args.t0, args.modes, args.samples, args.seed)
     analytic = vel_mod.v2_diff(args.eps, params, args.tol)
-    buf = io.StringIO()
-    mc_mod.estimates_to_csv(
-        [est, mc_mod.McEstimate(analytic, 0.0, 0, args.seed, "v2_analytic")],
-        buf,
-        _metadata(args),
-    )
-    _emit(args, buf.getvalue())
-    return EXIT_OK
+    rows = [
+        (est.quantity, est.mean, est.stderr, est.n_samples, est.seed),
+        ("v2_analytic", analytic, 0.0, 0, args.seed),
+    ]
+    meta = {"rng": paths_mod.RNG_ALGORITHM, **_metadata(args)}
+    return _csv(meta, "quantity,mean,stderr,n_samples,seed", rows), True
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -301,16 +313,19 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError,) as exc:
+        text, ok = args.func(args)
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ConvergenceError as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return EXIT_OK if ok else EXIT_CONVERGENCE
 
 
 if __name__ == "__main__":

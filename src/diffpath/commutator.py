@@ -13,12 +13,11 @@ the plateau <v^2>(eps -> 0), which is v2_uv / 4 at alpha = 3, A = 10.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable, Optional
+from typing import Optional
 
-from .paths import ModelParams, _write_metadata
+from .paths import ModelParams
 from .velocity import regime_report, v2_diff, v2_feynman
 
 __all__ = [
@@ -26,7 +25,6 @@ __all__ = [
     "commutator_expectation",
     "momentum_squared",
     "gup_coefficient",
-    "commutator_rows_to_csv",
 ]
 
 
@@ -79,12 +77,3 @@ def gup_coefficient(params: ModelParams) -> dict:
     p_d = math.sqrt(params.hbar * params.m / rep.epsilon_D)
     return {"beta": beta, "p_uv": rep.p_uv, "p_D": p_d}
 
-
-def commutator_rows_to_csv(
-    rows: Iterable[CommutatorReport], fh: IO[str], metadata: Optional[dict] = None
-) -> None:
-    _write_metadata(fh, metadata)
-    writer = csv.writer(fh)
-    writer.writerow(["eps", "commutator", "regime"])
-    for row in rows:
-        writer.writerow([repr(float(row.eps)), repr(float(row.value)), row.regime])

@@ -10,15 +10,14 @@ envelopes and round sizes) is part of the version.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import IO, Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .paths import ModelParams, RNG_ALGORITHM, _write_metadata
+from .paths import ModelParams
 from .special import hurwitz_zeta, truncated_gaussian_ratio
 
 __all__ = [
@@ -26,7 +25,6 @@ __all__ = [
     "sample_truncated_gaussian",
     "estimate_v2",
     "estimate_pi_factor",
-    "estimates_to_csv",
     "ModeTruncationWarning",
 ]
 
@@ -232,16 +230,6 @@ def estimate_pi_factor(
     mean = gauss_norm * float(w.mean())
     stderr = gauss_norm * float(w.std(ddof=1) / math.sqrt(n_samples))
     return McEstimate(mean=mean, stderr=stderr, n_samples=n_samples, seed=seed, quantity="pi")
-
-
-def estimates_to_csv(
-    estimates: Iterable[McEstimate], fh: IO[str], metadata: Optional[dict] = None
-) -> None:
-    _write_metadata(fh, {"rng": RNG_ALGORITHM, **(metadata or {})})
-    writer = csv.writer(fh)
-    writer.writerow(["quantity", "mean", "stderr", "n_samples", "seed"])
-    for e in estimates:
-        writer.writerow([e.quantity, repr(e.mean), repr(e.stderr), e.n_samples, e.seed])
 
 
 def mode_second_moment_reference(params: ModelParams, j: int) -> float:

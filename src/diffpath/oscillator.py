@@ -29,15 +29,14 @@ E^D_n = hbar omega (n + 1/2) - hbar Delta omega with unchanged spacing.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Iterable, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
-from .paths import ModelParams, _write_metadata
+from .paths import ModelParams
 from .special import _log_erf_over_sqrt, block_sum, hurwitz_zeta, log_erf, tol_budget
 
 __all__ = [
@@ -50,7 +49,6 @@ __all__ = [
     "partition_functions",
     "unitarity_diagnostic",
     "scan_E0_vs_omega",
-    "shift_rows_to_csv",
 ]
 
 _ADAPTIVE_CAP = 1 << 24
@@ -96,7 +94,6 @@ class PiResult:
     n_terms: int
     tail_bound: float
     converged: bool
-    params_snapshot: ModelParams
 
 
 @dataclass(frozen=True)
@@ -107,6 +104,7 @@ class SpectrumShift:
     energy: float  # E^D_n = hbar omega (n + 1/2) - hbar delta_omega
     e0: float  # ground state
     spacing: float  # hbar omega, unchanged by the shift
+    converged: bool  # ln Pi met its tolerance
 
 
 @dataclass(frozen=True)
@@ -115,6 +113,7 @@ class PartitionFunctions:
     z_d: float
     log_z_f: float
     log_z_d: float
+    converged: bool  # ln Pi met its tolerance
 
 
 def _c_n(params: ModelParams, T: float, n: np.ndarray) -> np.ndarray:
@@ -296,7 +295,7 @@ def log_pi(
     if params.alpha <= 1 and params.epsilon_D is not None:
         raise ValueError("alpha > 1 required with epsilon_D primary")
     if omega == 0.0:
-        return PiResult(0.0, T, 0, 0.0, True, params)
+        return PiResult(0.0, T, 0, 0.0, True)
 
     if n_terms is not None:
         if n_terms < 1:
@@ -332,7 +331,7 @@ def log_pi(
         free = 0.5 * _log_sinh_over_x(omega * T)
         value = min(max(free + block_sum(bracket, n), 0.0), free)
         tail = _bracket_tail(n, omega, T, b_len, params.alpha)
-    return PiResult(value, T, n, tail, tail <= tol_budget(value, tol), params)
+    return PiResult(value, T, n, tail, tail <= tol_budget(value, tol))
 
 
 def spectrum_shift(
@@ -355,6 +354,7 @@ def spectrum_shift(
         energy=h * w * (n_level + 0.5) - h * d_omega,
         e0=h * w * 0.5 - h * d_omega,
         spacing=h * w,
+        converged=pi.converged,
     )
 
 
@@ -366,12 +366,14 @@ def partition_functions(
         raise ValueError("partition function requires omega > 0")
     wt = params.omega * T
     log_z_f = -0.5 * wt - math.log1p(-math.exp(-wt))
-    lp = log_pi(T, params, tol, n_terms).log_pi
+    pi = log_pi(T, params, tol, n_terms)
+    lp = pi.log_pi
     return PartitionFunctions(
         z_f=math.exp(log_z_f),
         z_d=math.exp(log_z_f + lp),
         log_z_f=log_z_f,
         log_z_d=log_z_f + lp,
+        converged=pi.converged,
     )
 
 
@@ -384,19 +386,7 @@ class UnitarityReport:
     sub_eps_mean: Optional[float]
     sub_eps_max_rel_deviation: Optional[float]
     verdicts: tuple  # per-T strings
-    converged: bool  # every ln Pi met its tolerance (not part of as_dict)
-
-    def as_dict(self) -> dict:
-        return {
-            "mean_delta_omega": self.mean_delta_omega,
-            "max_rel_deviation": self.max_rel_deviation,
-            "sub_eps_mean": self.sub_eps_mean,
-            "sub_eps_max_rel_deviation": self.sub_eps_max_rel_deviation,
-            "rows": [
-                {"T": t, "delta_omega": dw, "verdict": v}
-                for t, dw, v in zip(self.t_grid, self.delta_omega, self.verdicts)
-            ],
-        }
+    converged: bool  # every ln Pi met its tolerance
 
 
 def unitarity_diagnostic(
@@ -465,16 +455,15 @@ def scan_E0_vs_omega(
 
     The fit uses the large-omega half of the grid with 1/E0^2 weights
     (relative residuals); ``residual`` is the max relative misfit there.
+    ``converged`` is False when any ln Pi missed ``tol``.
     """
     omegas = sorted(float(w) for w in omega_grid)
     if len(omegas) < 3:
         raise ValueError("need at least 3 grid points for the fit")
     if any(w <= 0 for w in omegas):
         raise ValueError("omega grid must be positive")
-    rows = []
-    for w in omegas:
-        ss = spectrum_shift(T, params.with_omega(w), 0, tol, n_terms)
-        rows.append((w, ss.e0))
+    shifts = [spectrum_shift(T, params.with_omega(w), 0, tol, n_terms) for w in omegas]
+    rows = [(w, ss.e0) for w, ss in zip(omegas, shifts)]
     half = [r for r in rows if r[0] >= rows[len(rows) // 2][0]]
     x = np.array([r[0] for r in half])
     y = np.array([r[1] for r in half])
@@ -490,22 +479,6 @@ def scan_E0_vs_omega(
         "residual": float(resid.max()),
         "rms_residual": float(np.sqrt(np.mean(resid**2))),
         "n_points": len(half),
+        "converged": all(ss.converged for ss in shifts),
     }
 
-
-def shift_rows_to_csv(
-    results: Iterable[PiResult], fh: IO[str], metadata: Optional[dict] = None
-) -> None:
-    """CSV `T,delta_omega,log_pi,n_terms` from a sequence of PiResults."""
-    _write_metadata(fh, metadata)
-    writer = csv.writer(fh)
-    writer.writerow(["T", "delta_omega", "log_pi", "n_terms"])
-    for r in results:
-        writer.writerow(
-            [
-                repr(float(r.T)),
-                repr(float(r.log_pi / r.T)),
-                repr(float(r.log_pi)),
-                int(r.n_terms),
-            ]
-        )

@@ -9,10 +9,9 @@ differentiable and introduces the time scale epsilon_D via
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field, replace
-from typing import IO, Iterable, Optional
+from typing import Optional
 
 import numpy as np
 import scipy.special as sc
@@ -27,8 +26,6 @@ __all__ = [
     "sample_brownian",
     "differentiable_twin",
     "scale_relations",
-    "coeffs_to_csv",
-    "trajectory_to_csv",
     "RNG_ALGORITHM",
 ]
 
@@ -225,35 +222,3 @@ def scale_relations(params: ModelParams) -> ScaleRelations:
         raise ValueError("scale relations require alpha > 1")
     return ScaleRelations(epsilon_D=params.eps_d, A_of_T=params.amplitude, j_D=params.j_d)
 
-
-# ---------------------------------------------------------------------------
-# CSV export
-# ---------------------------------------------------------------------------
-
-
-def _write_metadata(fh: IO[str], metadata: Optional[dict]) -> None:
-    if metadata:
-        for key, val in metadata.items():
-            fh.write(f"# {key} = {val}\n")
-
-
-def coeffs_to_csv(p: FourierPath, fh: IO[str], metadata: Optional[dict] = None) -> None:
-    """Write the coefficient vector as ``n,a_n`` rows with a '#' header."""
-    _write_metadata(fh, metadata)
-    writer = csv.writer(fh)
-    writer.writerow(["n", "a_n"])
-    for n, a in enumerate(p.coeffs, start=1):
-        writer.writerow([n, repr(float(a))])
-
-
-def trajectory_to_csv(
-    p: FourierPath, t_grid: Iterable[float], fh: IO[str], metadata: Optional[dict] = None
-) -> None:
-    """Write sampled trajectory rows ``t,x`` on a caller-specified grid."""
-    t_grid = np.asarray(list(t_grid), dtype=float)
-    x = eval_path(p, t_grid)
-    _write_metadata(fh, metadata)
-    writer = csv.writer(fh)
-    writer.writerow(["t", "x"])
-    for t, xi in zip(t_grid, np.atleast_1d(x)):
-        writer.writerow([repr(float(t)), repr(float(xi))])

@@ -43,15 +43,14 @@ the partial sum is corrected and bounded analytically:
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 import scipy.special as sc
 
-from .paths import ModelParams, _write_metadata, scale_relations
+from .paths import ModelParams, scale_relations
 from .special import ZETA2, ConvergenceError, SeriesValue, block_sum, certify, one_minus_zed, tol_budget
 
 __all__ = [
@@ -67,7 +66,6 @@ __all__ = [
     "FractalRegimeError",
     "ScanRow",
     "scan_v2",
-    "scan_rows_to_csv",
     "SERIES_CAP",
 ]
 
@@ -460,18 +458,3 @@ def scan_v2(
         )
     return rows
 
-
-def scan_rows_to_csv(rows: Iterable[ScanRow], fh: IO[str], metadata: Optional[dict] = None) -> None:
-    _write_metadata(fh, metadata)
-    writer = csv.writer(fh)
-    writer.writerow(["eps", "v2", "n_terms", "tail_bound", "model"])
-    for row in rows:
-        writer.writerow(
-            [
-                repr(float(row.eps)),
-                repr(float(row.v2)),
-                int(row.n_terms),
-                repr(float(row.tail_bound)),
-                row.model,
-            ]
-        )

@@ -240,6 +240,132 @@ def test_large_amplitude_scans_converge(capsys, subcommand):
     )
 
 
+def _csv_blocks(text):
+    """[(metadata keys, header, data rows)] for each '#' block of a CSV."""
+    blocks = []
+    for line in text.split("\n")[:-1]:
+        if line.startswith("# "):
+            if not blocks or blocks[-1][1] is not None:
+                blocks.append([[], None, []])
+            blocks[-1][0].append(line[2:].split(" = ")[0])
+        elif blocks[-1][1] is None:
+            blocks[-1][1] = line
+        else:
+            blocks[-1][2].append(line.split(","))
+    return blocks
+
+
+def _cell_round_trips(cell):
+    if cell.lstrip("-").isdigit():
+        return True  # an integer column
+    try:
+        return repr(float(cell)) == cell
+    except ValueError:
+        return cell.isidentifier()  # a label: model, regime or quantity
+
+
+_FLAGS = "A T alpha"
+_PATHS_KEYS = f"{_FLAGS} export grid_points hbar m modes seed subcommand rng j_D which"
+
+
+@pytest.mark.parametrize(
+    "argv, keys, header, n_rows",
+    [
+        pytest.param(
+            ["v2", "--A", "10", "--eps-min", "0.01", "--eps-max", "0.4", "--points", "3"],
+            f"{_FLAGS} eps_max eps_min hbar log_spacing m points subcommand tol",
+            "eps,v2,n_terms,tail_bound,model", 6, id="v2",
+        ),
+        pytest.param(
+            ["spectrum", "--epsilon-D", "0.1", "--omega", "1", "--T-grid-min", "0.5",
+             "--T-grid-max", "2", "--points", "3"],
+            "T T_grid_max T_grid_min alpha epsilon_D hbar log_spacing m omega points subcommand tol",
+            "T,delta_omega,log_pi,n_terms", 3, id="spectrum",
+        ),
+        pytest.param(
+            ["commutator", "--A", "10", "--eps-min", "0.01", "--eps-max", "0.2", "--points", "2"],
+            f"{_FLAGS} eps_max eps_min hbar log_spacing m model points subcommand tol",
+            "eps,commutator,regime", 2, id="commutator",
+        ),
+        pytest.param(
+            ["paths", "--A", "10", "--modes", "20", "--seed", "5", "--grid-points", "3"],
+            _PATHS_KEYS, "t,x", 3, id="paths-trajectory",
+        ),
+        pytest.param(
+            ["paths", "--A", "10", "--modes", "20", "--seed", "5", "--export", "coeffs"],
+            _PATHS_KEYS, "n,a_n", 20, id="paths-coeffs",
+        ),
+        pytest.param(
+            ["oracle", "--A", "10", "--eps", "0.05", "--modes", "200", "--samples", "200",
+             "--seed", "7"],
+            f"rng {_FLAGS} eps hbar m modes samples seed subcommand t0 tol",
+            "quantity,mean,stderr,n_samples,seed", 2, id="oracle",
+        ),
+        pytest.param(
+            ["casimir", "--model", "standard", "--points", "2", "--n-c", "1000"],
+            "L_exp L_max L_min bound c hbar log_spacing model n_c omega_D points regulator "
+            "rel_error subcommand",
+            "L,delta_E,model,x", 2, id="casimir",
+        ),
+    ],
+)
+def test_csv_format(tmp_path, capsys, argv, keys, header, n_rows):
+    # '#' metadata in a fixed order, the header, then rows of exact floats,
+    # every line ending in '\n'; --out writes the same bytes as stdout
+    code, out = run(capsys, argv)
+    assert code == EXIT_OK
+    assert "\r" not in out and out.endswith("\n")
+    blocks = _csv_blocks(out)
+    # paths writes the twin as a second block that carries only its name
+    assert len(blocks) == (2 if argv[0] == "paths" else 1)
+    for i, (meta, head, rows) in enumerate(blocks):
+        assert " ".join(meta) == (keys if i == 0 else "which")
+        assert head == header
+        assert len(rows) == n_rows
+        assert all(len(r) == header.count(",") + 1 for r in rows)
+        assert all(_cell_round_trips(c) for c in rows[0]), rows[0]
+    rows = blocks[0][2]
+    if argv[0] == "commutator":
+        assert [r[2] for r in rows] == ["sub_eps_D", "super_eps_D"]
+    if argv[0] == "oracle":
+        assert [r[0] for r in rows] == ["v2", "v2_analytic"]
+        assert rows[0][3:] == ["200", "7"] and rows[1][2:] == ["0.0", "0", "7"]
+    if "coeffs" in argv:
+        assert [r[0] for r in rows] == [str(n) for n in range(1, 21)]
+    target = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(target)]) == EXIT_OK
+    assert capsys.readouterr().out == ""
+    assert target.read_bytes() == out.encode()
+
+
+@pytest.mark.parametrize(
+    "argv, keys",
+    [
+        pytest.param(
+            ["unitarity", "--epsilon-D", "0.1", "--omega", "1", "--points", "3"],
+            {"verdict", "threshold", "mean_delta_omega", "max_rel_deviation", "sub_eps_mean",
+             "sub_eps_max_rel_deviation", "rows"},
+            id="unitarity",
+        ),
+        pytest.param(
+            ["casimir", "--bound"],
+            {"epsilon_d", "epsilon_d_exact", "omega_d_min", "omega_d_min_order"},
+            id="casimir-bound",
+        ),
+    ],
+)
+def test_json_keys(tmp_path, capsys, argv, keys):
+    code, out = run(capsys, argv)
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert set(payload) == keys
+    if "rows" in payload:
+        assert all(set(r) == {"T", "delta_omega", "verdict"} for r in payload["rows"])
+    assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    target = tmp_path / "out.json"
+    assert main(argv + ["--out", str(target)]) == EXIT_OK
+    assert target.read_bytes() == out.encode()
+
 def test_commutator_reports_convergence_failure(capsys, monkeypatch):
     def unconverged(tau, params, tol=1e-10):
         return SeriesValue(0.1, 4096, 1.0, False)
@@ -271,5 +397,6 @@ def test_readme_examples_exit_zero(tmp_path, capsys):
             del argv[argv.index("--out") : argv.index("--out") + 2]
         target = tmp_path / f"example{i}.out"
         assert main(argv + ["--out", str(target)]) == EXIT_OK, line
-        assert target.stat().st_size > 0, line
+        data = target.read_bytes()
+        assert data and b"\r" not in data, line
     assert capsys.readouterr().out == ""

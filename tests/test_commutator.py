@@ -1,13 +1,11 @@
 """Commutator identities, regimes, and the GUP coefficient."""
 
-import io
 import math
 
 import pytest
 
 from diffpath.commutator import (
     commutator_expectation,
-    commutator_rows_to_csv,
     gup_coefficient,
     momentum_squared,
 )
@@ -98,16 +96,6 @@ def test_report_fields_optional_below_alpha_two():
     assert rep.beta is None and rep.p_D is None
     rep3 = commutator_expectation(0.05, FIG2, "differentiable")
     assert rep3.beta > 0 and rep3.p_D > 0
-
-
-def test_csv_export():
-    rows = [commutator_expectation(e, FIG2, "differentiable") for e in (0.01, 0.2)]
-    buf = io.StringIO()
-    commutator_rows_to_csv(rows, buf, {"model": "differentiable"})
-    text = buf.getvalue()
-    assert text.startswith("# model = differentiable\n")
-    assert "eps,commutator,regime" in text
-    assert "sub_eps_D" in text and "super_eps_D" in text
 
 
 def test_domain_errors():

@@ -1,6 +1,5 @@
 """Monte-Carlo oracle: sampler exactness, reproducibility, series agreement."""
 
-import io
 import math
 
 import mpmath as mp
@@ -9,10 +8,8 @@ import pytest
 from scipy import stats
 
 from diffpath.mc import (
-    McEstimate,
     estimate_pi_factor,
     estimate_v2,
-    estimates_to_csv,
     mode_second_moment_reference,
     sample_truncated_gaussian,
 )
@@ -247,16 +244,6 @@ def test_truncation_bias_bound_closed_form():
                     bias = estimate_v2(params, eps, 0.0, n_modes, 2, seed=0).truncation_bias_bound
                     assert bias >= _mp_bias_bound(params, eps, n_modes) * (1.0 - 1e-13)
                     assert bias <= _parent_bias_bound(params, eps, n_modes) * (1.0 + ulps)
-
-
-def test_csv_export():
-    est = McEstimate(1.5, 0.1, 100, 7, "v2")
-    buf = io.StringIO()
-    estimates_to_csv([est], buf, {"eps": 0.05})
-    text = buf.getvalue()
-    assert "# rng = " in text and "# eps = 0.05" in text
-    assert "quantity,mean,stderr,n_samples,seed" in text
-    assert "v2,1.5,0.1,100,7" in text
 
 
 def test_domain_errors():

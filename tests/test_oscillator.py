@@ -365,6 +365,22 @@ def test_scan_e0_shift_grows_with_alpha():
     assert slopes == sorted(slopes, reverse=True)
 
 
+def test_shift_scans_report_convergence():
+    # N = 1000 misses tol 1e-6 at every omega here (tail bounds 5.1e-5 to 5.1e-3);
+    # N = 1e5 meets it at omega = 1 only
+    params = ModelParams(alpha=2.1, epsilon_D=0.1, omega=1.0)
+    omegas = [1.0, 2.0, 5.0, 10.0]
+    short = scan_E0_vs_omega(omegas, params, 1.0, n_terms=1000)
+    assert short["converged"] is False
+    assert [w for w, _ in short["rows"]] == omegas
+    assert scan_E0_vs_omega(omegas, params, 1.0, n_terms=100_000)["converged"] is False
+    assert scan_E0_vs_omega(omegas, params, 1.0)["converged"] is True
+    assert not spectrum_shift(1.0, params, n_terms=1000).converged
+    assert spectrum_shift(1.0, params).converged
+    assert not partition_functions(1.0, params, n_terms=1000).converged
+    assert partition_functions(1.0, params).converged
+
+
 def test_scan_e0_requires_three_points():
     with pytest.raises(ValueError):
         scan_E0_vs_omega([1.0, 2.0], FIG4, 1.0)

@@ -1,6 +1,5 @@
 """Path representation, restriction, sampling, twin, and scale relations."""
 
-import io
 import math
 
 import mpmath as mp
@@ -13,14 +12,12 @@ from scipy.special import zeta
 from diffpath.paths import (
     FourierPath,
     ModelParams,
-    coeffs_to_csv,
     differentiable_twin,
     eval_path,
     eval_velocity,
     sample_brownian,
     scale_relations,
     sup_bounds,
-    trajectory_to_csv,
 )
 
 
@@ -167,18 +164,3 @@ def test_scale_relations_feynman_limit():
 def test_scale_relations_alpha_domain():
     with pytest.raises(ValueError):
         scale_relations(ModelParams(alpha=1.0, A=10.0))
-
-
-def test_csv_exports():
-    p = FourierPath(T=1.0, coeffs=np.array([0.5, -0.25]))
-    buf = io.StringIO()
-    coeffs_to_csv(p, buf, {"seed": 1})
-    text = buf.getvalue()
-    assert text.startswith("# seed = 1\n")
-    assert "n,a_n" in text and "1,0.5" in text
-
-    buf = io.StringIO()
-    trajectory_to_csv(p, [0.0, 0.5, 1.0], buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "t,x"
-    assert len(lines) == 4
