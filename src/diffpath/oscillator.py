@@ -323,8 +323,10 @@ def log_pi(
         def bracket(n):
             c2 = _c_n(params, T, n) ** 2
             lam = (n * math.pi / T) ** 2
+            # one kernel call on both arguments; ln(2/sqrt(pi)) cancels in the difference
+            hi, lo = np.split(_log_erf_over_sqrt(np.concatenate((c2 * (lam + omega**2), c2 * lam))), 2)
             # each bracket is <= 0 exactly; clip roundoff-positive values
-            return np.minimum(_log_erf_over_sqrt(c2 * (lam + omega**2)) - _log_erf_over_sqrt(c2 * lam), 0.0)
+            return np.minimum(hi - lo, 0.0)
 
         b_len = _c_n(params, T, 1.0)
         n = _bracket_terms_needed(tol, omega, T, b_len, params.alpha)

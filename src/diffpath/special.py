@@ -1,7 +1,9 @@
 """Numerically hardened special functions shared by every other module.
 
 Everything here is pure and deterministic: error-function ratios in log
-space, the truncated-Gaussian moment factor Z(W), exact Bernoulli numbers,
+space; one kernel, l(W) = ln(sqrt(pi) Erf(sqrt W) / (2 sqrt W)), from which
+the truncated-Gaussian moment factor Z(W) = exp(-W - l), 1 - Z and the
+brackets of ln Pi(T) (differences of l) are taken; exact Bernoulli numbers;
 and the one series primitive every certified sum goes through: block_sum
 (compensated blocked summation), tol_budget (the tolerance rule
 tail <= tol * max(1, |value|), absolute for |value| < 1) and certify (the
@@ -137,38 +139,47 @@ def log_erf_ratio(u: float, v: float) -> float:
     return log_erf(u) - log_erf(v)
 
 
-def _log_erf_over_sqrt(w):
-    """ln( Erf(sqrt(W)) / sqrt(W) ) evaluated stably for small W.
+# ln(2/sqrt(pi)), the W -> 0 limit of ln(Erf(sqrt W) / sqrt W)
+_LOG_2_OVER_SQRT_PI = math.log(2.0 / math.sqrt(math.pi))
+# sqrt(pi) Erf(z) / 2z = 1 + sum_{k=1}^{17} a_k (-W)^k with a_k = 1/(k! (2k+1)),
+# z = sqrt(W); a_17 first, for Horner's rule
+_ERF_OVER_Z = tuple(1.0 / (math.factorial(k) * (2 * k + 1)) for k in range(17, 0, -1))
 
-    Uses the Taylor series of Erf(z)/z for W < 1/4 (the direct log would
-    lose digits to the cancellation ln Erf(z) - ln z), the plain logs
-    otherwise.
+
+def _log_erf_over_sqrt(w):
+    """l(W) = ln(sqrt(pi) Erf(sqrt W) / (2 sqrt W)) for W > 0.
+
+    This is ln(Erf(sqrt W) / sqrt W) less its W -> 0 limit ln(2/sqrt(pi)),
+    so it keeps relative accuracy as W -> 0 (l = -W/3 + O(W^2)).  For
+    W < 1/4 it is log1p of the Taylor series, evaluated by Horner's rule
+    in place (the direct logs would cancel); otherwise
+    log1p(-erfc(sqrt W)) - (1/2) ln W - ln(2/sqrt(pi)), where
+    sqrt W >= 1/2 keeps every log finite.
     """
     w = np.asarray(w, dtype=float)
     small = w < 0.25
     large = ~small
     out = np.empty_like(w)
-    ws = w[small]
-    # Erf(z)/z * sqrt(pi)/2 = sum_k (-W)^k / (k! (2k+1)), z = sqrt(W)
-    acc = np.zeros_like(ws)
-    term = np.ones_like(ws)
-    for k in range(1, 18):
-        term = term * (-ws) / k
-        acc = acc + term / (2 * k + 1)
-    out[small] = np.log1p(acc) + math.log(2.0 / math.sqrt(math.pi))
+    x = -w[small]
+    acc = np.full_like(x, _ERF_OVER_Z[0])
+    for a in _ERF_OVER_Z[1:]:
+        acc *= x
+        acc += a
+    acc *= x
+    out[small] = np.log1p(acc, out=acc)
     wl = w[large]
-    out[large] = log_erf(np.sqrt(wl)) - 0.5 * np.log(wl)
+    out[large] = np.log1p(-sc.erfc(np.sqrt(wl))) - 0.5 * np.log(wl) - _LOG_2_OVER_SQRT_PI
     if out.ndim == 0:
         return float(out)
     return out
 
 
 def zed(w):
-    """Z(W) = (2/sqrt(pi)) sqrt(W) e^{-W} / Erf(sqrt(W)) for W > 0."""
+    """Z(W) = (2/sqrt(pi)) sqrt(W) e^{-W} / Erf(sqrt(W)) = exp(-W - l(W)) for W > 0."""
     w_arr = np.asarray(w, dtype=float)
     if np.any(w_arr <= 0):
         raise ValueError("zed requires W > 0")
-    out = np.exp(-w_arr + math.log(2.0 / math.sqrt(math.pi)) - _log_erf_over_sqrt(w_arr))
+    out = np.exp(-w_arr - _log_erf_over_sqrt(w_arr))
     if out.ndim == 0:
         return float(out)
     return out
@@ -178,14 +189,15 @@ def one_minus_zed(w):
     """1 - Z(W), accurate in relative terms even where Z(W) -> 1.
 
     For small W the direct subtraction cancels (1 - Z = 2W/3 + O(W^2)); we
-    instead write Z = e^{-g(W)} with g = W + ln(Erf(sqrt(W)) sqrt(pi) / (2 sqrt(W)))
-    and use expm1.
+    instead write Z = e^{-g(W)} with g = W + l(W), l(W) =
+    ln(sqrt(pi) Erf(sqrt W) / (2 sqrt W)) = -W/3 + O(W^2) from
+    _log_erf_over_sqrt, and use expm1.  g keeps its relative accuracy down
+    to the smallest W, so 1 - Z does too.
     """
     w_arr = np.asarray(w, dtype=float)
     if np.any(w_arr <= 0):
         raise ValueError("one_minus_zed requires W > 0")
-    g = w_arr + _log_erf_over_sqrt(w_arr) - math.log(2.0 / math.sqrt(math.pi))
-    out = -np.expm1(-g)
+    out = -np.expm1(-(w_arr + _log_erf_over_sqrt(w_arr)))
     if out.ndim == 0:
         return float(out)
     return out

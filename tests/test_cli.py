@@ -226,6 +226,16 @@ def test_out_file(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_out_file_unwritable(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.csv"
+    code = main(["v2", "--A", "10", "--points", "2", "--out", str(target)])
+    assert code == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}") and "Traceback" not in err
+    assert not target.exists()
+
+
 def test_exit_codes_exported():
     assert (EXIT_OK, EXIT_USAGE, EXIT_CONVERGENCE) == (0, 1, 2)
 

@@ -152,6 +152,20 @@ def test_log_pi_fixed_n_evaluates_only_the_head(monkeypatch):
     assert res.n_terms == 100_000
 
 
+def test_log_pi_adaptive_one_kernel_call_per_block(monkeypatch):
+    sizes = []
+    kernel = oscillator._log_erf_over_sqrt
+
+    def counting_kernel(w):
+        sizes.append(np.size(w))
+        return kernel(w)
+
+    monkeypatch.setattr(oscillator, "_log_erf_over_sqrt", counting_kernel)
+    res = log_pi(1.0, ModelParams(alpha=2.1, A=1e3, omega=1.0), tol=1e-12)
+    assert res.converged and res.n_terms == 134865  # three blocks of 2^16
+    assert sizes == [2 << 16, 2 << 16, 2 * (res.n_terms - (2 << 16))]
+
+
 def mp_log_erf_series(w):
     """L(W) - L(0) = ln(Erf(sqrt W) sqrt(pi) / (2 sqrt W)) = ln 1F1(1/2; 3/2; -W)."""
     return mp.log(mp.hyp1f1(0.5, 1.5, -w))

@@ -95,15 +95,14 @@ def _log_erf_over_sqrt_both_branches(w):
     """The series/direct formula of _log_erf_over_sqrt, both over the whole array."""
     w = np.asarray(w, dtype=float)
     small = w < 0.25
-    ws = np.where(small, w, 0.0)
-    acc = np.zeros_like(ws)
-    term = np.ones_like(ws)
-    for k in range(1, 18):
-        term = term * (-ws) / k
-        acc = acc + term / (2 * k + 1)
-    series = np.log1p(acc) + math.log(2.0 / math.sqrt(math.pi))
+    x = -np.where(small, w, 0.0)
+    # Horner's rule over a_k = 1/(k! (2k+1)), k = 17 down to 1
+    acc = np.full_like(x, 1.0 / (math.factorial(17) * 35))
+    for k in range(16, 0, -1):
+        acc = acc * x + 1.0 / (math.factorial(k) * (2 * k + 1))
+    series = np.log1p(acc * x)
     wl = np.where(small, 1.0, w)
-    direct = _log_erf_both_branches(np.sqrt(wl)) - 0.5 * np.log(wl)
+    direct = np.log1p(-sc.erfc(np.sqrt(wl))) - 0.5 * np.log(wl) - math.log(2.0 / math.sqrt(math.pi))
     return np.where(small, series, direct)
 
 
@@ -132,6 +131,47 @@ def test_log_erf_over_sqrt_masked_branches_bit_identical():
         got = _log_erf_over_sqrt(w0)
         assert type(got) is float
         assert got == float(_log_erf_over_sqrt_both_branches(w0))
+
+
+def _mp_ell(w):
+    """ln(sqrt(pi) Erf(sqrt W) / (2 sqrt W)) = ln 1F1(1/2; 3/2; -W) in mpmath."""
+    # 1F1 = 1 - W/3 + ...: carry enough digits past the 1
+    with mp.workdps(30 + int(max(0.0, -math.log10(w)))):
+        return mp.log(mp.hyp1f1(0.5, 1.5, -mp.mpf(float(w))))
+
+
+def test_log_erf_over_sqrt_against_mpmath():
+    rng = np.random.default_rng(9)
+    small = np.concatenate([np.geomspace(1e-300, 0.25, 200, endpoint=False),
+                            10.0 ** rng.uniform(-20.0, math.log10(0.25), 200)])
+    got = _log_erf_over_sqrt(small)
+    for w, g in zip(small, got):
+        ref = _mp_ell(w)
+        # series branch: relative, within 4 ulp
+        assert abs(g - ref) <= 4 * np.spacing(abs(float(ref))), w
+    large = np.concatenate([[0.25], np.linspace(0.25, 2.0, 200), np.geomspace(2.0, 700.0, 200)])
+    got = _log_erf_over_sqrt(large)
+    for w, g in zip(large, got):
+        # direct branch: absolute, scaled above |value| = 1
+        assert abs(g - _mp_ell(w)) <= 4.5e-16 * max(1.0, abs(g)), w
+
+
+def test_one_minus_zed_relative_against_mpmath():
+    for w in np.geomspace(1e-300, 700.0, 401):
+        # 1 - Z cancels to 2W/3: carry enough digits past it
+        with mp.workdps(30 + int(max(0.0, -math.log10(w)))):
+            x = mp.mpf(float(w))
+            r = mp.sqrt(x)
+            ref = 1 - 2 / mp.sqrt(mp.pi) * r * mp.exp(-x) / mp.erf(r)
+            assert abs(one_minus_zed(w) - ref) <= 1e-15 * ref, w
+
+
+def test_truncated_gaussian_ratio_flat_limit_relative():
+    # B^2/3 (1 - O(b B^2)); abs=0, since pytest.approx's default 1e-12 would pass 0.0
+    for big_b in (1e-9, 1e-150):
+        assert truncated_gaussian_ratio(1.0, big_b) == pytest.approx(big_b**2 / 3.0, rel=1e-15, abs=0.0)
+    # B^2 = 1e-320 is subnormal, where one step (4.9e-324) is 1.5e-3 relative
+    assert abs(truncated_gaussian_ratio(1.0, 1e-160) - 1e-320 / 3.0) <= math.ulp(0.0)
 
 
 def test_zed_large_w_asymptote():

@@ -1,5 +1,6 @@
 """Velocity-series tests: brute-force oracles, closed forms, regime bounds."""
 
+import functools
 import math
 
 import mpmath as mp
@@ -226,9 +227,10 @@ def test_v2_feynman_is_the_closed_form():
 
 
 # W-form values at Fig. 2 parameters, pinned in hex: where the W-form bound
-# meets tol the value is the plain head sum, unchanged bit for bit.
+# meets tol the value is the plain head sum, unchanged bit for bit, and
+# within a few ulp of the exact head (test_s_diff_w_form_pins_are_the_exact_head).
 PINNED_W_FORM = [
-    (FIG2, 1e-4, "0x1.b1bd1d79e9cd9p-20", 4096),
+    (FIG2, 1e-4, "0x1.b1bd1d79e9cd7p-20", 4096),
     (FIG2, 1e-3, "0x1.4fdfd17bfd76cp-13", 4096),
     (FIG2, 0.01, "0x1.cd6de7633ba17p-7", 4096),
     (FIG2, 0.2, "0x1.7ed0a7deacebep-1", 4096),
@@ -247,6 +249,26 @@ def test_s_diff_w_form_values_pinned(params, tau, value_hex, n_terms):
 def _mp_zed(w):
     r = mp.sqrt(w)
     return 2 / mp.sqrt(mp.pi) * r * mp.exp(-w) / mp.erf(r)
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_head_weights(a_bar, alpha, n):
+    """(j, (1 - Z(W_j)) / j^2) for j = 1..n in 30-digit mpmath."""
+    with mp.workdps(30):
+        return tuple(
+            (mp.mpf(j), (1 - _mp_zed((mp.mpf(a_bar) / mp.mpf(j) ** (mp.mpf(alpha) - 1)) ** 2)) / j**2)
+            for j in range(1, n + 1)
+        )
+
+
+@pytest.mark.parametrize("params, tau, value_hex, n_terms", PINNED_W_FORM)
+def test_s_diff_w_form_pins_are_the_exact_head(params, tau, value_hex, n_terms):
+    # each pin lies within 8 ulp of the exact n-term head sum
+    value = float.fromhex(value_hex)
+    with mp.workdps(30):
+        x = mp.pi * mp.mpf(tau)
+        head = mp.fsum(w * mp.sin(j * x) ** 2 for j, w in _mp_head_weights(params.a_bar, params.alpha, n_terms))
+    assert abs(value - head) <= 8 * math.ulp(value)
 
 
 def _mp_s_diff_reference(tau, a_bar, alpha):
