@@ -1,17 +1,18 @@
-"""One-dimensional Casimir toy model: regularized sums and the eps_D bound.
+"""One-dimensional Casimir toy model: the sum-minus-integral delta and the eps_D bound.
 
 The vacuum energy between two points a distance L apart is a divergent
 mode sum; what survives regularization is the sum-minus-integral
 
-    delta = sum_{n>=0} f(n) g(n/n_c) - int_0^inf f(n) g(n/n_c) dn,
+    delta = lim_{n_c -> inf} [sum_{n>=0} f(n) g(n/n_c) - int_0^inf f(n) g(n/n_c) dn],
 
-independent of the smooth cutoff g as n_c -> infinity and equal, by
-Euler-Maclaurin, to -sum_k B_k/k! f^{(k-1)}(0).  The standard spectrum
-f(n) = n gives the famous -1/12; the bounded-frequency toy spectrum
+independent of the smooth cutoff g and equal, by Euler-Maclaurin, to
+-sum_k B_k/k! f^{(k-1)}(0).  The standard spectrum f(n) = n gives the
+famous -1/12; the bounded-frequency toy spectrum
 f_D(n) = (L omega_D / c pi) tanh(c pi n / L omega_D) shifts it by
-O(x^2), x = pi c / (L omega_D), which an experiment constrains.  delta is
-summed as local differences that cancel inside each unit interval, then
-extrapolated in 1/n_c^2.
+O(x^2), x = pi c / (L omega_D), which an experiment constrains.
+``casimir_energy`` evaluates delta in closed form with a rigorous bound;
+``sum_minus_integral`` keeps the regulated sum as the check that it does
+not depend on g.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ __all__ = [
     "euler_maclaurin_delta",
     "tanh_model_derivs",
     "sum_minus_integral",
-    "extrapolated_delta",
     "casimir_energy",
     "epsilon_d_bound",
 ]
@@ -54,11 +54,14 @@ _BLOCK = 1 << 14
 
 @dataclass(frozen=True)
 class CasimirConfig:
+    """One Casimir point.  n_c and regulator configure only the regulated
+    check ``sum_minus_integral``; ``casimir_energy`` ignores them."""
+
     L: float  # plate separation
     omega_D: float  # bounded-frequency scale
     c: float = 1.0  # speed (natural units default)
     hbar: float = 1.0
-    n_c: int = 10_000  # largest regulator cutoff index
+    n_c: int = 10_000  # regulator cutoff index
     regulator: str = "exp"
 
     def __post_init__(self):
@@ -81,6 +84,9 @@ class CasimirResult:
     delta: float  # dimensionless sum-minus-integral coefficient
     model: str
     x: float
+    n_terms: int  # series terms or summed modes behind delta
+    tail_bound: float  # rigorous bound on the truncation error of delta
+    route: str  # "exact", "em" or "direct"
 
 
 def euler_maclaurin_delta(derivs_at_0: Sequence[float], K: int) -> float:
@@ -94,19 +100,21 @@ def euler_maclaurin_delta(derivs_at_0: Sequence[float], K: int) -> float:
     )
 
 
-# tanh^{(k)}(0) for k = 0..9; odd pattern 1, -2, 16, -272, 7936 (tangent numbers).
-_TANH_DERIVS = [0.0, 1.0, 0.0, -2.0, 0.0, 16.0, 0.0, -272.0, 0.0, 7936.0]
-
-
 def tanh_model_derivs(x: float, K: int) -> list[float]:
     """Derivatives at 0 of f_D(n) = (1/x) tanh(x n), k = 0..K-1.
 
-    f_D^{(k)}(0) = x^{k-1} tanh^{(k)}(0); computed analytically (a
-    finite-difference route is far too noisy inside Bernoulli sums).
+    f_D^{(k)}(0) = x^{k-1} tanh^{(k)}(0), with tanh^{(2j)}(0) = 0 and the
+    tangent numbers tanh^{(2j-1)}(0) = 2^{2j} (2^{2j} - 1) B_{2j} / (2j);
+    computed analytically (a finite-difference route is far too noisy inside
+    Bernoulli sums).  K is at most 60, the range of ``bernoulli``.
     """
-    if K > len(_TANH_DERIVS):
-        raise ValueError(f"tanh derivatives tabulated only up to order {len(_TANH_DERIVS) - 1}")
-    return [x ** (k - 1) * _TANH_DERIVS[k] if k > 0 else 0.0 for k in range(K)]
+    if K > 60:
+        raise ValueError(f"tanh derivatives available only up to order 59, got K = {K}")
+    derivs = [0.0] * K
+    for k in range(1, K, 2):
+        p = 4 ** ((k + 1) // 2)
+        derivs[k] = x ** (k - 1) * (p * (p - 1) * bernoulli(k + 1) / (k + 1))
+    return derivs
 
 
 def sum_minus_integral(
@@ -134,44 +142,48 @@ def sum_minus_integral(
     return block_sum(local_differences, n_max - 1, start=0, block=_BLOCK)
 
 
-def extrapolated_delta(
-    f: Callable[[np.ndarray], np.ndarray],
-    regulator: str = "exp",
-    n_c_seq: Sequence[int] = (100, 1000, 10000),
-) -> float:
-    """Richardson extrapolation of sum_minus_integral over increasing n_c.
-
-    The finite-n_c error is polynomial in h = 1/n_c^2 (only odd
-    derivatives survive in Euler-Maclaurin), so successive polynomial
-    elimination in h converges fast along a geometric n_c sequence.
-    """
-    if len(n_c_seq) < 1:
-        raise ValueError("need at least one n_c")
-    vals = [sum_minus_integral(f, regulator, nc) for nc in n_c_seq]
-    h = [1.0 / nc**2 for nc in n_c_seq]
-    # Neville tableau in h.
-    tab = list(vals)
-    for level in range(1, len(tab)):
-        for i in range(len(tab) - 1, level - 1, -1):
-            tab[i] = tab[i] + (tab[i] - tab[i - 1]) * h[i] / (h[i - level] - h[i])
-    return tab[-1]
-
-
-def _model_f(config: CasimirConfig, model: str) -> Callable[[np.ndarray], np.ndarray]:
-    if model == "standard":
-        return lambda n: n
-    if model == "tanh":
-        scale = config.L * config.omega_D / (config.c * math.pi)  # = 1/x
-        return lambda n: scale * np.tanh(n / scale)
-    raise ValueError("model must be 'standard' or 'tanh'")
-
-
 def casimir_energy(config: CasimirConfig, model: str = "standard") -> CasimirResult:
-    """Delta E(L) = (1/2)(hbar c pi / L) * delta for the chosen mode spectrum."""
-    n_c_seq = sorted({max(10, config.n_c // 100), max(10, config.n_c // 10), config.n_c})
-    delta = extrapolated_delta(_model_f(config, model), config.regulator, n_c_seq)
+    """Delta E(L) = (1/2)(hbar c pi / L) * delta, delta evaluated without a regulator.
+
+    config.n_c and config.regulator are ignored.  ``standard``, f(n) = n:
+    delta = -1/12 exactly (route "exact").  ``tanh``, f = tanh(x n)/x =
+    1/x - h, h(t) = (2/x)/(e^{2xt} + 1): the regulated constant gives
+    g(0)/(2x), h needs no regulator and int_0^inf h = ln 2/x^2, so
+    delta = 1/(2x) + ln 2/x^2 - (2/x) sum_{n>=0} 1/(e^{2xn} + 1).
+
+    Route "direct" (x > 1/8) sums n < N = ceil(38/x); the dropped terms are
+    below e^{-2xn}, so tail_bound = (2/x) e^{-2xN}/(1 - e^{-2x}).  The
+    leading terms cancel to ~ -1/12, which costs digits as x -> 0.
+
+    Route "em" (x <= 1/8) is Euler-Maclaurin through B_2K, K = 12:
+    delta = -sum_{k<=K} B_2k/(2k)! f^{(2k-1)}(0) + R, with
+    |R| <= |B_2K|/(2K)! int_0^inf |f^{(2K)}| since |B_2K({t})| <= |B_2K|, and
+    f^{(m)}(t) = x^{m-1} tanh^{(m)}(xt).  For m >= 1, tanh^{(m)} =
+    (tanh - 1)^{(m)}; Cauchy's estimate on |z - u| = r < pi/2 bounds it by
+    m! r^{-m} max |tanh z - 1|, and there |tanh z - 1| = |e^{-z}/cosh z| <=
+    e^{r-u}/cos r, as |cosh(a + ib)| >= |cos b|.  Integrating over u >= 0,
+    |R| <= |B_2K| x^{2K-2} e^r / (r^{2K} cos r): the tail_bound at r = 3/2,
+    at most 4.4e-18 at x = 1/8.  The series diverges as x grows.
+    """
+    if model == "standard":
+        delta, n_terms, tail_bound, route = -1.0 / 12.0, 0, 0.0, "exact"
+    elif model == "tanh":
+        x = config.x
+        if x <= 0.125:
+            delta = euler_maclaurin_delta(tanh_model_derivs(x, 24), 24)
+            tail_bound = abs(bernoulli(24)) * x**22 * math.exp(1.5) / (1.5**24 * math.cos(1.5))
+            n_terms, route = 12, "em"
+        else:
+            n_terms = math.ceil(38.0 / x)
+            s = math.fsum(1.0 / (np.exp(2.0 * x * np.arange(n_terms)) + 1.0))
+            delta = 0.5 / x + math.log(2.0) / (x * x) - 2.0 / x * s
+            tail_bound = 2.0 / x * math.exp(-2.0 * x * n_terms) / -math.expm1(-2.0 * x)
+            route = "direct"
+    else:
+        raise ValueError("model must be 'standard' or 'tanh'")
     energy = 0.5 * config.hbar * config.c * math.pi / config.L * delta
-    return CasimirResult(energy=energy, delta=delta, model=model, x=config.x)
+    return CasimirResult(energy=energy, delta=delta, model=model, x=config.x,
+                         n_terms=n_terms, tail_bound=tail_bound, route=route)
 
 
 @dataclass(frozen=True)
@@ -190,6 +202,9 @@ def epsilon_d_bound(L_exp: float, rel_error: float, c: float) -> EpsilonDBound:
     i.e. omega_D > c/L up to O(1) factors; with eps_D ~ 1/omega_D the
     headline bound is the order-of-magnitude form L_exp/c (O(1) constant
     set to 1), and the literal inequality solution is reported alongside.
+    The x^2/40 is the inequality as stated; the tanh model's own correction
+    is delta + 1/12 = -x^2/360 + O(x^4), a relative x^2/30, which would
+    give omega_D >= (pi c / L) sqrt(1/(30 rel_error)) instead.
     """
     if L_exp <= 0 or c <= 0:
         raise ValueError("L_exp and c must be positive")

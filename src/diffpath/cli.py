@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from typing import Optional
 
@@ -216,22 +215,10 @@ def cmd_commutator(args) -> tuple[str, bool]:
 def cmd_casimir(args) -> tuple[str, bool]:
     if args.bound:
         return _json(dataclasses.asdict(casimir_mod.epsilon_d_bound(args.L_exp, args.rel_error, args.c))), True
-    grid = _grid(args, "L")
     rows = []
-    delta = None
-    for L in grid:
-        cfg = casimir_mod.CasimirConfig(
-            L=float(L), omega_D=args.omega_D, c=args.c, hbar=args.hbar, n_c=args.n_c,
-            regulator=args.regulator,
-        )
-        if args.model == "standard" and delta is not None:
-            # f(n) = n does not depend on L, so delta is the first point's;
-            # the energy is casimir_energy's expression, operation for operation
-            energy = 0.5 * cfg.hbar * cfg.c * math.pi / cfg.L * delta
-        else:
-            res = casimir_mod.casimir_energy(cfg, args.model)
-            energy, delta = res.energy, res.delta
-        rows.append((cfg.L, energy, args.model, cfg.x))
+    for L in _grid(args, "L"):
+        cfg = casimir_mod.CasimirConfig(L=float(L), omega_D=args.omega_D, c=args.c, hbar=args.hbar)
+        rows.append((cfg.L, casimir_mod.casimir_energy(cfg, args.model).energy, args.model, cfg.x))
     return _csv(_metadata(args), "L,delta_E,model,x", rows), True
 
 
@@ -288,8 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega-D", type=float, default=100.0)
     p.add_argument("--c", type=float, default=1.0)
     p.add_argument("--hbar", type=float, default=1.0)
-    p.add_argument("--n-c", type=int, default=10_000)
-    p.add_argument("--regulator", choices=tuple(casimir_mod.REGULATORS), default="exp")
     _add_grid_flags(p, "L", 0.5, 2.0, 4)
     p.add_argument("--bound", action="store_true", help="emit the eps_D bound as JSON")
     p.add_argument("--L-exp", type=float, default=1e-7)

@@ -1,4 +1,4 @@
-"""Casimir toy model: Euler-Maclaurin, regulated sums, eps_D bound."""
+"""Casimir toy model: Euler-Maclaurin, closed-form delta, regulated sums, eps_D bound."""
 
 import math
 
@@ -6,15 +6,18 @@ import mpmath
 import numpy as np
 import pytest
 
+from diffpath import casimir
 from diffpath.casimir import (
+    REGULATORS,
     CasimirConfig,
     casimir_energy,
     epsilon_d_bound,
     euler_maclaurin_delta,
-    extrapolated_delta,
     sum_minus_integral,
     tanh_model_derivs,
 )
+
+EPS = np.finfo(float).eps
 
 
 def test_euler_maclaurin_linear_spectrum():
@@ -46,8 +49,32 @@ def test_tanh_derivs_and_em_coefficient():
     assert val == pytest.approx(-1.0 / 12.0 - x**2 / 360.0, rel=1e-12)
 
 
+def test_tanh_derivs_first_ten_exact():
+    # tanh^{(k)}(0), k = 0..9: the tangent numbers 1, -2, 16, -272, 7936 at odd k
+    assert tanh_model_derivs(1.0, 10) == [0.0, 1.0, 0.0, -2.0, 0.0, 16.0, 0.0, -272.0, 0.0, 7936.0]
+
+
+def test_tanh_derivs_against_mpmath_taylor():
+    # at the default 15 digits mpmath's numerical derivatives are far off by
+    # k ~ 23; at 50 digits they agree with the tangent numbers to ~1e-33
+    with mpmath.workdps(50):
+        ref = [float(c * mpmath.factorial(k)) for k, c in enumerate(mpmath.taylor(mpmath.tanh, 0, 25))]
+    d = tanh_model_derivs(1.0, 26)
+    for k in range(26):
+        if k % 2:
+            assert abs(d[k] - ref[k]) <= 1e-14 * abs(ref[k]), k
+        else:
+            assert d[k] == 0.0 and abs(ref[k]) < 1e-30, k
+
+
+def test_tanh_derivs_order_cap():
+    assert len(tanh_model_derivs(0.1, 60)) == 60
+    with pytest.raises(ValueError, match="order"):
+        tanh_model_derivs(0.1, 61)
+
+
 def test_sum_minus_integral_standard_exp_regulator():
-    # single n_c, modest accuracy; extrapolation test tightens it
+    # single n_c, modest accuracy: the O(1/n_c^2) error and ~n_c^2 eps rounding
     val = sum_minus_integral(lambda n: n, "exp", 1000)
     assert val == pytest.approx(-1.0 / 12.0, abs=1e-4)
 
@@ -82,22 +109,87 @@ def test_sum_minus_integral_zero_function():
     assert sum_minus_integral(lambda n: np.zeros_like(n), "exp", 100) == 0.0
 
 
-def test_extrapolated_standard_both_regulators():
-    v_exp = extrapolated_delta(lambda n: n, "exp")
-    v_gauss = extrapolated_delta(lambda n: n, "gauss")
-    assert v_exp == pytest.approx(-1.0 / 12.0, abs=1e-4)
+def test_sum_minus_integral_standard_gauss_regulator():
+    v_exp = sum_minus_integral(lambda n: n, "exp", 1000)
+    v_gauss = sum_minus_integral(lambda n: n, "gauss", 1000)
     assert v_gauss == pytest.approx(-1.0 / 12.0, abs=1e-4)
-    # regulator swap invariance of the extrapolated value
+    # regulator swap invariance
     assert abs(v_exp - v_gauss) < 1e-4
 
 
 def test_cross_method_agreement_tanh():
-    # sum-minus-integral vs Euler-Maclaurin across x, to O(x^4)
+    # closed-form delta vs five Euler-Maclaurin terms across x, to O(x^4),
+    # and vs the regulated sum of either regulator, whose O(1/n_c^2) error
+    # (1/(240 n_c^2) for exp, -1/(120 n_c^2) for gauss) is below 1e-8 at n_c = 1000
     for x in (0.05, 0.1, 0.2):
         cfg = CasimirConfig(L=1.0, omega_D=math.pi / x)
-        numeric = casimir_energy(cfg, "tanh").delta
+        closed = casimir_energy(cfg, "tanh").delta
         analytic = euler_maclaurin_delta(tanh_model_derivs(x, 5), 5)
-        assert abs(numeric - analytic) < 2.0 * x**4 / 100.0 + 1e-7
+        assert abs(closed - analytic) < 2.0 * x**4 / 100.0 + 1e-7
+        for regulator in REGULATORS:
+            regulated = sum_minus_integral(lambda n: np.tanh(x * n) / x, regulator, 1000)
+            assert abs(regulated - closed) <= 1e-8, (x, regulator)
+
+
+def _mpmath_tanh_delta(x):
+    # delta = 1/(2x) + ln2/x^2 - (2/x) sum_{n>=0} 1/(e^{2xn} + 1) at 50 digits:
+    # summed directly to e^{-2xn} < e^{-100} for x >= 1e-3, by mpmath's
+    # Euler-Maclaurin nsum below
+    with mpmath.workdps(50):
+        x = mpmath.mpf(x)
+        term = lambda n: 1 / (mpmath.exp(2 * x * n) + 1)
+        if x >= mpmath.mpf("1e-3"):
+            s = mpmath.fsum(term(n) for n in range(int(mpmath.ceil(50 / x))))
+        else:
+            s = mpmath.nsum(term, [0, mpmath.inf], method="euler-maclaurin")
+        return 1 / (2 * x) + mpmath.log(2) / x**2 - 2 / x * s
+
+
+@pytest.mark.parametrize("x", [*np.geomspace(1e-6, 10.0, 20), 0.125, 0.12500001])
+def test_tanh_delta_against_mpmath(x):
+    # within tail_bound plus rounding: the cancelling 1/(2x) + ln2/x^2 on the
+    # direct route, a few ulps of delta on the Euler-Maclaurin one
+    r = casimir_energy(CasimirConfig(L=math.pi / x, omega_D=1.0), "tanh")
+    assert r.route == ("em" if r.x <= 0.125 else "direct")
+    if r.route == "direct":
+        rounding = 8.0 * EPS * (0.5 / r.x + math.log(2.0) / r.x**2)
+    else:
+        rounding = 64.0 * EPS * abs(r.delta)
+    assert r.tail_bound <= 1e-15
+    assert abs(mpmath.mpf(r.delta) - _mpmath_tanh_delta(r.x)) <= r.tail_bound + rounding
+
+
+def test_tanh_x2_coefficient():
+    # the model's O(x^2) correction is -x^2/360, a relative x^2/30 of -1/12
+    r = casimir_energy(CasimirConfig(L=math.pi / 1e-3, omega_D=1.0), "tanh")
+    assert (r.delta + 1.0 / 12.0) / r.x**2 == pytest.approx(-1.0 / 360.0, rel=1e-6)
+
+
+def test_casimir_energy_records_route():
+    cfg = CasimirConfig(L=2.0, omega_D=100.0)
+    r = casimir_energy(cfg, "standard")
+    assert (r.delta, r.n_terms, r.tail_bound, r.route) == (-1.0 / 12.0, 0, 0.0, "exact")
+    r = casimir_energy(cfg, "tanh")
+    assert (r.route, r.n_terms) == ("em", 12)
+    r = casimir_energy(CasimirConfig(L=2.0, omega_D=1.0), "tanh")  # x = pi/2
+    assert (r.route, r.n_terms) == ("direct", 25)
+    with pytest.raises(ValueError, match="model"):
+        casimir_energy(cfg, "cubic")
+
+
+@pytest.mark.parametrize("model", ["standard", "tanh"])
+def test_casimir_energy_never_sums_regulated(monkeypatch, model):
+    # delta is the n_c -> infinity limit: n_c and regulator are ignored
+    calls = []
+    monkeypatch.setattr(casimir, "sum_minus_integral", lambda *a, **k: calls.append(a))
+    results = [
+        casimir_energy(CasimirConfig(L=1.0, omega_D=omega_d, n_c=n_c, regulator=reg), model)
+        for omega_d in (1.0, 100.0)
+        for n_c in (10, 10_000)
+        for reg in REGULATORS
+    ]
+    assert calls == []
+    assert len({(r.delta, r.route) for r in results}) == (1 if model == "standard" else 2)
 
 
 def test_casimir_energy_standard():

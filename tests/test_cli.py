@@ -156,7 +156,7 @@ def test_commutator_scan(capsys):
 def test_casimir_scan_and_bound(capsys):
     code, out = run(
         capsys,
-        ["casimir", "--model", "standard", "--points", "2", "--n-c", "1000"],
+        ["casimir", "--model", "standard", "--points", "2"],
     )
     assert code == EXIT_OK
     assert "L,delta_E,model,x" in out
@@ -176,23 +176,11 @@ def test_casimir_scan_and_bound(capsys):
     assert 1e-16 <= payload["epsilon_d"] <= 1e-14
 
 
-@pytest.mark.parametrize("model, calls", [("standard", 1), ("tanh", 4)])
-def test_casimir_scan_delta_calls(capsys, monkeypatch, model, calls):
-    # f(n) = n does not depend on L: one delta per standard scan, one per L for tanh
-    from diffpath import casimir
-
-    seen = []
-    real = casimir.extrapolated_delta
-    monkeypatch.setattr(casimir, "extrapolated_delta", lambda *a, **k: seen.append(1) or real(*a, **k))
-    code, _ = run(capsys, ["casimir", "--model", model, "--points", "4", "--n-c", "1000"])
-    assert code == EXIT_OK
-    assert len(seen) == calls
-
-
 def test_casimir_rejects_small_cutoff(capsys):
-    code = main(["casimir", "--n-c", "5"])
-    assert code == EXIT_USAGE
-    assert "n_c" in capsys.readouterr().err
+    # delta is the n_c -> infinity limit: the cutoff and regulator flags are gone
+    for flags in (["--n-c", "5"], ["--regulator", "gauss"]):
+        assert main(["casimir", *flags]) == EXIT_USAGE
+        assert flags[0] in capsys.readouterr().err
 
 
 def test_import_leaves_scipy_integrate_unloaded():
@@ -312,9 +300,8 @@ _PATHS_KEYS = f"{_FLAGS} export grid_points hbar m modes seed subcommand rng j_D
             "quantity,mean,stderr,n_samples,seed", 2, id="oracle",
         ),
         pytest.param(
-            ["casimir", "--model", "standard", "--points", "2", "--n-c", "1000"],
-            "L_exp L_max L_min bound c hbar log_spacing model n_c omega_D points regulator "
-            "rel_error subcommand",
+            ["casimir", "--model", "standard", "--points", "2"],
+            "L_exp L_max L_min bound c hbar log_spacing model omega_D points rel_error subcommand",
             "L,delta_E,model,x", 2, id="casimir",
         ),
     ],
