@@ -127,7 +127,8 @@ def _csv(meta: dict, header: str, rows) -> str:
 
 
 def _json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    # strict JSON: a NaN or infinity raises ValueError (exit 1) instead of being written
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +172,14 @@ def cmd_unitarity(args) -> tuple[str, bool]:
         raise UsageError("unitarity requires --omega > 0")
     grid = _grid(args, "T_grid")
     rep = osc_mod.unitarity_diagnostic(grid, params, args.tol, args.n_terms, args.threshold)
+    if rep.max_rel_deviation is None:
+        verdict = "sub-epsilon-D"  # no grid T reaches eps_D
+    elif rep.max_rel_deviation <= args.threshold:
+        verdict = "unitary-compatible"
+    else:
+        verdict = "non-exponential"
     payload = {
-        "verdict": "unitary-compatible" if rep.max_rel_deviation <= args.threshold else "non-exponential",
+        "verdict": verdict,
         "threshold": args.threshold,
         "mean_delta_omega": rep.mean_delta_omega,
         "max_rel_deviation": rep.max_rel_deviation,

@@ -3,26 +3,28 @@
 The restricted fluctuation integral divides out the unrestricted one,
 leaving the infinite product
 
-    Pi(T) = prod_n Erf(c_n sqrt(lambda_n + omega^2)) / Erf(c_n sqrt(lambda_n)),
+    Pi(T) = prod_n Erf(sqrt(W_n (1 + x_n))) / Erf(sqrt(W_n)),
 
-lambda_n = (n pi / T)^2 and c_n = B / n^alpha.  Everything is computed in
-log space (a direct product of 1e5 factors each ~1 denormalizes).  With
-L(W) = ln(Erf(sqrt W) / sqrt W), each log factor splits into the free
-Gaussian factor (1/2) ln(1 + omega^2 / lambda_n) plus a bracket
-b_n = L(c_n^2 (lambda_n + omega^2)) - L(c_n^2 lambda_n), and the free
-factors multiply to the fluctuation determinant sinh(omega T) / omega T:
+W_n = (abar / n^(alpha-1))^2 (ModelParams.mode_w at time T) and
+x_n = (omega T / n pi)^2, so ln Pi is a function of omega T, abar(T) and
+alpha alone.  Everything is computed in log space (a direct product of
+1e5 factors each ~1 denormalizes).  With L(W) = ln(Erf(sqrt W) / sqrt W),
+each log factor splits into the free Gaussian factor (1/2) ln(1 + x_n)
+plus a bracket b_n = L(W_n (1 + x_n)) - L(W_n), and the free factors
+multiply to the fluctuation determinant sinh(omega T) / omega T:
 
     ln Pi(T) = (1/2) ln(sinh omega T / omega T) + sum_n b_n.
 
 Since L'(W) = -(1 - Z(W)) / 2W lies in [-1/3, 0], every bracket obeys
-max(-omega^2 c_n^2 / 3, -(1/2) ln(1 + omega^2 / lambda_n)) <= b_n <= 0:
-it decays like n^(-2 alpha), not like the 1/n^2 of the log factors, so a
-few hundred terms certify what the direct product needs millions for.
+max(-W_n x_n / 3, -(1/2) ln(1 + x_n)) <= b_n <= 0, and
+W_n x_n = (omega T abar / pi)^2 n^(-2 alpha): it decays like n^(-2 alpha),
+not like the 1/n^2 of the log factors, so a few hundred terms certify
+what the direct product needs millions for.
 The exact N-mode product (``n_terms=N``) is summed directly only up to
-n1, where c_n^2 lambda_n has fallen to 1/4 and n >= 4 omega T / pi;
-above n1 the power series of the free factor and of L in c_n^2 lambda_n
-and c_n^2 omega^2 turn the rest into one vector of Hurwitz zeta
-differences, with a rigorous bound on the truncated series.
+n1, where W_n has fallen to 1/4 and n >= 4 omega T / pi; above n1 the
+power series of the free factor and of L in W_n and W_n x_n turn the rest
+into one vector of Hurwitz zeta differences, with a rigorous bound on the
+truncated series.
 The uniform level shift is Delta omega = ln Pi(T) / T (Euclidean), so
 E^D_n = hbar omega (n + 1/2) - hbar Delta omega with unchanged spacing.
 """
@@ -30,7 +32,7 @@ E^D_n = hbar omega (n + 1/2) - hbar Delta omega with unchanged spacing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -67,7 +69,7 @@ def _log_erf_series(k_max: int) -> list[float]:
     return [float(x) for x in g[1:]]
 
 
-# Fixed-N tail: above n1 every W_n = c_n^2 lambda_n is <= _W0, the switch
+# Fixed-N tail: above n1 every W_n is <= _W0, the switch
 # special._log_erf_over_sqrt uses, and the series of L runs to k = _K.
 _W0 = 0.25
 _K = 18
@@ -116,20 +118,10 @@ class PartitionFunctions:
     converged: bool  # ln Pi met its tolerance
 
 
-def _c_n(params: ModelParams, T: float, n: np.ndarray) -> np.ndarray:
-    """Per-mode length scale c_n = B / n^alpha at total time T.
-
-    B uses the amplitude at time T: constant A if A is primary, or the
-    natural T-dependent A(T) when epsilon_D is primary, in which case
-    c_n = (eps_D / 2)(T / (n eps_D))^alpha.
-    """
-    if params.epsilon_D is not None:
-        sigma_t = math.sqrt(params.hbar * T / params.m)
-        a_t = sigma_t * (T / params.epsilon_D) ** (params.alpha - 1.0)
-    else:
-        a_t = params.A
-    b_len = a_t * math.sqrt(params.m * T / (4.0 * params.hbar))
-    return b_len / n**params.alpha
+def _mode_pair(params: ModelParams, wt: float, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """W_n (1 + x_n) and W_n for the modes n, x_n = (wT / n pi)^2."""
+    lo = params.mode_w(n)
+    return lo * (1.0 + (wt / (n * math.pi)) ** 2), lo
 
 
 def _log_sinh_over_x(x: float) -> float:
@@ -173,29 +165,27 @@ def _scaled_zeta(s: np.ndarray, q: float, m: float) -> tuple[np.ndarray, np.ndar
     return value, err
 
 
-def _head_size(n: int, omega: float, T: float, b_len: float, alpha: float) -> int:
+def _head_size(n: int, wt: float, a_bar: float, alpha: float) -> int:
     """n1 = min(n, max(n_W, 4 wT / pi)), n_W the first mode with W_n <= _W0.
 
-    W_n = (b_len pi / T)^2 n^(2 - 2 alpha), so W_n <= _W0 from
-    n_W = (b_len pi / (T sqrt(_W0)))^(1 / (alpha - 1)) on; above 4 wT / pi
+    W_n = a_bar^2 n^(2 - 2 alpha), so W_n <= _W0 from
+    n_W = (a_bar / sqrt(_W0))^(1 / (alpha - 1)) on; above 4 wT / pi
     the free series ratio (wT / n pi)^2 is <= 1/16.
     """
     if alpha <= 1.0:
         return n
-    log_n_w = math.log(b_len * math.pi / (T * math.sqrt(_W0))) / (alpha - 1.0)
+    log_n_w = math.log(a_bar / math.sqrt(_W0)) / (alpha - 1.0)
     if log_n_w >= math.log(n):
         return n
-    return min(n, max(math.ceil(math.exp(log_n_w)), math.ceil(4.0 * omega * T / math.pi)))
+    return min(n, max(math.ceil(math.exp(log_n_w)), math.ceil(4.0 * wt / math.pi)))
 
 
-def _log_factor_tail(
-    n1: int, n: int, omega: float, T: float, b_len: float, alpha: float
-) -> tuple[float, float]:
+def _log_factor_tail(n1: int, n: int, wt: float, a_bar: float, alpha: float) -> tuple[float, float]:
     """Sum of the log factors n1 < m <= n in closed form, and a bound on its error.
 
     Each factor is (1/2) ln(1 + x_m) + L(W_m + u_m) - L(W_m), with
-    x_m = (wT / m pi)^2, W_m = (b_len pi / T)^2 m^(2 - 2 alpha) and
-    u_m = w^2 b_len^2 m^(-2 alpha).  Expanding both in powers of m turns
+    x_m = (wT / m pi)^2, W_m = a_bar^2 m^(2 - 2 alpha) and u_m = W_m x_m.
+    Expanding both in powers of m turns
     every sum over m into zeta(s, n1 + 1) - zeta(s, n + 1), s = 2k for the
     free part and s = 2 alpha k - 2j for the term W^j u^(k-j) of the
     bracket.  Powers are taken at m = n1, so the coefficients stay <= 1.
@@ -203,9 +193,9 @@ def _log_factor_tail(
     _series_remainder(W_m, u_m) is at most that of m = n1 times
     (n1 / m)^(2 alpha + (2 alpha - 2) _K).
     """
-    z2 = (omega * T / (math.pi * n1)) ** 2
-    w1 = (b_len * math.pi / (T * n1 ** (alpha - 1.0))) ** 2
-    u1 = (omega * b_len / n1**alpha) ** 2
+    z2 = (wt / (math.pi * n1)) ** 2
+    w1 = a_bar**2 * n1 ** (2.0 - 2.0 * alpha)
+    u1 = w1 * z2
     s = np.concatenate((2.0 * _FREE_K, 2.0 * alpha * _PAIR_K - 2.0 * _PAIR_J))
     coef = np.concatenate(
         (_FREE_COEF * z2**_FREE_K, _PAIR_COEF * w1**_PAIR_J * u1 ** (_PAIR_K - _PAIR_J))
@@ -220,31 +210,32 @@ def _log_factor_tail(
     return value, err
 
 
-def _bracket_tail(n: int, omega: float, T: float, b_len: float, alpha: float) -> float:
+def _bracket_tail(n: int, wt: float, a_bar: float, alpha: float) -> float:
     """Rigorous bound on |sum_{m>n} b_m|.
 
-    From b_m >= -omega^2 c_m^2 / 3 and sum_{m>n} m^(-2 alpha) <= n^(1-2 alpha) / (2 alpha - 1),
-    or from b_m >= -(1/2) ln(1 + omega^2 / lambda_m) >= -omega^2 T^2 / (2 pi^2 m^2).
+    From b_m >= -W_m x_m / 3 = -(wT a_bar / pi)^2 m^(-2 alpha) / 3 and
+    sum_{m>n} m^(-2 alpha) <= n^(1-2 alpha) / (2 alpha - 1),
+    or from b_m >= -(1/2) ln(1 + x_m) >= -(wT)^2 / (2 pi^2 m^2).
     """
-    tail = omega**2 * T**2 / (2.0 * math.pi**2 * n)
+    tail = wt**2 / (2.0 * math.pi**2 * n)
     if alpha > 0.5:
-        tail = min(tail, omega**2 * b_len**2 * n ** (1.0 - 2.0 * alpha) / (3.0 * (2.0 * alpha - 1.0)))
+        tail = min(tail, (wt * a_bar / math.pi) ** 2 * n ** (1.0 - 2.0 * alpha) / (3.0 * (2.0 * alpha - 1.0)))
     return tail
 
 
-def _bracket_terms_needed(tol: float, omega: float, T: float, b_len: float, alpha: float) -> int:
+def _bracket_terms_needed(tol: float, wt: float, a_bar: float, alpha: float) -> int:
     """Smallest N <= _ADAPTIVE_CAP whose bracket tail bound is <= tol (the cap if none is)."""
     if not tol > 0:
         return _ADAPTIVE_CAP
-    log_n = 2.0 * math.log(omega * T) - math.log(2.0 * math.pi**2 * tol)
+    log_n = 2.0 * math.log(wt) - math.log(2.0 * math.pi**2 * tol)
     if alpha > 0.5:
         k = 2.0 * alpha - 1.0
-        log_n = min(log_n, (2.0 * math.log(omega * b_len) - math.log(3.0 * k * tol)) / k)
+        log_n = min(log_n, (2.0 * math.log(wt * a_bar / math.pi) - math.log(3.0 * k * tol)) / k)
     n = min(max(1, math.ceil(math.exp(min(log_n, math.log(_ADAPTIVE_CAP))))), _ADAPTIVE_CAP)
     # the logs above round; step to the exact smallest N
-    while n > 1 and _bracket_tail(n - 1, omega, T, b_len, alpha) <= tol:
+    while n > 1 and _bracket_tail(n - 1, wt, a_bar, alpha) <= tol:
         n -= 1
-    while n < _ADAPTIVE_CAP and _bracket_tail(n, omega, T, b_len, alpha) > tol:
+    while n < _ADAPTIVE_CAP and _bracket_tail(n, wt, a_bar, alpha) > tol:
         n += 1
     return n
 
@@ -257,82 +248,76 @@ def log_pi(
 ) -> PiResult:
     """ln Pi(T) with a rigorous tail bound.
 
-    ``n_terms=None`` (adaptive): ln Pi = (1/2) ln(sinh wT / wT) + sum_{n<=N} b_n,
-    with b_n = L(c_n^2 (lambda_n + w^2)) - L(c_n^2 lambda_n) and
-    L(W) = ln(Erf(sqrt W) / sqrt W).  As L' lies in [-1/3, 0] (1 - Z(W) is
-    2W times a tilted mean of u^2 over u in [0, 1], at most 2W/3), every
-    b_n lies in [max(-w^2 c_n^2 / 3, -(1/2) ln(1 + w^2/lambda_n)), 0], so
-    the terms after N sum to at most
+    W_n = (abar / n^(alpha-1))^2 and x_n = (wT / n pi)^2, abar that of
+    ``params`` at time T (from A, or from A(T) when epsilon_D is primary).
 
-        min(w^2 B^2 N^(1 - 2 alpha) / (3 (2 alpha - 1)), w^2 T^2 / (2 pi^2 N)).
+    ``n_terms=None`` (adaptive): ln Pi = (1/2) ln(sinh wT / wT) + sum_{n<=N} b_n,
+    with b_n = L(W_n (1 + x_n)) - L(W_n) and L(W) = ln(Erf(sqrt W) / sqrt W).
+    As L' lies in [-1/3, 0] (1 - Z(W) is 2W times a tilted mean of u^2
+    over u in [0, 1], at most 2W/3), every b_n lies in
+    [max(-W_n x_n / 3, -(1/2) ln(1 + x_n)), 0], so the terms after N sum
+    to at most
+
+        min((wT abar / pi)^2 N^(1 - 2 alpha) / (3 (2 alpha - 1)), (wT)^2 / (2 pi^2 N)).
 
     N is the smallest count whose bound is <= tol, up to 2^24 terms;
     ``n_terms`` of the result counts these bracket terms.  The value is
     clamped to the exact bounds [0, (1/2) ln(sinh wT / wT)].
 
     ``n_terms=N``: the sum of the first N log factors
-    ln[Erf(c sqrt(l + w^2)) / Erf(c sqrt(l))].  The first
+    ln[Erf(sqrt(W_n (1 + x_n))) / Erf(sqrt W_n)].  The first
     n1 = min(N, max(n_W, 4 wT / pi)) are summed directly, n_W being the
-    first mode with W_n = c_n^2 l_n <= 1/4 (n1 = N when alpha <= 1); so
-    for N <= n1 the value is the direct sum.  Modes n1 < n <= N are summed
-    in closed form: the power series of (1/2) ln(1 + w^2/l_n) and of the
-    bracket in W_n and u_n = c_n^2 w^2, truncated at k = 18, make every
-    sum over n a difference of Hurwitz zetas zeta(s, n1 + 1) - zeta(s, N + 1).
-    Each factor omitted after N lies in [0, (1/2) ln(1 + w^2/l)] (Erf
+    first mode with W_n <= 1/4 (n1 = N when alpha <= 1); so for N <= n1
+    the value is the direct sum.  Modes n1 < n <= N are summed in closed
+    form: the power series of (1/2) ln(1 + x_n) and of the bracket in W_n
+    and u_n = W_n x_n, truncated at k = 18, make every sum over n a
+    difference of Hurwitz zetas zeta(s, n1 + 1) - zeta(s, N + 1).
+    Each factor omitted after N lies in [0, (1/2) ln(1 + x_n)] (Erf
     concavity: Erf(k x) <= k Erf(x)), so tail_bound is
-    w^2 T^2 / (2 pi^2 N) plus a rigorous bound on the series truncation
+    (wT)^2 / (2 pi^2 N) plus a rigorous bound on the series truncation
     (and on any zeta value below the floating-point range); ``n_terms``
     of the result is N.
 
     ``converged`` means tail_bound <= tol_budget(ln Pi, tol) = tol * max(1, |ln Pi|),
     an absolute tolerance wherever |ln Pi| < 1.
     """
-    if T <= 0:
-        raise ValueError("T must be positive")
-    omega = params.omega
-    if omega < 0:
-        raise ValueError("omega must be non-negative")
+    params_t = replace(params, T=T)  # validates T
     if params.alpha <= 1 and params.epsilon_D is not None:
         raise ValueError("alpha > 1 required with epsilon_D primary")
-    if omega == 0.0:
+    wt = params.omega * T
+    if wt == 0.0:
         return PiResult(0.0, T, 0, 0.0, True)
+    a_bar, alpha = params_t.a_bar, params.alpha
 
     if n_terms is not None:
         if n_terms < 1:
             raise ValueError("n_terms must be >= 1")
 
         def erf_ratio(n):
-            c = _c_n(params, T, n)
-            lam_sqrt = n * math.pi / T
-            hi = log_erf(c * np.sqrt(lam_sqrt**2 + omega**2))
-            lo = log_erf(c * lam_sqrt)
+            hi, lo = _mode_pair(params_t, wt, n)
             # each factor is >= 0 exactly; clip roundoff-negative values
-            return np.maximum(hi - lo, 0.0)
+            return np.maximum(log_erf(np.sqrt(hi)) - log_erf(np.sqrt(lo)), 0.0)
 
         n = int(n_terms)
-        b_len = _c_n(params, T, 1.0)
-        n1 = _head_size(n, omega, T, b_len, params.alpha)
+        n1 = _head_size(n, wt, a_bar, alpha)
         value = block_sum(erf_ratio, n1)
-        tail = omega**2 * T**2 / (2.0 * math.pi**2 * n)
+        tail = wt**2 / (2.0 * math.pi**2 * n)
         if n1 < n:
-            rest, err = _log_factor_tail(n1, n, omega, T, b_len, params.alpha)
+            rest, err = _log_factor_tail(n1, n, wt, a_bar, alpha)
             value += rest
             tail += err
     else:
 
         def bracket(n):
-            c2 = _c_n(params, T, n) ** 2
-            lam = (n * math.pi / T) ** 2
             # one kernel call on both arguments; ln(2/sqrt(pi)) cancels in the difference
-            hi, lo = np.split(_log_erf_over_sqrt(np.concatenate((c2 * (lam + omega**2), c2 * lam))), 2)
+            hi, lo = np.split(_log_erf_over_sqrt(np.concatenate(_mode_pair(params_t, wt, n))), 2)
             # each bracket is <= 0 exactly; clip roundoff-positive values
             return np.minimum(hi - lo, 0.0)
 
-        b_len = _c_n(params, T, 1.0)
-        n = _bracket_terms_needed(tol, omega, T, b_len, params.alpha)
-        free = 0.5 * _log_sinh_over_x(omega * T)
+        n = _bracket_terms_needed(tol, wt, a_bar, alpha)
+        free = 0.5 * _log_sinh_over_x(wt)
         value = min(max(free + block_sum(bracket, n), 0.0), free)
-        tail = _bracket_tail(n, omega, T, b_len, params.alpha)
+        tail = _bracket_tail(n, wt, a_bar, alpha)
     return PiResult(value, T, n, tail, tail <= tol_budget(value, tol))
 
 
@@ -383,8 +368,8 @@ def partition_functions(
 class UnitarityReport:
     t_grid: tuple
     delta_omega: tuple
-    mean_delta_omega: float  # over the T >= eps_D sub-grid
-    max_rel_deviation: float  # over the T >= eps_D sub-grid
+    mean_delta_omega: Optional[float]  # over the T >= eps_D sub-grid
+    max_rel_deviation: Optional[float]  # over the T >= eps_D sub-grid
     sub_eps_mean: Optional[float]
     sub_eps_max_rel_deviation: Optional[float]
     verdicts: tuple  # per-T strings
@@ -404,7 +389,7 @@ def unitarity_diagnostic(
     relative deviation from the sub-grid mean is the unitarity figure of
     merit.  The sub-eps_D points are reported separately — there the
     product is far from exponential and the deviation is expected O(1).
-    ``converged`` is False when any ln Pi missed ``tol``.
+    The statistics of an empty sub-grid are None.  ``converged`` is False when any ln Pi missed ``tol``.
     """
     t_grid = sorted(float(t) for t in t_grid)
     if not t_grid:
@@ -437,8 +422,8 @@ def unitarity_diagnostic(
     return UnitarityReport(
         t_grid=tuple(t_grid),
         delta_omega=tuple(dws),
-        mean_delta_omega=mean_above if mean_above is not None else math.nan,
-        max_rel_deviation=dev_above if dev_above is not None else math.nan,
+        mean_delta_omega=mean_above,
+        max_rel_deviation=dev_above,
         sub_eps_mean=mean_below,
         sub_eps_max_rel_deviation=dev_below,
         verdicts=tuple(verdicts),

@@ -92,13 +92,16 @@ class ModelParams:
 
     @property
     def a_bar(self) -> float:
-        """Dimensionless amplitude sqrt(m pi^2 / 4 hbar T) * A."""
+        """Dimensionless amplitude sqrt(m pi^2 / 4 hbar T) * A.
+
+        With epsilon_D primary it is (pi / 2)(T / epsilon_D)^(alpha - 1).
+        """
         return math.sqrt(self.m * math.pi**2 / (4.0 * self.hbar * self.T)) * self.amplitude
 
-    @property
-    def b_len(self) -> float:
-        """Length-scaled amplitude B = A sqrt(m T / 4 hbar)."""
-        return self.amplitude * math.sqrt(self.m * self.T / (4.0 * self.hbar))
+    def mode_w(self, j):
+        """W_j = (Abar / j^(alpha-1))^2, the per-mode number through which the
+        restriction enters every restricted weight and factor."""
+        return (self.a_bar / j ** (self.alpha - 1.0)) ** 2
 
     @property
     def j_d(self) -> int:

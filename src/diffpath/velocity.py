@@ -34,11 +34,11 @@ the partial sum is corrected and bounded analytically:
   sup f <= min(1/(n+1)^2, c/j*^2), c = max(1, 1.34 (p/e)^p), p = 1/2 + 1/(alpha-1),
   since Z(W) <= 2 sqrt(W/pi) e^-W / Erf(1) for W >= 1), or the exact free
   cosine sum minus C_w = sum_{j>n} u(j) cos(j theta), u = w/t^2 decreasing:
-  C_w is 0 within u(n+1)/sin(pi tau), or -u(n+1) D_n (D_n the Dirichlet
-  kernel) within int_{n+1}^inf |u''| / (2 sin^2(pi tau)) (Abel once or
-  twice).  At small tau, C_w or C_Z is the Fourier integral from n+1/2
-  (QUADPACK, error estimate included) within the midpoint-rule error,
-  bounded through k2 and the integrals and total variations of u and f.
+  C_w is -u(n+1) D_n (D_n the Dirichlet kernel) within
+  int_{n+1}^inf |u''| / (2 sin^2(pi tau)) (Abel summation twice).  At
+  small tau, C_w or C_Z is the Fourier integral from n+1/2 (QUADPACK,
+  error estimate included) within the midpoint-rule error, bounded
+  through k2 and the integrals and total variations of u and f.
 """
 
 from __future__ import annotations
@@ -189,15 +189,10 @@ def _s_feynman_exact(tau: float) -> float:
     return 0.5 * math.pi**2 * tau * (1.0 - tau)
 
 
-def _weights_w(params: ModelParams, j: np.ndarray) -> np.ndarray:
-    """W_j = (Abar / j^(alpha-1))^2 for the restricted weights 1 - Z(W_j)."""
-    return (params.a_bar / j ** (params.alpha - 1.0)) ** 2
-
-
 def _head_terms(tau: float, params: ModelParams, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """w_j s_j and s_j, s_j = sin^2(j pi tau) / j^2, evaluating the sines once."""
     s = (np.sin(j * (math.pi * tau)) / j) ** 2
-    return s * one_minus_zed(_weights_w(params, j)), s
+    return s * one_minus_zed(params.mode_w(j)), s
 
 
 def _zed_scalar(w: float) -> float:
@@ -265,12 +260,11 @@ def _z_form(tau: float, params: ModelParams, n: int, head: float, free_head: flo
         return min(x ** (1 - k) / (k - 1), (2.0 / 3.0) * abar**2 * x ** (1 - k - 2 * beta) / (k - 1 + 2 * beta))
 
     f_c = float(sc.polygamma(1, n + 1)) - 2.0 * rest  # sum_{j>n} cos(j theta) / j^2
-    u_1 = one_minus_zed((abar / (n + 1.0) ** beta) ** 2) / (n + 1.0) ** 2  # (1 - Z)/t^2 at n + 1
+    u_1 = one_minus_zed(params.mode_w(n + 1.0)) / (n + 1.0) ** 2  # (1 - Z)/t^2 at n + 1
     d_n = math.sin(a * theta) / (2.0 * sin_h)  # Dirichlet kernel
     estimates = [
         (0.0, 2.0 * min(1.0 / (n + 1.0) ** 2, z_peak) / sin_h),  # Abel on Z/t^2
-        (f_c, u_1 / sin_h),  # Abel on (1 - Z)/t^2
-        (f_c + u_1 * d_n, k2 * w_moment(n + 1.0, 4) / (2.0 * sin_h**2)),  # Abel twice
+        (f_c + u_1 * d_n, k2 * w_moment(n + 1.0, 4) / (2.0 * sin_h**2)),  # Abel twice on (1 - Z)/t^2
     ]
     c_hat, c_err = next((e for e in estimates if base + 0.5 * e[1] <= budget), min(estimates, key=lambda e: e[1]))
     # Fourier integral, within the midpoint-rule error on u cos(theta t) for

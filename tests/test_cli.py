@@ -1,6 +1,8 @@
 """CLI contract: subcommands, metadata, determinism, exit codes."""
 
+import dataclasses
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -14,6 +16,15 @@ from diffpath.cli import EXIT_CONVERGENCE, EXIT_OK, EXIT_USAGE, main
 from diffpath.special import SeriesValue
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def strict_json(text):
+    """json.loads that rejects NaN and +-Infinity, which are not JSON."""
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def run(capsys, argv):
@@ -120,6 +131,32 @@ def test_unitarity_verdict_json(capsys):
     assert payload["verdict"] == "unitary-compatible"
     assert payload["max_rel_deviation"] <= 0.1
     assert len(payload["rows"]) == 4
+
+
+def test_unitarity_with_no_grid_point_above_eps_d(capsys):
+    # every T of the grid lies below eps_D = 10: no above-eps_D statistics
+    code, out = run(capsys, ["unitarity", "--epsilon-D", "10", "--omega", "1", "--points", "3"])
+    assert code == EXIT_OK
+    payload = strict_json(out)
+    assert payload["verdict"] == "sub-epsilon-D"
+    assert payload["mean_delta_omega"] is None and payload["max_rel_deviation"] is None
+    assert [row["verdict"] for row in payload["rows"]] == ["sub-epsilon-D"] * 3
+
+
+def test_json_output_refuses_nan(capsys, monkeypatch):
+    from diffpath import oscillator
+
+    real = oscillator.unitarity_diagnostic
+
+    def nan_mean(*args):
+        return dataclasses.replace(real(*args), mean_delta_omega=math.nan)
+
+    monkeypatch.setattr(oscillator, "unitarity_diagnostic", nan_mean)
+    code = main(["unitarity", "--epsilon-D", "0.1", "--omega", "1", "--points", "2"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_unitarity_reports_convergence_failure(capsys):
@@ -396,4 +433,6 @@ def test_readme_examples_exit_zero(tmp_path, capsys):
         assert main(argv + ["--out", str(target)]) == EXIT_OK, line
         data = target.read_bytes()
         assert data and b"\r" not in data, line
+        if data.startswith(b"{"):
+            strict_json(data)
     assert capsys.readouterr().out == ""

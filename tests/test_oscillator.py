@@ -1,6 +1,8 @@
 """Oscillator factor Pi(T): log-space product, shifts, unitarity, fits."""
 
+import itertools
 import math
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -13,7 +15,6 @@ from diffpath.oscillator import (
     _ELL_R,
     _K,
     _W0,
-    _c_n,
     _head_size,
     _log_sinh_over_x,
     _scaled_zeta,
@@ -68,9 +69,13 @@ def mpmath_log_pi(params, T, n_terms, head=64):
     return total
 
 
+def a_bar_at(params, T):
+    return replace(params, T=T).a_bar
+
+
 def head_rounding(params, T, n1, value):
     """Rounding allowance of a direct sum of n1 differences of ln Erf (cf. bench/workloads.py)."""
-    x = _c_n(params, T, float(n1)) * n1 * math.pi / T
+    x = math.sqrt(replace(params, T=T).mode_w(float(n1)))
     return 8.0 * EPS * n1 * max(abs(math.log(math.erf(x))), 1.0) + 64.0 * EPS * abs(value)
 
 
@@ -96,7 +101,7 @@ def test_log_pi_fixed_n_against_mpmath(alpha, primary):
     # closed form), 2 n1 and 1e5; omega = 1e4 puts n1 at 4 wT / pi
     for T, omega in ((1.0, 1.0), (0.5, 0.1), (1.0, 1e4)):
         params = ModelParams(alpha=alpha, omega=omega, **primary)
-        n1 = _head_size(100_000, omega, T, _c_n(params, T, 1.0), alpha)
+        n1 = _head_size(100_000, omega * T, a_bar_at(params, T), alpha)
         assert n1 < 50_000
         if omega == 1e4:
             assert n1 == math.ceil(4e4 / math.pi)
@@ -114,10 +119,9 @@ def test_log_pi_fixed_n_against_mpmath(alpha, primary):
 def direct_log_pi(params, T, n_terms):
     """The N-mode sum term by term, as the direct route computes it (N <= 2^20)."""
     n = np.arange(1, n_terms + 1, dtype=float)
-    c = _c_n(params, T, n)
-    lam_sqrt = n * math.pi / T
-    hi = log_erf(c * np.sqrt(lam_sqrt**2 + params.omega**2))
-    lo = log_erf(c * lam_sqrt)
+    w = replace(params, T=T).mode_w(n)
+    hi = log_erf(np.sqrt(w * (1.0 + (params.omega * T / (n * math.pi)) ** 2)))
+    lo = log_erf(np.sqrt(w))
     x = np.maximum(hi - lo, 0.0)
     return math.fsum(float(x[i : i + (1 << 16)].sum()) for i in range(0, x.size, 1 << 16))
 
@@ -131,7 +135,7 @@ def direct_log_pi(params, T, n_terms):
     ],
 )
 def test_log_pi_fixed_n_direct_up_to_n1(params, n_terms):
-    assert _head_size(n_terms, params.omega, 1.0, _c_n(params, 1.0, 1.0), params.alpha) == n_terms
+    assert _head_size(n_terms, params.omega, a_bar_at(params, 1.0), params.alpha) == n_terms
     res = log_pi(1.0, params, n_terms=n_terms)
     assert res.log_pi == direct_log_pi(params, 1.0, n_terms)
     assert res.tail_bound == params.omega**2 / (2.0 * math.pi**2 * n_terms)
@@ -146,7 +150,7 @@ def test_log_pi_fixed_n_evaluates_only_the_head(monkeypatch):
 
     monkeypatch.setattr(oscillator, "log_erf", counting_log_erf)
     res = log_pi(1.0, FIG4, n_terms=100_000)
-    n1 = _head_size(100_000, FIG4.omega, 1.0, _c_n(FIG4, 1.0, 1.0), FIG4.alpha)
+    n1 = _head_size(100_000, FIG4.omega, FIG4.a_bar, FIG4.alpha)
     assert n1 == 29
     assert sum(elems) <= 2 * n1
     assert res.n_terms == 100_000
@@ -253,8 +257,33 @@ def test_log_pi_adaptive_converges():
 
 
 def test_log_pi_domain():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="T must be positive"):
         log_pi(0.0, FIG4)
+
+
+def _amplitude_for(a_bar, m, hbar, T):
+    """An A whose a_bar at (m, hbar, T) equals ``a_bar`` to the last bit."""
+    A = a_bar / math.sqrt(m * math.pi**2 / (4.0 * hbar * T))
+    for _ in range(4):
+        got = ModelParams(m=m, hbar=hbar, T=T, A=A).a_bar
+        if got == a_bar:
+            return A
+        A = math.nextafter(A, math.inf if got < a_bar else -math.inf)
+    raise AssertionError("no A gives this a_bar")
+
+
+@pytest.mark.parametrize("route", [{"tol": 1e-6}, {"tol": 1e-12}, {"n_terms": 500}, {"n_terms": 100_000}])
+def test_log_pi_depends_on_omega_t_a_bar_and_alpha_only(route):
+    # the same a_bar(T) from epsilon_D, from A, and from A at other m and hbar
+    for alpha, eps_d, omega, T in itertools.product((2.05, 4.0), (0.02, 0.1), (0.5, 5.0), (0.2, 5.0)):
+        ref_params = ModelParams(alpha=alpha, epsilon_D=eps_d, omega=omega)
+        ref = log_pi(T, ref_params, **route)
+        a_bar = a_bar_at(ref_params, T)
+        for m, hbar in ((1.0, 1.0), (5.0, 3.0), (1e-3, 7.0)):
+            A = _amplitude_for(a_bar, m, hbar, T)
+            res = log_pi(T, ModelParams(m=m, hbar=hbar, alpha=alpha, A=A, omega=omega), **route)
+            assert res.log_pi == pytest.approx(ref.log_pi, rel=1e-13, abs=0.0)
+            assert (res.n_terms, res.converged) == (ref.n_terms, ref.converged)
 
 
 def mp_log_erf_over_sqrt(w):

@@ -132,6 +132,15 @@ def test_restriction_implies_sup_bound(seed):
     assert np.max(np.abs(eval_path(twin, grid))) <= params.amplitude * float(zeta(2.1))
 
 
+def test_mode_w_is_the_per_mode_number():
+    j = np.arange(1.0, 1001.0)
+    eps_primary = ModelParams(alpha=3.0, epsilon_D=0.1, T=2.5, m=3.0, hbar=0.5)
+    for params in (ModelParams(alpha=2.1, A=10.0), eps_primary):
+        assert np.array_equal(params.mode_w(j), (params.a_bar / j ** (params.alpha - 1.0)) ** 2)
+    # with epsilon_D primary, a_bar = (pi / 2)(T / eps_D)^(alpha - 1) whatever m and hbar are
+    assert eps_primary.a_bar == pytest.approx(0.5 * math.pi * 25.0**2, rel=1e-14)
+
+
 def test_scale_relations_fig2_value():
     rel = scale_relations(ModelParams(alpha=2.1, A=10.0, T=1.0, m=1.0, hbar=1.0))
     # 50-digit solve of (T/eps)^(alpha-1) = A/sigma
