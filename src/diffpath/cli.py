@@ -172,14 +172,8 @@ def cmd_unitarity(args) -> tuple[str, bool]:
         raise UsageError("unitarity requires --omega > 0")
     grid = _grid(args, "T_grid")
     rep = osc_mod.unitarity_diagnostic(grid, params, args.tol, args.n_terms, args.threshold)
-    if rep.max_rel_deviation is None:
-        verdict = "sub-epsilon-D"  # no grid T reaches eps_D
-    elif rep.max_rel_deviation <= args.threshold:
-        verdict = "unitary-compatible"
-    else:
-        verdict = "non-exponential"
     payload = {
-        "verdict": verdict,
+        "verdict": rep.verdict,
         "threshold": args.threshold,
         "mean_delta_omega": rep.mean_delta_omega,
         "max_rel_deviation": rep.max_rel_deviation,

@@ -33,13 +33,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Iterable, Optional
 
 import numpy as np
 
 from .paths import ModelParams
-from .special import _log_erf_over_sqrt, block_sum, hurwitz_zeta, log_erf, tol_budget
+from .special import (
+    _ELL,
+    _K,
+    _W0,
+    _log_erf_over_sqrt,
+    _series_remainder,
+    block_sum,
+    hurwitz_zeta,
+    log_erf,
+    tol_budget,
+)
 
 __all__ = [
     "PiResult",
@@ -55,30 +64,8 @@ __all__ = [
 
 _ADAPTIVE_CAP = 1 << 24
 
-
-def _log_erf_series(k_max: int) -> list[float]:
-    """l_1..l_{k_max} of L(W) = ln(2/sqrt(pi)) + sum_k l_k W^k, exactly.
-
-    Erf(sqrt W)/sqrt W = (2/sqrt(pi)) f(W) with f = sum_k (-W)^k / (k! (2k+1)),
-    and g = ln f obeys g' f = f', i.e. k g_k = k f_k - sum_{0<j<k} j g_j f_{k-j}.
-    """
-    f = [Fraction((-1) ** k, math.factorial(k) * (2 * k + 1)) for k in range(k_max + 1)]
-    g = [Fraction(0)] * (k_max + 1)
-    for k in range(1, k_max + 1):
-        g[k] = f[k] - sum((j * g[j] * f[k - j] for j in range(1, k)), Fraction(0)) / k
-    return [float(x) for x in g[1:]]
-
-
-# Fixed-N tail: above n1 every W_n is <= _W0, the switch
-# special._log_erf_over_sqrt uses, and the series of L runs to k = _K.
-_W0 = 0.25
-_K = 18
-_ELL = _log_erf_series(_K)
-# Cauchy estimate |l_k| <= _ELL_M / _ELL_R^k: L - L(0) is analytic for
-# |W| < 5.642 (|z|^2 at Erf's first complex zero z), and max |L - L(0)| on
-# |W| = 4 is 2.107 (mpmath).
-_ELL_R, _ELL_M = 4.0, 2.2
-# One entry per term of the tail series, free part first:
+# Fixed-N tail: above n1 every W_n is <= _W0, and l runs to k = _K there as
+# in the kernel.  One entry per term of the tail series, free part first:
 # (1/2) ln(1 + x) = sum_k (-1)^(k+1) x^k / 2k with x = (wT/pi)^2 / n^2, and
 # (W + u)^k - W^k = sum_{j<k} C(k, j) W^j u^(k-j) for the brackets.
 _FREE_K = np.arange(1, _K + 1)
@@ -134,16 +121,6 @@ def _log_sinh_over_x(x: float) -> float:
             acc += term
         return math.log1p(acc)
     return x + math.log1p(-math.exp(-2.0 * x)) - math.log(2.0 * x)
-
-
-def _series_remainder(w: float, u: float) -> float:
-    """Bound on |sum_{k>_K} l_k ((w + u)^k - w^k)| for w, u >= 0, w + u < _ELL_R.
-
-    From |l_k| <= _ELL_M / _ELL_R^k and (w + u)^k - w^k <= k u (w + u)^(k-1):
-    (_ELL_M u / _ELL_R) sum_{k>_K} k rho^(k-1), rho = (w + u) / _ELL_R.
-    """
-    rho = (w + u) / _ELL_R
-    return _ELL_M * u / _ELL_R * rho**_K * (_K + 1 - _K * rho) / (1.0 - rho) ** 2
 
 
 def _scaled_zeta(s: np.ndarray, q: float, m: float) -> tuple[np.ndarray, np.ndarray]:
@@ -373,6 +350,7 @@ class UnitarityReport:
     sub_eps_mean: Optional[float]
     sub_eps_max_rel_deviation: Optional[float]
     verdicts: tuple  # per-T strings
+    verdict: str  # over the T >= eps_D sub-grid; sub-epsilon-D if it is empty
     converged: bool  # every ln Pi met its tolerance
 
 
@@ -387,14 +365,16 @@ def unitarity_diagnostic(
 
     Over T >= eps_D the shift Delta omega(T) should be constant; its max
     relative deviation from the sub-grid mean is the unitarity figure of
-    merit.  The sub-eps_D points are reported separately — there the
+    merit, and ``verdict`` is unitary-compatible when it is <= threshold.
+    Each T is compared with eps_D at that T, which moves with T when A is
+    primary.  The sub-eps_D points are reported separately — there the
     product is far from exponential and the deviation is expected O(1).
     The statistics of an empty sub-grid are None.  ``converged`` is False when any ln Pi missed ``tol``.
     """
     t_grid = sorted(float(t) for t in t_grid)
     if not t_grid:
         raise ValueError("grid must be nonempty")
-    eps_d = params.eps_d if params.alpha > 1 else 0.0
+    eps_d = [replace(params, T=t).eps_d if params.alpha > 1 else 0.0 for t in t_grid]
     pis = [log_pi(t, params, tol, n_terms) for t in t_grid]
     dws = [p.log_pi / t for p, t in zip(pis, t_grid)]
 
@@ -407,8 +387,8 @@ def unitarity_diagnostic(
             return mean, 0.0
         return mean, max(abs(v - mean) / abs(mean) for v in vals)
 
-    above = [i for i, t in enumerate(t_grid) if t >= eps_d]
-    below = [i for i, t in enumerate(t_grid) if t < eps_d]
+    above = [i for i, t in enumerate(t_grid) if t >= eps_d[i]]
+    below = [i for i, t in enumerate(t_grid) if t < eps_d[i]]
     mean_above, dev_above = stats(above)
     mean_below, dev_below = stats(below)
     verdicts = []
@@ -419,6 +399,12 @@ def unitarity_diagnostic(
             verdicts.append("unitary-compatible")
         else:
             verdicts.append("non-exponential")
+    if dev_above is None:
+        verdict = "sub-epsilon-D"
+    elif dev_above <= threshold:
+        verdict = "unitary-compatible"
+    else:
+        verdict = "non-exponential"
     return UnitarityReport(
         t_grid=tuple(t_grid),
         delta_omega=tuple(dws),
@@ -427,6 +413,7 @@ def unitarity_diagnostic(
         sub_eps_mean=mean_below,
         sub_eps_max_rel_deviation=dev_below,
         verdicts=tuple(verdicts),
+        verdict=verdict,
         converged=all(p.converged for p in pis),
     )
 

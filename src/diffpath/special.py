@@ -1,9 +1,11 @@
 """Numerically hardened special functions shared by every other module.
 
-Everything here is pure and deterministic: error-function ratios in log
-space; one kernel, l(W) = ln(sqrt(pi) Erf(sqrt W) / (2 sqrt W)), from which
-the truncated-Gaussian moment factor Z(W) = exp(-W - l), 1 - Z and the
-brackets of ln Pi(T) (differences of l) are taken; exact Bernoulli numbers;
+Everything here is pure and deterministic: ln Erf; one kernel,
+l(W) = ln(sqrt(pi) Erf(sqrt W) / (2 sqrt W)), from which the
+truncated-Gaussian moment factor Z(W) = exp(-W - l), 1 - Z and the
+brackets of ln Pi(T) (differences of l) are taken, and the Taylor
+coefficients l_k that both the kernel and the tail of ln Pi sum, with a
+bound on the truncated series; exact Bernoulli numbers;
 and the one series primitive every certified sum goes through: block_sum
 (compensated blocked summation), tol_budget (the tolerance rule
 tail <= tol * max(1, |value|), absolute for |value| < 1) and certify (the
@@ -23,9 +25,7 @@ import scipy.special as sc
 __all__ = [
     "SeriesValue",
     "ConvergenceError",
-    "erf",
     "log_erf",
-    "log_erf_ratio",
     "zed",
     "one_minus_zed",
     "truncated_gaussian_ratio",
@@ -102,11 +102,6 @@ def certify(evaluate: Callable[[int], tuple], tol: float, n0: int, cap: int) -> 
         n *= 4
 
 
-def erf(x):
-    """Error function; relative error below 1e-14 for all finite arguments."""
-    return sc.erf(x)
-
-
 def log_erf(x):
     """ln Erf(x) for x > 0, stable for both tiny and large arguments.
 
@@ -127,23 +122,42 @@ def log_erf(x):
     return out
 
 
-def log_erf_ratio(u: float, v: float) -> float:
-    """ln(Erf(u)/Erf(v)) with absolute error at the 1e-13 level.
-
-    Both the u,v >> 1 regime (where each Erf rounds to 1) and the
-    u,v << 1 regime (where the ratio degenerates to u/v) are handled by
-    the complementary-function branch inside :func:`log_erf`.
-    """
-    if u <= 0 or v <= 0:
-        raise ValueError("log_erf_ratio requires positive arguments")
-    return log_erf(u) - log_erf(v)
-
-
 # ln(2/sqrt(pi)), the W -> 0 limit of ln(Erf(sqrt W) / sqrt W)
 _LOG_2_OVER_SQRT_PI = math.log(2.0 / math.sqrt(math.pi))
-# sqrt(pi) Erf(z) / 2z = 1 + sum_{k=1}^{17} a_k (-W)^k with a_k = 1/(k! (2k+1)),
-# z = sqrt(W); a_17 first, for Horner's rule
-_ERF_OVER_Z = tuple(1.0 / (math.factorial(k) * (2 * k + 1)) for k in range(17, 0, -1))
+
+
+def _log_erf_series(k_max: int) -> list[float]:
+    """l_1..l_{k_max} of l(W) = sum_k l_k W^k, exactly.
+
+    Erf(sqrt W)/sqrt W = (2/sqrt(pi)) f(W) with f = sum_k (-W)^k / (k! (2k+1)),
+    and g = ln f obeys g' f = f', i.e. k g_k = k f_k - sum_{0<j<k} j g_j f_{k-j}.
+    """
+    f = [Fraction((-1) ** k, math.factorial(k) * (2 * k + 1)) for k in range(k_max + 1)]
+    g = [Fraction(0)] * (k_max + 1)
+    for k in range(1, k_max + 1):
+        g[k] = f[k] - sum((j * g[j] * f[k - j] for j in range(1, k)), Fraction(0)) / k
+    return [float(x) for x in g[1:]]
+
+
+# Below _W0, l(W) is its series to k = _K (the kernel, and the fixed-N tail
+# of ln Pi in oscillator).
+_W0 = 0.25
+_K = 18
+_ELL = _log_erf_series(_K)
+# Cauchy estimate |l_k| <= _ELL_M / _ELL_R^k: l is analytic for
+# |W| < 5.642 (|z|^2 at Erf's first complex zero z), and max |l| on
+# |W| = 4 is 2.107 (mpmath).
+_ELL_R, _ELL_M = 4.0, 2.2
+
+
+def _series_remainder(w: float, u: float) -> float:
+    """Bound on |sum_{k>_K} l_k ((w + u)^k - w^k)| for w, u >= 0, w + u < _ELL_R.
+
+    From |l_k| <= _ELL_M / _ELL_R^k and (w + u)^k - w^k <= k u (w + u)^(k-1):
+    (_ELL_M u / _ELL_R) sum_{k>_K} k rho^(k-1), rho = (w + u) / _ELL_R.
+    """
+    rho = (w + u) / _ELL_R
+    return _ELL_M * u / _ELL_R * rho**_K * (_K + 1 - _K * rho) / (1.0 - rho) ** 2
 
 
 def _log_erf_over_sqrt(w):
@@ -151,22 +165,23 @@ def _log_erf_over_sqrt(w):
 
     This is ln(Erf(sqrt W) / sqrt W) less its W -> 0 limit ln(2/sqrt(pi)),
     so it keeps relative accuracy as W -> 0 (l = -W/3 + O(W^2)).  For
-    W < 1/4 it is log1p of the Taylor series, evaluated by Horner's rule
-    in place (the direct logs would cancel); otherwise
+    W < _W0 = 1/4 it is sum_{k<=_K} l_k W^k by Horner's rule in place (the
+    direct logs would cancel), truncated within _series_remainder(0, W),
+    below 1e-20 |l(W)|; otherwise
     log1p(-erfc(sqrt W)) - (1/2) ln W - ln(2/sqrt(pi)), where
     sqrt W >= 1/2 keeps every log finite.
     """
     w = np.asarray(w, dtype=float)
-    small = w < 0.25
+    small = w < _W0
     large = ~small
     out = np.empty_like(w)
-    x = -w[small]
-    acc = np.full_like(x, _ERF_OVER_Z[0])
-    for a in _ERF_OVER_Z[1:]:
-        acc *= x
-        acc += a
-    acc *= x
-    out[small] = np.log1p(acc, out=acc)
+    ws = w[small]
+    acc = np.full_like(ws, _ELL[-1])
+    for ell in _ELL[-2::-1]:
+        acc *= ws
+        acc += ell
+    acc *= ws
+    out[small] = acc
     wl = w[large]
     out[large] = np.log1p(-sc.erfc(np.sqrt(wl))) - 0.5 * np.log(wl) - _LOG_2_OVER_SQRT_PI
     if out.ndim == 0:

@@ -18,8 +18,9 @@ the partial sum is corrected and bounded analytically:
   constant's exact tail is the trigamma function psi_1(N+1), while each
   oscillatory tail obeys the Abel/Dirichlet-kernel bound
   |sum_{j>N} cos(j theta)/j^2| <= 2 / ((N+1)^2 sin(theta/2)); where that
-  bound is too weak (theta near 0) the tail is instead evaluated as a
-  QUADPACK Fourier integral with a midpoint-rule error bound;
+  bound is too weak (theta near 0) the tail is instead the Fourier
+  integral from N+1/2, cos(theta a)/a - theta (pi/2 - Si(theta a)), with a
+  midpoint-rule error bound;
 * s_diff sums the head of S_D = sum_j w_j s_j, s_j = sin^2(j pi tau)/j^2,
   up to n = 4096 * 4^k and certifies the tail R_n by the tighter of two
   bounds.  W-form: the weights 1 - Z(W_j) <= min(1, 2 W_j / 3) give a
@@ -123,6 +124,11 @@ def _feynman_terms(tau: float, t0_frac: float, j: np.ndarray) -> np.ndarray:
     return (ds / j) ** 2
 
 
+def _cos_over_t2_integral(a: float, theta: float) -> float:
+    """int_a^inf cos(theta t) / t^2 dt = cos(theta a) / a - theta (pi/2 - Si(theta a)), a > 0."""
+    return math.cos(theta * a) / a - theta * (0.5 * math.pi - float(sc.sici(theta * a)[0]))
+
+
 def s_feynman(tau: float, t0_frac: float = 0.0, tol: float = 1e-10) -> SeriesValue:
     """Free-measure series sum_j j^{-2} [sin(j pi (t0+tau)) - sin(j pi t0)]^2.
 
@@ -131,8 +137,6 @@ def s_feynman(tau: float, t0_frac: float = 0.0, tol: float = 1e-10) -> SeriesVal
     corrected by the exact trigamma tail of its smooth part, so tail_bound
     covers only the oscillatory remainder.
     """
-    from scipy.integrate import quad  # here, not at module level: keeps it out of start-up
-
     if not 0.0 <= tau < 1.0:
         raise ValueError("tau must lie in [0, 1)")
     if not 0.0 <= t0_frac < 1.0:
@@ -156,18 +160,10 @@ def s_feynman(tau: float, t0_frac: float = 0.0, tol: float = 1e-10) -> SeriesVal
             # Evaluate the oscillatory tail itself: sum_{j>n} cos(j theta)/j^2
             # equals the Fourier integral from n+1/2 (midpoint rule) up to a
             # correction bounded through f'' of cos(theta t)/t^2.
-            est, quad_err = quad(
-                lambda t: 1.0 / (t * t),
-                n + 0.5,
-                np.inf,
-                weight="cos",
-                wvar=theta,
-                limit=200,
-            )
             a = n - 0.5
             midpoint_err = (theta**2 / a + 2.0 * theta / a**2 + 2.0 / a**3) / 24.0
-            value += coef * est
-            tail += abs(coef) * (abs(quad_err) + midpoint_err)
+            value += coef * _cos_over_t2_integral(n + 0.5, theta)
+            tail += abs(coef) * midpoint_err
         return value, tail
 
     return certify(evaluate, tol, 1 << 14, SERIES_CAP)
@@ -279,9 +275,7 @@ def _z_form(tau: float, params: ModelParams, n: int, head: float, free_head: flo
     if base + 0.5 * c_err > budget > base + 0.5 * e_mid:
         q, q_err = _w_cosine_integral(a, abar, alpha, theta, 0.5 * (budget - base - 0.5 * e_mid))
         if e_mid + q_err < c_err:
-            # int_a^inf cos(theta t) / t^2 dt
-            f_int = math.cos(theta * a) / a - theta * (0.5 * math.pi - float(sc.sici(theta * a)[0]))
-            c_hat = (f_c if e_w <= e_z else f_int) - q
+            c_hat = (f_c if e_w <= e_z else _cos_over_t2_integral(a, theta)) - q
             c_err = e_mid + q_err
     return head + rest - 0.5 * (i_z - c_hat), base + 0.5 * c_err
 

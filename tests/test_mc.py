@@ -6,6 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import erf
 
 from diffpath.mc import (
     estimate_pi_factor,
@@ -15,7 +16,7 @@ from diffpath.mc import (
 )
 from diffpath.oscillator import log_pi
 from diffpath.paths import ModelParams
-from diffpath.special import erf, truncated_gaussian_ratio
+from diffpath.special import truncated_gaussian_ratio
 from diffpath.velocity import v2_diff, v2_feynman
 
 FIG2 = ModelParams(m=1.0, hbar=1.0, T=1.0, alpha=2.1, A=10.0)

@@ -10,15 +10,9 @@ import pytest
 
 from diffpath import oscillator
 from diffpath.oscillator import (
-    _ELL,
-    _ELL_M,
-    _ELL_R,
-    _K,
-    _W0,
     _head_size,
     _log_sinh_over_x,
     _scaled_zeta,
-    _series_remainder,
     log_pi,
     partition_functions,
     scan_E0_vs_omega,
@@ -168,50 +162,6 @@ def test_log_pi_adaptive_one_kernel_call_per_block(monkeypatch):
     res = log_pi(1.0, ModelParams(alpha=2.1, A=1e3, omega=1.0), tol=1e-12)
     assert res.converged and res.n_terms == 134865  # three blocks of 2^16
     assert sizes == [2 << 16, 2 << 16, 2 * (res.n_terms - (2 << 16))]
-
-
-def mp_log_erf_series(w):
-    """L(W) - L(0) = ln(Erf(sqrt W) sqrt(pi) / (2 sqrt W)) = ln 1F1(1/2; 3/2; -W)."""
-    return mp.log(mp.hyp1f1(0.5, 1.5, -w))
-
-
-def test_log_erf_series_table_mpmath():
-    mp.mp.dps = 40
-    taylor = mp.taylor(mp_log_erf_series, 0, _K + 1)
-    assert len(_ELL) == _K
-    for k in range(1, _K + 1):
-        assert _ELL[k - 1] == pytest.approx(float(taylor[k]), rel=1e-14, abs=0.0)
-
-
-def test_log_erf_series_cauchy_constant():
-    # the series converges for |W| < |z0|^2, z0 Erf's first complex zero
-    mp.mp.dps = 20
-    z0 = mp.findroot(mp.erf, mp.mpc(1.45, 1.88))
-    assert abs(mp.erf(z0)) < 1e-15 and _ELL_R < abs(z0) ** 2 - 1.0
-    # max |L - L(0)| on |W| = _ELL_R; the principal log is the analytic
-    # branch there (no jump of 2 pi between neighbouring points)
-    values = [mp_log_erf_series(_ELL_R * mp.expj(2 * mp.pi * i / 2000)) for i in range(2001)]
-    assert max(abs(b - a) for a, b in zip(values, values[1:])) < 0.1
-    assert max(abs(v) for v in values) * 1.02 <= _ELL_M
-
-
-def test_series_remainder_bounds_the_omitted_terms():
-    # W + u up to 1.07 W0: past n1, W_n <= W0 and u_n <= W_n / 16
-    mp.mp.dps = 80
-    taylor = mp.taylor(mp_log_erf_series, 0, _K + 1)
-    w_max = 1.07 * _W0
-    for w in np.linspace(0.0, w_max, 12):
-        for u in (1e-12, 1e-6 * w, w / 16.0, w_max - w):
-            if u <= 0.0 or w + u > w_max:
-                continue
-            wm, um = mp.mpf(w), mp.mpf(u)
-            bound = _series_remainder(w, u)
-            assert abs(taylor[_K + 1] * ((wm + um) ** (_K + 1) - wm ** (_K + 1))) <= bound
-            if w >= _W0 / 8:
-                # the whole remainder, where 80 digits resolve it
-                exact = mp_log_erf_series(wm + um) - mp_log_erf_series(wm)
-                head = mp.fsum(taylor[k] * ((wm + um) ** k - wm**k) for k in range(1, _K + 1))
-                assert abs(exact - head) <= bound
 
 
 def test_scaled_zeta_mpmath():
@@ -373,6 +323,7 @@ def test_unitarity_above_eps_d_constant():
     short = unitarity_diagnostic(np.linspace(0.2, 5.0, 10), FIG4, tol=1e-4, n_terms=1000)
     assert not short.converged
     assert all(v == "unitary-compatible" for v in rep.verdicts)
+    assert rep.verdict == "unitary-compatible"
 
 
 def test_unitarity_sub_eps_d_large_deviation():
@@ -380,6 +331,17 @@ def test_unitarity_sub_eps_d_large_deviation():
     assert rep.sub_eps_max_rel_deviation is not None
     assert rep.sub_eps_max_rel_deviation > 0.5
     assert all(v == "sub-epsilon-D" for v in rep.verdicts)
+    assert rep.verdict == "sub-epsilon-D"
+
+
+def test_unitarity_eps_d_per_grid_t():
+    # A primary: eps_D(T) is 0.096, 1 and 10.4 at T = 0.2, 1 and 5
+    params = ModelParams(alpha=2.1, A=1.0, omega=1.0)
+    rep = unitarity_diagnostic([0.2, 1.0, 5.0], params, tol=1e-4)
+    assert rep.verdicts[2] == "sub-epsilon-D" and "sub-epsilon-D" not in rep.verdicts[:2]
+    assert rep.sub_eps_mean == rep.delta_omega[2]
+    assert rep.mean_delta_omega == pytest.approx(sum(rep.delta_omega[:2]) / 2.0, rel=1e-15)
+    assert rep.verdict == "non-exponential" and rep.max_rel_deviation > 0.1
 
 
 def test_unitarity_single_point_and_empty():

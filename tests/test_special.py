@@ -12,14 +12,18 @@ from scipy.integrate import quad
 
 from diffpath import velocity
 from diffpath.special import (
+    _ELL,
+    _ELL_M,
+    _ELL_R,
+    _K,
+    _W0,
     SeriesValue,
     _log_erf_over_sqrt,
+    _series_remainder,
     bernoulli,
     block_sum,
     certify,
-    erf,
     log_erf,
-    log_erf_ratio,
     one_minus_zed,
     tol_budget,
     truncated_gaussian_ratio,
@@ -29,54 +33,9 @@ from diffpath.special import (
 mp.mp.dps = 50
 
 
-def test_erf_trivials():
-    assert erf(0.0) == 0.0
-    assert erf(0.7) == -erf(-0.7)
-    # range (-1, 1): strict inequality holds up to double rounding
-    assert -1.0 < erf(-5.0) < erf(5.0) < 1.0
-
-
-def test_erf_against_quadrature():
-    # independent oracle: adaptive quadrature of the defining integral
-    val, err = quad(lambda t: 2.0 / math.sqrt(math.pi) * math.exp(-t * t), 0.0, 1.0)
-    assert err < 1e-12
-    assert erf(1.0) == pytest.approx(val, abs=1e-9)
-    assert erf(1.0) == pytest.approx(0.8427007929, abs=1e-9)
-
-
-def test_erf_relative_accuracy_vs_mpmath():
-    for x in [1e-8, 0.1, 1.0, 3.0, 6.0, 15.0]:
-        ref = float(mp.erf(x))
-        assert abs(erf(x) - ref) <= 1e-14 * abs(ref)
-
-
-def test_log_erf_ratio_identity_and_small_args():
-    assert log_erf_ratio(3.2, 3.2) == 0.0
-    # leading-order Erf(z) ~ 2z/sqrt(pi): ratio collapses to ln(u/v)
-    assert log_erf_ratio(1e-4, 5e-5) == pytest.approx(math.log(2.0), abs=1e-8)
-
-
 def test_log_erf_ratio_huge_args_mpmath_oracle():
     ref = float(mp.log(mp.erf(10) / mp.erf(20)))
-    assert log_erf_ratio(10.0, 20.0) == pytest.approx(ref, abs=1e-13)
-
-
-def test_log_erf_ratio_domain():
-    with pytest.raises(ValueError):
-        log_erf_ratio(0.0, 1.0)
-    with pytest.raises(ValueError):
-        log_erf_ratio(1.0, -2.0)
-
-
-@given(
-    st.floats(min_value=1e-3, max_value=30.0),
-    st.floats(min_value=1e-3, max_value=30.0),
-    st.floats(min_value=1e-3, max_value=30.0),
-)
-@settings(deadline=None, max_examples=60)
-def test_log_erf_ratio_cocycle(u, v, w):
-    lhs = log_erf_ratio(u, v) + log_erf_ratio(v, w)
-    assert lhs == pytest.approx(log_erf_ratio(u, w), abs=1e-12)
+    assert log_erf(10.0) - log_erf(20.0) == pytest.approx(ref, abs=1e-13)
 
 
 def _log_erf_both_branches(x):
@@ -95,12 +54,12 @@ def _log_erf_over_sqrt_both_branches(w):
     """The series/direct formula of _log_erf_over_sqrt, both over the whole array."""
     w = np.asarray(w, dtype=float)
     small = w < 0.25
-    x = -np.where(small, w, 0.0)
-    # Horner's rule over a_k = 1/(k! (2k+1)), k = 17 down to 1
-    acc = np.full_like(x, 1.0 / (math.factorial(17) * 35))
-    for k in range(16, 0, -1):
-        acc = acc * x + 1.0 / (math.factorial(k) * (2 * k + 1))
-    series = np.log1p(acc * x)
+    x = np.where(small, w, 0.0)
+    # Horner's rule over l_k, k = 18 down to 1
+    acc = np.full_like(x, _ELL[17])
+    for k in range(17, 0, -1):
+        acc = acc * x + _ELL[k - 1]
+    series = acc * x
     wl = np.where(small, 1.0, w)
     direct = np.log1p(-sc.erfc(np.sqrt(wl))) - 0.5 * np.log(wl) - math.log(2.0 / math.sqrt(math.pi))
     return np.where(small, series, direct)
@@ -321,3 +280,47 @@ def test_bernoulli_domain():
         bernoulli(-1)
     with pytest.raises(ValueError):
         bernoulli(1000)
+
+
+def mp_log_erf_series(w):
+    """L(W) - L(0) = ln(Erf(sqrt W) sqrt(pi) / (2 sqrt W)) = ln 1F1(1/2; 3/2; -W)."""
+    return mp.log(mp.hyp1f1(0.5, 1.5, -w))
+
+
+def test_log_erf_series_table_mpmath():
+    mp.mp.dps = 40
+    taylor = mp.taylor(mp_log_erf_series, 0, _K + 1)
+    assert len(_ELL) == _K
+    for k in range(1, _K + 1):
+        assert _ELL[k - 1] == pytest.approx(float(taylor[k]), rel=1e-14, abs=0.0)
+
+
+def test_log_erf_series_cauchy_constant():
+    # the series converges for |W| < |z0|^2, z0 Erf's first complex zero
+    mp.mp.dps = 20
+    z0 = mp.findroot(mp.erf, mp.mpc(1.45, 1.88))
+    assert abs(mp.erf(z0)) < 1e-15 and _ELL_R < abs(z0) ** 2 - 1.0
+    # max |L - L(0)| on |W| = _ELL_R; the principal log is the analytic
+    # branch there (no jump of 2 pi between neighbouring points)
+    values = [mp_log_erf_series(_ELL_R * mp.expj(2 * mp.pi * i / 2000)) for i in range(2001)]
+    assert max(abs(b - a) for a, b in zip(values, values[1:])) < 0.1
+    assert max(abs(v) for v in values) * 1.02 <= _ELL_M
+
+
+def test_series_remainder_bounds_the_omitted_terms():
+    # W + u up to 1.07 W0: past n1, W_n <= W0 and u_n <= W_n / 16
+    mp.mp.dps = 80
+    taylor = mp.taylor(mp_log_erf_series, 0, _K + 1)
+    w_max = 1.07 * _W0
+    for w in np.linspace(0.0, w_max, 12):
+        for u in (1e-12, 1e-6 * w, w / 16.0, w_max - w):
+            if u <= 0.0 or w + u > w_max:
+                continue
+            wm, um = mp.mpf(w), mp.mpf(u)
+            bound = _series_remainder(w, u)
+            assert abs(taylor[_K + 1] * ((wm + um) ** (_K + 1) - wm ** (_K + 1))) <= bound
+            if w >= _W0 / 8:
+                # the whole remainder, where 80 digits resolve it
+                exact = mp_log_erf_series(wm + um) - mp_log_erf_series(wm)
+                head = mp.fsum(taylor[k] * ((wm + um) ** k - wm**k) for k in range(1, _K + 1))
+                assert abs(exact - head) <= bound

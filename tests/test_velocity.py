@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diffpath import velocity
 from diffpath.paths import ModelParams
 from diffpath.special import one_minus_zed
 from diffpath.velocity import (
@@ -25,6 +26,7 @@ from diffpath.velocity import (
 )
 
 FIG2 = ModelParams(m=1.0, hbar=1.0, T=1.0, alpha=2.1, A=10.0)
+EPS = np.finfo(float).eps
 
 
 def brute_s_feynman(tau, t0, n):
@@ -66,6 +68,34 @@ def test_s_feynman_exact_closed_value():
     for tau in (0.001, 0.05, 0.25, 0.9):
         sv = s_feynman(tau, 0.0, 1e-10)
         assert sv.value == pytest.approx(math.pi**2 / 2.0 * tau * (1.0 - tau), abs=2e-10)
+
+
+def test_s_feynman_small_tau_tight_tol_converges():
+    # cos(j pi tau)/j^2 tails near theta = 0 take the closed-form Fourier integral
+    tau = 1e-3
+    sv = s_feynman(tau, 0.3, 1e-12)
+    assert sv.converged
+    assert abs(sv.value - math.pi**2 / 2.0 * tau * (1.0 - tau)) <= 1e-15
+
+
+def test_s_feynman_needs_no_quadpack(monkeypatch):
+    import scipy.integrate
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("s_feynman called QUADPACK")
+
+    monkeypatch.setattr(scipy.integrate, "quad", refuse)
+    sv = s_feynman(1e-3, 0.3, 1e-12)
+    assert sv.converged
+
+
+def test_cos_over_t2_integral_against_mpmath():
+    # int_a^inf cos(theta t) / t^2 dt; mpmath's oscillatory quadrature is the oracle
+    for a, theta in [(4.5, 2.0), (16384.5, 2.0 * math.pi * 1e-3), (1e6 + 0.5, 1e-4), (65536.5, 1e-6)]:
+        with mp.workdps(30):
+            ref = mp.quadosc(lambda t: mp.cos(theta * t) / t**2, [a, mp.inf], omega=theta)
+        got = velocity._cos_over_t2_integral(a, theta)
+        assert abs(got - float(ref)) <= 4.0 * EPS * (1.0 / a + theta), (a, theta)
 
 
 def test_s_feynman_t0_independence():
