@@ -225,7 +225,7 @@ def cmd_casimir(args) -> tuple[str, bool]:
 
 def cmd_oracle(args) -> tuple[str, bool]:
     params = _params_from_args(args)
-    est = mc_mod.estimate_v2(params, args.eps, args.t0, args.modes, args.samples, args.seed)
+    est = mc_mod.estimate_v2(params, args.eps, N_modes=args.modes, n_samples=args.samples, seed=args.seed)
     analytic = vel_mod.v2_diff(args.eps, params, args.tol)
     rows = [
         (est.quantity, est.mean, est.stderr, est.n_samples, est.seed),
@@ -286,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="Monte-Carlo vs analytic <v^2>")
     _add_param_flags(p)
     p.add_argument("--eps", type=float, default=0.05)
-    p.add_argument("--t0", type=float, default=0.0)
     p.add_argument("--modes", type=int, default=1000)
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)

@@ -19,6 +19,7 @@ import numpy as np
 
 from .paths import ModelParams
 from .special import hurwitz_zeta, truncated_gaussian_ratio
+from .velocity import _check_eps, _v2_prefactor
 
 __all__ = [
     "McEstimate",
@@ -135,7 +136,7 @@ def _omitted_mode_bound(params: ModelParams, eps: float, N_modes: int) -> float:
 
     in Hurwitz zetas.  For alpha <= 1 the free sum alone bounds it.
     """
-    pref = (2.0 * params.hbar / (params.m * params.T)) * (params.T / (math.pi * eps)) ** 2
+    pref = _v2_prefactor(eps, params)
     free = 4.0 * pref * hurwitz_zeta(2.0, N_modes + 1.0)
     if params.alpha <= 1.0:
         return free
@@ -162,8 +163,7 @@ def estimate_v2(
     closed form (reported in ``truncation_bias_bound``, warned about if it
     rivals the stderr — never silent).
     """
-    if not 0.0 < eps < params.T:
-        raise ValueError("eps must lie in (0, T)")
+    _check_eps(eps, params)
     _check_sizes(N_modes, n_samples)
     streams = _mode_streams(seed, N_modes)
     v = np.zeros(n_samples)

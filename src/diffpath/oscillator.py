@@ -374,37 +374,27 @@ def unitarity_diagnostic(
     t_grid = sorted(float(t) for t in t_grid)
     if not t_grid:
         raise ValueError("grid must be nonempty")
-    eps_d = [replace(params, T=t).eps_d if params.alpha > 1 else 0.0 for t in t_grid]
+    below = [params.alpha > 1 and t < replace(params, T=t).eps_d for t in t_grid]
     pis = [log_pi(t, params, tol, n_terms) for t in t_grid]
     dws = [p.log_pi / t for p, t in zip(pis, t_grid)]
+    # each T's relative deviation from its sub-grid mean; ln Pi >= 0, so a
+    # mean of 0 means every value is 0 and every deviation is 0
+    dev = [0.0] * len(t_grid)
 
-    def stats(idx):
-        vals = [dws[i] for i in idx]
-        if not vals:
-            return None, None
-        mean = sum(vals) / len(vals)
-        if mean == 0.0:
-            return mean, 0.0
-        return mean, max(abs(v - mean) / abs(mean) for v in vals)
+    def sub_grid(sub):
+        idx = [i for i, b in enumerate(below) if b == sub]
+        mean = sum(dws[i] for i in idx) / len(idx) if idx else None
+        for i in idx:
+            dev[i] = 0.0 if dws[i] == mean else abs(dws[i] - mean) / abs(mean)
+        return mean, max((dev[i] for i in idx), default=None)
 
-    above = [i for i, t in enumerate(t_grid) if t >= eps_d[i]]
-    below = [i for i, t in enumerate(t_grid) if t < eps_d[i]]
-    mean_above, dev_above = stats(above)
-    mean_below, dev_below = stats(below)
-    verdicts = []
-    for i, t in enumerate(t_grid):
-        if i in below:
-            verdicts.append("sub-epsilon-D")
-        elif mean_above and abs(dws[i] - mean_above) / abs(mean_above) <= threshold:
-            verdicts.append("unitary-compatible")
-        else:
-            verdicts.append("non-exponential")
-    if dev_above is None:
-        verdict = "sub-epsilon-D"
-    elif dev_above <= threshold:
-        verdict = "unitary-compatible"
-    else:
-        verdict = "non-exponential"
+    mean_above, dev_above = sub_grid(False)
+    mean_below, dev_below = sub_grid(True)
+
+    def verdict(d):
+        return "unitary-compatible" if d <= threshold else "non-exponential"
+
+    verdicts = ["sub-epsilon-D" if b else verdict(d) for b, d in zip(below, dev)]
     return UnitarityReport(
         t_grid=tuple(t_grid),
         delta_omega=tuple(dws),
@@ -413,7 +403,7 @@ def unitarity_diagnostic(
         sub_eps_mean=mean_below,
         sub_eps_max_rel_deviation=dev_below,
         verdicts=tuple(verdicts),
-        verdict=verdict,
+        verdict="sub-epsilon-D" if dev_above is None else verdict(dev_above),
         converged=all(p.converged for p in pis),
     )
 

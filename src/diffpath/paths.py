@@ -19,13 +19,11 @@ import scipy.special as sc
 __all__ = [
     "ModelParams",
     "FourierPath",
-    "ScaleRelations",
     "eval_path",
     "eval_velocity",
     "sup_bounds",
     "sample_brownian",
     "differentiable_twin",
-    "scale_relations",
     "RNG_ALGORITHM",
 ]
 
@@ -210,18 +208,4 @@ def differentiable_twin(p: FourierPath, params: ModelParams) -> dict:
     clamped = np.sign(p.coeffs) * np.minimum(np.abs(p.coeffs), cap)
     coeffs = np.where(j <= j_d, p.coeffs, clamped)
     return {"twin": FourierPath(T=p.T, coeffs=coeffs), "j_D": j_d}
-
-
-@dataclass(frozen=True)
-class ScaleRelations:
-    epsilon_D: float
-    A_of_T: float
-    j_D: int
-
-
-def scale_relations(params: ModelParams) -> ScaleRelations:
-    """epsilon_D, A(T) and j_D; the A <-> epsilon_D round trip is exact."""
-    if params.alpha <= 1:
-        raise ValueError("scale relations require alpha > 1")
-    return ScaleRelations(epsilon_D=params.eps_d, A_of_T=params.amplitude, j_D=params.j_d)
 

@@ -51,7 +51,7 @@ from typing import Iterable, Optional
 import numpy as np
 import scipy.special as sc
 
-from .paths import ModelParams, scale_relations
+from .paths import ModelParams
 from .special import ZETA2, ConvergenceError, SeriesValue, block_sum, certify, one_minus_zed, tol_budget
 
 __all__ = [
@@ -80,13 +80,17 @@ class RegimeReport:
     v2_uv = (pi A / T) sqrt(hbar / m T) is the scale of the UV plateau, not
     its value (see uv_plateau_scale); c_coeff the low-resolution correction
     coefficient C = (4/pi^3)(1/A)(hbar T/m)^{3/2}; epsilon_D separates the
-    regimes; p_uv = m sqrt(v2_uv).
+    regimes; p_uv = m sqrt(v2_uv).  beta = (2/pi)^2 / p_uv^2 is the
+    coefficient of the modified commutator [x, p] = hbar (1 - beta p^2),
+    valid below p_D = sqrt(hbar m / epsilon_D).
     """
 
     v2_uv: float
     c_coeff: float
     epsilon_D: float
     p_uv: float
+    beta: float
+    p_D: float
 
 
 def _cosine_components(tau: float, t0_frac: float):
@@ -351,21 +355,25 @@ class FractalRegimeError(ValueError):
 
 
 def regime_report(params: ModelParams) -> RegimeReport:
-    """UV plateau scale, low-resolution correction coefficient, and scales.
+    """UV plateau scale, low-resolution correction coefficient, scales and
+    the GUP coefficient beta with its validity boundary p_D.
 
     Requires alpha > 2 (bounded velocity); the identity
-    v2_uv * c_coeff = (4/pi^2)(hbar/m)^2 holds with A cancelling.
+    v2_uv * c_coeff = (4/pi^2)(hbar/m)^2 holds with A cancelling, so beta
+    equals c_coeff / hbar^2 (same algebra, two routes).
     """
     if params.alpha <= 2:
         raise FractalRegimeError("velocity is not bounded for alpha <= 2")
-    a = params.amplitude
-    v2_uv = (math.pi * a / params.T) * math.sqrt(params.hbar / (params.m * params.T))
-    c_coeff = (4.0 / math.pi**3) / a * (params.hbar * params.T / params.m) ** 1.5
+    v2_uv = uv_plateau_scale(params)
+    eps_d = params.eps_d
+    p_uv = params.m * math.sqrt(v2_uv)
     return RegimeReport(
         v2_uv=v2_uv,
-        c_coeff=c_coeff,
-        epsilon_D=scale_relations(params).epsilon_D,
-        p_uv=params.m * math.sqrt(v2_uv),
+        c_coeff=(4.0 / math.pi**3) / params.amplitude * (params.hbar * params.T / params.m) ** 1.5,
+        epsilon_D=eps_d,
+        p_uv=p_uv,
+        beta=(2.0 / math.pi) ** 2 / p_uv**2,
+        p_D=math.sqrt(params.hbar * params.m / eps_d),
     )
 
 

@@ -221,12 +221,14 @@ def test_casimir_rejects_small_cutoff(capsys):
 
 
 def test_import_leaves_scipy_integrate_unloaded():
-    # scipy.integrate is imported by the functions that call quad, not at start-up
+    # scipy.integrate is imported by the functions that call quad, not at
+    # start-up; of the heavy modules, start-up loads scipy.special alone
+    heavy = ["scipy.integrate", "scipy.stats", "scipy.optimize", "scipy.linalg", "mpmath", "hypothesis"]
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, diffpath.cli; print('scipy.integrate' in sys.modules)"
+    code = f"import sys, diffpath.cli; print([m for m in {heavy!r} if m in sys.modules])"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_oracle(capsys):
@@ -240,6 +242,15 @@ def test_oracle(capsys):
     analytic = float(lines[1].split(",")[1])
     stderr = float(lines[0].split(",")[2])
     assert abs(mc - analytic) < 4.0 * stderr
+
+
+def test_oracle_rejects_t0(capsys):
+    # the analytic <v^2> is the t0 = 0 value, so a Monte-Carlo v2 at another
+    # t0 would be compared with a different quantity
+    code = main(["oracle", "--A", "10", "--eps", "0.05", "--modes", "20", "--samples", "20",
+                 "--seed", "1", "--t0", "0.3"])
+    assert code == EXIT_USAGE
+    assert "--t0" in capsys.readouterr().err
 
 
 def test_out_file(tmp_path, capsys):
@@ -333,7 +344,7 @@ _PATHS_KEYS = f"{_FLAGS} export grid_points hbar m modes seed subcommand rng j_D
         pytest.param(
             ["oracle", "--A", "10", "--eps", "0.05", "--modes", "200", "--samples", "200",
              "--seed", "7"],
-            f"rng {_FLAGS} eps hbar m modes samples seed subcommand t0 tol",
+            f"rng {_FLAGS} eps hbar m modes samples seed subcommand tol",
             "quantity,mean,stderr,n_samples,seed", 2, id="oracle",
         ),
         pytest.param(

@@ -1,14 +1,10 @@
-"""Commutator identities, regimes, and the GUP coefficient."""
+"""Commutator identities, regimes, and the GUP coefficient of the regime report."""
 
 import math
 
 import pytest
 
-from diffpath.commutator import (
-    commutator_expectation,
-    gup_coefficient,
-    momentum_squared,
-)
+from diffpath.commutator import commutator_expectation, momentum_squared
 from diffpath.paths import ModelParams
 from diffpath.velocity import regime_report, v2_diff, v2_feynman
 
@@ -71,31 +67,19 @@ def test_momentum_squared_conversion():
 
 def test_gup_coefficient_identity():
     params = ModelParams(alpha=3.0, A=10.0)
-    g = gup_coefficient(params)
     rep = regime_report(params)
     # beta = (2/pi)^2 / p_uv^2 must equal C / hbar^2 (two formula routes)
-    assert g["beta"] == pytest.approx(rep.c_coeff / params.hbar**2, rel=1e-12)
-    assert g["beta"] == pytest.approx((2.0 / math.pi) ** 2 / (params.m**2 * 10.0 * math.pi), rel=1e-12)
-    assert g["p_D"] == pytest.approx(math.sqrt(params.hbar * params.m / params.eps_d), rel=1e-12)
+    assert rep.beta == pytest.approx(rep.c_coeff / params.hbar**2, rel=1e-12)
+    assert rep.beta == pytest.approx((2.0 / math.pi) ** 2 / (params.m**2 * 10.0 * math.pi), rel=1e-12)
+    assert rep.p_D == pytest.approx(math.sqrt(params.hbar * params.m / params.eps_d), rel=1e-12)
+    fig2 = regime_report(FIG2)
+    assert fig2.beta > 0 and fig2.p_D > 0
 
 
 def test_gup_beta_vanishes_with_amplitude():
-    b_small = gup_coefficient(ModelParams(alpha=3.0, A=10.0))["beta"]
-    b_large = gup_coefficient(ModelParams(alpha=3.0, A=1e9))["beta"]
+    b_small = regime_report(ModelParams(alpha=3.0, A=10.0)).beta
+    b_large = regime_report(ModelParams(alpha=3.0, A=1e9)).beta
     assert 0.0 < b_large < b_small
-
-
-def test_gup_requires_bounded_velocity():
-    with pytest.raises(ValueError):
-        gup_coefficient(ModelParams(alpha=2.0, A=10.0))
-
-
-def test_report_fields_optional_below_alpha_two():
-    fractal = ModelParams(alpha=1.8, A=10.0)
-    rep = commutator_expectation(0.05, fractal, "differentiable")
-    assert rep.beta is None and rep.p_D is None
-    rep3 = commutator_expectation(0.05, FIG2, "differentiable")
-    assert rep3.beta > 0 and rep3.p_D > 0
 
 
 def test_domain_errors():

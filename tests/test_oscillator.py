@@ -344,6 +344,15 @@ def test_unitarity_eps_d_per_grid_t():
     assert rep.verdict == "non-exponential" and rep.max_rel_deviation > 0.1
 
 
+def test_unitarity_zero_omega_every_row_compatible():
+    # omega = 0: ln Pi = 0 at every T, so every deviation from the mean 0 is 0
+    rep = unitarity_diagnostic([0.5, 1.0, 2.0], ModelParams(epsilon_D=0.1, omega=0.0))
+    assert rep.delta_omega == (0.0, 0.0, 0.0)
+    assert rep.max_rel_deviation == 0.0
+    assert rep.verdicts == ("unitary-compatible",) * 3
+    assert rep.verdict == "unitary-compatible"
+
+
 def test_unitarity_single_point_and_empty():
     rep = unitarity_diagnostic([1.0], FIG4, tol=1e-4)
     assert rep.max_rel_deviation == 0.0

@@ -16,7 +16,6 @@ from diffpath.paths import (
     eval_path,
     eval_velocity,
     sample_brownian,
-    scale_relations,
     sup_bounds,
 )
 
@@ -142,34 +141,38 @@ def test_mode_w_is_the_per_mode_number():
 
 
 def test_scale_relations_fig2_value():
-    rel = scale_relations(ModelParams(alpha=2.1, A=10.0, T=1.0, m=1.0, hbar=1.0))
+    params = ModelParams(alpha=2.1, A=10.0, T=1.0, m=1.0, hbar=1.0)
     # 50-digit solve of (T/eps)^(alpha-1) = A/sigma
     mp.mp.dps = 50
     ref = float(mp.mpf(10) ** (-1 / mp.mpf("1.1")))
-    assert rel.epsilon_D == pytest.approx(ref, rel=1e-12)
+    assert params.eps_d == pytest.approx(ref, rel=1e-12)
 
 
 def test_scale_relations_inverse_direction():
-    rel = scale_relations(ModelParams(alpha=2.1, epsilon_D=0.1, T=1.0, m=1.0, hbar=1.0))
-    assert rel.A_of_T == pytest.approx(10.0 ** 1.1, rel=1e-12)
-    assert rel.A_of_T == pytest.approx(12.589, rel=1e-3)
+    params = ModelParams(alpha=2.1, epsilon_D=0.1, T=1.0, m=1.0, hbar=1.0)
+    assert params.amplitude == pytest.approx(10.0 ** 1.1, rel=1e-12)
+    assert params.amplitude == pytest.approx(12.589, rel=1e-3)
 
 
 @given(st.floats(min_value=0.5, max_value=1e6))
 @settings(deadline=None, max_examples=60)
 def test_scale_relations_round_trip(a):
-    params = ModelParams(alpha=2.1, A=a)
-    eps_d = scale_relations(params).epsilon_D
-    back = scale_relations(ModelParams(alpha=2.1, epsilon_D=eps_d)).A_of_T
+    eps_d = ModelParams(alpha=2.1, A=a).eps_d
+    back = ModelParams(alpha=2.1, epsilon_D=eps_d).amplitude
     assert abs(back - a) / a <= 1e-12
 
 
 def test_scale_relations_feynman_limit():
-    a1 = scale_relations(ModelParams(alpha=2.1, epsilon_D=1e-3)).A_of_T
-    a2 = scale_relations(ModelParams(alpha=2.1, epsilon_D=1e-6)).A_of_T
+    a1 = ModelParams(alpha=2.1, epsilon_D=1e-3).amplitude
+    a2 = ModelParams(alpha=2.1, epsilon_D=1e-6).amplitude
     assert a2 > a1 > 0
 
 
 def test_scale_relations_alpha_domain():
+    params = ModelParams(alpha=1.0, A=10.0)
     with pytest.raises(ValueError):
-        scale_relations(ModelParams(alpha=1.0, A=10.0))
+        params.eps_d
+    with pytest.raises(ValueError):
+        params.j_d
+    with pytest.raises(ValueError):
+        ModelParams(alpha=1.0, epsilon_D=0.1).amplitude
