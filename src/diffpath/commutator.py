@@ -1,11 +1,11 @@
 """Scale-dependent canonical commutator.
 
 At resolution eps the equal-time commutator expectation is
-<[x, p]> = m eps <v^2>(eps): exactly hbar for the free measure (to leading
-order in eps), but vanishing linearly in eps deep below epsilon_D for the
-restricted one.  Recasting the small correction in canonical language
-gives [x, p] = hbar (1 - beta p^2), valid for p below p_D; beta and p_D
-are per-parameter constants and live on ``velocity.regime_report``.
+<[x, p]> = m eps <v^2>(eps): exactly hbar (1 - eps/T) for the free measure,
+but vanishing linearly in eps deep below epsilon_D for the restricted one.
+Recasting the small correction in canonical language gives
+[x, p] = hbar (1 - beta p^2), valid for p below p_D; beta and p_D are
+per-parameter constants and live on ``velocity.regime_report``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from .velocity import v2_diff, v2_feynman
 __all__ = [
     "CommutatorReport",
     "commutator_expectation",
-    "momentum_squared",
 ]
 
 
@@ -46,8 +45,3 @@ def commutator_expectation(
         regime = "super_eps_D"
     return CommutatorReport(eps=eps, value=value, regime=regime)
 
-
-def momentum_squared(eps: float, params: ModelParams, model: str = "differentiable") -> float:
-    """Heuristic identification <p^2> = m^2 <v^2>(eps), kept as its own step."""
-    v2 = v2_feynman(eps, params) if model == "feynman" else v2_diff(eps, params)
-    return params.m**2 * v2

@@ -53,11 +53,9 @@ from .special import (
 __all__ = [
     "PiResult",
     "SpectrumShift",
-    "PartitionFunctions",
     "UnitarityReport",
     "log_pi",
     "spectrum_shift",
-    "partition_functions",
     "unitarity_diagnostic",
     "scan_E0_vs_omega",
 ]
@@ -93,15 +91,6 @@ class SpectrumShift:
     energy: float  # E^D_n = hbar omega (n + 1/2) - hbar delta_omega
     e0: float  # ground state
     spacing: float  # hbar omega, unchanged by the shift
-    converged: bool  # ln Pi met its tolerance
-
-
-@dataclass(frozen=True)
-class PartitionFunctions:
-    z_f: float
-    z_d: float
-    log_z_f: float
-    log_z_d: float
     converged: bool  # ln Pi met its tolerance
 
 
@@ -322,25 +311,6 @@ def spectrum_shift(
     )
 
 
-def partition_functions(
-    T: float, params: ModelParams, tol: float = 1e-6, n_terms: Optional[int] = None
-) -> PartitionFunctions:
-    """Z_F and Z_D = Z_F Pi(T) in Euclidean time (beta = T / hbar)."""
-    if params.omega <= 0:
-        raise ValueError("partition function requires omega > 0")
-    wt = params.omega * T
-    log_z_f = -0.5 * wt - math.log1p(-math.exp(-wt))
-    pi = log_pi(T, params, tol, n_terms)
-    lp = pi.log_pi
-    return PartitionFunctions(
-        z_f=math.exp(log_z_f),
-        z_d=math.exp(log_z_f + lp),
-        log_z_f=log_z_f,
-        log_z_d=log_z_f + lp,
-        converged=pi.converged,
-    )
-
-
 @dataclass(frozen=True)
 class UnitarityReport:
     t_grid: tuple
@@ -366,6 +336,8 @@ def unitarity_diagnostic(
     Over T >= eps_D the shift Delta omega(T) should be constant; its max
     relative deviation from the sub-grid mean is the unitarity figure of
     merit, and ``verdict`` is unitary-compatible when it is <= threshold.
+    A deviation counts only past the error bounds: that of Delta omega(T),
+    u = tail_bound / T, and that of the mean, the sub-grid mean of u.
     Each T is compared with eps_D at that T, which moves with T when A is
     primary.  The sub-eps_D points are reported separately — there the
     product is far from exponential and the deviation is expected O(1).
@@ -377,16 +349,20 @@ def unitarity_diagnostic(
     below = [params.alpha > 1 and t < replace(params, T=t).eps_d for t in t_grid]
     pis = [log_pi(t, params, tol, n_terms) for t in t_grid]
     dws = [p.log_pi / t for p, t in zip(pis, t_grid)]
-    # each T's relative deviation from its sub-grid mean; ln Pi >= 0, so a
-    # mean of 0 means every value is 0 and every deviation is 0
+    us = [p.tail_bound / t for p, t in zip(pis, t_grid)]
+    # ln Pi >= 0, so a mean of 0 means every value is 0 and every deviation is 0
     dev = [0.0] * len(t_grid)
 
     def sub_grid(sub):
         idx = [i for i, b in enumerate(below) if b == sub]
-        mean = sum(dws[i] for i in idx) / len(idx) if idx else None
+        if not idx:
+            return None, None
+        mean = sum(dws[i] for i in idx) / len(idx)
+        u_mean = sum(us[i] for i in idx) / len(idx)
         for i in idx:
-            dev[i] = 0.0 if dws[i] == mean else abs(dws[i] - mean) / abs(mean)
-        return mean, max((dev[i] for i in idx), default=None)
+            excess = max(0.0, abs(dws[i] - mean) - us[i] - u_mean)
+            dev[i] = excess / abs(mean) if excess else 0.0
+        return mean, max(dev[i] for i in idx)
 
     mean_above, dev_above = sub_grid(False)
     mean_below, dev_below = sub_grid(True)

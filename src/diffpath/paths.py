@@ -1,4 +1,4 @@
-"""Fourier sine-series paths, the amplitude restriction, and scale relations.
+"""Fourier sine-series paths, the amplitude restriction, and the model parameters.
 
 Paths are deviations from the classical trajectory, x(t) = sum_n a_n
 sin(n pi t / T), so they vanish at both endpoints by construction.  The
@@ -14,14 +14,11 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-import scipy.special as sc
 
 __all__ = [
     "ModelParams",
     "FourierPath",
     "eval_path",
-    "eval_velocity",
-    "sup_bounds",
     "sample_brownian",
     "differentiable_twin",
     "RNG_ALGORITHM",
@@ -126,56 +123,20 @@ class FourierPath:
         if self.coeffs.ndim != 1 or self.coeffs.size < 1:
             raise ValueError("coeffs must be a non-empty 1-D vector")
 
-    def eval(self, t):
-        return eval_path(self, t)
-
-    def velocity(self, t):
-        return eval_velocity(self, t)
-
     def restriction_satisfied(self, A: float, alpha: float, rtol: float = 1e-12) -> bool:
         """Whether |a_n| <= A / n^alpha holds for every stored mode."""
         n = np.arange(1, self.coeffs.size + 1, dtype=float)
         return bool(np.all(np.abs(self.coeffs) <= A / n**alpha * (1.0 + rtol)))
 
 
-def _check_times(p: FourierPath, t) -> np.ndarray:
+def eval_path(p: FourierPath, t):
+    """x(t): exact finite sum over the stored coefficients."""
     t = np.asarray(t, dtype=float)
     if np.any(t < 0) or np.any(t > p.T):
         raise ValueError("t outside [0, T]")
-    return t
-
-
-def eval_path(p: FourierPath, t):
-    """x(t): exact finite sum over the stored coefficients."""
-    t = _check_times(p, t)
     n = np.arange(1, p.coeffs.size + 1, dtype=float)
     out = np.sin(np.multiply.outer(t, n) * (math.pi / p.T)) @ p.coeffs
     return float(out) if out.ndim == 0 else out
-
-
-def eval_velocity(p: FourierPath, t):
-    """dx/dt: termwise derivative of the sine series."""
-    t = _check_times(p, t)
-    n = np.arange(1, p.coeffs.size + 1, dtype=float)
-    out = np.cos(np.multiply.outer(t, n) * (math.pi / p.T)) @ (p.coeffs * n * math.pi / p.T)
-    return float(out) if out.ndim == 0 else out
-
-
-def sup_bounds(params: ModelParams) -> dict:
-    """Supremum bounds on |x(t)| and |v(t)| over the whole path space.
-
-    x is bounded by A zeta(alpha) iff alpha > 1; the velocity by
-    (pi A / T) zeta(alpha - 1) iff alpha > 2.
-    """
-    if params.alpha > 1:
-        x_bound = params.amplitude * float(sc.zeta(params.alpha))
-    else:
-        x_bound = math.inf
-    if params.alpha > 2:
-        v_bound = math.pi * params.amplitude / params.T * float(sc.zeta(params.alpha - 1.0))
-    else:
-        v_bound = math.inf
-    return {"x_bound": x_bound, "v_bound": v_bound}
 
 
 def sample_brownian(params: ModelParams, N: int, seed: int) -> FourierPath:

@@ -1,8 +1,8 @@
 """Numerically hardened special functions shared by every other module.
 
 Everything here is pure and deterministic: ln Erf; one kernel,
-l(W) = ln(sqrt(pi) Erf(sqrt W) / (2 sqrt W)), from which the
-truncated-Gaussian moment factor Z(W) = exp(-W - l), 1 - Z and the
+l(W) = ln(sqrt(pi) Erf(sqrt W) / (2 sqrt W)), from which 1 - Z, with
+Z(W) = exp(-W - l) the truncated-Gaussian moment factor, and the
 brackets of ln Pi(T) (differences of l) are taken, and the Taylor
 coefficients l_k that both the kernel and the tail of ln Pi sum, with a
 bound on the truncated series; exact Bernoulli numbers;
@@ -26,7 +26,6 @@ __all__ = [
     "SeriesValue",
     "ConvergenceError",
     "log_erf",
-    "zed",
     "one_minus_zed",
     "truncated_gaussian_ratio",
     "hurwitz_zeta",
@@ -184,17 +183,6 @@ def _log_erf_over_sqrt(w):
     out[small] = acc
     wl = w[large]
     out[large] = np.log1p(-sc.erfc(np.sqrt(wl))) - 0.5 * np.log(wl) - _LOG_2_OVER_SQRT_PI
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
-def zed(w):
-    """Z(W) = (2/sqrt(pi)) sqrt(W) e^{-W} / Erf(sqrt(W)) = exp(-W - l(W)) for W > 0."""
-    w_arr = np.asarray(w, dtype=float)
-    if np.any(w_arr <= 0):
-        raise ValueError("zed requires W > 0")
-    out = np.exp(-w_arr - _log_erf_over_sqrt(w_arr))
     if out.ndim == 0:
         return float(out)
     return out

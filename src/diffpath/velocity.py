@@ -196,7 +196,7 @@ def _head_terms(tau: float, params: ModelParams, j: np.ndarray) -> tuple[np.ndar
 
 
 def _zed_scalar(w: float) -> float:
-    """Z(W) for one float, ~100x cheaper than special.zed on a 0-d array.
+    """Z(W) = (2/sqrt(pi)) sqrt(W) e^{-W} / Erf(sqrt W) for one float, by math, not numpy.
 
     QUADPACK calls it a few hundred times per integral, W = 0 (Z = 1) included.
     """

@@ -143,6 +143,17 @@ def test_unitarity_with_no_grid_point_above_eps_d(capsys):
     assert [row["verdict"] for row in payload["rows"]] == ["sub-epsilon-D"] * 3
 
 
+def test_unitarity_ignores_deviations_within_tail_bounds(capsys):
+    # ln Pi is about 0 here and each value lies within its tail bound
+    # (about tol = 1e-4) of it, so the spread of delta_omega is no deviation
+    code, out = run(capsys, ["unitarity", "--A", "1e12", "--alpha", "3", "--omega", "1", "--points", "3"])
+    assert code == EXIT_OK
+    payload = strict_json(out)
+    assert payload["verdict"] == "unitary-compatible"
+    assert payload["max_rel_deviation"] == 0.0
+    assert [row["verdict"] for row in payload["rows"]] == ["unitary-compatible"] * 3
+
+
 def test_json_output_refuses_nan(capsys, monkeypatch):
     from diffpath import oscillator
 

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from diffpath.commutator import commutator_expectation, momentum_squared
+from diffpath.commutator import commutator_expectation
 from diffpath.paths import ModelParams
 from diffpath.velocity import regime_report, v2_diff, v2_feynman
 
@@ -56,13 +56,6 @@ def test_differentiable_below_feynman():
         d = commutator_expectation(eps, FIG2, "differentiable").value
         f = commutator_expectation(eps, FIG2, "feynman").value
         assert d <= f + 1e-12
-
-
-def test_momentum_squared_conversion():
-    eps = 0.05
-    assert momentum_squared(eps, FIG2, "differentiable") == pytest.approx(
-        FIG2.m**2 * v2_diff(eps, FIG2), rel=1e-12
-    )
 
 
 def test_gup_coefficient_identity():

@@ -1,4 +1,4 @@
-"""Path representation, restriction, sampling, twin, and scale relations."""
+"""Path representation, restriction, sampling, twin, and the derived scales of ModelParams."""
 
 import math
 
@@ -14,9 +14,7 @@ from diffpath.paths import (
     ModelParams,
     differentiable_twin,
     eval_path,
-    eval_velocity,
     sample_brownian,
-    sup_bounds,
 )
 
 
@@ -36,7 +34,6 @@ def test_single_mode_path_values():
     assert eval_path(p, 0.0) == 0.0
     assert eval_path(p, 1.0) == pytest.approx(0.0, abs=1e-15)
     assert eval_path(p, 0.5) == pytest.approx(1.0, abs=1e-15)
-    assert eval_velocity(p, 0.0) == pytest.approx(math.pi, abs=1e-15)
 
 
 def test_eval_domain_error():
@@ -44,17 +41,7 @@ def test_eval_domain_error():
     with pytest.raises(ValueError):
         eval_path(p, -0.1)
     with pytest.raises(ValueError):
-        eval_velocity(p, 1.5)
-
-
-def test_sup_bounds():
-    b = sup_bounds(ModelParams(alpha=1.5, A=1.0))
-    assert b["x_bound"] == pytest.approx(float(zeta(1.5)), rel=1e-12)
-    assert b["v_bound"] == math.inf
-    b = sup_bounds(ModelParams(alpha=3.0, A=1.0, T=1.0))
-    assert b["v_bound"] == pytest.approx(math.pi**3 / 6.0, rel=1e-12)
-    b = sup_bounds(ModelParams(alpha=1.0, A=1.0))
-    assert b["x_bound"] == math.inf and b["v_bound"] == math.inf
+        eval_path(p, 1.5)
 
 
 def test_sample_brownian_bounds_and_determinism():

@@ -27,7 +27,6 @@ from diffpath.special import (
     one_minus_zed,
     tol_budget,
     truncated_gaussian_ratio,
-    zed,
 )
 
 mp.mp.dps = 50
@@ -133,12 +132,6 @@ def test_truncated_gaussian_ratio_flat_limit_relative():
     assert abs(truncated_gaussian_ratio(1.0, 1e-160) - 1e-320 / 3.0) <= math.ulp(0.0)
 
 
-def test_zed_large_w_asymptote():
-    w = 50.0
-    expected = 2.0 / math.sqrt(math.pi) * math.sqrt(w) * math.exp(-w)
-    assert zed(w) == pytest.approx(expected, abs=1e-15)
-
-
 def test_zed_small_w_branch():
     assert one_minus_zed(1e-6) == pytest.approx(2.0 / 3.0 * 1e-6, rel=1e-2)
 
@@ -147,23 +140,21 @@ def test_zed_at_one_quadrature_oracle():
     # 1 - Z(1) is the normalized second moment of e^{-x^2} on |x| <= 1 times 2
     num, _ = quad(lambda x: x * x * math.exp(-x * x), -1, 1)
     den, _ = quad(lambda x: math.exp(-x * x), -1, 1)
-    assert 1.0 - zed(1.0) == pytest.approx(2.0 * num / den, abs=1e-10)
-    assert zed(1.0) == pytest.approx(0.4926, abs=1e-3)
+    assert one_minus_zed(1.0) == pytest.approx(2.0 * num / den, abs=1e-10)
+    assert one_minus_zed(1.0) == pytest.approx(1.0 - 0.4926, abs=1e-3)
 
 
 @given(st.floats(min_value=1e-8, max_value=700.0))
 @settings(deadline=None, max_examples=100)
 def test_zed_range(w):
-    z = zed(w)
-    assert 0.0 < z < 1.0
-    # strict upper inequality only up to rounding: 1 - Z(700) is 1.0 in doubles
+    # 0 < Z < 1; the strict upper inequality on 1 - Z holds only up to
+    # rounding: 1 - Z(700) is 1.0 in doubles
     assert 0.0 < one_minus_zed(w) <= 1.0
 
 
 def test_zed_monotone_decreasing_past_maximum():
     ws = np.linspace(0.6, 20.0, 50)
-    zs = zed(ws)
-    assert np.all(np.diff(zs) < 0)
+    assert np.all(np.diff(one_minus_zed(ws)) > 0)
 
 
 def test_truncated_gaussian_ratio_limits():
