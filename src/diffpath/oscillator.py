@@ -23,8 +23,9 @@ what the direct product needs millions for.
 The exact N-mode product (``n_terms=N``) is summed directly only up to
 n1, where W_n has fallen to 1/4 and n >= 4 omega T / pi; above n1 the
 power series of the free factor and of L in W_n and W_n x_n turn the rest
-into one vector of Hurwitz zeta differences, with a rigorous bound on the
-truncated series.
+into Hurwitz zeta differences, with a rigorous bound on the truncated
+series.  Only the terms whose a-priori bound is non-negligible next to the
+head sum are evaluated; the bounds of the rest join the tail bound.
 The uniform level shift is Delta omega = ln Pi(T) / T (Euclidean), so
 E^D_n = hbar omega (n + 1/2) - hbar Delta omega with unchanged spacing.
 """
@@ -72,6 +73,8 @@ _PAIR_K, _PAIR_J = np.array([(k, j) for k in range(1, _K + 1) for j in range(k)]
 _PAIR_COEF = np.array([_ELL[k - 1] * math.comb(k, j) for k, j in zip(_PAIR_K, _PAIR_J)])
 # zeta values below this are taken from their integral-test bracket
 _ZETA_MIN = 1e-290
+# a tail term whose a-priori bound is below this times the head sum is not evaluated
+_TAIL_DROP = 2.0**-60
 
 
 @dataclass(frozen=True)
@@ -112,8 +115,8 @@ def _log_sinh_over_x(x: float) -> float:
     return x + math.log1p(-math.exp(-2.0 * x)) - math.log(2.0 * x)
 
 
-def _scaled_zeta(s: np.ndarray, q: float, m: float) -> tuple[np.ndarray, np.ndarray]:
-    """m^s zeta(s, q) for q > m >= 1, and a bound on its error.
+def _scaled_zeta(s: np.ndarray, q: float | np.ndarray, m: float) -> tuple[np.ndarray, np.ndarray]:
+    """m^s zeta(s, q) for q > m >= 1 (q a float or an array like s), and a bound on its error.
 
     zeta(s, q) underflows long before m^s zeta(s, q) is negligible, so a
     zeta below _ZETA_MIN is replaced by the midpoint of its integral-test
@@ -124,7 +127,7 @@ def _scaled_zeta(s: np.ndarray, q: float, m: float) -> tuple[np.ndarray, np.ndar
         z = hurwitz_zeta(s, q)
         m_s = np.power(m, s)
         direct = np.where(np.isfinite(m_s), m_s * z, np.exp(s * math.log(m) + np.log(z)))
-        ratio = np.exp(s * math.log(m / q))
+        ratio = np.exp(s * np.log(m / q))
         normal = z >= _ZETA_MIN
         value = np.where(normal, direct, ratio * (q / (s - 1.0) + 0.5))
         err = np.where(normal, 0.0, 0.5 * ratio)
@@ -146,7 +149,9 @@ def _head_size(n: int, wt: float, a_bar: float, alpha: float) -> int:
     return min(n, max(math.ceil(math.exp(log_n_w)), math.ceil(4.0 * wt / math.pi)))
 
 
-def _log_factor_tail(n1: int, n: int, wt: float, a_bar: float, alpha: float) -> tuple[float, float]:
+def _log_factor_tail(
+    n1: int, n: int, wt: float, a_bar: float, alpha: float, head: float
+) -> tuple[float, float]:
     """Sum of the log factors n1 < m <= n in closed form, and a bound on its error.
 
     Each factor is (1/2) ln(1 + x_m) + L(W_m + u_m) - L(W_m), with
@@ -155,6 +160,14 @@ def _log_factor_tail(n1: int, n: int, wt: float, a_bar: float, alpha: float) -> 
     every sum over m into zeta(s, n1 + 1) - zeta(s, n + 1), s = 2k for the
     free part and s = 2 alpha k - 2j for the term W^j u^(k-j) of the
     bracket.  Powers are taken at m = n1, so the coefficients stay <= 1.
+    Since 0 <= n1^s zeta(s, q) <= (n1 / q)^s (1 + q / (s - 1)), no zeta is
+    evaluated where that bound, times |coefficient|, is below _TAIL_DROP
+    times ``head`` (the sum of the first n1 factors; all factors are >= 0,
+    so head is at most the whole sum), and the bound joins the error.  At
+    q = n1 + 1 the bound covers the whole term, as
+    0 <= zeta(s, n1 + 1) - zeta(s, n + 1) <= zeta(s, n1 + 1); at q = n + 1
+    it covers the zeta(s, n + 1) half.  The kept zetas of both halves take
+    one call.
     Above k = _K the free series is alternating (x_m <= 1/16), and
     _series_remainder(W_m, u_m) is at most that of m = n1 times
     (n1 / m)^(2 alpha + (2 alpha - 2) _K).
@@ -166,10 +179,25 @@ def _log_factor_tail(n1: int, n: int, wt: float, a_bar: float, alpha: float) -> 
     coef = np.concatenate(
         (_FREE_COEF * z2**_FREE_K, _PAIR_COEF * w1**_PAIR_J * u1 ** (_PAIR_K - _PAIR_J))
     )
-    lo, lo_err = _scaled_zeta(s, n1 + 1.0, n1)
-    hi, hi_err = _scaled_zeta(s, n + 1.0, n1)
-    value = math.fsum(coef * (lo - hi))
-    err = float(np.abs(coef) @ (lo_err + hi_err))
+    floor = _TAIL_DROP * head
+
+    def bound(c, s, q):
+        return np.abs(c) * (n1 / q) ** s * (1.0 + q / (s - 1.0))
+
+    b_lo = bound(coef, s, n1 + 1.0)
+    kept = b_lo >= floor
+    err = float(b_lo[~kept].sum())
+    coef, s = coef[kept], s[kept]
+    b_hi = bound(coef, s, n + 1.0)
+    hi = b_hi >= floor
+    err += float(b_hi[~hi].sum())
+    q = np.concatenate((np.full(s.size, n1 + 1.0), np.full(np.count_nonzero(hi), n + 1.0)))
+    z, z_err = _scaled_zeta(np.concatenate((s, s[hi])), q, n1)
+    diff, diff_err = z[: s.size], z_err[: s.size]
+    diff[hi] -= z[s.size :]
+    diff_err[hi] += z_err[s.size :]
+    value = math.fsum((coef * diff).tolist())
+    err += float(np.abs(coef) @ diff_err)
     # sum_{m>n1} (n1 / m)^p <= n1 / (p - 1)
     err += z2 ** (_K + 1) / (2 * _K + 2) * n1 / (2 * _K + 1)
     err += _series_remainder(w1, u1) * n1 / (2.0 * alpha + (2.0 * alpha - 2.0) * _K - 1.0)
@@ -237,12 +265,16 @@ def log_pi(
     the value is the direct sum.  Modes n1 < n <= N are summed in closed
     form: the power series of (1/2) ln(1 + x_n) and of the bracket in W_n
     and u_n = W_n x_n, truncated at k = 18, make every sum over n a
-    difference of Hurwitz zetas zeta(s, n1 + 1) - zeta(s, N + 1).
+    difference of Hurwitz zetas zeta(s, n1 + 1) - zeta(s, N + 1).  Only
+    the terms whose a-priori bound is at least 2^-60 times the head sum are
+    evaluated; the others are dropped and their bounds (one per term, so
+    together below 189 * 2^-60 = 1.6e-16 times the head sum) added to
+    tail_bound.
     Each factor omitted after N lies in [0, (1/2) ln(1 + x_n)] (Erf
     concavity: Erf(k x) <= k Erf(x)), so tail_bound is
-    (wT)^2 / (2 pi^2 N) plus a rigorous bound on the series truncation
-    (and on any zeta value below the floating-point range); ``n_terms``
-    of the result is N.
+    (wT)^2 / (2 pi^2 N) plus a rigorous bound on the series truncation,
+    the dropped terms and any zeta value below the floating-point range;
+    ``n_terms`` of the result is N.
 
     ``converged`` means tail_bound <= tol_budget(ln Pi, tol) = tol * max(1, |ln Pi|),
     an absolute tolerance wherever |ln Pi| < 1.
@@ -269,16 +301,16 @@ def log_pi(
         value = block_sum(erf_ratio, n1)
         tail = wt**2 / (2.0 * math.pi**2 * n)
         if n1 < n:
-            rest, err = _log_factor_tail(n1, n, wt, a_bar, alpha)
+            rest, err = _log_factor_tail(n1, n, wt, a_bar, alpha, value)
             value += rest
             tail += err
     else:
 
         def bracket(n):
             # one kernel call on both arguments; ln(2/sqrt(pi)) cancels in the difference
-            hi, lo = np.split(_log_erf_over_sqrt(np.concatenate(_mode_pair(params_t, wt, n))), 2)
+            l_w = _log_erf_over_sqrt(np.concatenate(_mode_pair(params_t, wt, n)))
             # each bracket is <= 0 exactly; clip roundoff-positive values
-            return np.minimum(hi - lo, 0.0)
+            return np.minimum(l_w[: n.size] - l_w[n.size :], 0.0)
 
         n = _bracket_terms_needed(tol, wt, a_bar, alpha)
         free = 0.5 * _log_sinh_over_x(wt)

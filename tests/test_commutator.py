@@ -58,7 +58,7 @@ def test_differentiable_below_feynman():
         assert d <= f + 1e-12
 
 
-def test_gup_coefficient_identity():
+def test_regime_report_beta_and_p_d():
     params = ModelParams(alpha=3.0, A=10.0)
     rep = regime_report(params)
     # beta = (2/pi)^2 / p_uv^2 must equal C / hbar^2 (two formula routes)

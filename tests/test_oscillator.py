@@ -25,13 +25,14 @@ FIG4 = ModelParams(m=1.0, hbar=1.0, T=1.0, alpha=2.1, epsilon_D=0.1, omega=1.0)
 EPS = np.finfo(float).eps
 
 
-def mpmath_log_pi(params, T, n_terms, head=64):
+def mpmath_log_pi(params, T, n_terms, head=64, growth=2):
     """Independent 30-digit oracle for the truncated log product.
 
     The first ``head`` log factors are summed directly; the rest by
-    Euler-Maclaurin: the integral, the end-point half terms and the B_2,
-    B_4, B_6 derivative terms.  The factor is analytic at distance O(n)
-    from every n > head, so the omitted remainder is far below 1e-20.
+    Euler-Maclaurin: the integral (over panels growing by ``growth``), the
+    end-point half terms and the B_2, B_4, B_6 derivative terms.  The
+    factor is analytic at distance O(n) from every n > head, so the
+    omitted remainder is far below 1e-20.
     """
     mp.mp.dps = 30
     T = mp.mpf(T)
@@ -53,8 +54,8 @@ def mpmath_log_pi(params, T, n_terms, head=64):
     if n_terms > h:
         a, b = mp.mpf(h + 1), mp.mpf(n_terms)
         cuts = [a]
-        while 2 * cuts[-1] < b:
-            cuts.append(2 * cuts[-1])
+        while growth * cuts[-1] < b:
+            cuts.append(growth * cuts[-1])
         total += mp.quad(factor, cuts + [b]) + (factor(a) + factor(b)) / 2
         for m in (1, 2, 3):
             d_b, d_a = mp.diff(factor, b, 2 * m - 1), mp.diff(factor, a, 2 * m - 1)
@@ -109,6 +110,18 @@ def test_log_pi_fixed_n_against_mpmath(alpha, primary):
             assert abs(res.log_pi - float(ref)) <= allowed, (T, omega, n, n1)
 
 
+@pytest.mark.parametrize("T", [0.5, 1.0])
+def test_log_pi_fixed_n_huge_n_against_mpmath(T):
+    # N = 1e15: every zeta(s, N + 1) term but the first few is dropped by its bound
+    n = 10**15
+    res = log_pi(T, FIG4, n_terms=n)
+    # panels growing 16-fold agree with 2-fold ones to 1e-25 here, at a quarter of the cost
+    ref = mpmath_log_pi(FIG4, T, n, growth=16)
+    n1 = _head_size(n, FIG4.omega * T, a_bar_at(FIG4, T), FIG4.alpha)
+    assert res.converged and res.n_terms == n
+    assert abs(res.log_pi - float(ref)) <= res.tail_bound + head_rounding(FIG4, T, n1, res.log_pi)
+
+
 def direct_log_pi(params, T, n_terms):
     """The N-mode sum term by term, as the direct route computes it (N <= 2^20)."""
     n = np.arange(1, n_terms + 1, dtype=float)
@@ -147,6 +160,21 @@ def test_log_pi_fixed_n_evaluates_only_the_head(monkeypatch):
     assert n1 == 29
     assert sum(elems) <= 2 * n1
     assert res.n_terms == 100_000
+
+
+def test_log_pi_fixed_n_evaluates_only_the_non_negligible_zetas(monkeypatch):
+    elems = []
+    zeta = oscillator.hurwitz_zeta
+
+    def counting_zeta(s, q):
+        elems.append(np.size(s))
+        return zeta(s, q)
+
+    monkeypatch.setattr(oscillator, "hurwitz_zeta", counting_zeta)
+    res = log_pi(1.0, FIG4, n_terms=100_000)
+    # one call for both halves; the full series has 189 terms per half
+    assert len(elems) == 1 and elems[0] <= 64
+    assert res.converged
 
 
 def test_log_pi_adaptive_one_kernel_call_per_block(monkeypatch):

@@ -127,7 +127,7 @@ def test_mode_w_is_the_per_mode_number():
     assert eps_primary.a_bar == pytest.approx(0.5 * math.pi * 25.0**2, rel=1e-14)
 
 
-def test_scale_relations_fig2_value():
+def test_eps_d_fig2_value():
     params = ModelParams(alpha=2.1, A=10.0, T=1.0, m=1.0, hbar=1.0)
     # 50-digit solve of (T/eps)^(alpha-1) = A/sigma
     mp.mp.dps = 50
@@ -135,7 +135,7 @@ def test_scale_relations_fig2_value():
     assert params.eps_d == pytest.approx(ref, rel=1e-12)
 
 
-def test_scale_relations_inverse_direction():
+def test_amplitude_from_eps_d():
     params = ModelParams(alpha=2.1, epsilon_D=0.1, T=1.0, m=1.0, hbar=1.0)
     assert params.amplitude == pytest.approx(10.0 ** 1.1, rel=1e-12)
     assert params.amplitude == pytest.approx(12.589, rel=1e-3)
@@ -143,19 +143,19 @@ def test_scale_relations_inverse_direction():
 
 @given(st.floats(min_value=0.5, max_value=1e6))
 @settings(deadline=None, max_examples=60)
-def test_scale_relations_round_trip(a):
+def test_eps_d_amplitude_round_trip(a):
     eps_d = ModelParams(alpha=2.1, A=a).eps_d
     back = ModelParams(alpha=2.1, epsilon_D=eps_d).amplitude
     assert abs(back - a) / a <= 1e-12
 
 
-def test_scale_relations_feynman_limit():
+def test_amplitude_grows_as_eps_d_falls():
     a1 = ModelParams(alpha=2.1, epsilon_D=1e-3).amplitude
     a2 = ModelParams(alpha=2.1, epsilon_D=1e-6).amplitude
     assert a2 > a1 > 0
 
 
-def test_scale_relations_alpha_domain():
+def test_eps_d_j_d_amplitude_need_alpha_above_one():
     params = ModelParams(alpha=1.0, A=10.0)
     with pytest.raises(ValueError):
         params.eps_d

@@ -32,7 +32,7 @@ from diffpath.special import (
 mp.mp.dps = 50
 
 
-def test_log_erf_ratio_huge_args_mpmath_oracle():
+def test_log_erf_difference_huge_args_mpmath_oracle():
     ref = float(mp.log(mp.erf(10) / mp.erf(20)))
     assert log_erf(10.0) - log_erf(20.0) == pytest.approx(ref, abs=1e-13)
 
