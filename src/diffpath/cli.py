@@ -11,7 +11,8 @@ the command, a header line and one comma-separated line per row, every
 line ending in '\\n'; floats are written as repr(float(x)).  JSON is
 indented by 2 with sorted keys.  Each subcommand returns its text and
 whether every value converged, and ``main`` writes it once, to --out or
-stdout.
+stdout.  Each subcommand imports the library modules it uses, so casimir
+and paths (whose module is imported here) start without scipy.
 """
 
 from __future__ import annotations
@@ -24,12 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import casimir as casimir_mod
-from . import mc as mc_mod
-from . import oscillator as osc_mod
-from . import paths as paths_mod
-from . import velocity as vel_mod
-from .paths import ModelParams
+from .paths import RNG_ALGORITHM, ModelParams, differentiable_twin, eval_path, sample_brownian
 from .special import ConvergenceError
 
 __all__ = ["main", "build_parser"]
@@ -137,13 +133,14 @@ def _json(payload: dict) -> str:
 
 
 def cmd_v2(args) -> tuple[str, bool]:
+    from .velocity import scan_v2
     params = _params_from_args(args)
     grid = _grid(args, "eps")
     if grid[-1] >= params.T:
         raise UsageError("eps grid must lie inside (0, T)")
     rows = []
     for model in ("feynman", "differentiable"):
-        rows.extend(vel_mod.scan_v2(grid, params, model, args.tol))
+        rows.extend(scan_v2(grid, params, model, args.tol))
     text = _csv(
         _metadata(args),
         "eps,v2,n_terms,tail_bound,model",
@@ -153,11 +150,12 @@ def cmd_v2(args) -> tuple[str, bool]:
 
 
 def cmd_spectrum(args) -> tuple[str, bool]:
+    from .oscillator import log_pi
     params = _params_from_args(args, default_A=None)
     if params.omega <= 0:
         raise UsageError("spectrum requires --omega > 0")
     grid = _grid(args, "T_grid")
-    results = [osc_mod.log_pi(t, params, args.tol, args.n_terms) for t in grid]
+    results = [log_pi(t, params, args.tol, args.n_terms) for t in grid]
     text = _csv(
         _metadata(args),
         "T,delta_omega,log_pi,n_terms",
@@ -167,11 +165,12 @@ def cmd_spectrum(args) -> tuple[str, bool]:
 
 
 def cmd_unitarity(args) -> tuple[str, bool]:
+    from .oscillator import unitarity_diagnostic
     params = _params_from_args(args, default_A=None)
     if params.omega <= 0:
         raise UsageError("unitarity requires --omega > 0")
     grid = _grid(args, "T_grid")
-    rep = osc_mod.unitarity_diagnostic(grid, params, args.tol, args.n_terms, args.threshold)
+    rep = unitarity_diagnostic(grid, params, args.tol, args.n_terms, args.threshold)
     payload = {
         "verdict": rep.verdict,
         "threshold": args.threshold,
@@ -189,22 +188,21 @@ def cmd_unitarity(args) -> tuple[str, bool]:
 
 def cmd_paths(args) -> tuple[str, bool]:
     params = _params_from_args(args)
-    p = paths_mod.sample_brownian(params, args.modes, args.seed)
-    twin = paths_mod.differentiable_twin(p, params)
+    p = sample_brownian(params, args.modes, args.seed)
+    twin = differentiable_twin(p, params)
     grid = np.linspace(0.0, params.T, args.grid_points)
 
     def block(meta, path):
         if args.export == "coeffs":
             return _csv(meta, "n,a_n", enumerate(path.coeffs, start=1))
-        return _csv(meta, "t,x", zip(grid, paths_mod.eval_path(path, grid)))
+        return _csv(meta, "t,x", zip(grid, eval_path(path, grid)))
 
-    meta = {**_metadata(args), "rng": paths_mod.RNG_ALGORITHM, "j_D": twin["j_D"], "which": "brownian"}
+    meta = {**_metadata(args), "rng": RNG_ALGORITHM, "j_D": twin["j_D"], "which": "brownian"}
     return block(meta, p) + block({"which": "twin"}, twin["twin"]), True
 
 
 def cmd_commutator(args) -> tuple[str, bool]:
     from .commutator import commutator_expectation
-
     params = _params_from_args(args)
     grid = _grid(args, "eps")
     if grid[-1] >= params.T:
@@ -214,24 +212,27 @@ def cmd_commutator(args) -> tuple[str, bool]:
 
 
 def cmd_casimir(args) -> tuple[str, bool]:
+    from .casimir import CasimirConfig, casimir_energy, epsilon_d_bound
     if args.bound:
-        return _json(dataclasses.asdict(casimir_mod.epsilon_d_bound(args.L_exp, args.rel_error, args.c))), True
+        return _json(dataclasses.asdict(epsilon_d_bound(args.L_exp, args.rel_error, args.c))), True
     rows = []
     for L in _grid(args, "L"):
-        cfg = casimir_mod.CasimirConfig(L=float(L), omega_D=args.omega_D, c=args.c, hbar=args.hbar)
-        rows.append((cfg.L, casimir_mod.casimir_energy(cfg, args.model).energy, args.model, cfg.x))
+        cfg = CasimirConfig(L=float(L), omega_D=args.omega_D, c=args.c, hbar=args.hbar)
+        rows.append((cfg.L, casimir_energy(cfg, args.model).energy, args.model, cfg.x))
     return _csv(_metadata(args), "L,delta_E,model,x", rows), True
 
 
 def cmd_oracle(args) -> tuple[str, bool]:
+    from .mc import estimate_v2
+    from .velocity import v2_diff
     params = _params_from_args(args)
-    est = mc_mod.estimate_v2(params, args.eps, N_modes=args.modes, n_samples=args.samples, seed=args.seed)
-    analytic = vel_mod.v2_diff(args.eps, params, args.tol)
+    est = estimate_v2(params, args.eps, N_modes=args.modes, n_samples=args.samples, seed=args.seed)
+    analytic = v2_diff(args.eps, params, args.tol)
     rows = [
         (est.quantity, est.mean, est.stderr, est.n_samples, est.seed),
         ("v2_analytic", analytic, 0.0, 0, args.seed),
     ]
-    meta = {"rng": paths_mod.RNG_ALGORITHM, **_metadata(args)}
+    meta = {"rng": RNG_ALGORITHM, **_metadata(args)}
     return _csv(meta, "quantity,mean,stderr,n_samples,seed", rows), True
 
 

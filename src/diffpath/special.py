@@ -20,7 +20,6 @@ from fractions import Fraction
 from typing import Callable
 
 import numpy as np
-import scipy.special as sc
 
 __all__ = [
     "SeriesValue",
@@ -108,6 +107,8 @@ def log_erf(x):
     and the information in the 1 - Erf tail is lost; log1p(-erfc(x))
     keeps it down to the underflow threshold of erfc.
     """
+    # imported on first use: import diffpath, casimir and paths load numpy only
+    import scipy.special as sc
     x = np.asarray(x, dtype=float)
     small = x < 0.5
     large = ~small
@@ -170,6 +171,7 @@ def _log_erf_over_sqrt(w):
     log1p(-erfc(sqrt W)) - (1/2) ln W - ln(2/sqrt(pi)), where
     sqrt W >= 1/2 keeps every log finite.
     """
+    import scipy.special as sc
     w = np.asarray(w, dtype=float)
     small = w < _W0
     large = ~small
@@ -221,6 +223,7 @@ def hurwitz_zeta(s, q):
 
     Broadcasts over array arguments; scalars give a float.
     """
+    import scipy.special as sc
     out = sc.zeta(s, q)
     if np.ndim(out) == 0:
         return float(out)

@@ -49,7 +49,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
-import scipy.special as sc
 
 from .paths import ModelParams
 from .special import ZETA2, ConvergenceError, SeriesValue, block_sum, certify, one_minus_zed, tol_budget
@@ -130,6 +129,7 @@ def _feynman_terms(tau: float, t0_frac: float, j: np.ndarray) -> np.ndarray:
 
 def _cos_over_t2_integral(a: float, theta: float) -> float:
     """int_a^inf cos(theta t) / t^2 dt = cos(theta a) / a - theta (pi/2 - Si(theta a)), a > 0."""
+    import scipy.special as sc
     return math.cos(theta * a) / a - theta * (0.5 * math.pi - float(sc.sici(theta * a)[0]))
 
 
@@ -148,6 +148,7 @@ def s_feynman(tau: float, t0_frac: float = 0.0, tol: float = 1e-10) -> SeriesVal
     if tau == 0.0:
         return SeriesValue(0.0, 0, 0.0, True)
 
+    import scipy.special as sc
     c0, components = _cosine_components(tau, t0_frac)
 
     def evaluate(n: int) -> tuple[float, float]:
@@ -181,6 +182,7 @@ def s_feynman_closed(tau: float) -> float:
     """
     if not 0.0 < tau < 1.0:
         raise ValueError("tau must lie in (0, 1)")
+    import scipy.special as sc
     return float(0.5 * ZETA2 - 0.5 * sc.spence(1.0 - np.exp(2j * math.pi * tau)).real)
 
 
@@ -259,6 +261,7 @@ def _z_form(tau: float, params: ModelParams, n: int, head: float, free_head: flo
         """>= int_x^inf (1 - Z) t^-k dt, from 1 - Z <= min(1, 2 W / 3)."""
         return min(x ** (1 - k) / (k - 1), (2.0 / 3.0) * abar**2 * x ** (1 - k - 2 * beta) / (k - 1 + 2 * beta))
 
+    import scipy.special as sc
     f_c = float(sc.polygamma(1, n + 1)) - 2.0 * rest  # sum_{j>n} cos(j theta) / j^2
     u_1 = one_minus_zed(params.mode_w(n + 1.0)) / (n + 1.0) ** 2  # (1 - Z)/t^2 at n + 1
     d_n = math.sin(a * theta) / (2.0 * sin_h)  # Dirichlet kernel

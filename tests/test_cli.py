@@ -231,15 +231,42 @@ def test_casimir_rejects_small_cutoff(capsys):
         assert flags[0] in capsys.readouterr().err
 
 
-def test_import_leaves_scipy_integrate_unloaded():
-    # scipy.integrate is imported by the functions that call quad, not at
-    # start-up; of the heavy modules, start-up loads scipy.special alone
-    heavy = ["scipy.integrate", "scipy.stats", "scipy.optimize", "scipy.linalg", "mpmath", "hypothesis"]
+def _python(code):
+    """Run ``code`` in a fresh interpreter that imports diffpath from this checkout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # scipy.special and scipy.integrate are imported by the functions that
+    # call them, not at start-up, so start-up loads none of the heavy modules
+    heavy = ["scipy.integrate", "scipy.stats", "scipy.optimize", "scipy.linalg", "mpmath", "hypothesis"]
     code = f"import sys, diffpath.cli; print([m for m in {heavy!r} if m in sys.modules])"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    out = _python(code)
+    assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+    # the casimir and paths commands use numpy alone
+    code = ("import sys, diffpath, diffpath.cli, diffpath.casimir, diffpath.paths\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    out = _python(code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["casimir", "--model", "tanh", "--points", "10"],
+    ["casimir", "--bound", "--L-exp", "1e-7", "--rel-error", "0.01", "--c", "3e8"],
+    ["paths", "--A", "10", "--modes", "200", "--seed", "7", "--grid-points", "500", "--export", "coeffs"],
+])
+def test_casimir_and_paths_run_without_scipy(capsys, argv):
+    # sys.modules["scipy"] = None makes every scipy import raise ImportError
+    code1, expected = run(capsys, argv)
+    code = f"import sys; sys.modules['scipy'] = None\nfrom diffpath.cli import main\nsys.exit(main({argv!r}))"
+    out = _python(code)
+    assert code1 == EXIT_OK
+    assert out.returncode == EXIT_OK, out.stderr
+    assert out.stdout == expected
 
 
 def test_oracle(capsys):
