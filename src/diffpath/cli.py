@@ -12,7 +12,7 @@ line ending in '\\n'; floats are written as repr(float(x)).  JSON is
 indented by 2 with sorted keys.  Each subcommand returns its text and
 whether every value converged, and ``main`` writes it once, to --out or
 stdout.  Each subcommand imports the library modules it uses, so casimir
-and paths (whose module is imported here) start without scipy.
+and paths start without scipy.
 """
 
 from __future__ import annotations

@@ -240,15 +240,10 @@ def _python(code):
 
 def test_import_leaves_scipy_integrate_unloaded():
     # scipy.special and scipy.integrate are imported by the functions that
-    # call them, not at start-up, so start-up loads none of the heavy modules
-    heavy = ["scipy.integrate", "scipy.stats", "scipy.optimize", "scipy.linalg", "mpmath", "hypothesis"]
-    code = f"import sys, diffpath.cli; print([m for m in {heavy!r} if m in sys.modules])"
-    out = _python(code)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]"
-    # the casimir and paths commands use numpy alone
+    # call them, not at start-up, so start-up and the casimir and paths
+    # modules load no scipy module (nor mpmath or hypothesis, test extras)
     code = ("import sys, diffpath, diffpath.cli, diffpath.casimir, diffpath.paths\n"
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath', 'hypothesis')))")
     out = _python(code)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
@@ -261,10 +256,9 @@ def test_import_leaves_scipy_integrate_unloaded():
 ])
 def test_casimir_and_paths_run_without_scipy(capsys, argv):
     # sys.modules["scipy"] = None makes every scipy import raise ImportError
-    code1, expected = run(capsys, argv)
-    code = f"import sys; sys.modules['scipy'] = None\nfrom diffpath.cli import main\nsys.exit(main({argv!r}))"
-    out = _python(code)
-    assert code1 == EXIT_OK
+    code, expected = run(capsys, argv)
+    assert code == EXIT_OK
+    out = _python(f"import sys; sys.modules['scipy'] = None\nfrom diffpath.cli import main\nsys.exit(main({argv!r}))")
     assert out.returncode == EXIT_OK, out.stderr
     assert out.stdout == expected
 
