@@ -48,6 +48,10 @@ class ModelParams:
     omega: float = 0.0
 
     def __post_init__(self):
+        for name in ("m", "hbar", "T", "alpha", "A", "epsilon_D", "omega"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
         for name in ("m", "hbar", "T", "alpha"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")

@@ -40,6 +40,15 @@ the partial sum is corrected and bounded analytically:
   small tau, C_w or C_Z is the Fourier integral from n+1/2 (QUADPACK,
   error estimate included) within the midpoint-rule error, bounded
   through k2 and the integrals and total variations of u and f.
+
+The weights 1 - Z(W_j) do not depend on tau, so s_diff reads them from one
+read-only table instead of recomputing them per eps and per term count:
+1 - Z(W_j) for j = 1..n, keyed by (Abar, alpha) and holding one key at a
+time.  It is filled on first use, extended (not recomputed) when a later
+call needs more modes, and capped at 2^16 entries (512 KB), one block_sum
+block; blocks past 2^16 and u(n+1) for n >= 2^16 bypass it.  The kernel
+works element by element, so the head sums are bit-identical with and
+without the table.
 """
 
 from __future__ import annotations
@@ -191,9 +200,37 @@ def _s_feynman_exact(tau: float) -> float:
     return 0.5 * math.pi**2 * tau * (1.0 - tau)
 
 
+# The weight table (module docstring): ((Abar, alpha), read-only 1 - Z(W_j)
+# for j = 1..len), read once per use and replaced whole, never edited.
+_WEIGHTS_CAP = 1 << 16
+_WEIGHTS: tuple[tuple[float, float], np.ndarray] = ((0.0, 0.0), np.empty(0))
+
+
+def _weights(params: ModelParams, n: int) -> np.ndarray:
+    """1 - Z(W_j) for j = 1..n, n <= _WEIGHTS_CAP, extending the table if it is short."""
+    global _WEIGHTS
+    key = (params.a_bar, params.alpha)
+    table_key, table = _WEIGHTS
+    if table_key != key:
+        table = table[:0]
+    if table.size < n:
+        extra = one_minus_zed(params.mode_w(np.arange(table.size + 1, n + 1, dtype=float)))
+        table = np.concatenate((table, extra))
+        table.flags.writeable = False
+        _WEIGHTS = (key, table)
+    return table[:n]
+
+
 def _head_terms(tau: float, params: ModelParams, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """w_j s_j and s_j, s_j = sin^2(j pi tau) / j^2, evaluating the sines once."""
+    """w_j s_j and s_j, s_j = sin^2(j pi tau) / j^2, evaluating the sines once.
+
+    j is one block of consecutive indices; within the table's reach its
+    weights are a slice of the table.
+    """
     s = (np.sin(j * (math.pi * tau)) / j) ** 2
+    hi = int(j[-1])
+    if hi <= _WEIGHTS_CAP:
+        return s * _weights(params, hi)[int(j[0]) - 1:], s
     return s * one_minus_zed(params.mode_w(j)), s
 
 
@@ -263,7 +300,9 @@ def _z_form(tau: float, params: ModelParams, n: int, head: float, free_head: flo
 
     import scipy.special as sc
     f_c = float(sc.polygamma(1, n + 1)) - 2.0 * rest  # sum_{j>n} cos(j theta) / j^2
-    u_1 = one_minus_zed(params.mode_w(n + 1.0)) / (n + 1.0) ** 2  # (1 - Z)/t^2 at n + 1
+    # (1 - Z)/t^2 at n + 1
+    w_1 = _weights(params, n + 1)[n] if n < _WEIGHTS_CAP else one_minus_zed(params.mode_w(n + 1.0))
+    u_1 = float(w_1) / (n + 1.0) ** 2
     d_n = math.sin(a * theta) / (2.0 * sin_h)  # Dirichlet kernel
     estimates = [
         (0.0, 2.0 * min(1.0 / (n + 1.0) ** 2, z_peak) / sin_h),  # Abel on Z/t^2
@@ -301,6 +340,8 @@ def s_diff(tau: float, params: ModelParams, tol: float = 1e-10) -> SeriesValue:
     if tau == 0.0:
         return SeriesValue(0.0, 0, 0.0, True)
     abar = params.a_bar
+    if not math.isfinite(abar * abar):
+        raise ValueError("s_diff requires a finite Abar^2 = m pi^2 A^2 / (4 hbar T)")
     alpha = params.alpha
     j_turn = 1.0 / (math.pi * tau)  # sin^2(j pi tau) <= min(1, (j pi tau)^2)
     # W-form tail: terms <= (2/3) Abar^2 * min(1, (pi tau j)^2) * j^{-2 alpha},

@@ -83,6 +83,28 @@ def test_unused_flags_are_not_accepted(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["v2", "--A", "inf", "--points", "3"], "A must be finite"),
+        (["v2", "--A", "nan", "--points", "3"], "A must be finite"),
+        (["v2", "--epsilon-D", "inf", "--points", "2"], "epsilon_D must be finite"),
+        (["v2", "--alpha", "inf", "--points", "2"], "alpha must be finite"),
+        (["commutator", "--A", "inf", "--points", "2"], "A must be finite"),
+        (["spectrum", "--A", "inf", "--points", "2"], "A must be finite"),
+        (["spectrum", "--epsilon-D", "0.1", "--omega", "inf", "--points", "2"], "omega must be finite"),
+        # Abar^2 overflows from A ~ 8.5e153 at T = m = hbar = 1
+        (["v2", "--A", "1e154", "--points", "2"], "finite Abar^2"),
+        (["v2", "--A", "1e160", "--points", "2"], "finite Abar^2"),
+    ],
+)
+def test_non_finite_scales_exit_one(capsys, argv, message):
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err and captured.err.count("\n") == 1
+
+
 def test_spectrum(capsys):
     code, out = run(
         capsys,

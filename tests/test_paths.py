@@ -27,6 +27,11 @@ def test_params_validation():
         ModelParams(A=-1.0)
     with pytest.raises(ValueError):
         ModelParams(A=1.0, T=0.0)
+    for name in ("m", "hbar", "T", "alpha", "A", "epsilon_D", "omega"):
+        for bad in (math.inf, -math.inf, math.nan):
+            amplitude = {} if name in ("A", "epsilon_D") else {"A": 10.0}
+            with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+                ModelParams(**amplitude, **{name: bad})
 
 
 def test_single_mode_path_values():

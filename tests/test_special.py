@@ -124,6 +124,17 @@ def test_one_minus_zed_relative_against_mpmath():
             assert abs(one_minus_zed(w) - ref) <= 1e-15 * ref, w
 
 
+def test_one_minus_zed_is_position_independent():
+    # velocity's weight table computes 1 - Z once for j = 1..n and serves
+    # slices of it; every element must be the value it has in any other array
+    w = np.random.default_rng(3).permutation(np.geomspace(1e-12, 50.0, 97))  # both sides of 1/4
+    whole = [x.hex() for x in one_minus_zed(w)]
+    for a in range(9):
+        for length in range(1, 34):
+            assert [x.hex() for x in one_minus_zed(w[a:a + length])] == whole[a:a + length], (a, length)
+    assert [one_minus_zed(np.array(x)).hex() for x in w] == whole  # 0-d
+
+
 def test_truncated_gaussian_ratio_flat_limit_relative():
     # B^2/3 (1 - O(b B^2)); abs=0, since pytest.approx's default 1e-12 would pass 0.0
     for big_b in (1e-9, 1e-150):

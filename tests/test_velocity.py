@@ -2,6 +2,7 @@
 
 import functools
 import math
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -418,3 +419,155 @@ def test_abel_peak_constant_bounds_z_over_t_squared(alpha):
     slopes = [0.5 - w - _mp_zed(w) / 2 + 1 / mp.mpf(beta) for w in grid]
     assert all(b < a for a, b in zip(slopes, slopes[1:]))
     assert slopes[0] > 0 > slopes[-1]
+
+
+# The weight table: one (key, read-only array) entry in velocity._WEIGHTS.
+# Values pinned in hex were computed without the table; a row must not
+# depend on what the table held before the call.
+TABLE_P = ModelParams(alpha=2.22, A=1.54e5)
+TABLE_FAR = ModelParams(alpha=3.49, A=7.76e11)
+TABLE_PINS = [
+    # (params, tau, tol, value, n_terms, tail_bound); 0.3 needs 4096 terms,
+    # 0.006 65536 (the table is extended twice), and the last point 262144,
+    # past the table's reach
+    (TABLE_P, 0.3, 1e-9, "0x1.094a3befcb0c5p+0", 4096, "0x1.a432341397132p-35"),
+    (TABLE_P, 0.05, 1e-9, "0x1.e00484538d5ffp-3", 16384, "0x1.49c709cd4e006p-36"),
+    (TABLE_P, 0.006, 1e-9, "0x1.e1e17d5ffec56p-6", 65536, "0x1.afaf4dc14f98cp-41"),
+    (TABLE_FAR, 0.01, 1e-9, "0x1.902903cf5811ep-5", 65536, "0x1.c44dd67b52b4fp-38"),
+    (TABLE_FAR, 0.01, 1e-12, "0x1.902903cf7bca0p-5", 262144, "0x1.1f8fb181defafp-53"),
+]
+
+
+def _clear_table():
+    velocity._WEIGHTS = ((0.0, 0.0), np.empty(0))
+
+
+@pytest.fixture
+def empty_table(monkeypatch):
+    # monkeypatch puts the module's table back after the test
+    monkeypatch.setattr(velocity, "_WEIGHTS", ((0.0, 0.0), np.empty(0)))
+
+
+def _row(sv):
+    return (sv.value.hex(), sv.n_terms, sv.tail_bound.hex(), sv.converged)
+
+
+def _scan_rows(params, grid):
+    return [(r.v2.hex(), r.n_terms, r.tail_bound.hex(), r.converged)
+            for r in scan_v2(grid, params, "differentiable")]
+
+
+def test_weight_table_rows_independent_of_table_state(empty_table):
+    grid = [1e-4, 0.003, 0.05, 0.3, 0.7]
+    other = replace(TABLE_P, alpha=2.1)  # same Abar, other weights
+    cold = {}
+    for params in (TABLE_P, other):
+        _clear_table()
+        cold[params] = (_scan_rows(params, grid), _row(s_diff(0.05, params)))
+    # after the other parameters, then after the same ones
+    for params in (TABLE_P, other, other, TABLE_P, TABLE_P):
+        assert (_scan_rows(params, grid), _row(s_diff(0.05, params))) == cold[params]
+
+
+@pytest.mark.parametrize("params, tau, tol, value_hex, n_terms, tail_hex", TABLE_PINS)
+def test_weight_table_values_pinned(empty_table, params, tau, tol, value_hex, n_terms, tail_hex):
+    pinned = (value_hex, n_terms, tail_hex, True)
+    assert _row(s_diff(tau, params, tol)) == pinned  # empty table
+    assert _row(s_diff(tau, params, tol)) == pinned  # warm table
+    _clear_table()
+    s_diff(0.3, params)  # a shorter point first (4096 or 16384 terms), then the extension
+    assert _row(s_diff(tau, params, tol)) == pinned
+
+
+def test_weight_table_extension_matches_one_pass(empty_table):
+    for n in (4096, 4097, 16384, 16385, 65536):
+        grown = velocity._weights(TABLE_P, n)
+    j = np.arange(1, 65537, dtype=float)
+    assert [x.hex() for x in grown] == [x.hex() for x in one_minus_zed(TABLE_P.mode_w(j))]
+
+
+def test_weight_table_holds_one_read_only_entry(empty_table):
+    for params, tau, tol, *_ in TABLE_PINS + [(FIG2, 0.2, 1e-9)]:
+        s_diff(tau, params, tol)
+        key, table = velocity._WEIGHTS
+        assert key == (params.a_bar, params.alpha)
+        assert table.ndim == 1 and table.size <= 1 << 16 and table.nbytes <= 512 * 1024
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 0.0
+
+
+def test_weight_table_shared_by_threads(empty_table):
+    # the entry is read once per call and replaced whole, so threads that
+    # switch parameter sets under each other still get their own weights
+    import sys
+    import threading
+
+    cases = [(TABLE_P, 0.05), (replace(TABLE_P, alpha=2.1), 0.05), (FIG2, 0.2)]
+    cold = {}
+    for params, tau in cases:
+        _clear_table()
+        cold[params] = _row(s_diff(tau, params))
+    wrong = []
+
+    def work(k):
+        for i in range(12):
+            params, tau = cases[(k + i) % len(cases)]
+            if _row(s_diff(tau, params)) != cold[params]:
+                wrong.append((k, i))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+
+
+def test_readme_v2_computes_each_weight_once(empty_table, monkeypatch, capsys):
+    from diffpath import cli
+
+    sizes = []
+
+    def counted(w):
+        sizes.append(np.size(w))
+        return one_minus_zed(w)
+
+    monkeypatch.setattr(velocity, "one_minus_zed", counted)
+    argv = "v2 --A 10 --alpha 2.1 --eps-min 1e-4 --eps-max 0.5 --points 40".split()
+    assert cli.main(argv) == 0
+    # 40 points of 4096 terms each: 163840 elements without the table
+    assert 0 < sum(sizes) <= 1 << 16
+
+
+def test_s_diff_refuses_overflowing_abar_squared():
+    with pytest.raises(ValueError, match="finite Abar"):
+        s_diff(0.1, ModelParams(A=1e154))
+    with pytest.raises(ValueError, match="finite Abar"):
+        v2_diff(0.1, ModelParams(A=1e160))
+    assert s_diff(0.1, ModelParams(A=1e150)).converged
+
+
+@pytest.mark.parametrize("params", [FIG2, ModelParams(alpha=3.0, A=1e6)])
+def test_weight_table_matches_mc_second_moments(empty_table, params):
+    # mc computes each mode's <a_j^2> = (1 - Z(b_j B_j^2)) / 2 b_j on its own
+    # route (b_j B_j^2 = W_j); at the README oracle point (eps = 0.05, 500
+    # modes) prefactor * head_N is the exact N-mode <v^2> the oracle samples
+    from diffpath import mc
+    from diffpath.special import block_sum
+
+    n, eps = 500, 0.05
+    second = [mc.mode_second_moment_reference(params, j) for j in range(1, n + 1)]
+    b = [mc._mode_params(params, j)[0] for j in range(1, n + 1)]
+    weights = velocity._weights(params, n)
+    np.testing.assert_allclose(weights, 2.0 * np.array(b) * np.array(second), rtol=1e-14, atol=0.0)
+    tau = eps / params.T
+    head, _ = block_sum(lambda j: velocity._head_terms(tau, params, j), n)
+    exact = math.fsum(math.sin(j * math.pi * tau) ** 2 * a2 / eps**2 for j, a2 in zip(range(1, n + 1), second))
+    assert velocity._v2_prefactor(eps, params) * head == pytest.approx(exact, rel=1e-14, abs=0.0)
