@@ -277,7 +277,8 @@ def log_pi(
     ``n_terms`` of the result is N.
 
     ``converged`` means tail_bound <= tol_budget(ln Pi, tol) = tol * max(1, |ln Pi|),
-    an absolute tolerance wherever |ln Pi| < 1.
+    an absolute tolerance wherever |ln Pi| < 1.  With omega > 0 an
+    Abar(T)^2 beyond the float range raises ValueError.
     """
     params_t = replace(params, T=T)  # validates T
     if params.alpha <= 1 and params.epsilon_D is not None:
@@ -286,6 +287,10 @@ def log_pi(
     if wt == 0.0:
         return PiResult(0.0, T, 0, 0.0, True)
     a_bar, alpha = params_t.a_bar, params.alpha
+    if not math.isfinite(a_bar * a_bar):
+        raise ValueError(
+            f"log_pi requires a finite Abar(T)^2 = m pi^2 A(T)^2 / (4 hbar T) at T={float(T)!r}"
+        )
 
     if n_terms is not None:
         if n_terms < 1:

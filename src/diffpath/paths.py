@@ -10,6 +10,7 @@ differentiable and introduces the time scale epsilon_D via
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -36,7 +37,10 @@ class ModelParams:
     Exactly one of ``A`` (amplitude bound, length) and ``epsilon_D``
     (differentiable time scale) must be given; the other is derived.
     When ``epsilon_D`` is primary the amplitude is the T-dependent
-    A(T) = sqrt(hbar T / m) (T / epsilon_D)^(alpha - 1).
+    A(T) = sqrt(hbar T / m) (T / epsilon_D)^(alpha - 1).  Inputs whose
+    Abar overflows, or whose Abar^2 falls below the normal floats, raise
+    ValueError; an Abar^2 that overflows is refused by the series that
+    square it.
     """
 
     m: float = 1.0
@@ -63,6 +67,27 @@ class ModelParams:
             raise ValueError("epsilon_D must be positive")
         if self.omega < 0:
             raise ValueError("omega must be non-negative")
+        if self.A is not None or self.alpha > 1:  # else ``amplitude`` refuses A(T)
+            self._check_abar()
+
+    def _check_abar(self) -> None:
+        # every restricted series reads the restriction through
+        # W_j = Abar^2 / j^(2 alpha - 2): an Abar^2 below the normal floats
+        # leaves them no precision, and an amplitude that overflows no value
+        try:
+            a_bar = self.a_bar
+        except OverflowError:
+            a_bar = math.inf
+        if math.isfinite(a_bar) and a_bar * a_bar >= sys.float_info.min:
+            return
+        inputs = f"m={self.m!r}, hbar={self.hbar!r}, T={float(self.T)!r}, "
+        if self.A is not None:
+            inputs += f"A={self.A!r}"
+        else:
+            inputs += f"epsilon_D={self.epsilon_D!r}, alpha={self.alpha!r}"
+        if math.isfinite(a_bar):
+            raise ValueError(f"Abar^2 = m pi^2 A^2 / (4 hbar T) = {a_bar * a_bar!r} underflows at {inputs}")
+        raise ValueError(f"Abar = sqrt(m pi^2 / (4 hbar T)) A overflows at {inputs}")
 
     # -- derived scales -----------------------------------------------------
 

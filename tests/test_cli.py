@@ -96,6 +96,18 @@ def test_unused_flags_are_not_accepted(capsys, argv):
         # Abar^2 overflows from A ~ 8.5e153 at T = m = hbar = 1
         (["v2", "--A", "1e154", "--points", "2"], "finite Abar^2"),
         (["v2", "--A", "1e160", "--points", "2"], "finite Abar^2"),
+        # ln Pi needs Abar(T)^2 too: it overflows at T = 0.2, the first grid point
+        (["spectrum", "--A", "1e154", "--points", "2"],
+         "finite Abar(T)^2 = m pi^2 A(T)^2 / (4 hbar T) at T=0.2"),
+        (["unitarity", "--A", "1e154", "--points", "2"],
+         "finite Abar(T)^2 = m pi^2 A(T)^2 / (4 hbar T) at T=0.2"),
+        # (T / epsilon_D)^(alpha - 1) = 1e400 is past the float range
+        (["v2", "--epsilon-D", "1e-200", "--alpha", "3", "--points", "2"],
+         "overflows at m=1.0, hbar=1.0, T=1.0, epsilon_D=1e-200, alpha=3.0"),
+        (["commutator", "--epsilon-D", "1e-200", "--alpha", "3", "--points", "2"],
+         "overflows at m=1.0, hbar=1.0, T=1.0, epsilon_D=1e-200, alpha=3.0"),
+        # a subnormal mass puts Abar^2 = 2.5e-318 below the normal floats
+        (["v2", "--m", "1e-320", "--points", "2"], "underflows at m=1e-320, hbar=1.0, T=1.0, A=10.0"),
     ],
 )
 def test_non_finite_scales_exit_one(capsys, argv, message):
@@ -296,6 +308,17 @@ def test_oracle(capsys):
     analytic = float(lines[1].split(",")[1])
     stderr = float(lines[0].split(",")[2])
     assert abs(mc - analytic) < 4.0 * stderr
+
+
+def test_oracle_readme_example_pinned(capsys):
+    # the sampled digits are part of the version: a change to how the one
+    # stream is consumed must show here
+    code, out = run(capsys, ["oracle", "--A", "10", "--eps", "0.05", "--modes", "500",
+                             "--samples", "20000", "--seed", "1"])
+    assert code == EXIT_OK
+    row = next(l for l in out.splitlines() if l.startswith("v2,")).split(",")
+    assert float(row[1]).hex() == "0x1.e232132b1248bp+3"  # 15.06861265575778
+    assert float(row[2]).hex() == "0x1.33e2e5ad7b190p-3"  # 0.15033511577292957
 
 
 def test_oracle_rejects_t0(capsys):

@@ -46,9 +46,11 @@ def test_sampler_second_moment_both_branches():
 
 # x = B sqrt(b) on both sides of the envelope switch at x = 1
 SWITCH_GRID = (0.01, 0.5, 0.99, 1.01, 2.0, 6.0)
+# below the switch, from all-rectangle to a wedge of half the mass
+SPLIT_GRID = (1e-6, 1e-3, 0.1, 0.3, 0.7)
 
 
-@pytest.mark.parametrize("x", SWITCH_GRID)
+@pytest.mark.parametrize("x", SPLIT_GRID + SWITCH_GRID)
 def test_sampler_ks_against_exact_cdf(x):
     b = 3.0
     big_b = x / math.sqrt(b)
@@ -92,12 +94,47 @@ class _CountingRng:
 
 @pytest.mark.parametrize("x", SWITCH_GRID)
 def test_sampler_draws_per_sample(x):
-    # two numbers per uniform candidate at acceptance >= 0.747, one per
-    # Gaussian candidate at acceptance >= 0.843, plus the batch margins
+    # x <= 1: one number per sample plus two per wedge candidate, 2.69 on
+    # average at x = 1; x > 1: one per Gaussian candidate at acceptance
+    # >= 0.843; plus the batch margins
     rng = _CountingRng(_rng(42))
     n = 100_000
     sample_truncated_gaussian(2.0, x / math.sqrt(2.0), rng, size=n)
     assert rng.draws / n <= 2.8
+
+
+@pytest.mark.parametrize("x", (1e-6, 1e-3, 0.01, 0.1))
+def test_sampler_near_uniform_modes_draw_one_number_per_sample(x):
+    # the wedge holds 1 - p ~ 2x^2/3 of the mass: about 1.02 draws at x = 0.1
+    rng = _CountingRng(_rng(44))
+    n = 100_000
+    sample_truncated_gaussian(2.0, x / math.sqrt(2.0), rng, size=n)
+    assert rng.draws / n <= 1.05
+
+
+class _WedgeOnlyRng:
+    """Sends every sample to the wedge: the part-picking uniforms, the one
+    draw written into ``out``, are all just below 1."""
+
+    def __init__(self, rng):
+        self._rng = rng
+
+    def random(self, size, out=None):
+        if out is None:
+            return self._rng.random(size)
+        out.fill(1.0 - 2.0**-53)
+        return out
+
+
+@pytest.mark.parametrize("x", (1e-3, 0.3, 1.0))
+def test_sampler_wedge_ks_against_exact_cdf(x):
+    # the wedge density e^{-b a^2} - e^{-x^2} on [-B, B], integrated exactly
+    b = 3.0
+    big_b = x / math.sqrt(b)
+    a = sample_truncated_gaussian(b, big_b, _WedgeOnlyRng(_rng(45)), size=100_000)
+    c = math.exp(-x * x)
+    mass = lambda t: math.sqrt(math.pi / b) / 2.0 * (erf(t * math.sqrt(b)) + erf(x)) - c * (t + big_b)
+    assert stats.kstest(a, lambda t: mass(t) / mass(big_b)).pvalue > 1e-3
 
 
 class _ShortFirstRoundRng:
@@ -150,6 +187,44 @@ def test_estimate_v2_matches_exact_three_mode_sum():
         exact += mode_second_moment_reference(FIG2, j) * ds**2 / eps**2
     est = estimate_v2(FIG2, eps, t0, 3, 200_000, seed=5)
     assert abs(est.mean - exact) < 3.0 * est.stderr
+
+
+def _mode_sum(params, eps, t0, n_modes):
+    """sum_{j <= N} ds_j^2 <a_j^2> / eps^2, the exact mean of estimate_v2."""
+    total = 0.0
+    for j in range(1, n_modes + 1):
+        ds = math.sin(j * math.pi * (t0 + eps) / params.T) - math.sin(j * math.pi * t0 / params.T)
+        total += mode_second_moment_reference(params, j) * ds**2 / eps**2
+    return total
+
+
+# Gaussian-envelope modes up to j = 12, 1 and 54 respectively, near-uniform ones beyond
+@pytest.mark.parametrize(
+    "params, eps, t0, n_modes, seed",
+    [
+        (FIG2, 0.05, 0.0, 200, 51),
+        (ModelParams(alpha=3.0, A=1.0), 0.2, 0.3, 40, 52),
+        (ModelParams(m=2.0, T=2.0, alpha=2.5, epsilon_D=0.05), 0.01, 0.5, 300, 53),
+    ],
+)
+@pytest.mark.filterwarnings("ignore::diffpath.mc.ModeTruncationWarning")
+def test_estimate_v2_matches_exact_n_mode_sum(params, eps, t0, n_modes, seed):
+    est = estimate_v2(params, eps, t0, n_modes, 20_000, seed=seed)
+    assert abs(est.mean - _mode_sum(params, eps, t0, n_modes)) < 5.0 * est.stderr
+
+
+@pytest.mark.parametrize(
+    "params, T, n_modes, seed",
+    [
+        (ModelParams(alpha=2.1, epsilon_D=0.1, omega=1.0), 1.0, 200, 61),
+        (ModelParams(alpha=3.0, A=2.0, omega=2.0), 0.5, 50, 62),
+        (ModelParams(m=2.0, alpha=2.5, epsilon_D=0.3, omega=0.5), 2.0, 100, 63),
+    ],
+)
+def test_estimate_pi_factor_matches_exact_n_mode_product(params, T, n_modes, seed):
+    est = estimate_pi_factor(params, T, n_modes, 20_000, seed=seed)
+    ref = math.exp(log_pi(T, params, n_terms=n_modes).log_pi)
+    assert abs(est.mean - ref) < 5.0 * est.stderr
 
 
 def test_estimate_v2_matches_analytic_series():

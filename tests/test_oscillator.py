@@ -236,6 +236,13 @@ def test_log_pi_adaptive_converges():
 def test_log_pi_domain():
     with pytest.raises(ValueError, match="T must be positive"):
         log_pi(0.0, FIG4)
+    # Abar(T)^2 = (pi^2 / 4T) A^2 overflows at T = 0.2, not at T = 5
+    huge = ModelParams(A=1e154, omega=1.0)
+    for n_terms in (None, 100):
+        with pytest.raises(ValueError, match=r"finite Abar\(T\)\^2 .* at T=0.2$"):
+            log_pi(0.2, huge, n_terms=n_terms)
+        assert math.isfinite(log_pi(5.0, huge, n_terms=n_terms).log_pi)
+    assert log_pi(0.2, replace(huge, omega=0.0)).log_pi == 0.0
 
 
 def _amplitude_for(a_bar, m, hbar, T):

@@ -34,6 +34,23 @@ def test_params_validation():
                 ModelParams(**amplitude, **{name: bad})
 
 
+def test_params_refuse_scales_out_of_float_range():
+    # A(T) = (T / epsilon_D)^(alpha - 1) = 1e400, and Abar = sqrt(m pi^2 / 4) A
+    # with m * pi^2 past the float range
+    for bad in ({"epsilon_D": 1e-200, "alpha": 3.0}, {"m": 1e308, "A": 10.0}):
+        with pytest.raises(ValueError, match="^Abar = .* overflows at m="):
+            ModelParams(**bad)
+    # Abar^2 below the normal floats, from a subnormal mass or a tiny A
+    for bad in ({"m": 1e-320, "A": 10.0}, {"A": 1e-160}):
+        with pytest.raises(ValueError, match=r"^Abar\^2 = .* underflows at m="):
+            ModelParams(**bad)
+    # the edges stay accepted: Abar^2 overflowing is refused by the series that
+    # square it, and A(T) from epsilon_D needs alpha > 1 only when it is read
+    huge, tiny = ModelParams(A=1e154).a_bar, ModelParams(m=1e-300, A=10.0).a_bar
+    assert huge * huge == math.inf and tiny * tiny > 0.0
+    ModelParams(epsilon_D=1e-200, alpha=0.5)
+
+
 def test_single_mode_path_values():
     p = FourierPath(T=1.0, coeffs=np.array([1.0]))
     assert eval_path(p, 0.0) == 0.0
