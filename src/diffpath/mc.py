@@ -202,9 +202,16 @@ def estimate_v2(
         a = sample_truncated_gaussian(b_j, big_b, rng, size=n_samples)
         v += a * ds
     v /= eps
+    # moments of v 2^-e (max |v| 2^-e in [1/2, 1)) scaled back by 2^(2e): bit
+    # for bit those of v where v^2 and its spread are normal floats, and kept
+    # where they would underflow (tiny amplitudes); e <= 0, so max |v| >= 1
+    # is not scaled
+    e = min(math.frexp(max(v.max(), -v.min()))[1], 0)
+    if e:
+        v = np.ldexp(v, -e)
     v2 = v * v
-    mean = float(v2.mean())
-    stderr = float(v2.std(ddof=1) / math.sqrt(n_samples))
+    mean = math.ldexp(float(v2.mean()), 2 * e)
+    stderr = math.ldexp(float(v2.std(ddof=1) / math.sqrt(n_samples)), 2 * e)
     bias = _omitted_mode_bound(params, eps, N_modes)
     if bias > stderr:
         warnings.warn(

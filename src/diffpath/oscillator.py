@@ -33,7 +33,7 @@ E^D_n = hbar omega (n + 1/2) - hbar Delta omega with unchanged spacing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
@@ -97,9 +97,9 @@ class SpectrumShift:
     converged: bool  # ln Pi met its tolerance
 
 
-def _mode_pair(params: ModelParams, wt: float, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """W_n (1 + x_n) and W_n for the modes n, x_n = (wT / n pi)^2."""
-    lo = params.mode_w(n)
+def _mode_pair(params: ModelParams, a_bar: float, wt: float, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """W_n (1 + x_n) and W_n for the modes n at Abar = a_bar, x_n = (wT / n pi)^2."""
+    lo = params.mode_w(n, a_bar)
     return lo * (1.0 + (wt / (n * math.pi)) ** 2), lo
 
 
@@ -280,13 +280,13 @@ def log_pi(
     an absolute tolerance wherever |ln Pi| < 1.  With omega > 0 an
     Abar(T)^2 beyond the float range raises ValueError.
     """
-    params_t = replace(params, T=T)  # validates T
-    if params.alpha <= 1 and params.epsilon_D is not None:
+    a_bar = params.a_bar_at(T)  # validates T
+    if a_bar is None:
         raise ValueError("alpha > 1 required with epsilon_D primary")
     wt = params.omega * T
     if wt == 0.0:
         return PiResult(0.0, T, 0, 0.0, True)
-    a_bar, alpha = params_t.a_bar, params.alpha
+    alpha = params.alpha
     if not math.isfinite(a_bar * a_bar):
         raise ValueError(
             f"log_pi requires a finite Abar(T)^2 = m pi^2 A(T)^2 / (4 hbar T) at T={float(T)!r}"
@@ -297,9 +297,10 @@ def log_pi(
             raise ValueError("n_terms must be >= 1")
 
         def erf_ratio(n):
-            hi, lo = _mode_pair(params_t, wt, n)
+            # one log_erf call on both arguments
+            l_e = log_erf(np.sqrt(np.concatenate(_mode_pair(params, a_bar, wt, n))))
             # each factor is >= 0 exactly; clip roundoff-negative values
-            return np.maximum(log_erf(np.sqrt(hi)) - log_erf(np.sqrt(lo)), 0.0)
+            return np.maximum(l_e[: n.size] - l_e[n.size :], 0.0)
 
         n = int(n_terms)
         n1 = _head_size(n, wt, a_bar, alpha)
@@ -313,7 +314,7 @@ def log_pi(
 
         def bracket(n):
             # one kernel call on both arguments; ln(2/sqrt(pi)) cancels in the difference
-            l_w = _log_erf_over_sqrt(np.concatenate(_mode_pair(params_t, wt, n)))
+            l_w = _log_erf_over_sqrt(np.concatenate(_mode_pair(params, a_bar, wt, n)))
             # each bracket is <= 0 exactly; clip roundoff-positive values
             return np.minimum(l_w[: n.size] - l_w[n.size :], 0.0)
 
@@ -383,7 +384,7 @@ def unitarity_diagnostic(
     t_grid = sorted(float(t) for t in t_grid)
     if not t_grid:
         raise ValueError("grid must be nonempty")
-    below = [params.alpha > 1 and t < replace(params, T=t).eps_d for t in t_grid]
+    below = [params.alpha > 1 and t < params.eps_d_at(t) for t in t_grid]
     pis = [log_pi(t, params, tol, n_terms) for t in t_grid]
     dws = [p.log_pi / t for p, t in zip(pis, t_grid)]
     us = [p.tail_bound / t for p, t in zip(pis, t_grid)]

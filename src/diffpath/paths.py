@@ -68,19 +68,20 @@ class ModelParams:
         if self.omega < 0:
             raise ValueError("omega must be non-negative")
         if self.A is not None or self.alpha > 1:  # else ``amplitude`` refuses A(T)
-            self._check_abar()
+            self._check_abar(self.T)
 
-    def _check_abar(self) -> None:
+    def _check_abar(self, T: float) -> float:
+        """Abar at time T, or ValueError where it leaves the float range."""
         # every restricted series reads the restriction through
         # W_j = Abar^2 / j^(2 alpha - 2): an Abar^2 below the normal floats
         # leaves them no precision, and an amplitude that overflows no value
         try:
-            a_bar = self.a_bar
+            a_bar = self._a_bar_at(T)
         except OverflowError:
             a_bar = math.inf
         if math.isfinite(a_bar) and a_bar * a_bar >= sys.float_info.min:
-            return
-        inputs = f"m={self.m!r}, hbar={self.hbar!r}, T={float(self.T)!r}, "
+            return a_bar
+        inputs = f"m={self.m!r}, hbar={self.hbar!r}, T={float(T)!r}, "
         if self.A is not None:
             inputs += f"A={self.A!r}"
         else:
@@ -90,29 +91,43 @@ class ModelParams:
         raise ValueError(f"Abar = sqrt(m pi^2 / (4 hbar T)) A overflows at {inputs}")
 
     # -- derived scales -----------------------------------------------------
+    # Each is a function of the time T; the properties take the field T, and
+    # ``a_bar_at``/``eps_d_at`` another T without building a copy.
 
-    @property
-    def sigma(self) -> float:
-        """Brownian coefficient scale sqrt(hbar T / m)."""
-        return math.sqrt(self.hbar * self.T / self.m)
+    def _sigma_at(self, T: float) -> float:
+        return math.sqrt(self.hbar * T / self.m)
 
-    @property
-    def amplitude(self) -> float:
-        """The amplitude bound A (given directly or as A(T) from epsilon_D)."""
+    def _amplitude_at(self, T: float) -> float:
         if self.A is not None:
             return self.A
         if self.alpha <= 1:
             raise ValueError("A(T) from epsilon_D requires alpha > 1")
-        return self.sigma * (self.T / self.epsilon_D) ** (self.alpha - 1.0)
+        return self._sigma_at(T) * (T / self.epsilon_D) ** (self.alpha - 1.0)
 
-    @property
-    def eps_d(self) -> float:
-        """Differentiable time scale from (T/eps_D)^(alpha-1) = A/sigma."""
+    def _eps_d_at(self, T: float) -> float:
         if self.epsilon_D is not None:
             return self.epsilon_D
         if self.alpha <= 1:
             raise ValueError("epsilon_D from A requires alpha > 1")
-        return self.T * (self.A / self.sigma) ** (-1.0 / (self.alpha - 1.0))
+        return T * (self.A / self._sigma_at(T)) ** (-1.0 / (self.alpha - 1.0))
+
+    def _a_bar_at(self, T: float) -> float:
+        return math.sqrt(self.m * math.pi**2 / (4.0 * self.hbar * T)) * self._amplitude_at(T)
+
+    @property
+    def sigma(self) -> float:
+        """Brownian coefficient scale sqrt(hbar T / m)."""
+        return self._sigma_at(self.T)
+
+    @property
+    def amplitude(self) -> float:
+        """The amplitude bound A (given directly or as A(T) from epsilon_D)."""
+        return self._amplitude_at(self.T)
+
+    @property
+    def eps_d(self) -> float:
+        """Differentiable time scale from (T/eps_D)^(alpha-1) = A/sigma."""
+        return self._eps_d_at(self.T)
 
     @property
     def a_bar(self) -> float:
@@ -120,12 +135,34 @@ class ModelParams:
 
         With epsilon_D primary it is (pi / 2)(T / epsilon_D)^(alpha - 1).
         """
-        return math.sqrt(self.m * math.pi**2 / (4.0 * self.hbar * self.T)) * self.amplitude
+        return self._a_bar_at(self.T)
 
-    def mode_w(self, j):
+    def a_bar_at(self, T: float) -> Optional[float]:
+        """``replace(self, T=T).a_bar``, with the same checks and errors, without the copy.
+
+        None where the constructor accepts an undefined A(T): epsilon_D
+        primary with alpha <= 1.
+        """
+        if not math.isfinite(T):
+            raise ValueError("T must be finite")
+        if not T > 0:
+            raise ValueError("T must be positive")
+        if self.A is None and self.alpha <= 1:
+            return None
+        return self._check_abar(T)
+
+    def eps_d_at(self, T: float) -> float:
+        """``replace(self, T=T).eps_d``, with the same checks and errors, without the copy."""
+        self.a_bar_at(T)
+        return self._eps_d_at(T)
+
+    def mode_w(self, j, a_bar: Optional[float] = None):
         """W_j = (Abar / j^(alpha-1))^2, the per-mode number through which the
-        restriction enters every restricted weight and factor."""
-        return (self.a_bar / j ** (self.alpha - 1.0)) ** 2
+        restriction enters every restricted weight and factor.  ``a_bar``
+        (default: ``self.a_bar``) gives W_j at another time, as from ``a_bar_at``."""
+        if a_bar is None:
+            a_bar = self.a_bar
+        return (a_bar / j ** (self.alpha - 1.0)) ** 2
 
     @property
     def j_d(self) -> int:

@@ -160,6 +160,22 @@ def _series_remainder(w: float, u: float) -> float:
     return _ELL_M * u / _ELL_R * rho**_K * (_K + 1 - _K * rho) / (1.0 - rho) ** 2
 
 
+def _ell_series(w: np.ndarray) -> np.ndarray:
+    """sum_{k<=_K} l_k w^k by Horner's rule in place."""
+    acc = w * _ELL[-1]
+    acc += _ELL[-2]
+    for ell in _ELL[-3::-1]:
+        acc *= w
+        acc += ell
+    acc *= w
+    return acc
+
+
+def _ell_direct(w: np.ndarray) -> np.ndarray:
+    import scipy.special as sc
+    return np.log1p(-sc.erfc(np.sqrt(w))) - 0.5 * np.log(w) - _LOG_2_OVER_SQRT_PI
+
+
 def _log_erf_over_sqrt(w):
     """l(W) = ln(sqrt(pi) Erf(sqrt W) / (2 sqrt W)) for W > 0.
 
@@ -171,20 +187,18 @@ def _log_erf_over_sqrt(w):
     log1p(-erfc(sqrt W)) - (1/2) ln W - ln(2/sqrt(pi)), where
     sqrt W >= 1/2 keeps every log finite.
     """
-    import scipy.special as sc
     w = np.asarray(w, dtype=float)
     small = w < _W0
-    large = ~small
-    out = np.empty_like(w)
-    ws = w[small]
-    acc = np.full_like(ws, _ELL[-1])
-    for ell in _ELL[-2::-1]:
-        acc *= ws
-        acc += ell
-    acc *= ws
-    out[small] = acc
-    wl = w[large]
-    out[large] = np.log1p(-sc.erfc(np.sqrt(wl))) - 0.5 * np.log(wl) - _LOG_2_OVER_SQRT_PI
+    n_small = np.count_nonzero(small)
+    # each form runs only on the elements that take it, on w itself when all do
+    if n_small == w.size:
+        out = _ell_series(w)
+    elif n_small == 0:
+        out = _ell_direct(w)
+    else:
+        out = np.empty_like(w)
+        out[small] = _ell_series(w[small])
+        out[~small] = _ell_direct(w[~small])
     if out.ndim == 0:
         return float(out)
     return out

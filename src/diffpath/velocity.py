@@ -371,7 +371,19 @@ def s_diff(tau: float, params: ModelParams, tol: float = 1e-10) -> SeriesValue:
 
 
 def _v2_prefactor(eps: float, params: ModelParams) -> float:
-    return (2.0 * params.hbar / (params.m * params.T)) * (params.T / (math.pi * eps)) ** 2
+    """(2 hbar / m T)(T / pi eps)^2; ValueError where it overflows, as ModelParams
+    refuses an Abar out of range."""
+    eps = float(eps)  # float arithmetic: an overflow gives inf or OverflowError, no numpy warning
+    try:
+        pref = (2.0 * params.hbar / (params.m * params.T)) * (params.T / (math.pi * eps)) ** 2
+    except OverflowError:
+        pref = math.inf
+    if pref == math.inf:
+        raise ValueError(
+            f"<v^2> prefactor 2 hbar / (m T) (T / (pi eps))^2 overflows at "
+            f"m={params.m!r}, hbar={params.hbar!r}, T={float(params.T)!r}, eps={eps!r}"
+        )
+    return pref
 
 
 def _check_eps(eps: float, params: ModelParams) -> None:

@@ -177,6 +177,43 @@ def test_casimir_energy_records_route():
         casimir_energy(cfg, "cubic")
 
 
+def test_tanh_em_table_matches_the_series_bit_for_bit():
+    # the em route sums a table built once; its delta, tail bound and energy
+    # are those of the series through euler_maclaurin_delta, in hex
+    for x in np.geomspace(1e-8, 0.125, 1200):
+        cfg = CasimirConfig(L=math.pi / x, omega_D=1.0, c=1.0, hbar=0.7)
+        x = cfg.x
+        delta = euler_maclaurin_delta(tanh_model_derivs(x, 24), 24)
+        tail = abs(casimir.bernoulli(24)) * x**22 * math.exp(1.5) / (1.5**24 * math.cos(1.5))
+        energy = 0.5 * cfg.hbar * cfg.c * math.pi / cfg.L * delta
+        r = casimir_energy(cfg, "tanh")
+        assert r.route == "em" and r.x == x
+        assert (r.delta.hex(), r.tail_bound.hex(), r.energy.hex()) == (delta.hex(), tail.hex(), energy.hex())
+
+
+def test_tanh_direct_route_unchanged():
+    for x in np.geomspace(0.12500001, 10.0, 200):
+        cfg = CasimirConfig(L=math.pi / x, omega_D=1.0)
+        x = cfg.x
+        n = math.ceil(38.0 / x)
+        s = math.fsum(1.0 / (np.exp(2.0 * x * np.arange(n)) + 1.0))
+        delta = 0.5 / x + math.log(2.0) / (x * x) - 2.0 / x * s
+        tail = 2.0 / x * math.exp(-2.0 * x * n) / -math.expm1(-2.0 * x)
+        r = casimir_energy(cfg, "tanh")
+        assert (r.route, r.n_terms) == ("direct", n)
+        assert (r.delta.hex(), r.tail_bound.hex()) == (delta.hex(), tail.hex())
+
+
+def test_tanh_em_table_built_on_first_em_call(monkeypatch):
+    monkeypatch.setattr(casimir, "_EM_TABLE", None)
+    casimir_energy(CasimirConfig(L=1.0, omega_D=100.0), "standard")
+    casimir_energy(CasimirConfig(L=1.0, omega_D=1.0), "tanh")  # x = pi: direct
+    assert casimir._EM_TABLE is None
+    casimir_energy(CasimirConfig(L=1.0, omega_D=100.0), "tanh")
+    table, b_24 = casimir._EM_TABLE
+    assert [e for _, e, _ in table] == list(range(0, 23, 2)) and b_24 == abs(casimir.bernoulli(24))
+
+
 @pytest.mark.parametrize("model", ["standard", "tanh"])
 def test_casimir_energy_never_sums_regulated(monkeypatch, model):
     # delta is the n_c -> infinity limit: n_c and regulator are ignored

@@ -108,6 +108,11 @@ def test_unused_flags_are_not_accepted(capsys, argv):
          "overflows at m=1.0, hbar=1.0, T=1.0, epsilon_D=1e-200, alpha=3.0"),
         # a subnormal mass puts Abar^2 = 2.5e-318 below the normal floats
         (["v2", "--m", "1e-320", "--points", "2"], "underflows at m=1e-320, hbar=1.0, T=1.0, A=10.0"),
+        # the <v^2> prefactor (2 hbar / m T)(T / pi eps)^2 is 2e312 at eps = 1e-4
+        (["v2", "--m", "1e-305", "--points", "2"], "prefactor 2 hbar / (m T) (T / (pi eps))^2 "
+         "overflows at m=1e-305, hbar=1.0, T=1.0, eps=0.0001"),
+        # (T / pi eps)^2 alone is past the float range
+        (["v2", "--eps-min", "1e-200", "--points", "2"], "overflows at m=1.0, hbar=1.0, T=1.0, eps=1e-200"),
     ],
 )
 def test_non_finite_scales_exit_one(capsys, argv, message):
@@ -283,6 +288,13 @@ def test_import_leaves_scipy_integrate_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+def test_casimir_em_table_not_built_at_import():
+    code = "import diffpath.casimir as c\nprint(c._EM_TABLE)"
+    out = _python(code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "None"
+
+
 @pytest.mark.parametrize("argv", [
     ["casimir", "--model", "tanh", "--points", "10"],
     ["casimir", "--bound", "--L-exp", "1e-7", "--rel-error", "0.01", "--c", "3e8"],
@@ -319,6 +331,18 @@ def test_oracle_readme_example_pinned(capsys):
     row = next(l for l in out.splitlines() if l.startswith("v2,")).split(",")
     assert float(row[1]).hex() == "0x1.e232132b1248bp+3"  # 15.06861265575778
     assert float(row[2]).hex() == "0x1.33e2e5ad7b190p-3"  # 0.15033511577292957
+
+
+def test_oracle_keeps_stderr_at_tiny_amplitude(capsys):
+    # <v^2> ~ 4e-300: the spread of v^2 about its mean underflows unless
+    # the moments are taken on a scaled v
+    code, out = run(capsys, ["oracle", "--A", "1e-150", "--alpha", "4", "--modes", "10",
+                             "--samples", "100"])
+    assert code == EXIT_OK
+    mc, analytic = (l.split(",") for l in out.splitlines() if l.startswith("v2"))
+    mean, stderr = float(mc[1]), float(mc[2])
+    assert stderr > 0.0
+    assert abs(mean - float(analytic[1])) < 4.0 * stderr
 
 
 def test_oracle_rejects_t0(capsys):

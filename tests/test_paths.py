@@ -1,6 +1,7 @@
 """Path representation, restriction, sampling, twin, and the derived scales of ModelParams."""
 
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -49,6 +50,29 @@ def test_params_refuse_scales_out_of_float_range():
     huge, tiny = ModelParams(A=1e154).a_bar, ModelParams(m=1e-300, A=10.0).a_bar
     assert huge * huge == math.inf and tiny * tiny > 0.0
     ModelParams(epsilon_D=1e-200, alpha=0.5)
+
+
+def test_scales_at_another_time_match_a_copy():
+    # a_bar_at / eps_d_at give what a copy with that T gives, checks and errors included
+    from dataclasses import replace
+
+    for params in (ModelParams(A=3.0, m=0.7, hbar=1.3), ModelParams(epsilon_D=0.2, alpha=2.6),
+                   ModelParams(epsilon_D=1e-3, alpha=30.0), ModelParams(A=1e-150)):
+        for T in (1e-300, 1e-3, 0.7, 5, 1e300, 0.0, -1.0, math.inf, math.nan):
+            try:
+                copy = replace(params, T=T)
+            except ValueError as exc:
+                for method in (params.a_bar_at, params.eps_d_at):
+                    with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                        method(T)
+                continue
+            assert params.a_bar_at(T).hex() == copy.a_bar.hex()
+            assert params.eps_d_at(T).hex() == copy.eps_d.hex()
+    # epsilon_D primary with alpha <= 1: no A(T), but T is still checked
+    params = ModelParams(epsilon_D=0.2, alpha=0.5)
+    assert params.a_bar_at(2.0) is None
+    with pytest.raises(ValueError, match="^T must be positive$"):
+        params.a_bar_at(0.0)
 
 
 def test_single_mode_path_values():
