@@ -150,12 +150,12 @@ def cmd_v2(args) -> tuple[str, bool]:
 
 
 def cmd_spectrum(args) -> tuple[str, bool]:
-    from .oscillator import log_pi
+    from .oscillator import log_pi_grid
     params = _params_from_args(args, default_A=None)
     if params.omega <= 0:
         raise UsageError("spectrum requires --omega > 0")
     grid = _grid(args, "T_grid")
-    results = [log_pi(t, params, args.tol, args.n_terms) for t in grid]
+    results = log_pi_grid(grid, params, args.tol, args.n_terms)
     text = _csv(
         _metadata(args),
         "T,delta_omega,log_pi,n_terms",

@@ -26,6 +26,11 @@ power series of the free factor and of L in W_n and W_n x_n turn the rest
 into Hurwitz zeta differences, with a rigorous bound on the truncated
 series.  Only the terms whose a-priori bound is non-negligible next to the
 head sum are evaluated; the bounds of the rest join the tail bound.
+One core, _log_pi_core, evaluates ln Pi at many (omega T, abar(T)) points
+of one alpha: log_pi is its one-point case, while log_pi_grid,
+unitarity_diagnostic (T grids) and scan_E0_vs_omega (an omega grid) pass
+the whole grid, and the sums of all its points share kernel calls of at
+most 2^16 terms.
 The uniform level shift is Delta omega = ln Pi(T) / T (Euclidean), so
 E^D_n = hbar omega (n + 1/2) - hbar Delta omega with unchanged spacing.
 """
@@ -56,12 +61,15 @@ __all__ = [
     "SpectrumShift",
     "UnitarityReport",
     "log_pi",
+    "log_pi_grid",
     "spectrum_shift",
     "unitarity_diagnostic",
     "scan_E0_vs_omega",
 ]
 
 _ADAPTIVE_CAP = 1 << 24
+# one kernel call covers at most this many terms, of one grid point (a block_sum block) or of many
+_BLOCK = 1 << 16
 
 # Fixed-N tail: above n1 every W_n is <= _W0, and l runs to k = _K there as
 # in the kernel.  One entry per term of the tail series, free part first:
@@ -97,8 +105,11 @@ class SpectrumShift:
     converged: bool  # ln Pi met its tolerance
 
 
-def _mode_pair(params: ModelParams, a_bar: float, wt: float, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """W_n (1 + x_n) and W_n for the modes n at Abar = a_bar, x_n = (wT / n pi)^2."""
+def _mode_pair(params: ModelParams, a_bar, wt, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """W_n (1 + x_n) and W_n for the modes n at Abar = a_bar, x_n = (wT / n pi)^2.
+
+    ``a_bar`` and ``wt`` are floats, or arrays like n (one value per mode).
+    """
     lo = params.mode_w(n, a_bar)
     return lo * (1.0 + (wt / (n * math.pi)) ** 2), lo
 
@@ -121,11 +132,14 @@ def _scaled_zeta(s: np.ndarray, q: float | np.ndarray, m: float) -> tuple[np.nda
     zeta(s, q) underflows long before m^s zeta(s, q) is negligible, so a
     zeta below _ZETA_MIN is replaced by the midpoint of its integral-test
     bracket q^-s [q / (s - 1), q / (s - 1) + 1], half the width being the
-    bound.
+    bound.  When every zeta is in range and every m^s finite, that is
+    m_s * z with zero error, and the fallback arrays are not built.
     """
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
         z = hurwitz_zeta(s, q)
         m_s = np.power(m, s)
+        if np.all(z >= _ZETA_MIN) and np.all(np.isfinite(m_s)):
+            return m_s * z, np.zeros_like(z)
         direct = np.where(np.isfinite(m_s), m_s * z, np.exp(s * math.log(m) + np.log(z)))
         ratio = np.exp(s * np.log(m / q))
         normal = z >= _ZETA_MIN
@@ -234,6 +248,136 @@ def _bracket_terms_needed(tol: float, wt: float, a_bar: float, alpha: float) -> 
     return n
 
 
+def _a_bar(params: ModelParams, T: float) -> float:
+    """Abar at time T, from A or from A(T) when epsilon_D is primary; validates T."""
+    a_bar = params.a_bar_at(T)
+    if a_bar is None:
+        raise ValueError("alpha > 1 required with epsilon_D primary")
+    return a_bar
+
+
+def _brackets(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """b_n = l(W_n (1 + x_n)) - l(W_n), one kernel call on both arguments."""
+    # ln(2/sqrt(pi)) cancels in the difference
+    l_w = _log_erf_over_sqrt(np.concatenate((hi, lo)))
+    # each bracket is <= 0 exactly; clip roundoff-positive values
+    return np.minimum(l_w[: lo.size] - l_w[lo.size :], 0.0)
+
+
+def _erf_ratios(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """ln Erf(sqrt(W_n (1 + x_n))) - ln Erf(sqrt W_n), one log_erf call on both arguments."""
+    l_e = log_erf(np.sqrt(np.concatenate((hi, lo))))
+    # each factor is >= 0 exactly; clip roundoff-negative values
+    return np.maximum(l_e[: lo.size] - l_e[lo.size :], 0.0)
+
+
+def _mode_sums(params: ModelParams, points: list, sizes: list, terms) -> list:
+    """sum_{n <= sizes[i]} terms(W_n (1 + x_n), W_n) at each (T, Abar, wT) of ``points``.
+
+    Points of at most _BLOCK terms are packed, in order, into shared calls
+    of at most _BLOCK terms, and each point's sum is numpy's pairwise sum
+    of its slice, as block_sum takes it of a one-block range; a point of
+    more than _BLOCK terms goes through block_sum alone.  Every term
+    depends on its own (n, Abar, wT) only, so the values do not depend on
+    the packing.
+    """
+    sums = [0.0] * len(sizes)
+
+    def flush(pack):
+        if len(pack) == 1:
+            # a lone point's Abar and wT broadcast over n
+            _, a_bar, wt = points[pack[0]]
+            n = np.arange(1.0, sizes[pack[0]] + 1.0)
+            starts, ends = [0], [n.size]
+        else:
+            size = np.array([sizes[i] for i in pack])
+            ends = size.cumsum()
+            starts = ends - size
+            n = np.arange(1.0, ends[-1] + 1.0) - starts.repeat(size)
+            a_bar = np.array([points[i][1] for i in pack]).repeat(size)
+            wt = np.array([points[i][2] for i in pack]).repeat(size)
+            starts, ends = starts.tolist(), ends.tolist()
+        out = terms(*_mode_pair(params, a_bar, wt, n))
+        for i, lo, hi in zip(pack, starts, ends):
+            sums[i] = float(out[lo:hi].sum())
+
+    pack, total = [], 0
+    for i, size in enumerate(sizes):
+        if size > _BLOCK:
+            _, a_bar, wt = points[i]
+            sums[i] = block_sum(lambda n: terms(*_mode_pair(params, a_bar, wt, n)), size, block=_BLOCK)
+        elif total + size > _BLOCK:
+            flush(pack)
+            pack, total = [i], size
+        else:
+            pack.append(i)
+            total += size
+    if pack:
+        flush(pack)
+    return sums
+
+
+def _log_pi_core(points: list, params: ModelParams, tol: float, n_terms: Optional[int]) -> list:
+    """ln Pi at each (T, Abar(T), omega T) of ``points``, alpha that of ``params``.
+
+    The one evaluator behind log_pi (one point), log_pi_grid and
+    unitarity_diagnostic (a T grid) and scan_E0_vs_omega (an omega grid at
+    one T).  Every point is checked before anything is summed; per point,
+    the term counts, the free factor and the tail bounds are the scalar
+    expressions of log_pi's docstring, and the sums of all points share
+    kernel calls of at most _BLOCK terms (_mode_sums).
+    """
+    alpha = params.alpha
+    # omega T = 0 gives Pi = 1 exactly; the other points are summed, over sizes[i] terms each
+    live, sizes = [], []
+    for point in points:
+        T, a_bar, wt = point
+        if wt == 0.0:
+            continue
+        if not math.isfinite(a_bar * a_bar):
+            raise ValueError(
+                f"log_pi requires a finite Abar(T)^2 = m pi^2 A(T)^2 / (4 hbar T) at T={float(T)!r}"
+            )
+        # every bound squares wT and wT Abar / pi; in Python floats, so nothing warns here
+        x = float(wt)
+        y = x * float(a_bar) / math.pi
+        if not (math.isfinite(x * x) and math.isfinite(y * y)):
+            raise ValueError(
+                f"log_pi requires a finite (omega T)^2 and (omega T Abar(T) / pi)^2 at T={float(T)!r}"
+                f" (omega T = {x!r})"
+            )
+        if n_terms is None:
+            sizes.append(_bracket_terms_needed(tol, wt, a_bar, alpha))
+        elif n_terms < 1:
+            raise ValueError("n_terms must be >= 1")
+        else:
+            sizes.append(_head_size(int(n_terms), wt, a_bar, alpha))
+        live.append(point)
+
+    pis = []
+    if n_terms is not None:
+        n = int(n_terms)
+        heads = _mode_sums(params, live, sizes, _erf_ratios)
+        for (T, a_bar, wt), n1, value in zip(live, sizes, heads):
+            tail = wt**2 / (2.0 * math.pi**2 * n)
+            if n1 < n:
+                rest, err = _log_factor_tail(n1, n, wt, a_bar, alpha, value)
+                value += rest
+                tail += err
+            pis.append(PiResult(value, T, n, tail, tail <= tol_budget(value, tol)))
+    else:
+        sums = _mode_sums(params, live, sizes, _brackets)
+        for (T, a_bar, wt), n, s in zip(live, sizes, sums):
+            free = 0.5 * _log_sinh_over_x(wt)
+            value = min(max(free + s, 0.0), free)
+            tail = _bracket_tail(n, wt, a_bar, alpha)
+            pis.append(PiResult(value, T, n, tail, tail <= tol_budget(value, tol)))
+    if len(live) == len(points):
+        return pis
+    summed = iter(pis)
+    return [PiResult(0.0, T, 0, 0.0, True) if wt == 0.0 else next(summed) for T, _, wt in points]
+
+
 def log_pi(
     T: float,
     params: ModelParams,
@@ -277,52 +421,40 @@ def log_pi(
     ``n_terms`` of the result is N.
 
     ``converged`` means tail_bound <= tol_budget(ln Pi, tol) = tol * max(1, |ln Pi|),
-    an absolute tolerance wherever |ln Pi| < 1.  With omega > 0 an
-    Abar(T)^2 beyond the float range raises ValueError.
+    an absolute tolerance wherever |ln Pi| < 1.  With omega > 0, an
+    Abar(T)^2, (omega T)^2 or (omega T Abar(T) / pi)^2 beyond the float
+    range raises ValueError.
     """
-    a_bar = params.a_bar_at(T)  # validates T
-    if a_bar is None:
-        raise ValueError("alpha > 1 required with epsilon_D primary")
-    wt = params.omega * T
-    if wt == 0.0:
-        return PiResult(0.0, T, 0, 0.0, True)
-    alpha = params.alpha
-    if not math.isfinite(a_bar * a_bar):
-        raise ValueError(
-            f"log_pi requires a finite Abar(T)^2 = m pi^2 A(T)^2 / (4 hbar T) at T={float(T)!r}"
-        )
+    return _log_pi_core([(T, _a_bar(params, T), params.omega * T)], params, tol, n_terms)[0]
 
-    if n_terms is not None:
-        if n_terms < 1:
-            raise ValueError("n_terms must be >= 1")
 
-        def erf_ratio(n):
-            # one log_erf call on both arguments
-            l_e = log_erf(np.sqrt(np.concatenate(_mode_pair(params, a_bar, wt, n))))
-            # each factor is >= 0 exactly; clip roundoff-negative values
-            return np.maximum(l_e[: n.size] - l_e[n.size :], 0.0)
+def log_pi_grid(
+    t_grid: Iterable[float],
+    params: ModelParams,
+    tol: float = 1e-6,
+    n_terms: Optional[int] = None,
+) -> list[PiResult]:
+    """``[log_pi(T, params, tol, n_terms) for T in t_grid]``, the same values bit for bit.
 
-        n = int(n_terms)
-        n1 = _head_size(n, wt, a_bar, alpha)
-        value = block_sum(erf_ratio, n1)
-        tail = wt**2 / (2.0 * math.pi**2 * n)
-        if n1 < n:
-            rest, err = _log_factor_tail(n1, n, wt, a_bar, alpha, value)
-            value += rest
-            tail += err
-    else:
+    Every T is checked before anything is summed, and the sums of all grid
+    points share kernel calls of at most 2^16 terms.
+    """
+    points = [(t, _a_bar(params, t), params.omega * t) for t in t_grid]
+    return _log_pi_core(points, params, tol, n_terms)
 
-        def bracket(n):
-            # one kernel call on both arguments; ln(2/sqrt(pi)) cancels in the difference
-            l_w = _log_erf_over_sqrt(np.concatenate(_mode_pair(params, a_bar, wt, n)))
-            # each bracket is <= 0 exactly; clip roundoff-positive values
-            return np.minimum(l_w[: n.size] - l_w[n.size :], 0.0)
 
-        n = _bracket_terms_needed(tol, wt, a_bar, alpha)
-        free = 0.5 * _log_sinh_over_x(wt)
-        value = min(max(free + block_sum(bracket, n), 0.0), free)
-        tail = _bracket_tail(n, wt, a_bar, alpha)
-    return PiResult(value, T, n, tail, tail <= tol_budget(value, tol))
+def _shift(pi: PiResult, hbar: float, omega: float, n_level: int) -> SpectrumShift:
+    """Delta omega = ln Pi(T) / T and the shifted level E^D_n, from ln Pi at T = pi.T."""
+    d_omega = pi.log_pi / pi.T
+    return SpectrumShift(
+        T=pi.T,
+        delta_omega=d_omega,
+        n_level=n_level,
+        energy=hbar * omega * (n_level + 0.5) - hbar * d_omega,
+        e0=hbar * omega * 0.5 - hbar * d_omega,
+        spacing=hbar * omega,
+        converged=pi.converged,
+    )
 
 
 def spectrum_shift(
@@ -335,18 +467,7 @@ def spectrum_shift(
     """Delta omega = ln Pi(T) / T and the shifted level E^D_n."""
     if n_level < 0:
         raise ValueError("n_level must be >= 0")
-    pi = log_pi(T, params, tol, n_terms)
-    d_omega = pi.log_pi / T
-    h, w = params.hbar, params.omega
-    return SpectrumShift(
-        T=T,
-        delta_omega=d_omega,
-        n_level=n_level,
-        energy=h * w * (n_level + 0.5) - h * d_omega,
-        e0=h * w * 0.5 - h * d_omega,
-        spacing=h * w,
-        converged=pi.converged,
-    )
+    return _shift(log_pi(T, params, tol, n_terms), params.hbar, params.omega, n_level)
 
 
 @dataclass(frozen=True)
@@ -384,8 +505,12 @@ def unitarity_diagnostic(
     t_grid = sorted(float(t) for t in t_grid)
     if not t_grid:
         raise ValueError("grid must be nonempty")
-    below = [params.alpha > 1 and t < params.eps_d_at(t) for t in t_grid]
-    pis = [log_pi(t, params, tol, n_terms) for t in t_grid]
+    # one derivation of Abar(T) per T, which also validates T for the eps_D split
+    points, below = [], []
+    for t in t_grid:
+        points.append((t, _a_bar(params, t), params.omega * t))
+        below.append(params.alpha > 1 and t < params._eps_d_at(t))
+    pis = _log_pi_core(points, params, tol, n_terms)
     dws = [p.log_pi / t for p, t in zip(pis, t_grid)]
     us = [p.tail_bound / t for p, t in zip(pis, t_grid)]
     # ln Pi >= 0, so a mean of 0 means every value is 0 and every deviation is 0
@@ -440,7 +565,11 @@ def scan_E0_vs_omega(
         raise ValueError("need at least 3 grid points for the fit")
     if any(w <= 0 for w in omegas):
         raise ValueError("omega grid must be positive")
-    shifts = [spectrum_shift(T, params.with_omega(w), 0, tol, n_terms) for w in omegas]
+    if not all(math.isfinite(w) for w in omegas):
+        raise ValueError("omega must be finite")
+    a_bar = _a_bar(params, T)
+    pis = _log_pi_core([(T, a_bar, w * T) for w in omegas], params, tol, n_terms)
+    shifts = [_shift(pi, params.hbar, w, 0) for pi, w in zip(pis, omegas)]
     rows = [(w, ss.e0) for w, ss in zip(omegas, shifts)]
     half = [r for r in rows if r[0] >= rows[len(rows) // 2][0]]
     x = np.array([r[0] for r in half])

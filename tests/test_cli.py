@@ -113,6 +113,9 @@ def test_unused_flags_are_not_accepted(capsys, argv):
          "overflows at m=1e-305, hbar=1.0, T=1.0, eps=0.0001"),
         # (T / pi eps)^2 alone is past the float range
         (["v2", "--eps-min", "1e-200", "--points", "2"], "overflows at m=1.0, hbar=1.0, T=1.0, eps=1e-200"),
+        # (omega T)^2 = 1e400 at the first grid point: refused before any sum, with no numpy warning
+        (["spectrum", "--A", "10", "--T-grid-min", "1e200", "--T-grid-max", "1e300", "--points", "2"],
+         "finite (omega T)^2 and (omega T Abar(T) / pi)^2 at T=1e+200 (omega T = 1e+200)"),
     ],
 )
 def test_non_finite_scales_exit_one(capsys, argv, message):

@@ -2,7 +2,8 @@
 
 import itertools
 import math
-from dataclasses import replace
+import re
+from dataclasses import astuple, replace
 
 import mpmath as mp
 import numpy as np
@@ -14,6 +15,7 @@ from diffpath.oscillator import (
     _log_sinh_over_x,
     _scaled_zeta,
     log_pi,
+    log_pi_grid,
     scan_E0_vs_omega,
     spectrum_shift,
     unitarity_diagnostic,
@@ -191,6 +193,90 @@ def test_log_pi_adaptive_one_kernel_call_per_block(monkeypatch):
     assert sizes == [2 << 16, 2 << 16, 2 * (res.n_terms - (2 << 16))]
 
 
+def hexed(record):
+    """A record's fields with every float as float.hex, so -0.0 and NaN compare exactly."""
+    return tuple(v.hex() if isinstance(v, float) else v for v in astuple(record))
+
+
+def term_counts(params, t_grid, route):
+    """Terms each grid point sums: N for the adaptive route, n1 for the fixed-N head."""
+    if "n_terms" in route:
+        return [_head_size(route["n_terms"], params.omega * t, a_bar_at(params, t), params.alpha) for t in t_grid]
+    return [log_pi(t, params, **route).n_terms for t in t_grid]
+
+
+def assert_packing(sizes, mixed):
+    """Points of at most 2^16 terms fill more than one shared kernel call, or
+    (``mixed``) some points take block_sum's blocks alone beside packed ones."""
+    small = [n for n in sizes if n <= 1 << 16]
+    if mixed:
+        assert small and len(small) < len(sizes)
+    else:
+        assert len(small) == len(sizes) and sum(small) > 1 << 16
+
+
+@pytest.mark.parametrize(
+    "params, route, mixed",
+    [
+        (ModelParams(alpha=2.1, A=1e3, omega=1.0), {"tol": 1e-9}, False),
+        (ModelParams(alpha=2.1, epsilon_D=0.01, omega=1.0), {"tol": 1e-12}, True),
+        (ModelParams(alpha=2.1, A=6.4e4, omega=1.0), {"n_terms": 100_000}, True),
+        (ModelParams(alpha=2.1, epsilon_D=3e-4, omega=1.0), {"n_terms": 100_000}, False),
+    ],
+)
+def test_log_pi_grid_is_log_pi_per_point(monkeypatch, params, route, mixed):
+    t_grid = np.linspace(0.2, 5.0, 12)
+    assert_packing(term_counts(params, t_grid, route), mixed)
+    singles = [hexed(log_pi(t, params, **route)) for t in t_grid]
+    sizes = []
+    name = "log_erf" if "n_terms" in route else "_log_erf_over_sqrt"
+    kernel = getattr(oscillator, name)
+
+    def counting_kernel(x):
+        sizes.append(np.size(x))
+        return kernel(x)
+
+    monkeypatch.setattr(oscillator, name, counting_kernel)
+    grid = log_pi_grid(t_grid, params, **route)
+    assert [hexed(r) for r in grid] == singles
+    # no kernel call takes more than one block of 2^16 terms, two arguments each
+    assert max(sizes) <= 2 << 16 and len(sizes) > 1
+
+
+@pytest.mark.parametrize(
+    "params, T, route, mixed",
+    [
+        (ModelParams(alpha=2.5, A=1e2), 1.0, {"tol": 1e-12}, False),
+        (ModelParams(alpha=2.1, A=1e3), 1.7, {"tol": 1e-10}, True),
+        (ModelParams(alpha=2.1, epsilon_D=1e-4), 1.0, {"n_terms": 100_000}, False),
+    ],
+)
+def test_scan_e0_is_spectrum_shift_per_omega(params, T, route, mixed):
+    omegas = np.linspace(0.5, 30.0, 9).tolist()
+    assert_packing([term_counts(params.with_omega(w), [T], route)[0] for w in omegas], mixed)
+    fit = scan_E0_vs_omega(omegas, params, T, **route)
+    shifts = [spectrum_shift(T, params.with_omega(w), 0, **route) for w in omegas]
+    assert [(w.hex(), e0.hex()) for w, e0 in fit["rows"]] == [(w.hex(), s.e0.hex()) for w, s in zip(omegas, shifts)]
+    assert fit["converged"] == all(s.converged for s in shifts)
+
+
+def test_unitarity_grid_shares_one_kernel_call(monkeypatch):
+    t_grid = np.linspace(0.2, 5.0, 12)
+    total = sum(term_counts(FIG4, t_grid, {"tol": 1e-4}))
+    assert total <= 1 << 16
+    sizes = []
+    kernel = oscillator._log_erf_over_sqrt
+
+    def counting_kernel(w):
+        sizes.append(np.size(w))
+        return kernel(w)
+
+    monkeypatch.setattr(oscillator, "_log_erf_over_sqrt", counting_kernel)
+    rep = unitarity_diagnostic(t_grid, FIG4, tol=1e-4)
+    assert sizes == [2 * total]
+    assert rep.delta_omega == tuple(log_pi(t, FIG4, tol=1e-4).log_pi / t for t in t_grid.tolist())
+
+
 def test_scaled_zeta_mpmath():
     # m^s zeta(s, q), including zeta values far below the double range
     mp.mp.dps = 50
@@ -213,6 +299,12 @@ def test_scaled_zeta_mpmath():
         errs.append(err[0])
     # both the zeta values in range and the bracketed ones occur
     assert 0.0 in errs and max(errs) > 0.0
+    # an array holding both takes the bracket form only where zeta is out of range
+    both, both_err = _scaled_zeta(np.array([4.2, 300.0]), 1e4 + 1.0, 1e4)
+    for i, si in enumerate((4.2, 300.0)):
+        one, one_err = _scaled_zeta(np.array([si]), 1e4 + 1.0, 1e4)
+        assert (both[i].hex(), both_err[i].hex()) == (one[0].hex(), one_err[0].hex())
+    assert both_err[0] == 0.0 and both_err[1] > 0.0
 
 
 def test_log_pi_nonnegative_and_monotone_in_omega():
@@ -243,6 +335,12 @@ def test_log_pi_domain():
             log_pi(0.2, huge, n_terms=n_terms)
         assert math.isfinite(log_pi(5.0, huge, n_terms=n_terms).log_pi)
     assert log_pi(0.2, replace(huge, omega=0.0)).log_pi == 0.0
+    # refused before any sum: (omega T)^2 overflows at the Python-float T = 1e300,
+    # and (omega T Abar / pi)^2 = 2.5e399 at A = omega = 1e100
+    for T, params in ((1e300, ModelParams(A=10.0, omega=1.0)), (1.0, ModelParams(A=1e100, omega=1e100))):
+        for n_terms in (None, 100):
+            with pytest.raises(ValueError, match=re.escape(f"/ pi)^2 at T={T!r} (omega T = ")):
+                log_pi(T, params, n_terms=n_terms)
 
 
 def _amplitude_for(a_bar, m, hbar, T):
@@ -426,3 +524,9 @@ def test_shift_scans_report_convergence():
 def test_scan_e0_requires_three_points():
     with pytest.raises(ValueError):
         scan_E0_vs_omega([1.0, 2.0], FIG4, 1.0)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_scan_e0_refuses_non_finite_omega(bad):
+    with pytest.raises(ValueError, match="omega must be finite"):
+        scan_E0_vs_omega([1.0, 2.0, bad], FIG4, 1.0)
