@@ -141,8 +141,10 @@ def sum_minus_integral(
     """sum_{n>=0} F(n) - int_0^inf F(n) dn for F(n) = f(n) g(n/n_c).
 
     Adds the local differences F(n) - int_n^{n+1} F (12-node Gauss-Legendre)
-    over n < N = _REG_RANGE[regulator] n_c + 1, f seeing at most 2^14 points at
-    a time.  For F decreasing beyond N, the dropped remainder is in [0, F(N)].
+    over n < N = _REG_RANGE[regulator] n_c + 1 (block_sum's terms m = 1..N,
+    taken at n = m - 1, which is exact in floats), f seeing at most 2^14
+    points at a time.  For F decreasing beyond N, the dropped remainder is
+    in [0, F(N)].
     """
     if n_c < 10:
         raise ValueError("n_c must be >= 10")
@@ -157,7 +159,7 @@ def sum_minus_integral(
             d -= wk * F(n + xk)
         return d
 
-    return block_sum(local_differences, n_max - 1, start=0, block=_BLOCK)
+    return block_sum(lambda m: local_differences(m - 1.0), n_max, block=_BLOCK)
 
 
 def casimir_energy(config: CasimirConfig, model: str = "standard") -> CasimirResult:

@@ -69,10 +69,8 @@ def _rejection_fill(out: np.ndarray, acceptance: float, draw) -> np.ndarray:
     return out
 
 
-def sample_truncated_gaussian(
-    b: float, big_b: float, rng: np.random.Generator, size: Optional[int] = None
-) -> np.ndarray | float:
-    """Exact samples from the density ∝ e^{-b a^2} on |a| <= B.
+def sample_truncated_gaussian(b: float, big_b: float, rng: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` exact samples from the density ∝ e^{-b a^2} on |a| <= B.
 
     Two methods, switched at x = B sqrt(b) = 1:
 
@@ -95,8 +93,7 @@ def sample_truncated_gaussian(
     """
     if b <= 0 or big_b <= 0:
         raise ValueError("b and B must be positive")
-    scalar = size is None
-    out = np.empty(1 if scalar else int(size))
+    out = np.empty(int(size))
     x = big_b * math.sqrt(b)
     if x > 1.0:
         sigma = 1.0 / math.sqrt(2.0 * b)
@@ -133,7 +130,7 @@ def sample_truncated_gaussian(
         n_wedge = int(np.count_nonzero(in_wedge))
         if n_wedge:
             out[in_wedge] = _rejection_fill(np.empty(n_wedge), acceptance, wedge)
-    return float(out[0]) if scalar else out
+    return out
 
 
 def _mode_params(params: ModelParams, j: int) -> tuple[float, float]:

@@ -29,8 +29,8 @@ head sum are evaluated; the bounds of the rest join the tail bound.
 One core, _log_pi_core, evaluates ln Pi at many (omega T, abar(T)) points
 of one alpha: log_pi is its one-point case, while log_pi_grid,
 unitarity_diagnostic (T grids) and scan_E0_vs_omega (an omega grid) pass
-the whole grid, and the sums of all its points share kernel calls of at
-most 2^16 terms.
+the whole grid, and it sums all points in one special.block_sum call,
+whose kernel calls see at most 2^16 terms.
 The uniform level shift is Delta omega = ln Pi(T) / T (Euclidean), so
 E^D_n = hbar omega (n + 1/2) - hbar Delta omega with unchanged spacing.
 """
@@ -68,8 +68,6 @@ __all__ = [
 ]
 
 _ADAPTIVE_CAP = 1 << 24
-# one kernel call covers at most this many terms, of one grid point (a block_sum block) or of many
-_BLOCK = 1 << 16
 
 # Fixed-N tail: above n1 every W_n is <= _W0, and l runs to k = _K there as
 # in the kernel.  One entry per term of the tail series, free part first:
@@ -271,52 +269,6 @@ def _erf_ratios(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     return np.maximum(l_e[: lo.size] - l_e[lo.size :], 0.0)
 
 
-def _mode_sums(params: ModelParams, points: list, sizes: list, terms) -> list:
-    """sum_{n <= sizes[i]} terms(W_n (1 + x_n), W_n) at each (T, Abar, wT) of ``points``.
-
-    Points of at most _BLOCK terms are packed, in order, into shared calls
-    of at most _BLOCK terms, and each point's sum is numpy's pairwise sum
-    of its slice, as block_sum takes it of a one-block range; a point of
-    more than _BLOCK terms goes through block_sum alone.  Every term
-    depends on its own (n, Abar, wT) only, so the values do not depend on
-    the packing.
-    """
-    sums = [0.0] * len(sizes)
-
-    def flush(pack):
-        if len(pack) == 1:
-            # a lone point's Abar and wT broadcast over n
-            _, a_bar, wt = points[pack[0]]
-            n = np.arange(1.0, sizes[pack[0]] + 1.0)
-            starts, ends = [0], [n.size]
-        else:
-            size = np.array([sizes[i] for i in pack])
-            ends = size.cumsum()
-            starts = ends - size
-            n = np.arange(1.0, ends[-1] + 1.0) - starts.repeat(size)
-            a_bar = np.array([points[i][1] for i in pack]).repeat(size)
-            wt = np.array([points[i][2] for i in pack]).repeat(size)
-            starts, ends = starts.tolist(), ends.tolist()
-        out = terms(*_mode_pair(params, a_bar, wt, n))
-        for i, lo, hi in zip(pack, starts, ends):
-            sums[i] = float(out[lo:hi].sum())
-
-    pack, total = [], 0
-    for i, size in enumerate(sizes):
-        if size > _BLOCK:
-            _, a_bar, wt = points[i]
-            sums[i] = block_sum(lambda n: terms(*_mode_pair(params, a_bar, wt, n)), size, block=_BLOCK)
-        elif total + size > _BLOCK:
-            flush(pack)
-            pack, total = [i], size
-        else:
-            pack.append(i)
-            total += size
-    if pack:
-        flush(pack)
-    return sums
-
-
 def _log_pi_core(points: list, params: ModelParams, tol: float, n_terms: Optional[int]) -> list:
     """ln Pi at each (T, Abar(T), omega T) of ``points``, alpha that of ``params``.
 
@@ -324,8 +276,9 @@ def _log_pi_core(points: list, params: ModelParams, tol: float, n_terms: Optiona
     unitarity_diagnostic (a T grid) and scan_E0_vs_omega (an omega grid at
     one T).  Every point is checked before anything is summed; per point,
     the term counts, the free factor and the tail bounds are the scalar
-    expressions of log_pi's docstring, and the sums of all points share
-    kernel calls of at most _BLOCK terms (_mode_sums).
+    expressions of log_pi's docstring, and the sums of all points are one
+    block_sum call.  Each term depends on its own (n, Abar, wT) only, so no
+    value depends on which points share a kernel call.
     """
     alpha = params.alpha
     # omega T = 0 gives Pi = 1 exactly; the other points are summed, over sizes[i] terms each
@@ -354,11 +307,21 @@ def _log_pi_core(points: list, params: ModelParams, tol: float, n_terms: Optiona
             sizes.append(_head_size(int(n_terms), wt, a_bar, alpha))
         live.append(point)
 
+    if len(live) > 1:
+        # Abar and wT per point, taken at the point of each term of a shared call
+        _, a_bars, wts = map(np.array, zip(*live))
+    kernel = _brackets if n_terms is None else _erf_ratios
+
+    def terms(i, n):
+        # a call of one point broadcasts its Abar and wT over n
+        a_bar, wt = live[i][1:] if isinstance(i, int) else (a_bars.take(i), wts.take(i))
+        return kernel(*_mode_pair(params, a_bar, wt, n))
+
     pis = []
+    sums = block_sum(terms, sizes)
     if n_terms is not None:
         n = int(n_terms)
-        heads = _mode_sums(params, live, sizes, _erf_ratios)
-        for (T, a_bar, wt), n1, value in zip(live, sizes, heads):
+        for (T, a_bar, wt), n1, value in zip(live, sizes, sums):
             tail = wt**2 / (2.0 * math.pi**2 * n)
             if n1 < n:
                 rest, err = _log_factor_tail(n1, n, wt, a_bar, alpha, value)
@@ -366,7 +329,6 @@ def _log_pi_core(points: list, params: ModelParams, tol: float, n_terms: Optiona
                 tail += err
             pis.append(PiResult(value, T, n, tail, tail <= tol_budget(value, tol)))
     else:
-        sums = _mode_sums(params, live, sizes, _brackets)
         for (T, a_bar, wt), n, s in zip(live, sizes, sums):
             free = 0.5 * _log_sinh_over_x(wt)
             value = min(max(free + s, 0.0), free)
@@ -437,7 +399,7 @@ def log_pi_grid(
     """``[log_pi(T, params, tol, n_terms) for T in t_grid]``, the same values bit for bit.
 
     Every T is checked before anything is summed, and the sums of all grid
-    points share kernel calls of at most 2^16 terms.
+    points share kernel calls of at most special.BLOCK = 2^16 terms.
     """
     points = [(t, _a_bar(params, t), params.omega * t) for t in t_grid]
     return _log_pi_core(points, params, tol, n_terms)

@@ -109,7 +109,10 @@ class ModelParams:
             return self.epsilon_D
         if self.alpha <= 1:
             raise ValueError("epsilon_D from A requires alpha > 1")
-        return T * (self.A / self._sigma_at(T)) ** (-1.0 / (self.alpha - 1.0))
+        try:
+            return T * (self.A / self._sigma_at(T)) ** (-1.0 / (self.alpha - 1.0))
+        except OverflowError:  # its A / sigma -> 0 limit
+            return math.inf
 
     def _a_bar_at(self, T: float) -> float:
         return math.sqrt(self.m * math.pi**2 / (4.0 * self.hbar * T)) * self._amplitude_at(T)
@@ -126,7 +129,7 @@ class ModelParams:
 
     @property
     def eps_d(self) -> float:
-        """Differentiable time scale from (T/eps_D)^(alpha-1) = A/sigma."""
+        """Differentiable time scale from (T/eps_D)^(alpha-1) = A/sigma; inf past the float range."""
         return self._eps_d_at(self.T)
 
     @property
@@ -169,7 +172,10 @@ class ModelParams:
         """Crossover Fourier index floor((A/sigma)^(1/(alpha-1)))."""
         if self.alpha <= 1:
             raise ValueError("j_D requires alpha > 1")
-        return int(math.floor((self.amplitude / self.sigma) ** (1.0 / (self.alpha - 1.0))))
+        try:
+            return int(math.floor((self.amplitude / self.sigma) ** (1.0 / (self.alpha - 1.0))))
+        except OverflowError:
+            raise ValueError(f"j_D overflows at A={self.amplitude!r}, alpha={self.alpha!r}") from None
 
     def with_omega(self, omega: float) -> "ModelParams":
         return replace(self, omega=omega)

@@ -7,7 +7,8 @@ brackets of ln Pi(T) (differences of l) are taken, and the Taylor
 coefficients l_k that both the kernel and the tail of ln Pi sum, with a
 bound on the truncated series; exact Bernoulli numbers;
 and the one series primitive every certified sum goes through: block_sum
-(compensated blocked summation), tol_budget (the tolerance rule
+(compensated blocked summation of one range of terms or of many, whose
+blocks of BLOCK terms share kernel calls), tol_budget (the tolerance rule
 tail <= tol * max(1, |value|), absolute for |value| < 1) and certify (the
 x4 term-count loop that returns a SeriesValue).
 """
@@ -35,6 +36,8 @@ __all__ = [
 ]
 
 ZETA2 = math.pi**2 / 6.0
+# block_sum's block: the most terms one kernel call sees
+BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -56,22 +59,51 @@ class ConvergenceError(RuntimeError):
     """A series failed to meet its tail-bound tolerance within the term cap."""
 
 
-def block_sum(terms: Callable, stop: int, start: int = 1, block: int = 1 << 16):
-    """Compensated sum of terms(n) over n = start..stop (an empty range gives 0.0).
+def block_sum(terms: Callable, stops, block: int = BLOCK):
+    """Compensated sums of terms over n = 1..stop, for one stop or a list of them.
 
-    ``terms`` is called on float arrays of at most ``block`` consecutive n.
-    Each block is summed by numpy's pairwise reduction and the block totals
-    by one ``math.fsum``, so the accumulation order is fixed and rounding
-    stays near one ulp even for ~1e7 terms.  If ``terms`` returns a tuple
-    of arrays, the result is the tuple of their sums.
+    ``stops`` an int: the sum of ``terms(n)``; a list: the list of sums of
+    ``terms(i, n)``, i the range of each n (an int when the call holds one
+    range, else an int array like n), n a float array.  Each range is cut
+    into blocks of ``block`` consecutive n, packed in order into calls of at
+    most ``block`` terms; numpy's pairwise sum of each block's slice and one
+    ``math.fsum`` per range fix the accumulation order, so no sum depends on
+    the packing and rounding stays near one ulp even for ~1e7 terms.  An
+    empty range gives 0.0, and tuples of arrays from ``terms`` tuples of sums.
     """
-    partials = []
-    for lo in range(start, stop + 1, block):
-        out = terms(np.arange(lo, min(lo + block, stop + 1), dtype=float))
-        partials.append(tuple(float(a.sum()) for a in out) if isinstance(out, tuple) else float(out.sum()))
-    if partials and isinstance(partials[0], tuple):
-        return tuple(math.fsum(col) for col in zip(*partials))
-    return math.fsum(partials)
+    one = not isinstance(stops, list)
+    if one:
+        terms, stops = (lambda _, n, f=terms: f(n)), [stops]
+    calls, total = [], block  # starts full, so the first block opens a call
+    for i, stop in enumerate(stops):
+        for lo in range(1, stop + 1, block):
+            size = min(block, stop + 1 - lo)
+            if total + size > block:
+                calls.append([])
+                total = 0
+            calls[-1].append((i, lo, size))
+            total += size
+    partials = [[] for _ in stops]
+    for pack in calls:
+        if len(pack) == 1:
+            i, lo, size = pack[0]
+            # the whole output is the block: summed without building a slice
+            partials[i].append(_total(terms(i, np.arange(lo, lo + size, dtype=float))))
+            continue
+        i, lo, size = (np.array(col) for col in zip(*pack))
+        end = size.cumsum()
+        # each block's n counts up from its first n, wherever it sits in the call
+        out = terms(i.repeat(size), np.arange(1.0, end[-1] + 1.0) + (lo - 1 - end + size).repeat(size))
+        for (i, _, size), end in zip(pack, end.tolist()):
+            part = slice(end - size, end)
+            partials[i].append(_total(tuple(a[part] for a in out) if isinstance(out, tuple) else out[part]))
+    sums = [tuple(map(math.fsum, zip(*p))) if p and isinstance(p[0], tuple) else math.fsum(p) for p in partials]
+    return sums[0] if one else sums
+
+
+def _total(out):
+    """The float sum of an array, or the tuple of sums of a tuple of arrays."""
+    return tuple([float(a.sum()) for a in out]) if isinstance(out, tuple) else float(out.sum())
 
 
 def tol_budget(value: float, tol: float) -> float:

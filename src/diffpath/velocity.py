@@ -45,10 +45,10 @@ The weights 1 - Z(W_j) do not depend on tau, so s_diff reads them from one
 read-only table instead of recomputing them per eps and per term count:
 1 - Z(W_j) for j = 1..n, keyed by (Abar, alpha) and holding one key at a
 time.  It is filled on first use, extended (not recomputed) when a later
-call needs more modes, and capped at 2^16 entries (512 KB), one block_sum
-block; blocks past 2^16 and u(n+1) for n >= 2^16 bypass it.  The kernel
-works element by element, so the head sums are bit-identical with and
-without the table.
+call needs more modes, and capped at one block_sum block, special.BLOCK =
+2^16 entries (512 KB); blocks past it and u(n+1) for n >= BLOCK bypass
+it.  The kernel works element by element, so the head sums are
+bit-identical with and without the table.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .paths import ModelParams
-from .special import ZETA2, ConvergenceError, SeriesValue, block_sum, certify, one_minus_zed, tol_budget
+from .special import BLOCK, ZETA2, ConvergenceError, SeriesValue, block_sum, certify, one_minus_zed, tol_budget
 
 __all__ = [
     "RegimeReport",
@@ -202,7 +202,7 @@ def _s_feynman_exact(tau: float) -> float:
 
 # The weight table (module docstring): ((Abar, alpha), read-only 1 - Z(W_j)
 # for j = 1..len), read once per use and replaced whole, never edited.
-_WEIGHTS_CAP = 1 << 16
+_WEIGHTS_CAP = BLOCK
 _WEIGHTS: tuple[tuple[float, float], np.ndarray] = ((0.0, 0.0), np.empty(0))
 
 

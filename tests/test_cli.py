@@ -116,6 +116,8 @@ def test_unused_flags_are_not_accepted(capsys, argv):
         # (omega T)^2 = 1e400 at the first grid point: refused before any sum, with no numpy warning
         (["spectrum", "--A", "10", "--T-grid-min", "1e200", "--T-grid-max", "1e300", "--points", "2"],
          "finite (omega T)^2 and (omega T Abar(T) / pi)^2 at T=1e+200 (omega T = 1e+200)"),
+        # (A / sigma)^(1 / (alpha - 1)) = 1e1000: no j_D for the twin
+        (["paths", "--A", "1e10", "--alpha", "1.01", "--modes", "10"], "j_D overflows at A=10000000000.0, alpha=1.01"),
     ],
 )
 def test_non_finite_scales_exit_one(capsys, argv, message):
@@ -183,6 +185,19 @@ def test_unitarity_with_no_grid_point_above_eps_d(capsys):
     assert payload["verdict"] == "sub-epsilon-D"
     assert payload["mean_delta_omega"] is None and payload["max_rel_deviation"] is None
     assert [row["verdict"] for row in payload["rows"]] == ["sub-epsilon-D"] * 3
+
+
+def test_vanishing_amplitude_puts_every_point_below_eps_d(capsys):
+    # (A / sigma)^(-1 / (alpha - 1)) = 1e2000 overflows: eps_D is infinite
+    argv = ["--A", "1e-100", "--alpha", "1.05", "--points", "2"]
+    code, out = run(capsys, ["unitarity"] + argv)
+    assert code == EXIT_OK
+    payload = strict_json(out)
+    assert payload["verdict"] == "sub-epsilon-D"
+    assert [row["verdict"] for row in payload["rows"]] == ["sub-epsilon-D"] * 2
+    code, out = run(capsys, ["commutator"] + argv)
+    assert code == EXIT_OK
+    assert [line.rsplit(",", 1)[1] for line in out.splitlines()[-2:]] == ["sub_eps_D"] * 2
 
 
 def test_unitarity_ignores_deviations_within_tail_bounds(capsys):

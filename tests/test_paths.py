@@ -201,6 +201,15 @@ def test_amplitude_grows_as_eps_d_falls():
     assert a2 > a1 > 0
 
 
+def test_eps_d_and_j_d_past_the_float_range():
+    # (A / sigma)^(-1 / (alpha - 1)) = 1e2000: eps_D takes its A / sigma -> 0 limit
+    tiny = ModelParams(alpha=1.05, A=1e-100)
+    assert tiny.eps_d == math.inf and tiny.eps_d_at(5.0) == math.inf
+    # (A / sigma)^(1 / (alpha - 1)) = 1e1000 has no integer j_D
+    with pytest.raises(ValueError, match=r"j_D overflows at A=10000000000\.0, alpha=1\.01"):
+        ModelParams(alpha=1.01, A=1e10).j_d
+
+
 def test_eps_d_j_d_amplitude_need_alpha_above_one():
     params = ModelParams(alpha=1.0, A=10.0)
     with pytest.raises(ValueError):

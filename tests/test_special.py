@@ -219,11 +219,44 @@ def test_block_sum_ranges_and_blocks():
         return n
 
     assert block_sum(terms, 0) == 0.0 and seen == []  # empty range
-    assert block_sum(terms, 10, start=5) == 45.0
-    seen.clear()
     assert block_sum(terms, 10, block=4) == 55.0
     assert [list(n) for n in seen] == [[1, 2, 3, 4], [5, 6, 7, 8], [9, 10]]  # ragged last block
     assert block_sum(lambda n: (n, n * n), 10, block=3) == (55.0, 385.0)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 5])
+def test_block_sum_of_many_ranges_is_block_sum_per_range(block):
+    def f(c, n):
+        return np.sin(n * c) / (n + c) ** 1.5
+
+    sizes = [0, 1, block - 1, block, block + 1, 3 * block + 5]
+    params = [0.7, 1.3, 2.9, 0.2, 5.1, 3.3]
+    rng = np.random.default_rng(7)
+    orders = [list(range(6)), list(range(5, -1, -1))] + [rng.permutation(6).tolist() for _ in range(4)]
+    shared = 0
+    for order in orders:
+        stops = [sizes[k] for k in order]
+        c = np.array([params[k] for k in order])
+        calls = []
+
+        def terms(i, n):
+            nonlocal shared
+            calls.append(n.size)
+            shared += not isinstance(i, int)
+            assert isinstance(i, int) or (i.dtype.kind == "i" and i.shape == n.shape)
+            assert np.all(1 <= n) and np.all(n <= np.array(stops)[i])
+            return f(c[i], n)
+
+        got = block_sum(terms, stops, block=block)
+        want = [block_sum(lambda n, ck=ck: f(ck, n), stop, block=block) for ck, stop in zip(c.tolist(), stops)]
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+        # every term once, at most ``block`` per call
+        assert max(calls) <= block and sum(calls) == sum(stops)
+        # tuple outputs: a tuple of sums per range, 0.0 for an empty one
+        pairs = block_sum(lambda i, n: (n, n * n), stops, block=block)
+        assert pairs == [(m * (m + 1) / 2, m * (m + 1) * (2 * m + 1) / 6) if m else 0.0 for m in stops]
+    # blocks of several ranges shared calls
+    assert shared or block == 1
 
 
 def test_block_sum_bit_identical_to_blocked_fsum():
