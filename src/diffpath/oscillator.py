@@ -29,8 +29,8 @@ head sum are evaluated; the bounds of the rest join the tail bound.
 One core, _log_pi_core, evaluates ln Pi at many (omega T, abar(T)) points
 of one alpha: log_pi is its one-point case, while log_pi_grid,
 unitarity_diagnostic (T grids) and scan_E0_vs_omega (an omega grid) pass
-the whole grid, and it sums all points in one special.block_sum call,
-whose kernel calls see at most 2^16 terms.
+the whole grid.  One special.block_sum call sums all points; each kernel
+call sees at most 2^16 terms and the abar(T) and omega T of each.
 The uniform level shift is Delta omega = ln Pi(T) / T (Euclidean), so
 E^D_n = hbar omega (n + 1/2) - hbar Delta omega with unchanged spacing.
 """
@@ -277,8 +277,8 @@ def _log_pi_core(points: list, params: ModelParams, tol: float, n_terms: Optiona
     one T).  Every point is checked before anything is summed; per point,
     the term counts, the free factor and the tail bounds are the scalar
     expressions of log_pi's docstring, and the sums of all points are one
-    block_sum call.  Each term depends on its own (n, Abar, wT) only, so no
-    value depends on which points share a kernel call.
+    block_sum call, with Abar and wT as its cols.  Each term depends on its
+    own (n, Abar, wT) only, so no value depends on which points share a call.
     """
     alpha = params.alpha
     # omega T = 0 gives Pi = 1 exactly; the other points are summed, over sizes[i] terms each
@@ -307,18 +307,10 @@ def _log_pi_core(points: list, params: ModelParams, tol: float, n_terms: Optiona
             sizes.append(_head_size(int(n_terms), wt, a_bar, alpha))
         live.append(point)
 
-    if len(live) > 1:
-        # Abar and wT per point, taken at the point of each term of a shared call
-        _, a_bars, wts = map(np.array, zip(*live))
     kernel = _brackets if n_terms is None else _erf_ratios
-
-    def terms(i, n):
-        # a call of one point broadcasts its Abar and wT over n
-        a_bar, wt = live[i][1:] if isinstance(i, int) else (a_bars.take(i), wts.take(i))
-        return kernel(*_mode_pair(params, a_bar, wt, n))
-
+    a_bars, wts = [p[1] for p in live], [p[2] for p in live]
+    sums = block_sum(lambda n, a_bar, wt: kernel(*_mode_pair(params, a_bar, wt, n)), sizes, a_bars, wts)
     pis = []
-    sums = block_sum(terms, sizes)
     if n_terms is not None:
         n = int(n_terms)
         for (T, a_bar, wt), n1, value in zip(live, sizes, sums):
@@ -405,20 +397,6 @@ def log_pi_grid(
     return _log_pi_core(points, params, tol, n_terms)
 
 
-def _shift(pi: PiResult, hbar: float, omega: float, n_level: int) -> SpectrumShift:
-    """Delta omega = ln Pi(T) / T and the shifted level E^D_n, from ln Pi at T = pi.T."""
-    d_omega = pi.log_pi / pi.T
-    return SpectrumShift(
-        T=pi.T,
-        delta_omega=d_omega,
-        n_level=n_level,
-        energy=hbar * omega * (n_level + 0.5) - hbar * d_omega,
-        e0=hbar * omega * 0.5 - hbar * d_omega,
-        spacing=hbar * omega,
-        converged=pi.converged,
-    )
-
-
 def spectrum_shift(
     T: float,
     params: ModelParams,
@@ -429,7 +407,18 @@ def spectrum_shift(
     """Delta omega = ln Pi(T) / T and the shifted level E^D_n."""
     if n_level < 0:
         raise ValueError("n_level must be >= 0")
-    return _shift(log_pi(T, params, tol, n_terms), params.hbar, params.omega, n_level)
+    pi = log_pi(T, params, tol, n_terms)
+    hbar, omega = params.hbar, params.omega
+    d_omega = pi.log_pi / pi.T
+    return SpectrumShift(
+        T=pi.T,
+        delta_omega=d_omega,
+        n_level=n_level,
+        energy=hbar * omega * (n_level + 0.5) - hbar * d_omega,
+        e0=hbar * omega * 0.5 - hbar * d_omega,
+        spacing=hbar * omega,
+        converged=pi.converged,
+    )
 
 
 @dataclass(frozen=True)
@@ -531,8 +520,8 @@ def scan_E0_vs_omega(
         raise ValueError("omega must be finite")
     a_bar = _a_bar(params, T)
     pis = _log_pi_core([(T, a_bar, w * T) for w in omegas], params, tol, n_terms)
-    shifts = [_shift(pi, params.hbar, w, 0) for pi, w in zip(pis, omegas)]
-    rows = [(w, ss.e0) for w, ss in zip(omegas, shifts)]
+    # E0 = hbar omega / 2 - hbar ln Pi / T, spectrum_shift's expression
+    rows = [(w, params.hbar * w * 0.5 - params.hbar * (pi.log_pi / pi.T)) for w, pi in zip(omegas, pis)]
     half = [r for r in rows if r[0] >= rows[len(rows) // 2][0]]
     x = np.array([r[0] for r in half])
     y = np.array([r[1] for r in half])
@@ -548,6 +537,6 @@ def scan_E0_vs_omega(
         "residual": float(resid.max()),
         "rms_residual": float(np.sqrt(np.mean(resid**2))),
         "n_points": len(half),
-        "converged": all(ss.converged for ss in shifts),
+        "converged": all(pi.converged for pi in pis),
     }
 

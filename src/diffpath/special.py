@@ -7,10 +7,10 @@ brackets of ln Pi(T) (differences of l) are taken, and the Taylor
 coefficients l_k that both the kernel and the tail of ln Pi sum, with a
 bound on the truncated series; exact Bernoulli numbers;
 and the one series primitive every certified sum goes through: block_sum
-(compensated blocked summation of one range of terms or of many, whose
-blocks of BLOCK terms share kernel calls), tol_budget (the tolerance rule
-tail <= tol * max(1, |value|), absolute for |value| < 1) and certify (the
-x4 term-count loop that returns a SeriesValue).
+(compensated blocked summation of one range or of many, packed in blocks
+of BLOCK terms into kernel calls that get each range's own values),
+tol_budget (tail <= tol * max(1, |value|), absolute for |value| < 1) and
+certify (the x4 term-count loop that returns a SeriesValue).
 """
 
 from __future__ import annotations
@@ -59,12 +59,13 @@ class ConvergenceError(RuntimeError):
     """A series failed to meet its tail-bound tolerance within the term cap."""
 
 
-def block_sum(terms: Callable, stops, block: int = BLOCK):
+def block_sum(terms: Callable, stops, *cols, block: int = BLOCK):
     """Compensated sums of terms over n = 1..stop, for one stop or a list of them.
 
     ``stops`` an int: the sum of ``terms(n)``; a list: the list of sums of
-    ``terms(i, n)``, i the range of each n (an int when the call holds one
-    range, else an int array like n), n a float array.  Each range is cut
+    ``terms(n, *args)``, n a float array.  Each col of ``cols`` holds one
+    value per range; its arg is the value of the range of each n, a float
+    when the call holds one range, else an array like n.  Each range is cut
     into blocks of ``block`` consecutive n, packed in order into calls of at
     most ``block`` terms; numpy's pairwise sum of each block's slice and one
     ``math.fsum`` per range fix the accumulation order, so no sum depends on
@@ -72,8 +73,7 @@ def block_sum(terms: Callable, stops, block: int = BLOCK):
     empty range gives 0.0, and tuples of arrays from ``terms`` tuples of sums.
     """
     one = not isinstance(stops, list)
-    if one:
-        terms, stops = (lambda _, n, f=terms: f(n)), [stops]
+    stops = [stops] if one else stops
     calls, total = [], block  # starts full, so the first block opens a call
     for i, stop in enumerate(stops):
         for lo in range(1, stop + 1, block):
@@ -88,12 +88,13 @@ def block_sum(terms: Callable, stops, block: int = BLOCK):
         if len(pack) == 1:
             i, lo, size = pack[0]
             # the whole output is the block: summed without building a slice
-            partials[i].append(_total(terms(i, np.arange(lo, lo + size, dtype=float))))
+            partials[i].append(_total(terms(np.arange(lo, lo + size, dtype=float), *[c[i] for c in cols])))
             continue
         i, lo, size = (np.array(col) for col in zip(*pack))
         end = size.cumsum()
         # each block's n counts up from its first n, wherever it sits in the call
-        out = terms(i.repeat(size), np.arange(1.0, end[-1] + 1.0) + (lo - 1 - end + size).repeat(size))
+        n = np.arange(1.0, end[-1] + 1.0) + (lo - 1 - end + size).repeat(size)
+        out = terms(n, *[np.array([c[k] for k in i]).repeat(size) for c in cols])
         for (i, _, size), end in zip(pack, end.tolist()):
             part = slice(end - size, end)
             partials[i].append(_total(tuple(a[part] for a in out) if isinstance(out, tuple) else out[part]))

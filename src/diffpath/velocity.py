@@ -254,9 +254,11 @@ def _z_integral(a: float, a_bar: float, alpha: float) -> tuple[float, float]:
         from scipy.integrate import quad
 
         beta = alpha - 1.0
+        pref = a_bar ** (-1.0 / beta) / (2.0 * beta)
         w_top = min((a_bar / a**beta) ** 2, 800.0)
         val, err = quad(_zed_scalar, 0.0, w_top, weight="alg", wvar=(0.5 / beta - 1.0, 0.0), limit=200)
-        pref = a_bar ** (-1.0 / beta) / (2.0 * beta)
+        if not math.isfinite(pref * (val + err)):
+            raise OverflowError("Z integral beyond the float range")
         if len(_Z_INTEGRALS) >= 256:
             _Z_INTEGRALS.clear()
         _Z_INTEGRALS[a, a_bar, alpha] = (pref * val, pref * abs(err))
@@ -279,7 +281,8 @@ def _z_form(tau: float, params: ModelParams, n: int, head: float, free_head: flo
     """S_D and its error bound by the Z-form (module docstring).
 
     Of the estimates of the cosine sum C_Z, the first whose bound meets
-    ``budget`` is kept, else the tightest.
+    ``budget`` is kept, else the tightest.  Near alpha = 1, with a Z
+    integral past the float range, no estimate: ``head`` and an inf bound.
     """
     abar = params.a_bar
     alpha = params.alpha
@@ -289,10 +292,16 @@ def _z_form(tau: float, params: ModelParams, n: int, head: float, free_head: flo
     theta = 2.0 * math.pi * tau
     sin_h = math.sin(math.pi * tau)
     rest = _s_feynman_exact(tau) - free_head  # sum_{j>n} s_j
-    i_z, i_err = _z_integral(a, abar, alpha)
+    try:
+        i_z, i_err = _z_integral(a, abar, alpha)
+    except OverflowError:
+        return head, math.inf
     base = (6.0 + k2) / (144.0 * (n - 1.5) ** 3) + 0.5 * i_err
     p = 0.5 + 1.0 / beta
-    z_peak = max(1.0, 1.34 * (p / math.e) ** p) * abar ** (-2.0 / beta)  # >= sup Z/t^2
+    try:
+        z_peak = max(1.0, 1.34 * (p / math.e) ** p) * abar ** (-2.0 / beta)  # >= sup Z/t^2
+    except OverflowError:  # Z/t^2 <= 1/t^2 still holds
+        z_peak = math.inf
 
     def w_moment(x: float, k: int) -> float:
         """>= int_x^inf (1 - Z) t^-k dt, from 1 - Z <= min(1, 2 W / 3)."""

@@ -58,6 +58,14 @@ def test_v2_unrestricted_limit_columns_agree(capsys):
         assert abs(dif[eps] - v) / v < 1e-6
 
 
+def test_v2_near_alpha_one_exits_cleanly(capsys):
+    # alpha = 1.001 puts scales of the Z-form tail past the float range; the
+    # W-form decides, with no traceback
+    code, out = run(capsys, ["v2", "--A", "0.01", "--alpha", "1.001", "--points", "1"])
+    assert code in (EXIT_OK, EXIT_CONVERGENCE)
+    assert out.rstrip("\n").endswith(",differentiable")
+
+
 def test_v2_usage_error(capsys):
     code = main(["v2", "--eps-min", "0.5", "--eps-max", "2", "--points", "3"])
     assert code == EXIT_USAGE

@@ -230,31 +230,45 @@ def test_block_sum_of_many_ranges_is_block_sum_per_range(block):
         return np.sin(n * c) / (n + c) ** 1.5
 
     sizes = [0, 1, block - 1, block, block + 1, 3 * block + 5]
-    params = [0.7, 1.3, 2.9, 0.2, 5.1, 3.3]
+    params = [0.7, 1.3, 2.9, 0.2, 5.1, 3.3]  # distinct, so each arg names its range
     rng = np.random.default_rng(7)
     orders = [list(range(6)), list(range(5, -1, -1))] + [rng.permutation(6).tolist() for _ in range(4)]
     shared = 0
     for order in orders:
         stops = [sizes[k] for k in order]
-        c = np.array([params[k] for k in order])
-        calls = []
+        cs = [params[k] for k in order]
+        calls, seen = [], []
 
-        def terms(i, n):
+        def terms(n, c, stop):
             nonlocal shared
             calls.append(n.size)
-            shared += not isinstance(i, int)
-            assert isinstance(i, int) or (i.dtype.kind == "i" and i.shape == n.shape)
-            assert np.all(1 <= n) and np.all(n <= np.array(stops)[i])
-            return f(c[i], n)
+            if isinstance(c, float):
+                # a call of one range: its own values, as floats
+                assert isinstance(stop, int) and (c, stop) in zip(cs, stops)
+                c_n, stop_n = np.full(n.shape, c), np.full(n.shape, stop)
+            else:
+                # a packed call: one value per element, from several ranges
+                shared += 1
+                assert c.shape == n.shape and stop.shape == n.shape and len(set(c.tolist())) > 1
+                c_n, stop_n = c, stop
+            for ck, sk, nk in zip(c_n.tolist(), stop_n.tolist(), n.tolist()):
+                k = cs.index(ck)
+                assert sk == stops[k] and 1 <= nk <= stops[k]
+                seen.append((k, nk))
+            return f(c, n)
 
-        got = block_sum(terms, stops, block=block)
-        want = [block_sum(lambda n, ck=ck: f(ck, n), stop, block=block) for ck, stop in zip(c.tolist(), stops)]
+        got = block_sum(terms, stops, cs, stops, block=block)
+        want = [block_sum(lambda n, ck=ck: f(ck, n), stop, block=block) for ck, stop in zip(cs, stops)]
         assert [x.hex() for x in got] == [x.hex() for x in want]
         # every term once, at most ``block`` per call
         assert max(calls) <= block and sum(calls) == sum(stops)
-        # tuple outputs: a tuple of sums per range, 0.0 for an empty one
-        pairs = block_sum(lambda i, n: (n, n * n), stops, block=block)
+        assert sorted(seen) == [(k, float(m)) for k, stop in enumerate(stops) for m in range(1, stop + 1)]
+        # tuple outputs: a tuple of sums per range, 0.0 for an empty one; no cols, so terms(n)
+        pairs = block_sum(lambda n: (n, n * n), stops, block=block)
         assert pairs == [(m * (m + 1) / 2, m * (m + 1) * (2 * m + 1) / 6) if m else 0.0 for m in stops]
+        assert block_sum(lambda n, c: (c * n, n), stops, cs, block=block) == [
+            block_sum(lambda n, c=c: (c * n, n), stop, block=block) for c, stop in zip(cs, stops)
+        ]
     # blocks of several ranges shared calls
     assert shared or block == 1
 

@@ -571,3 +571,19 @@ def test_weight_table_matches_mc_second_moments(empty_table, params):
     head, _ = block_sum(lambda j: velocity._head_terms(tau, params, j), n)
     exact = math.fsum(math.sin(j * math.pi * tau) ** 2 * a2 / eps**2 for j, a2 in zip(range(1, n + 1), second))
     assert velocity._v2_prefactor(eps, params) * head == pytest.approx(exact, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("amp", [10.0, 0.01])
+def test_z_form_near_alpha_one_gives_no_estimate(amp):
+    # alpha = 1.001, beta = 1e-3: Abar^(-1/beta) and the Z integral leave the
+    # float range, so the Z-form returns the head with an infinite bound
+    params = ModelParams(alpha=1.001, A=amp)
+    assert velocity._z_form(1e-4, params, 4096, 0.5, 0.25, 1e-12) == (0.5, math.inf)
+
+
+def test_z_form_near_alpha_one_with_sup_bound_past_float_range():
+    # (p / e)^p = e^5911 overflows while the Z integral is in range: sup Z/t^2
+    # is bounded by 1/t^2 alone and the Z-form still gives a finite estimate
+    params = ModelParams(alpha=1.001, epsilon_D=0.1)
+    value, bound = velocity._z_form(1e-4, params, 4096, 0.5, 0.25, 1e-12)
+    assert math.isfinite(value) and math.isfinite(bound)
