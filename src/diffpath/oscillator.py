@@ -49,10 +49,10 @@ from .special import (
     _K,
     _W0,
     _log_erf_over_sqrt,
+    _log_erf_sqrt,
     _series_remainder,
     block_sum,
     hurwitz_zeta,
-    log_erf,
     tol_budget,
 )
 
@@ -70,13 +70,14 @@ __all__ = [
 _ADAPTIVE_CAP = 1 << 24
 
 # Fixed-N tail: above n1 every W_n is <= _W0, and l runs to k = _K there as
-# in the kernel.  One entry per term of the tail series, free part first:
-# (1/2) ln(1 + x) = sum_k (-1)^(k+1) x^k / 2k with x = (wT/pi)^2 / n^2, and
-# (W + u)^k - W^k = sum_{j<k} C(k, j) W^j u^(k-j) for the brackets.
-_FREE_K = np.arange(1, _K + 1)
-_FREE_COEF = (-1.0) ** (_FREE_K + 1) / (2.0 * _FREE_K)
-_PAIR_K, _PAIR_J = np.array([(k, j) for k in range(1, _K + 1) for j in range(k)]).T
-_PAIR_COEF = np.array([_ELL[k - 1] * math.comb(k, j) for k, j in zip(_PAIR_K, _PAIR_J)])
+# in the kernel.  One row (c, i, j, u, k, 2j) per term c x^i W^j u^u of the
+# tail series at m = n1: free rows ((-1)^(i+1) / 2i, i, 0, 0, 0, -2i) from
+# (1/2) ln(1 + x) = sum_i (-1)^(i+1) x^i / 2i, then bracket rows (l_k C(k, j),
+# 0, j, k - j, k, 2j) from (W + u)^k - W^k = sum_{j<k} C(k, j) W^j u^(k-j).
+_TAIL_C, _TAIL_I, _TAIL_J, _TAIL_U, _TAIL_K, _TAIL_2J = np.array(
+    [((-1.0) ** (i + 1) / (2.0 * i), i, 0, 0, 0, -2 * i) for i in range(1, _K + 1)]
+    + [(_ELL[k - 1] * math.comb(k, j), 0, j, k - j, k, 2 * j) for k in range(1, _K + 1) for j in range(k)]
+).T
 # zeta values below this are taken from their integral-test bracket
 _ZETA_MIN = 1e-290
 # a tail term whose a-priori bound is below this times the head sum is not evaluated
@@ -169,9 +170,9 @@ def _log_factor_tail(
     Each factor is (1/2) ln(1 + x_m) + L(W_m + u_m) - L(W_m), with
     x_m = (wT / m pi)^2, W_m = a_bar^2 m^(2 - 2 alpha) and u_m = W_m x_m.
     Expanding both in powers of m turns
-    every sum over m into zeta(s, n1 + 1) - zeta(s, n + 1), s = 2k for the
-    free part and s = 2 alpha k - 2j for the term W^j u^(k-j) of the
-    bracket.  Powers are taken at m = n1, so the coefficients stay <= 1.
+    every sum over m into zeta(s, n1 + 1) - zeta(s, n + 1), one per _TAIL_*
+    row: s = 2i for x^i of the free part, 2 alpha k - 2j for W^j u^(k-j)
+    of the bracket.  Powers are taken at m = n1, so the coefficients stay <= 1.
     Since 0 <= n1^s zeta(s, q) <= (n1 / q)^s (1 + q / (s - 1)), no zeta is
     evaluated where that bound, times |coefficient|, is below _TAIL_DROP
     times ``head`` (the sum of the first n1 factors; all factors are >= 0,
@@ -187,10 +188,9 @@ def _log_factor_tail(
     z2 = (wt / (math.pi * n1)) ** 2
     w1 = a_bar**2 * n1 ** (2.0 - 2.0 * alpha)
     u1 = w1 * z2
-    s = np.concatenate((2.0 * _FREE_K, 2.0 * alpha * _PAIR_K - 2.0 * _PAIR_J))
-    coef = np.concatenate(
-        (_FREE_COEF * z2**_FREE_K, _PAIR_COEF * w1**_PAIR_J * u1 ** (_PAIR_K - _PAIR_J))
-    )
+    # exact for every row: x^0 = 1.0, and 0.0 - (-2i) = 2i on the free rows
+    s = 2.0 * alpha * _TAIL_K - _TAIL_2J
+    coef = _TAIL_C * z2**_TAIL_I * w1**_TAIL_J * u1**_TAIL_U
     floor = _TAIL_DROP * head
 
     def bound(c, s, q):
@@ -246,14 +246,6 @@ def _bracket_terms_needed(tol: float, wt: float, a_bar: float, alpha: float) -> 
     return n
 
 
-def _a_bar(params: ModelParams, T: float) -> float:
-    """Abar at time T, from A or from A(T) when epsilon_D is primary; validates T."""
-    a_bar = params.a_bar_at(T)
-    if a_bar is None:
-        raise ValueError("alpha > 1 required with epsilon_D primary")
-    return a_bar
-
-
 def _brackets(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     """b_n = l(W_n (1 + x_n)) - l(W_n), one kernel call on both arguments."""
     # ln(2/sqrt(pi)) cancels in the difference
@@ -263,8 +255,8 @@ def _brackets(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
 
 
 def _erf_ratios(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """ln Erf(sqrt(W_n (1 + x_n))) - ln Erf(sqrt W_n), one log_erf call on both arguments."""
-    l_e = log_erf(np.sqrt(np.concatenate((hi, lo))))
+    """ln Erf(sqrt(W_n (1 + x_n))) - ln Erf(sqrt W_n), one _log_erf_sqrt call on both arguments."""
+    l_e = _log_erf_sqrt(np.concatenate((hi, lo)))
     # each factor is >= 0 exactly; clip roundoff-negative values
     return np.maximum(l_e[: lo.size] - l_e[lo.size :], 0.0)
 
@@ -281,6 +273,9 @@ def _log_pi_core(points: list, params: ModelParams, tol: float, n_terms: Optiona
     own (n, Abar, wT) only, so no value depends on which points share a call.
     """
     alpha = params.alpha
+    # an integral float such as 1e5 is a term count too
+    if n_terms is not None and not (n_terms >= 1 and n_terms % 1 == 0):
+        raise ValueError(f"n_terms must be an integer >= 1, not {n_terms!r}")
     # omega T = 0 gives Pi = 1 exactly; the other points are summed, over sizes[i] terms each
     live, sizes = [], []
     for point in points:
@@ -301,8 +296,6 @@ def _log_pi_core(points: list, params: ModelParams, tol: float, n_terms: Optiona
             )
         if n_terms is None:
             sizes.append(_bracket_terms_needed(tol, wt, a_bar, alpha))
-        elif n_terms < 1:
-            raise ValueError("n_terms must be >= 1")
         else:
             sizes.append(_head_size(int(n_terms), wt, a_bar, alpha))
         live.append(point)
@@ -379,7 +372,7 @@ def log_pi(
     Abar(T)^2, (omega T)^2 or (omega T Abar(T) / pi)^2 beyond the float
     range raises ValueError.
     """
-    return _log_pi_core([(T, _a_bar(params, T), params.omega * T)], params, tol, n_terms)[0]
+    return _log_pi_core([(T, params.a_bar_at(T), params.omega * T)], params, tol, n_terms)[0]
 
 
 def log_pi_grid(
@@ -393,7 +386,7 @@ def log_pi_grid(
     Every T is checked before anything is summed, and the sums of all grid
     points share kernel calls of at most special.BLOCK = 2^16 terms.
     """
-    points = [(t, _a_bar(params, t), params.omega * t) for t in t_grid]
+    points = [(t, params.a_bar_at(t), params.omega * t) for t in t_grid]
     return _log_pi_core(points, params, tol, n_terms)
 
 
@@ -459,7 +452,7 @@ def unitarity_diagnostic(
     # one derivation of Abar(T) per T, which also validates T for the eps_D split
     points, below = [], []
     for t in t_grid:
-        points.append((t, _a_bar(params, t), params.omega * t))
+        points.append((t, params.a_bar_at(t), params.omega * t))
         below.append(params.alpha > 1 and t < params._eps_d_at(t))
     pis = _log_pi_core(points, params, tol, n_terms)
     dws = [p.log_pi / t for p, t in zip(pis, t_grid)]
@@ -518,7 +511,7 @@ def scan_E0_vs_omega(
         raise ValueError("omega grid must be positive")
     if not all(math.isfinite(w) for w in omegas):
         raise ValueError("omega must be finite")
-    a_bar = _a_bar(params, T)
+    a_bar = params.a_bar_at(T)
     pis = _log_pi_core([(T, a_bar, w * T) for w in omegas], params, tol, n_terms)
     # E0 = hbar omega / 2 - hbar ln Pi / T, spectrum_shift's expression
     rows = [(w, params.hbar * w * 0.5 - params.hbar * (pi.log_pi / pi.T)) for w, pi in zip(omegas, pis)]

@@ -140,22 +140,22 @@ class ModelParams:
         """
         return self._a_bar_at(self.T)
 
-    def a_bar_at(self, T: float) -> Optional[float]:
+    def a_bar_at(self, T: float) -> float:
         """``replace(self, T=T).a_bar``, with the same checks and errors, without the copy.
 
-        None where the constructor accepts an undefined A(T): epsilon_D
-        primary with alpha <= 1.
+        So with epsilon_D primary and alpha <= 1, where the constructor
+        accepts an undefined A(T), it raises as ``amplitude`` does.
         """
         if not math.isfinite(T):
             raise ValueError("T must be finite")
         if not T > 0:
             raise ValueError("T must be positive")
-        if self.A is None and self.alpha <= 1:
-            return None
         return self._check_abar(T)
 
     def eps_d_at(self, T: float) -> float:
         """``replace(self, T=T).eps_d``, with the same checks and errors, without the copy."""
+        if self.A is None and self.alpha <= 1:  # no A(T) to check: the copy's constructor skips it
+            return replace(self, T=T).eps_d
         self.a_bar_at(T)
         return self._eps_d_at(T)
 

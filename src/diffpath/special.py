@@ -1,9 +1,10 @@
 """Numerically hardened special functions shared by every other module.
 
-Everything here is pure and deterministic: ln Erf; one kernel,
+Everything here is pure and deterministic: ln Erf(sqrt W) and
 l(W) = ln(sqrt(pi) Erf(sqrt W) / (2 sqrt W)), from which 1 - Z, with
 Z(W) = exp(-W - l) the truncated-Gaussian moment factor, and the
-brackets of ln Pi(T) (differences of l) are taken, and the Taylor
+brackets of ln Pi(T) (differences of l) are taken, one split at W = 1/4
+between the two forms of each (_by_branch); the Taylor
 coefficients l_k that both the kernel and the tail of ln Pi sum, with a
 bound on the truncated series; exact Bernoulli numbers;
 and the one series primitive every certified sum goes through: block_sum
@@ -25,7 +26,6 @@ import numpy as np
 __all__ = [
     "SeriesValue",
     "ConvergenceError",
-    "log_erf",
     "one_minus_zed",
     "truncated_gaussian_ratio",
     "hurwitz_zeta",
@@ -133,28 +133,6 @@ def certify(evaluate: Callable[[int], tuple], tol: float, n0: int, cap: int) -> 
         n *= 4
 
 
-def log_erf(x):
-    """ln Erf(x) for x > 0, stable for both tiny and large arguments.
-
-    For large x, Erf(x) rounds to 1, so the naive log returns exactly 0
-    and the information in the 1 - Erf tail is lost; log1p(-erfc(x))
-    keeps it down to the underflow threshold of erfc.
-    """
-    # imported on first use: import diffpath, casimir and paths load numpy only
-    import scipy.special as sc
-    x = np.asarray(x, dtype=float)
-    small = x < 0.5
-    large = ~small
-    out = np.empty_like(x)
-    with np.errstate(divide="ignore"):
-        # each branch is evaluated only on the elements that take it
-        out[small] = np.log(sc.erf(x[small]))
-        out[large] = np.log1p(-sc.erfc(x[large]))
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
 # ln(2/sqrt(pi)), the W -> 0 limit of ln(Erf(sqrt W) / sqrt W)
 _LOG_2_OVER_SQRT_PI = math.log(2.0 / math.sqrt(math.pi))
 
@@ -204,9 +182,47 @@ def _ell_series(w: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _ell_direct(w: np.ndarray) -> np.ndarray:
+# ln Erf(sqrt W) as log(Erf) below _W0, and from _W0 on as log1p(-erfc), which
+# keeps the 1 - Erf tail where Erf rounds to 1, down to erfc's underflow threshold
+def _log_erf_small(w: np.ndarray) -> np.ndarray:
+    # imported on first use: import diffpath, casimir and paths load numpy only
     import scipy.special as sc
-    return np.log1p(-sc.erfc(np.sqrt(w))) - 0.5 * np.log(w) - _LOG_2_OVER_SQRT_PI
+    with np.errstate(divide="ignore"):
+        return np.log(sc.erf(np.sqrt(w)))
+
+
+def _log_erf_large(w: np.ndarray) -> np.ndarray:
+    import scipy.special as sc
+    return np.log1p(-sc.erfc(np.sqrt(w)))
+
+
+def _ell_direct(w: np.ndarray) -> np.ndarray:
+    return _log_erf_large(w) - 0.5 * np.log(w) - _LOG_2_OVER_SQRT_PI
+
+
+def _by_branch(w, small: Callable, large: Callable):
+    """small(W) where W < _W0 = 1/4, large(W) elsewhere, a float for a 0-d W:
+    each form runs only on the elements that take it, on w itself when all
+    do, so no element's value depends on the array it sits in."""
+    w = np.asarray(w, dtype=float)
+    below = w < _W0
+    n_small = np.count_nonzero(below)
+    if n_small == w.size:
+        out = small(w)
+    elif n_small == 0:
+        out = large(w)
+    else:
+        out = np.empty_like(w)
+        out[below] = small(w[below])
+        out[~below] = large(w[~below])
+    if out.ndim == 0:
+        return float(out)
+    return out
+
+
+def _log_erf_sqrt(w):
+    """ln Erf(sqrt W) for W > 0, stable for both tiny and large W."""
+    return _by_branch(w, _log_erf_small, _log_erf_large)
 
 
 def _log_erf_over_sqrt(w):
@@ -220,21 +236,7 @@ def _log_erf_over_sqrt(w):
     log1p(-erfc(sqrt W)) - (1/2) ln W - ln(2/sqrt(pi)), where
     sqrt W >= 1/2 keeps every log finite.
     """
-    w = np.asarray(w, dtype=float)
-    small = w < _W0
-    n_small = np.count_nonzero(small)
-    # each form runs only on the elements that take it, on w itself when all do
-    if n_small == w.size:
-        out = _ell_series(w)
-    elif n_small == 0:
-        out = _ell_direct(w)
-    else:
-        out = np.empty_like(w)
-        out[small] = _ell_series(w[small])
-        out[~small] = _ell_direct(w[~small])
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _by_branch(w, _ell_series, _ell_direct)
 
 
 def one_minus_zed(w):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from diffpath import oscillator
+from diffpath.cli import EXIT_USAGE, main
 from diffpath.oscillator import (
     _head_size,
     _log_sinh_over_x,
@@ -21,7 +22,7 @@ from diffpath.oscillator import (
     unitarity_diagnostic,
 )
 from diffpath.paths import ModelParams
-from diffpath.special import log_erf
+from diffpath.special import _log_erf_sqrt, _series_remainder
 
 FIG4 = ModelParams(m=1.0, hbar=1.0, T=1.0, alpha=2.1, epsilon_D=0.1, omega=1.0)
 EPS = np.finfo(float).eps
@@ -128,8 +129,8 @@ def direct_log_pi(params, T, n_terms):
     """The N-mode sum term by term, as the direct route computes it (N <= 2^20)."""
     n = np.arange(1, n_terms + 1, dtype=float)
     w = replace(params, T=T).mode_w(n)
-    hi = log_erf(np.sqrt(w * (1.0 + (params.omega * T / (n * math.pi)) ** 2)))
-    lo = log_erf(np.sqrt(w))
+    hi = _log_erf_sqrt(w * (1.0 + (params.omega * T / (n * math.pi)) ** 2))
+    lo = _log_erf_sqrt(w)
     x = np.maximum(hi - lo, 0.0)
     return math.fsum(float(x[i : i + (1 << 16)].sum()) for i in range(0, x.size, 1 << 16))
 
@@ -152,11 +153,11 @@ def test_log_pi_fixed_n_direct_up_to_n1(params, n_terms):
 def test_log_pi_fixed_n_evaluates_only_the_head(monkeypatch):
     elems = []
 
-    def counting_log_erf(x):
-        elems.append(np.size(x))
-        return log_erf(x)
+    def counting_log_erf(w):
+        elems.append(np.size(w))
+        return _log_erf_sqrt(w)
 
-    monkeypatch.setattr(oscillator, "log_erf", counting_log_erf)
+    monkeypatch.setattr(oscillator, "_log_erf_sqrt", counting_log_erf)
     res = log_pi(1.0, FIG4, n_terms=100_000)
     n1 = _head_size(100_000, FIG4.omega, FIG4.a_bar, FIG4.alpha)
     assert n1 == 29
@@ -177,6 +178,59 @@ def test_log_pi_fixed_n_evaluates_only_the_non_negligible_zetas(monkeypatch):
     # one call for both halves; the full series has 189 terms per half
     assert len(elems) == 1 and elems[0] <= 64
     assert res.converged
+
+
+@pytest.mark.parametrize("w, x", [(1e-6, 1 / 16), (0.01, 0.05), (0.1, 1e-8), (0.2, 1 / 16), (0.235, 1 / 16)])
+def test_tail_table_rows_sum_to_the_kernel(w, x):
+    # at m = n1 every row's (n1 / m)^s is 1: its term is its coefficient, with
+    # the z, W and U of _log_factor_tail at x, w and w x
+    coef = oscillator._TAIL_C * x**oscillator._TAIL_I * w**oscillator._TAIL_J * (w * x) ** oscillator._TAIL_U
+    free = oscillator._TAIL_I > 0
+    assert np.count_nonzero(free) == 18 and coef.size == 189
+    with mp.workdps(40 + int(-math.log10(w * x))):
+        half_log1p = mp.log1p(mp.mpf(x)) / 2
+        ell = [mp.log(mp.hyp1f1(0.5, 1.5, -v)) for v in (mp.mpf(w) + mp.mpf(w * x), mp.mpf(w))]
+        bracket = ell[0] - ell[1]
+    for rows, ref, truncation in (
+        (free, half_log1p, x**19 / 38),  # alternating: the first omitted term
+        (~free, bracket, _series_remainder(w, w * x)),
+    ):
+        # plus the rounding of rows of a few operations each
+        allowed = truncation + 8 * EPS * math.fsum(np.abs(coef[rows]).tolist())
+        assert abs(math.fsum(coef[rows].tolist()) - ref) <= allowed
+
+
+def test_log_pi_refuses_a_term_count_that_is_no_count():
+    # checked before any point, also where omega T = 0 needs no sum and for an empty grid
+    with_omega = ModelParams(epsilon_D=0.1, omega=1.0)
+    for call in (
+        lambda n: log_pi(1.0, ModelParams(epsilon_D=0.1), n_terms=n),
+        lambda n: log_pi(1.0, with_omega, n_terms=n),
+        lambda n: log_pi_grid([], with_omega, n_terms=n),
+    ):
+        for n in (0, -5, -3, 2.5):
+            with pytest.raises(ValueError, match=f"^n_terms must be an integer >= 1, not {re.escape(repr(n))}$"):
+                call(n)
+    # an integral float is a term count
+    assert hexed(log_pi(1.0, with_omega, n_terms=1e5)) == hexed(log_pi(1.0, with_omega, n_terms=100_000))
+
+
+def test_epsilon_d_primary_with_alpha_at_most_one_has_no_abar(capsys):
+    params = ModelParams(epsilon_D=0.1, alpha=0.9, omega=1.0)
+    message = r"^A\(T\) from epsilon_D requires alpha > 1$"
+    for call in (
+        lambda: log_pi(1.0, params),
+        lambda: log_pi(1.0, params, n_terms=100),
+        lambda: log_pi_grid([0.5, 1.0], params),
+        lambda: unitarity_diagnostic([0.5, 1.0], params),
+        lambda: scan_E0_vs_omega([1.0, 2.0, 3.0], params),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
+    assert main(["spectrum", "--epsilon-D", "0.1", "--alpha", "0.9", "--points", "2"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: A(T) from epsilon_D requires alpha > 1\n"
 
 
 def test_log_pi_adaptive_one_kernel_call_per_block(monkeypatch):
@@ -229,7 +283,7 @@ def test_log_pi_grid_is_log_pi_per_point(monkeypatch, params, route, mixed):
     assert_packing(term_counts(params, t_grid, route), mixed)
     singles = [hexed(log_pi(t, params, **route)) for t in t_grid]
     sizes = []
-    name = "log_erf" if "n_terms" in route else "_log_erf_over_sqrt"
+    name = "_log_erf_sqrt" if "n_terms" in route else "_log_erf_over_sqrt"
     kernel = getattr(oscillator, name)
 
     def counting_kernel(x):

@@ -68,11 +68,16 @@ def test_scales_at_another_time_match_a_copy():
                 continue
             assert params.a_bar_at(T).hex() == copy.a_bar.hex()
             assert params.eps_d_at(T).hex() == copy.eps_d.hex()
-    # epsilon_D primary with alpha <= 1: no A(T), but T is still checked
+    # epsilon_D primary with alpha <= 1: the copy has no A(T), and T is still checked
     params = ModelParams(epsilon_D=0.2, alpha=0.5)
-    assert params.a_bar_at(2.0) is None
-    with pytest.raises(ValueError, match="^T must be positive$"):
-        params.a_bar_at(0.0)
+    with pytest.raises(ValueError, match=r"^A\(T\) from epsilon_D requires alpha > 1$"):
+        replace(params, T=2.0).a_bar
+    with pytest.raises(ValueError, match=r"^A\(T\) from epsilon_D requires alpha > 1$"):
+        params.a_bar_at(2.0)
+    assert params.eps_d_at(2.0) == replace(params, T=2.0).eps_d == 0.2
+    for method in (params.a_bar_at, params.eps_d_at):
+        with pytest.raises(ValueError, match="^T must be positive$"):
+            method(0.0)
 
 
 def test_single_mode_path_values():

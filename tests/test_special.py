@@ -19,11 +19,11 @@ from diffpath.special import (
     _W0,
     SeriesValue,
     _log_erf_over_sqrt,
+    _log_erf_sqrt,
     _series_remainder,
     bernoulli,
     block_sum,
     certify,
-    log_erf,
     one_minus_zed,
     tol_budget,
     truncated_gaussian_ratio,
@@ -34,18 +34,19 @@ mp.mp.dps = 50
 
 def test_log_erf_difference_huge_args_mpmath_oracle():
     ref = float(mp.log(mp.erf(10) / mp.erf(20)))
-    assert log_erf(10.0) - log_erf(20.0) == pytest.approx(ref, abs=1e-13)
+    # ln Erf(sqrt W) at sqrt W = 10 and 20
+    assert _log_erf_sqrt(100.0) - _log_erf_sqrt(400.0) == pytest.approx(ref, abs=1e-13)
 
 
-def _log_erf_both_branches(x):
-    """The two-branch formula of log_erf, with both branches over the whole array."""
-    x = np.asarray(x, dtype=float)
-    small = x < 0.5
+def _log_erf_both_branches(w):
+    """The two-branch formula of _log_erf_sqrt, with both branches over the whole array."""
+    w = np.asarray(w, dtype=float)
+    small = w < 0.25
     with np.errstate(divide="ignore"):
         return np.where(
             small,
-            np.log(sc.erf(np.where(small, x, 1.0))),
-            np.log1p(-sc.erfc(np.where(small, 1.0, x))),
+            np.log(sc.erf(np.sqrt(np.where(small, w, 1.0)))),
+            np.log1p(-sc.erfc(np.sqrt(np.where(small, 1.0, w)))),
         )
 
 
@@ -73,13 +74,13 @@ def _masked_kernel_inputs(split):
 
 
 def test_log_erf_masked_branches_bit_identical():
-    x = _masked_kernel_inputs(0.5)
-    assert np.array_equal(log_erf(x), _log_erf_both_branches(x))
-    assert np.array_equal(log_erf(x.reshape(-1, 2)), _log_erf_both_branches(x.reshape(-1, 2)))
-    for x0 in (0.5, np.nextafter(0.5, 0.0), 1e-300, 30.0):
-        got = log_erf(np.float64(x0))
+    w = _masked_kernel_inputs(0.25)
+    assert np.array_equal(_log_erf_sqrt(w), _log_erf_both_branches(w))
+    assert np.array_equal(_log_erf_sqrt(w.reshape(-1, 2)), _log_erf_both_branches(w.reshape(-1, 2)))
+    for w0 in (0.25, np.nextafter(0.25, 0.0), 1e-300, 30.0, 900.0):
+        got = _log_erf_sqrt(np.float64(w0))
         assert type(got) is float
-        assert got == float(_log_erf_both_branches(x0))
+        assert got == float(_log_erf_both_branches(w0))
 
 
 def test_log_erf_over_sqrt_masked_branches_bit_identical():
