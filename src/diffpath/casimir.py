@@ -48,9 +48,6 @@ REGULATORS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 # remaining terms are below 1e-18 relative.
 _REG_RANGE = {"exp": 45.0, "gauss": 7.0}
 
-# Unit intervals per block: 128 KB temporaries (2^16 blocks, mmap'd, ran 2x slower).
-_BLOCK = 1 << 14
-
 
 @dataclass(frozen=True)
 class CasimirConfig:
@@ -142,9 +139,9 @@ def sum_minus_integral(
 
     Adds the local differences F(n) - int_n^{n+1} F (12-node Gauss-Legendre)
     over n < N = _REG_RANGE[regulator] n_c + 1 (block_sum's terms m = 1..N,
-    taken at n = m - 1, which is exact in floats), f seeing at most 2^14
-    points at a time.  For F decreasing beyond N, the dropped remainder is
-    in [0, F(N)].
+    taken at n = m - 1, which is exact in floats), f seeing at most 2^16
+    points at a time; block_sum refuses an N past 2^24 (exp: n_c > 372827).
+    For F decreasing beyond N, the dropped remainder is in [0, F(N)].
     """
     if n_c < 10:
         raise ValueError("n_c must be >= 10")
@@ -159,7 +156,7 @@ def sum_minus_integral(
             d -= wk * F(n + xk)
         return d
 
-    return block_sum(lambda m: local_differences(m - 1.0), n_max, block=_BLOCK)
+    return block_sum(lambda m: local_differences(m - 1.0), n_max)
 
 
 def casimir_energy(config: CasimirConfig, model: str = "standard") -> CasimirResult:

@@ -47,7 +47,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_param_flags(p: argparse.ArgumentParser, omega_default: Optional[float] = None, tol: bool = True):
-    """Model flags; --omega only where a frequency is used, --tol only where a series is summed."""
+    """Model flags; --omega and --n-terms only where ln Pi is summed, --tol only where a series is."""
     p.add_argument("--m", type=float, default=1.0, help="mass (default 1)")
     p.add_argument("--hbar", type=float, default=1.0, help="hbar (default 1)")
     p.add_argument("--T", type=float, default=1.0, help="total time (default 1)")
@@ -57,6 +57,8 @@ def _add_param_flags(p: argparse.ArgumentParser, omega_default: Optional[float] 
     amp.add_argument("--epsilon-D", type=float, default=None, help="differentiable time scale")
     if omega_default is not None:
         p.add_argument("--omega", type=float, default=omega_default, help="oscillator frequency")
+        p.add_argument("--n-terms", type=int, default=None, metavar="N",
+                       help="sum the first N factors of Pi, at most 2^24 directly (default: the adaptive route)")
     if tol:
         p.add_argument("--tol", type=float, default=1e-9,
                        help="series tolerance: tail bound <= tol * max(1, |value|), absolute below |value| = 1")
@@ -248,13 +250,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="oscillator shift scan over T")
     _add_param_flags(p, omega_default=1.0)
     _add_grid_flags(p, "T-grid", 0.2, 5.0, 25)
-    p.add_argument("--n-terms", type=int, default=None)
     p.set_defaults(func=cmd_spectrum, tol=1e-6)
 
     p = sub.add_parser("unitarity", help="is ln Pi linear in T?")
     _add_param_flags(p, omega_default=1.0)
     _add_grid_flags(p, "T-grid", 0.2, 5.0, 12)
-    p.add_argument("--n-terms", type=int, default=None)
     p.add_argument("--threshold", type=float, default=0.1)
     p.set_defaults(func=cmd_unitarity, tol=1e-4)
 

@@ -25,7 +25,8 @@ n1, where W_n has fallen to 1/4 and n >= 4 omega T / pi; above n1 the
 power series of the free factor and of L in W_n and W_n x_n turn the rest
 into Hurwitz zeta differences, with a rigorous bound on the truncated
 series.  Only the terms whose a-priori bound is non-negligible next to the
-head sum are evaluated; the bounds of the rest join the tail bound.
+head sum are evaluated; the bounds of the rest join the tail bound.  A
+head longer than special.TERM_CAP = 2^24 terms is cut there (log_pi).
 One core, _log_pi_core, evaluates ln Pi at many (omega T, abar(T)) points
 of one alpha: log_pi is its one-point case, while log_pi_grid,
 unitarity_diagnostic (T grids) and scan_E0_vs_omega (an omega grid) pass
@@ -45,6 +46,7 @@ import numpy as np
 
 from .paths import ModelParams
 from .special import (
+    TERM_CAP,
     _ELL,
     _K,
     _W0,
@@ -66,8 +68,6 @@ __all__ = [
     "unitarity_diagnostic",
     "scan_E0_vs_omega",
 ]
-
-_ADAPTIVE_CAP = 1 << 24
 
 # Fixed-N tail: above n1 every W_n is <= _W0, and l runs to k = _K there as
 # in the kernel.  One row (c, i, j, u, k, 2j) per term c x^i W^j u^u of the
@@ -148,18 +148,17 @@ def _scaled_zeta(s: np.ndarray, q: float | np.ndarray, m: float) -> tuple[np.nda
 
 
 def _head_size(n: int, wt: float, a_bar: float, alpha: float) -> int:
-    """n1 = min(n, max(n_W, 4 wT / pi)), n_W the first mode with W_n <= _W0.
+    """n1 = min(n, TERM_CAP, max(n_W, 4 wT / pi)), n_W the first mode with W_n <= _W0.
 
     W_n = a_bar^2 n^(2 - 2 alpha), so W_n <= _W0 from
-    n_W = (a_bar / sqrt(_W0))^(1 / (alpha - 1)) on; above 4 wT / pi
-    the free series ratio (wT / n pi)^2 is <= 1/16.
+    n_W = (a_bar / sqrt(_W0))^(1 / (alpha - 1)) on, and never for
+    alpha <= 1; above 4 wT / pi the free series ratio (wT / n pi)^2 is <= 1/16.
     """
-    if alpha <= 1.0:
-        return n
-    log_n_w = math.log(a_bar / math.sqrt(_W0)) / (alpha - 1.0)
-    if log_n_w >= math.log(n):
-        return n
-    return min(n, max(math.ceil(math.exp(log_n_w)), math.ceil(4.0 * wt / math.pi)))
+    cap = min(n, TERM_CAP)
+    log_n_w = math.log(a_bar / math.sqrt(_W0)) / (alpha - 1.0) if alpha > 1.0 else math.inf
+    if log_n_w >= math.log(cap):
+        return cap
+    return min(cap, max(math.ceil(math.exp(log_n_w)), math.ceil(4.0 * wt / math.pi)))
 
 
 def _log_factor_tail(
@@ -230,18 +229,18 @@ def _bracket_tail(n: int, wt: float, a_bar: float, alpha: float) -> float:
 
 
 def _bracket_terms_needed(tol: float, wt: float, a_bar: float, alpha: float) -> int:
-    """Smallest N <= _ADAPTIVE_CAP whose bracket tail bound is <= tol (the cap if none is)."""
+    """Smallest N <= TERM_CAP whose bracket tail bound is <= tol (the cap if none is)."""
     if not tol > 0:
-        return _ADAPTIVE_CAP
+        return TERM_CAP
     log_n = 2.0 * math.log(wt) - math.log(2.0 * math.pi**2 * tol)
     if alpha > 0.5:
         k = 2.0 * alpha - 1.0
         log_n = min(log_n, (2.0 * math.log(wt * a_bar / math.pi) - math.log(3.0 * k * tol)) / k)
-    n = min(max(1, math.ceil(math.exp(min(log_n, math.log(_ADAPTIVE_CAP))))), _ADAPTIVE_CAP)
+    n = min(max(1, math.ceil(math.exp(min(log_n, math.log(TERM_CAP))))), TERM_CAP)
     # the logs above round; step to the exact smallest N
     while n > 1 and _bracket_tail(n - 1, wt, a_bar, alpha) <= tol:
         n -= 1
-    while n < _ADAPTIVE_CAP and _bracket_tail(n, wt, a_bar, alpha) > tol:
+    while n < TERM_CAP and _bracket_tail(n, wt, a_bar, alpha) > tol:
         n += 1
     return n
 
@@ -305,8 +304,8 @@ def _log_pi_core(points: list, params: ModelParams, tol: float, n_terms: Optiona
     sums = block_sum(lambda n, a_bar, wt: kernel(*_mode_pair(params, a_bar, wt, n)), sizes, a_bars, wts)
     pis = []
     if n_terms is not None:
-        n = int(n_terms)
         for (T, a_bar, wt), n1, value in zip(live, sizes, sums):
+            n = TERM_CAP if n1 == TERM_CAP else int(n_terms)
             tail = wt**2 / (2.0 * math.pi**2 * n)
             if n1 < n:
                 rest, err = _log_factor_tail(n1, n, wt, a_bar, alpha, value)
@@ -351,8 +350,8 @@ def log_pi(
 
     ``n_terms=N``: the sum of the first N log factors
     ln[Erf(sqrt(W_n (1 + x_n))) / Erf(sqrt W_n)].  The first
-    n1 = min(N, max(n_W, 4 wT / pi)) are summed directly, n_W being the
-    first mode with W_n <= 1/4 (n1 = N when alpha <= 1); so for N <= n1
+    n1 = min(N, 2^24, max(n_W, 4 wT / pi)) are summed directly, n_W being
+    the first mode with W_n <= 1/4 (never when alpha <= 1); so for N <= n1
     the value is the direct sum.  Modes n1 < n <= N are summed in closed
     form: the power series of (1/2) ln(1 + x_n) and of the bracket in W_n
     and u_n = W_n x_n, truncated at k = 18, make every sum over n a
@@ -365,7 +364,9 @@ def log_pi(
     concavity: Erf(k x) <= k Erf(x)), so tail_bound is
     (wT)^2 / (2 pi^2 N) plus a rigorous bound on the series truncation,
     the dropped terms and any zeta value below the floating-point range;
-    ``n_terms`` of the result is N.
+    ``n_terms`` of the result is N.  A head cut at n1 = 2^24 < N takes no
+    closed-form tail (W_n may exceed 1/4 there): the value sums 2^24
+    factors, tail_bound is (wT)^2 / (2 pi^2 2^24) and ``n_terms`` 2^24.
 
     ``converged`` means tail_bound <= tol_budget(ln Pi, tol) = tol * max(1, |ln Pi|),
     an absolute tolerance wherever |ln Pi| < 1.  With omega > 0, an

@@ -36,8 +36,9 @@ __all__ = [
 ]
 
 ZETA2 = math.pi**2 / 6.0
-# block_sum's block: the most terms one kernel call sees
-BLOCK = 1 << 16
+# block_sum's block, the most terms one kernel call sees, and its cap, the
+# most terms any certified sum evaluates (block_sum refuses a longer range)
+BLOCK, TERM_CAP = 1 << 16, 1 << 24
 
 
 @dataclass(frozen=True)
@@ -71,9 +72,12 @@ def block_sum(terms: Callable, stops, *cols, block: int = BLOCK):
     ``math.fsum`` per range fix the accumulation order, so no sum depends on
     the packing and rounding stays near one ulp even for ~1e7 terms.  An
     empty range gives 0.0, and tuples of arrays from ``terms`` tuples of sums.
+    A range past TERM_CAP raises ValueError first.  ``block`` is for tests.
     """
     one = not isinstance(stops, list)
     stops = [stops] if one else stops
+    if max(stops, default=0) > TERM_CAP:
+        raise ValueError(f"block_sum sums at most TERM_CAP = {TERM_CAP} terms per range, not {max(stops)}")
     calls, total = [], block  # starts full, so the first block opens a call
     for i, stop in enumerate(stops):
         for lo in range(1, stop + 1, block):
@@ -115,20 +119,20 @@ def tol_budget(value: float, tol: float) -> float:
     return tol * max(1.0, abs(value))
 
 
-def certify(evaluate: Callable[[int], tuple], tol: float, n0: int, cap: int) -> SeriesValue:
+def certify(evaluate: Callable[[int], tuple], tol: float, n0: int) -> SeriesValue:
     """Sum a series with a rigorous tail bound, quadrupling the term count.
 
     ``evaluate(n)`` gives (value, tail bound) for n terms; n runs n0, 4 n0,
     16 n0, ...  The first n whose bound is within tol_budget(value, tol) is
-    returned as converged; once n >= cap, the last evaluation is returned
-    with ``converged=False``.
+    returned as converged; once n >= TERM_CAP, the last evaluation is
+    returned with ``converged=False``.
     """
     n = n0
     while True:
         value, tail = evaluate(n)
         if tail <= tol_budget(value, tol):
             return SeriesValue(value, n, tail, True)
-        if n >= cap:
+        if n >= TERM_CAP:
             return SeriesValue(value, n, tail, False)
         n *= 4
 

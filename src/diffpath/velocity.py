@@ -75,10 +75,7 @@ __all__ = [
     "FractalRegimeError",
     "ScanRow",
     "scan_v2",
-    "SERIES_CAP",
 ]
-
-SERIES_CAP = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -180,7 +177,7 @@ def s_feynman(tau: float, t0_frac: float = 0.0, tol: float = 1e-10) -> SeriesVal
             tail += abs(coef) * midpoint_err
         return value, tail
 
-    return certify(evaluate, tol, 1 << 14, SERIES_CAP)
+    return certify(evaluate, tol, 1 << 14)
 
 
 def s_feynman_closed(tau: float) -> float:
@@ -202,12 +199,11 @@ def _s_feynman_exact(tau: float) -> float:
 
 # The weight table (module docstring): ((Abar, alpha), read-only 1 - Z(W_j)
 # for j = 1..len), read once per use and replaced whole, never edited.
-_WEIGHTS_CAP = BLOCK
 _WEIGHTS: tuple[tuple[float, float], np.ndarray] = ((0.0, 0.0), np.empty(0))
 
 
 def _weights(params: ModelParams, n: int) -> np.ndarray:
-    """1 - Z(W_j) for j = 1..n, n <= _WEIGHTS_CAP, extending the table if it is short."""
+    """1 - Z(W_j) for j = 1..n, n <= BLOCK, extending the table if it is short."""
     global _WEIGHTS
     key = (params.a_bar, params.alpha)
     table_key, table = _WEIGHTS
@@ -229,7 +225,7 @@ def _head_terms(tau: float, params: ModelParams, j: np.ndarray) -> tuple[np.ndar
     """
     s = (np.sin(j * (math.pi * tau)) / j) ** 2
     hi = int(j[-1])
-    if hi <= _WEIGHTS_CAP:
+    if hi <= BLOCK:
         return s * _weights(params, hi)[int(j[0]) - 1:], s
     return s * one_minus_zed(params.mode_w(j)), s
 
@@ -255,6 +251,8 @@ def _z_integral(a: float, a_bar: float, alpha: float) -> tuple[float, float]:
 
         beta = alpha - 1.0
         pref = a_bar ** (-1.0 / beta) / (2.0 * beta)
+        if not 0.0 < pref < math.inf:  # no quadrature for a product that cannot be formed
+            raise OverflowError("Z integral prefactor beyond the float range")
         w_top = min((a_bar / a**beta) ** 2, 800.0)
         val, err = quad(_zed_scalar, 0.0, w_top, weight="alg", wvar=(0.5 / beta - 1.0, 0.0), limit=200)
         if not math.isfinite(pref * (val + err)):
@@ -310,7 +308,7 @@ def _z_form(tau: float, params: ModelParams, n: int, head: float, free_head: flo
     import scipy.special as sc
     f_c = float(sc.polygamma(1, n + 1)) - 2.0 * rest  # sum_{j>n} cos(j theta) / j^2
     # (1 - Z)/t^2 at n + 1
-    w_1 = _weights(params, n + 1)[n] if n < _WEIGHTS_CAP else one_minus_zed(params.mode_w(n + 1.0))
+    w_1 = _weights(params, n + 1)[n] if n < BLOCK else one_minus_zed(params.mode_w(n + 1.0))
     u_1 = float(w_1) / (n + 1.0) ** 2
     d_n = math.sin(a * theta) / (2.0 * sin_h)  # Dirichlet kernel
     estimates = [
@@ -376,7 +374,7 @@ def s_diff(tau: float, params: ModelParams, tol: float = 1e-10) -> SeriesValue:
                 value, tail = z_value, z_tail
         return value, tail
 
-    return certify(evaluate, tol, 1 << 12, SERIES_CAP)
+    return certify(evaluate, tol, 1 << 12)
 
 
 def _v2_prefactor(eps: float, params: ModelParams) -> float:

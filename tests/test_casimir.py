@@ -16,6 +16,7 @@ from diffpath.casimir import (
     sum_minus_integral,
     tanh_model_derivs,
 )
+from diffpath.special import BLOCK
 
 EPS = np.finfo(float).eps
 
@@ -93,7 +94,7 @@ def test_sum_minus_integral_linear_exp_closed_form(n_c):
 @pytest.mark.parametrize("regulator, n_max", [("exp", 450_001), ("gauss", 70_001)])
 def test_sum_minus_integral_works_in_blocks(regulator, n_max):
     # one point and 12 Gauss-Legendre nodes per unit interval, in blocks of
-    # at most 2^14 points: no array of the size of the whole range
+    # at most special.BLOCK points: no array of the size of the whole range
     sizes = []
 
     def f(n):
@@ -101,8 +102,17 @@ def test_sum_minus_integral_works_in_blocks(regulator, n_max):
         return n
 
     sum_minus_integral(f, regulator, 10_000)
-    assert max(sizes) <= 1 << 14
+    assert max(sizes) <= BLOCK
     assert sum(sizes) == 13 * n_max
+
+
+def test_sum_minus_integral_refuses_a_range_past_the_term_cap():
+    # exp sums n < 45 n_c + 1: 2^24 terms at most, so n_c = 372827 is the last one taken
+    def f(n):
+        raise AssertionError("no term may be evaluated")
+
+    with pytest.raises(ValueError, match="TERM_CAP"):
+        sum_minus_integral(f, "exp", 372_828)
 
 
 def test_sum_minus_integral_zero_function():

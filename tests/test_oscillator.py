@@ -9,8 +9,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from diffpath import oscillator
-from diffpath.cli import EXIT_USAGE, main
+from diffpath import oscillator, special
+from diffpath.cli import EXIT_OK, EXIT_USAGE, main
 from diffpath.oscillator import (
     _head_size,
     _log_sinh_over_x,
@@ -22,7 +22,7 @@ from diffpath.oscillator import (
     unitarity_diagnostic,
 )
 from diffpath.paths import ModelParams
-from diffpath.special import _log_erf_sqrt, _series_remainder
+from diffpath.special import TERM_CAP, _log_erf_sqrt, _series_remainder
 
 FIG4 = ModelParams(m=1.0, hbar=1.0, T=1.0, alpha=2.1, epsilon_D=0.1, omega=1.0)
 EPS = np.finfo(float).eps
@@ -148,6 +148,34 @@ def test_log_pi_fixed_n_direct_up_to_n1(params, n_terms):
     res = log_pi(1.0, params, n_terms=n_terms)
     assert res.log_pi == direct_log_pi(params, 1.0, n_terms)
     assert res.tail_bound == params.omega**2 / (2.0 * math.pi**2 * n_terms)
+
+
+def test_log_pi_fixed_n_head_stops_at_the_term_cap(capsys):
+    # alpha < 1 keeps every W_n above 1/4, so the head would run to N = 1e15
+    res = log_pi(1.0, ModelParams(A=10.0, alpha=0.9, omega=1.0), tol=1e-6, n_terms=10**15)
+    assert res.n_terms == TERM_CAP == 1 << 24
+    assert res.tail_bound == 1.0 / (2.0 * math.pi**2 * (1 << 24))
+    assert res.log_pi >= 0.0 and res.converged
+    argv = ["spectrum", "--A", "10", "--alpha", "0.9", "--omega", "1", "--points", "1",
+            "--T-grid-min", "1", "--T-grid-max", "2", "--n-terms", "1000000000000000"]
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[-1].split(",")[3] == "16777216"
+
+
+@pytest.mark.parametrize("params", [ModelParams(A=10.0, alpha=0.9, omega=1.0), ModelParams(A=1e9, alpha=2.05, omega=2.0)])
+def test_log_pi_head_cut_at_the_cap_is_its_direct_sum(monkeypatch, params):
+    # with the cap lowered where block_sum and oscillator both read it, a head
+    # that reaches it is the sum of its first TERM_CAP factors, with no closed-form tail
+    under_cap = hexed(log_pi(1.0, FIG4, n_terms=10**6))
+    cap = 1 << 10
+    monkeypatch.setattr(special, "TERM_CAP", cap)
+    monkeypatch.setattr(oscillator, "TERM_CAP", cap)
+    res = log_pi(1.0, params, n_terms=10**6)
+    assert res.n_terms == cap
+    assert res.log_pi == direct_log_pi(params, 1.0, cap)
+    assert res.tail_bound == params.omega**2 / (2.0 * math.pi**2 * cap)
+    # a head below the cap (n1 = 29) still takes the closed-form tail to N
+    assert hexed(log_pi(1.0, FIG4, n_terms=10**6)) == under_cap
 
 
 def test_log_pi_fixed_n_evaluates_only_the_head(monkeypatch):

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 import scipy.special as sc
 from scipy.integrate import quad
 
-from diffpath import velocity
+from diffpath import special, velocity
 from diffpath.special import (
+    BLOCK,
+    TERM_CAP,
     _ELL,
     _ELL_M,
     _ELL_R,
@@ -274,6 +276,20 @@ def test_block_sum_of_many_ranges_is_block_sum_per_range(block):
     assert shared or block == 1
 
 
+def test_block_sum_refuses_a_range_past_the_term_cap():
+    def terms(n, *args):
+        raise AssertionError("no term may be evaluated")
+
+    message = f"^block_sum sums at most TERM_CAP = {TERM_CAP} terms per range, not {TERM_CAP + 1}$"
+    for stops, cols in ((TERM_CAP + 1, ()), ([3, TERM_CAP + 1, 0], ([0.5, 1.5, 2.5],))):
+        with pytest.raises(ValueError, match=message):
+            block_sum(terms, stops, *cols)
+    # a range of TERM_CAP terms is summed, in calls of BLOCK terms
+    sizes = []
+    assert block_sum(lambda n: (sizes.append(n.size), np.ones_like(n))[1], TERM_CAP) == TERM_CAP
+    assert sizes == [BLOCK] * (TERM_CAP // BLOCK)
+
+
 def test_block_sum_bit_identical_to_blocked_fsum():
     n = np.arange(1, 200_001, dtype=float)
     terms = lambda n: np.sin(n) / n**2
@@ -292,7 +308,7 @@ def test_s_feynman_blocks_are_bounded(monkeypatch):
         return feynman_terms(tau, t0_frac, j)
 
     monkeypatch.setattr(velocity, "_feynman_terms", recording)
-    monkeypatch.setattr(velocity, "SERIES_CAP", 1 << 18)
+    monkeypatch.setattr(special, "TERM_CAP", 1 << 18)
     res = velocity.s_feynman(0.1, 0.3, tol=0.0)
     assert res.n_terms == 1 << 18 and not res.converged
     assert max(sizes) == 1 << 16 and sum(sizes) == (1 << 14) + (1 << 16) + (1 << 18)
@@ -303,17 +319,23 @@ def test_tol_budget_rule():
     assert tol_budget(-20.0, 1e-3) == 20.0 * 1e-3  # relative above
 
 
-def test_certify_returns_first_n_meeting_budget():
+def test_certify_returns_first_n_meeting_budget(monkeypatch):
     calls = []
 
     def evaluate(n):
         calls.append(n)
         return 100.0, 50.0 / n  # budget tol * 100
 
-    assert certify(evaluate, 1e-2, 1, 10**6) == SeriesValue(100.0, 64, 50.0 / 64, True)
+    assert certify(evaluate, 1e-2, 1) == SeriesValue(100.0, 64, 50.0 / 64, True)
     assert calls == [1, 4, 16, 64]
-    assert certify(lambda n: (0.5, 1.0 / n), 1e-3, 1, 10**6).n_terms == 1024
-    assert certify(lambda n: (0.5, 1.0 / n), 1e-3, 1, 64) == SeriesValue(0.5, 64, 1.0 / 64, False)
+    assert certify(lambda n: (0.5, 1.0 / n), 1e-3, 1).n_terms == 1024
+    # s_diff's n0 = 2^12 and s_feynman's 2^14 both step to the cap, 2^24, and stop there
+    for n0 in (1 << 12, 1 << 14):
+        calls.clear()
+        assert certify(evaluate, 0.0, n0) == SeriesValue(100.0, TERM_CAP, 50.0 / TERM_CAP, False)
+        assert calls[-1] == TERM_CAP == 1 << 24
+    monkeypatch.setattr(special, "TERM_CAP", 64)
+    assert certify(lambda n: (0.5, 1.0 / n), 1e-3, 1) == SeriesValue(0.5, 64, 1.0 / 64, False)
 
 
 def test_bernoulli_values():

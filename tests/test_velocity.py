@@ -581,6 +581,24 @@ def test_z_form_near_alpha_one_gives_no_estimate(amp):
     assert velocity._z_form(1e-4, params, 4096, 0.5, 0.25, 1e-12) == (0.5, math.inf)
 
 
+def test_z_integral_past_the_float_range_runs_no_quadrature(monkeypatch):
+    # A = 1e4, alpha = 1.001: the prefactor Abar^(-1/beta) / (2 beta) underflows
+    # to 0, so the Z integral cannot be formed and QUADPACK is never called
+    import scipy.integrate
+
+    def no_quad(*args, **kwargs):
+        raise AssertionError("QUADPACK called")
+
+    monkeypatch.setattr(scipy.integrate, "quad", no_quad)
+    params = ModelParams(alpha=1.001, A=1e4)
+    assert params.a_bar ** (-1.0 / (params.alpha - 1.0)) == 0.0
+    with pytest.raises(OverflowError):
+        velocity._z_integral(4096.5, params.a_bar, params.alpha)
+    assert velocity._z_form(1e-4, params, 4096, 0.5, 0.25, 1e-12) == (0.5, math.inf)
+    res = velocity.s_diff(1e-4, params, tol=1e-9)
+    assert res.n_terms == 1 << 24 and not res.converged
+
+
 def test_z_form_near_alpha_one_with_sup_bound_past_float_range():
     # (p / e)^p = e^5911 overflows while the Z integral is in range: sup Z/t^2
     # is bounded by 1/t^2 alone and the Z-form still gives a finite estimate
