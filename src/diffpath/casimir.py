@@ -226,14 +226,18 @@ def epsilon_d_bound(L_exp: float, rel_error: float, c: float) -> EpsilonDBound:
     set to 1), and the literal inequality solution is reported alongside.
     The x^2/40 is the inequality as stated; the tanh model's own correction
     is delta + 1/12 = -x^2/360 + O(x^4), a relative x^2/30, which would
-    give omega_D >= (pi c / L) sqrt(1/(30 rel_error)) instead.
+    give omega_D >= (pi c / L) sqrt(1/(30 rel_error)) instead.  An
+    omega_D,min of 0 or past the float range raises ValueError.
     """
     if L_exp <= 0 or c <= 0:
         raise ValueError("L_exp and c must be positive")
     if not 0.0 < rel_error < 1.0:
         raise ValueError("rel_error must lie in (0, 1)")
     x_max = math.sqrt(rel_error * 40.0 / 12.0)
-    omega_min = math.pi * c / (L_exp * x_max)
+    omega_min = math.pi * c / (L_exp * x_max) if L_exp * x_max > 0.0 else math.inf
+    if not 0.0 < omega_min < math.inf:
+        raise ValueError(f"omega_D,min = pi c / (L_exp sqrt(40 rel_error / 12)) = {omega_min!r} is not a positive "
+                         f"finite float at L_exp={L_exp!r}, rel_error={rel_error!r}, c={c!r}")
     return EpsilonDBound(
         epsilon_d=L_exp / c,
         epsilon_d_exact=1.0 / omega_min,

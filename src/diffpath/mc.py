@@ -151,26 +151,26 @@ def _check_sizes(N_modes: int, n_samples: int) -> None:
 def _omitted_mode_bound(params: ModelParams, eps: float, N_modes: int) -> float:
     """Bound on the <v^2> that modes j > N_modes would add, in closed form.
 
-    Omitted mode j adds at most min(4 pref / j^2, 4 A^2 / eps^2 j^{2 alpha}),
-    pref = (2 hbar / m T)(T / pi eps)^2: the free second moment and the
-    cap B_j^2, times the bound 4 on the squared sine difference.  For
-    alpha > 1 the free term is the smaller one up to the crossover
-    j_x = (A^2 / eps^2 pref)^{1 / (2 alpha - 2)} and the cap term beyond,
-    so with K = max(N_modes, floor(j_x)) the sum is exactly
+    Omitted mode j adds at most 4 pref min(1 / j^2, 2 Abar^2 / j^{2 alpha}),
+    pref = (2 hbar / m T)(T / pi eps)^2: the free second moment, or the cap
+    B_j^2 / eps^2, 2 W_j times it, times the bound 4 on the squared sine
+    difference.  For alpha > 1 the free term is the smaller one up to the
+    crossover j_x = (2 Abar^2)^{1 / (2 alpha - 2)}, so with
+    K = max(N_modes, floor(j_x)) the sum is exactly
 
-        4 pref [zeta(2, N+1) - zeta(2, K+1)] + (4 A^2 / eps^2) zeta(2 alpha, K+1)
+        4 pref [zeta(2, N+1) - zeta(2, K+1) + 2 Abar^2 zeta(2 alpha, K+1)]
 
-    in Hurwitz zetas.  For alpha <= 1 the free sum alone bounds it.
+    in Hurwitz zetas.  For alpha <= 1 or ln j_x > 700 (Abar^2 = inf too)
+    the free sum 4 pref zeta(2, N+1) bounds it.
     """
-    pref = _v2_prefactor(eps, params)
-    free = 4.0 * pref * hurwitz_zeta(2.0, N_modes + 1.0)
-    if params.alpha <= 1.0:
-        return free
-    cap = 4.0 * params.amplitude**2 / eps**2
-    # exp(700) is past any term count, and keeps huge crossovers finite
-    log_jx = (2.0 * math.log(params.amplitude / eps) - math.log(pref)) / (2.0 * params.alpha - 2.0)
-    q = max(N_modes, math.floor(math.exp(min(log_jx, 700.0)))) + 1.0  # K + 1
-    return free - 4.0 * pref * hurwitz_zeta(2.0, q) + cap * hurwitz_zeta(2.0 * params.alpha, q)
+    bound = hurwitz_zeta(2.0, N_modes + 1.0)
+    if params.alpha > 1.0:
+        two_a2 = 2.0 * params.a_bar * params.a_bar
+        log_jx = math.log(two_a2) / (2.0 * params.alpha - 2.0)
+        if log_jx <= 700.0:
+            q = max(N_modes, math.floor(math.exp(log_jx))) + 1.0  # K + 1
+            bound = bound - hurwitz_zeta(2.0, q) + two_a2 * hurwitz_zeta(2.0 * params.alpha, q)
+    return 4.0 * _v2_prefactor(eps, params) * bound
 
 
 def estimate_v2(

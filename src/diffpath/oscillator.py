@@ -126,7 +126,7 @@ def _log_sinh_over_x(x: float) -> float:
 
 
 def _scaled_zeta(s: np.ndarray, q: float | np.ndarray, m: float) -> tuple[np.ndarray, np.ndarray]:
-    """m^s zeta(s, q) for q > m >= 1 (q a float or an array like s), and a bound on its error.
+    """m^s zeta(s, q) for q > m >= 1 (q a float or an array broadcasting against s), and a bound on its error.
 
     zeta(s, q) underflows long before m^s zeta(s, q) is negligible, so a
     zeta below _ZETA_MIN is replaced by the midpoint of its integral-test
@@ -161,6 +161,13 @@ def _head_size(n: int, wt: float, a_bar: float, alpha: float) -> int:
     return min(cap, max(math.ceil(math.exp(log_n_w)), math.ceil(4.0 * wt / math.pi)))
 
 
+def _zero_head(params: ModelParams, n1: int, a_bar: float) -> bool:
+    """Whether every factor of the fixed-N head to n1 is 0.0: ln Erf(sqrt W) is 0.0 at its smallest W
+    (W_n1 for alpha > 1, else W_1), taken as the kernel takes it once its float value passes 700."""
+    n = float(n1) if params.alpha > 1.0 else 1.0
+    return params.mode_w(n, a_bar) > 700.0 and _log_erf_sqrt(params.mode_w(np.array([n]), a_bar))[0] == 0.0
+
+
 def _log_factor_tail(
     n1: int, n: int, wt: float, a_bar: float, alpha: float, head: float
 ) -> tuple[float, float]:
@@ -172,14 +179,13 @@ def _log_factor_tail(
     every sum over m into zeta(s, n1 + 1) - zeta(s, n + 1), one per _TAIL_*
     row: s = 2i for x^i of the free part, 2 alpha k - 2j for W^j u^(k-j)
     of the bracket.  Powers are taken at m = n1, so the coefficients stay <= 1.
-    Since 0 <= n1^s zeta(s, q) <= (n1 / q)^s (1 + q / (s - 1)), no zeta is
-    evaluated where that bound, times |coefficient|, is below _TAIL_DROP
-    times ``head`` (the sum of the first n1 factors; all factors are >= 0,
-    so head is at most the whole sum), and the bound joins the error.  At
-    q = n1 + 1 the bound covers the whole term, as
-    0 <= zeta(s, n1 + 1) - zeta(s, n + 1) <= zeta(s, n1 + 1); at q = n + 1
-    it covers the zeta(s, n + 1) half.  The kept zetas of both halves take
-    one call.
+    Since 0 <= n1^s zeta(s, q) <= (n1 / q)^s (1 + q / (s - 1)), and
+    0 <= zeta(s, n1 + 1) - zeta(s, n + 1) <= zeta(s, n1 + 1), a row whose
+    bound at q = n1 + 1, times |coefficient|, is below _TAIL_DROP times
+    ``head`` (the sum of the first n1 factors; all factors are >= 0, so
+    head is at most the whole sum) is not evaluated, and that bound joins
+    the error.  Every kept row takes its zetas at both q = n1 + 1 and
+    q = n + 1 in one call.
     Above k = _K the free series is alternating (x_m <= 1/16), and
     _series_remainder(W_m, u_m) is at most that of m = n1 times
     (n1 / m)^(2 alpha + (2 alpha - 2) _K).
@@ -190,25 +196,13 @@ def _log_factor_tail(
     # exact for every row: x^0 = 1.0, and 0.0 - (-2i) = 2i on the free rows
     s = 2.0 * alpha * _TAIL_K - _TAIL_2J
     coef = _TAIL_C * z2**_TAIL_I * w1**_TAIL_J * u1**_TAIL_U
-    floor = _TAIL_DROP * head
-
-    def bound(c, s, q):
-        return np.abs(c) * (n1 / q) ** s * (1.0 + q / (s - 1.0))
-
-    b_lo = bound(coef, s, n1 + 1.0)
-    kept = b_lo >= floor
-    err = float(b_lo[~kept].sum())
+    b = np.abs(coef) * (n1 / (n1 + 1.0)) ** s * (1.0 + (n1 + 1.0) / (s - 1.0))
+    kept = b >= _TAIL_DROP * head
+    err = float(b[~kept].sum())
     coef, s = coef[kept], s[kept]
-    b_hi = bound(coef, s, n + 1.0)
-    hi = b_hi >= floor
-    err += float(b_hi[~hi].sum())
-    q = np.concatenate((np.full(s.size, n1 + 1.0), np.full(np.count_nonzero(hi), n + 1.0)))
-    z, z_err = _scaled_zeta(np.concatenate((s, s[hi])), q, n1)
-    diff, diff_err = z[: s.size], z_err[: s.size]
-    diff[hi] -= z[s.size :]
-    diff_err[hi] += z_err[s.size :]
-    value = math.fsum((coef * diff).tolist())
-    err += float(np.abs(coef) @ diff_err)
+    (z_lo, z_hi), (e_lo, e_hi) = _scaled_zeta(s, np.array([[n1 + 1.0], [n + 1.0]]), n1)
+    value = math.fsum((coef * (z_lo - z_hi)).tolist())
+    err += float(np.abs(coef) @ (e_lo + e_hi))
     # sum_{m>n1} (n1 / m)^p <= n1 / (p - 1)
     err += z2 ** (_K + 1) / (2 * _K + 2) * n1 / (2 * _K + 1)
     err += _series_remainder(w1, u1) * n1 / (2.0 * alpha + (2.0 * alpha - 2.0) * _K - 1.0)
@@ -276,7 +270,7 @@ def _log_pi_core(points: list, params: ModelParams, tol: float, n_terms: Optiona
     if n_terms is not None and not (n_terms >= 1 and n_terms % 1 == 0):
         raise ValueError(f"n_terms must be an integer >= 1, not {n_terms!r}")
     # omega T = 0 gives Pi = 1 exactly; the other points are summed, over sizes[i] terms each
-    live, sizes = [], []
+    live, sizes, heads = [], [], []
     for point in points:
         T, a_bar, wt = point
         if wt == 0.0:
@@ -296,7 +290,8 @@ def _log_pi_core(points: list, params: ModelParams, tol: float, n_terms: Optiona
         if n_terms is None:
             sizes.append(_bracket_terms_needed(tol, wt, a_bar, alpha))
         else:
-            sizes.append(_head_size(int(n_terms), wt, a_bar, alpha))
+            heads.append(_head_size(int(n_terms), wt, a_bar, alpha))
+            sizes.append(0 if _zero_head(params, heads[-1], a_bar) else heads[-1])
         live.append(point)
 
     kernel = _brackets if n_terms is None else _erf_ratios
@@ -304,7 +299,7 @@ def _log_pi_core(points: list, params: ModelParams, tol: float, n_terms: Optiona
     sums = block_sum(lambda n, a_bar, wt: kernel(*_mode_pair(params, a_bar, wt, n)), sizes, a_bars, wts)
     pis = []
     if n_terms is not None:
-        for (T, a_bar, wt), n1, value in zip(live, sizes, sums):
+        for (T, a_bar, wt), n1, value in zip(live, heads, sums):
             n = TERM_CAP if n1 == TERM_CAP else int(n_terms)
             tail = wt**2 / (2.0 * math.pi**2 * n)
             if n1 < n:

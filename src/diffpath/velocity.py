@@ -15,7 +15,7 @@ the partial sum is corrected and bounded analytically:
 * the free series sums to S_F(tau) = (pi^2/2) tau (1 - tau), which
   v2_feynman and scan_v2 use.  s_feynman, the independent check, expands
   the squared sine difference into a constant plus four cosine terms; the
-  constant's exact tail is the trigamma function psi_1(N+1), while each
+  constant's exact tail is the trigamma psi_1(N+1) = zeta(2, N+1), while each
   oscillatory tail obeys the Abel/Dirichlet-kernel bound
   |sum_{j>N} cos(j theta)/j^2| <= 2 / ((N+1)^2 sin(theta/2)); where that
   bound is too weak (theta near 0) the tail is instead the Fourier
@@ -60,7 +60,8 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .paths import ModelParams
-from .special import BLOCK, ZETA2, ConvergenceError, SeriesValue, block_sum, certify, one_minus_zed, tol_budget
+from .special import (BLOCK, ZETA2, ConvergenceError, SeriesValue, block_sum, certify, hurwitz_zeta,
+                      one_minus_zed, tol_budget)
 
 __all__ = [
     "RegimeReport",
@@ -154,12 +155,11 @@ def s_feynman(tau: float, t0_frac: float = 0.0, tol: float = 1e-10) -> SeriesVal
     if tau == 0.0:
         return SeriesValue(0.0, 0, 0.0, True)
 
-    import scipy.special as sc
     c0, components = _cosine_components(tau, t0_frac)
 
     def evaluate(n: int) -> tuple[float, float]:
         partial = block_sum(lambda j: _feynman_terms(tau, t0_frac, j), n)
-        trigamma = float(sc.polygamma(1, n + 1))
+        trigamma = hurwitz_zeta(2.0, n + 1.0)
         value = partial + c0 * trigamma
         tail = 0.0
         share = tol_budget(value, tol) / max(1, len(components))
@@ -305,8 +305,7 @@ def _z_form(tau: float, params: ModelParams, n: int, head: float, free_head: flo
         """>= int_x^inf (1 - Z) t^-k dt, from 1 - Z <= min(1, 2 W / 3)."""
         return min(x ** (1 - k) / (k - 1), (2.0 / 3.0) * abar**2 * x ** (1 - k - 2 * beta) / (k - 1 + 2 * beta))
 
-    import scipy.special as sc
-    f_c = float(sc.polygamma(1, n + 1)) - 2.0 * rest  # sum_{j>n} cos(j theta) / j^2
+    f_c = hurwitz_zeta(2.0, n + 1.0) - 2.0 * rest  # sum_{j>n} cos(j theta) / j^2
     # (1 - Z)/t^2 at n + 1
     w_1 = _weights(params, n + 1)[n] if n < BLOCK else one_minus_zed(params.mode_w(n + 1.0))
     u_1 = float(w_1) / (n + 1.0) ** 2

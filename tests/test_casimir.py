@@ -287,3 +287,7 @@ def test_epsilon_d_bound_validation():
         epsilon_d_bound(-1.0, 0.01, 3e8)
     with pytest.raises(ValueError):
         epsilon_d_bound(1e-7, 1.5, 3e8)
+    # omega_D,min is 0.0, or inf (also where L_exp x_max underflows): named, not divided by
+    for args in ((1e300, 1e-300, 1e-300), (1e-300, 0.5, 1e300), (1e-300, 1e-300, 1.0)):
+        with pytest.raises(ValueError, match=r"^omega_D,min = .* is not a positive finite float at L_exp="):
+            epsilon_d_bound(*args)

@@ -289,6 +289,35 @@ def test_casimir_scan_and_bound(capsys):
     assert 1e-16 <= payload["epsilon_d"] <= 1e-14
 
 
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        # Abar^2 = inf: the omitted-mode bound is the free sum, and s_diff names the overflow
+        (["oracle", "--A", "1e160"], EXIT_USAGE, "s_diff requires a finite Abar^2"),
+        (["oracle", "--epsilon-D", "1e-200"], EXIT_USAGE, "s_diff requires a finite Abar^2"),
+        # Abar^2 = 2.5e300 is finite, A^2 = 1e310 is not: the bound never forms A^2
+        (["oracle", "--A", "1e155", "--T", "1e10", "--eps", "1"], EXIT_OK, None),
+        # omega_D,min = pi c / (L_exp x_max) underflows to 0, or overflows
+        (["casimir", "--bound", "--L-exp", "1e300", "--rel-error", "1e-300", "--c", "1e-300"], EXIT_USAGE,
+         "omega_D,min = pi c / (L_exp sqrt(40 rel_error / 12)) = 0.0 is not a positive finite float"
+         " at L_exp=1e+300, rel_error=1e-300, c=1e-300"),
+        (["casimir", "--bound", "--L-exp", "1e-300", "--rel-error", "0.5", "--c", "1e300"], EXIT_USAGE,
+         "= inf is not a positive finite float at L_exp=1e-300, rel_error=0.5, c=1e+300"),
+    ],
+)
+@pytest.mark.filterwarnings("ignore::diffpath.mc.ModeTruncationWarning")
+def test_extreme_scales_exit_with_a_reason(capsys, argv, code, message):
+    # an exception other than ValueError or ConvergenceError would leave main
+    # as a traceback and fail here
+    flags = ["--modes", "5", "--samples", "100"] if argv[0] == "oracle" else []
+    assert main(argv + flags) == code
+    err = capsys.readouterr().err
+    if message is None:
+        assert "error" not in err
+    else:
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
 def test_casimir_rejects_small_cutoff(capsys):
     # delta is the n_c -> infinity limit: the cutoff and regulator flags are gone
     for flags in (["--n-c", "5"], ["--regulator", "gauss"]):

@@ -9,6 +9,7 @@ from scipy import stats
 from scipy.special import erf
 
 from diffpath.mc import (
+    _omitted_mode_bound,
     estimate_pi_factor,
     estimate_v2,
     mode_second_moment_reference,
@@ -16,8 +17,8 @@ from diffpath.mc import (
 )
 from diffpath.oscillator import log_pi
 from diffpath.paths import ModelParams
-from diffpath.special import truncated_gaussian_ratio
-from diffpath.velocity import v2_diff, v2_feynman
+from diffpath.special import hurwitz_zeta, truncated_gaussian_ratio
+from diffpath.velocity import _v2_prefactor, v2_diff, v2_feynman
 
 FIG2 = ModelParams(m=1.0, hbar=1.0, T=1.0, alpha=2.1, A=10.0)
 
@@ -318,6 +319,38 @@ def test_truncation_bias_bound_closed_form():
                     bias = estimate_v2(params, eps, 0.0, n_modes, 2, seed=0).truncation_bias_bound
                     assert bias >= _mp_bias_bound(params, eps, n_modes) * (1.0 - 1e-13)
                     assert bias <= _parent_bias_bound(params, eps, n_modes) * (1.0 + ulps)
+
+
+def _mp_min_sum(params, eps, n_modes):
+    """sum_{j>N} min(4 pref / j^2, 8 Abar^2 pref / j^{2 alpha}) at 30 digits, split where the terms cross."""
+    with mp.workdps(30):
+        a2, alpha = mp.mpf(params.a_bar) ** 2, mp.mpf(params.alpha)
+        pref = 2 * mp.mpf(params.hbar) / (params.m * params.T) * (params.T / (mp.pi * eps)) ** 2
+        # 1 / j^2 <= 2 Abar^2 / j^{2 alpha} exactly for j <= (2 Abar^2)^{1 / (2 alpha - 2)}
+        k = max(n_modes, int(mp.floor((2 * a2) ** (1 / (2 * alpha - 2)))))
+        return float(4 * pref * (mp.zeta(2, n_modes + 1) - mp.zeta(2, k + 1) + 2 * a2 * mp.zeta(2 * alpha, k + 1)))
+
+
+@pytest.mark.parametrize("alpha", [1.5, 2.1, 3.5])
+@pytest.mark.parametrize("amp", [10.0, 1e6])
+@pytest.mark.parametrize("n_modes", [5, 1000])
+def test_omitted_mode_bound_is_the_sum_of_the_smaller_terms(alpha, amp, n_modes):
+    # each omitted mode's free or capped moment, whichever is smaller, in closed form
+    params = ModelParams(A=amp, alpha=alpha)
+    for eps in (1e-3, 0.05):
+        ref = _mp_min_sum(params, eps, n_modes)
+        assert _omitted_mode_bound(params, eps, n_modes) == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+def test_omitted_mode_bound_past_the_float_range():
+    # Abar^2 = inf at A = 1e160: the free sum alone; at A = 1e155, T = 1e10 the
+    # crossover is near e^314 and the bound stays finite (A^2 itself overflows)
+    params = ModelParams(A=1e160)
+    free = 4.0 * _v2_prefactor(0.05, params) * hurwitz_zeta(2.0, 11.0)
+    assert _omitted_mode_bound(params, 0.05, 10) == free
+    params = ModelParams(A=1e155, T=1e10)
+    bound = _omitted_mode_bound(params, 1.0, 5)
+    assert math.isfinite(bound) and 0.0 < bound <= 4.0 * _v2_prefactor(1.0, params) * hurwitz_zeta(2.0, 6.0)
 
 
 def test_domain_errors():

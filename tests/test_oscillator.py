@@ -208,6 +208,57 @@ def test_log_pi_fixed_n_evaluates_only_the_non_negligible_zetas(monkeypatch):
     assert res.converged
 
 
+@pytest.mark.parametrize(
+    "params, T, n_terms, n1, log_pi_hex, tail_hex",
+    [
+        (ModelParams(epsilon_D=0.1, alpha=2.5, omega=1.0), 2.0, 10**5, 43,
+         "0x1.e78d46d87f6a8p-8", "0x1.0ffb6320f6b58p-19"),
+        (FIG4, 1.0, 10**15, 29, "0x1.c1413f9c59d8ep-9", "0x1.d344562d02a39p-55"),
+        (ModelParams(A=1.4e6, alpha=2.05, omega=1.0), 1.0, 10**15, 2122909,
+         "0x1.974ced5c58a2cp-25", "0x1.d342f0c171454p-55"),
+    ],
+)
+def test_log_pi_fixed_n_tail_keeps_its_values(params, T, n_terms, n1, log_pi_hex, tail_hex):
+    # pinned fixed-N values, the last with a 2.1e6-mode head: how the tail
+    # prunes its zeta rows may tighten tail_bound, never loosen it or move a value
+    assert _head_size(n_terms, params.omega * T, a_bar_at(params, T), params.alpha) == n1
+    res = log_pi(T, params, n_terms=n_terms)
+    assert res.log_pi.hex() == log_pi_hex and res.n_terms == n_terms and res.converged == (n_terms > 10**5)
+    assert res.tail_bound <= float.fromhex(tail_hex)
+
+
+def test_log_pi_all_zero_head_calls_no_kernel(monkeypatch, capsys):
+    # W_n >= 1.7e3 up to the capped head's last mode: every Erf ratio is 1.0
+    # in floats, so no factor is evaluated, and n_terms and the tail bound are
+    # still those of the 2^24-term head
+    params = ModelParams(A=1e9, alpha=2.05, omega=1.0)
+    calls = []
+    kernel = oscillator._erf_ratios
+
+    def counting_kernel(hi, lo):
+        calls.append(lo.size)
+        return kernel(hi, lo)
+
+    monkeypatch.setattr(oscillator, "_erf_ratios", counting_kernel)
+    res = log_pi(1.0, params, n_terms=10**15)
+    assert calls == []
+    assert hexed(res) == hexed(oscillator.PiResult(0.0, 1.0, TERM_CAP, float.fromhex("0x1.9f02f6222c720p-29"), True))
+    # a grid of a point with no head to sum (T = 1) and one with (T = 1e14,
+    # W_10 = 196): the kernel sees the second point's 10 modes only, and
+    # each value is log_pi's
+    singles = [hexed(log_pi(t, params, n_terms=10)) for t in (1.0, 1e14)]
+    assert float.fromhex(singles[1][0]) > 0.0
+    calls.clear()
+    assert [hexed(r) for r in log_pi_grid([1.0, 1e14], params, n_terms=10)] == singles
+    assert calls == [10]
+    calls.clear()
+    argv = ["spectrum", "--A", "1e9", "--alpha", "2.05", "--omega", "1", "--points", "1",
+            "--T-grid-min", "1", "--T-grid-max", "2", "--n-terms", "1000000000000000"]
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[-1] == "1.0,0.0,0.0,16777216"
+    assert calls == []
+
+
 @pytest.mark.parametrize("w, x", [(1e-6, 1 / 16), (0.01, 0.05), (0.1, 1e-8), (0.2, 1 / 16), (0.235, 1 / 16)])
 def test_tail_table_rows_sum_to_the_kernel(w, x):
     # at m = n1 every row's (n1 / m)^s is 1: its term is its coefficient, with

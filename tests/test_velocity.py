@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from diffpath import velocity
 from diffpath.paths import ModelParams
-from diffpath.special import one_minus_zed
+from diffpath.special import hurwitz_zeta, one_minus_zed
 from diffpath.velocity import (
     FractalRegimeError,
     crossing_eps,
@@ -53,6 +53,18 @@ def test_s_feynman_small_tau_limit():
 
 def test_s_feynman_zero():
     assert s_feynman(0.0, 0.0).value == 0.0
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_trigamma_is_hurwitz_zeta_at_the_certified_term_counts(k):
+    # s_feynman and the Z-form take psi_1(n + 1) as zeta(2, n + 1); scipy's
+    # polygamma(1, x) is zeta(2, x) times 1.0, so the two agree bit for bit at
+    # every n = 4096 * 4^k that certify runs (a scipy upgrade that moves
+    # either shows here)
+    import scipy.special as sc
+
+    n = 4096 * 4**k
+    assert hurwitz_zeta(2.0, n + 1.0) == float(sc.polygamma(1, n + 1))
 
 
 def test_s_feynman_brute_force_oracle():
