@@ -12,7 +12,9 @@ line ending in '\\n'; floats are written as repr(float(x)).  JSON is
 indented by 2 with sorted keys.  Each subcommand returns its text and
 whether every value converged, and ``main`` writes it once, to --out or
 stdout.  Each subcommand imports the library modules it uses, so casimir
-and paths start without scipy.
+and paths start without scipy; the others load scipy.special for the
+erf/erfc kernels of the series (oracle for its analytic value, v2_diff),
+and oracle's samples and omitted-mode bound need none.
 """
 
 from __future__ import annotations

@@ -47,6 +47,7 @@ import numpy as np
 from .paths import ModelParams
 from .special import (
     TERM_CAP,
+    ZETA_RTOL,
     _ELL,
     _K,
     _W0,
@@ -78,8 +79,6 @@ _TAIL_C, _TAIL_I, _TAIL_J, _TAIL_U, _TAIL_K, _TAIL_2J = np.array(
     [((-1.0) ** (i + 1) / (2.0 * i), i, 0, 0, 0, -2 * i) for i in range(1, _K + 1)]
     + [(_ELL[k - 1] * math.comb(k, j), 0, j, k - j, k, 2 * j) for k in range(1, _K + 1) for j in range(k)]
 ).T
-# zeta values below this are taken from their integral-test bracket
-_ZETA_MIN = 1e-290
 # a tail term whose a-priori bound is below this times the head sum is not evaluated
 _TAIL_DROP = 2.0**-60
 
@@ -125,28 +124,6 @@ def _log_sinh_over_x(x: float) -> float:
     return x + math.log1p(-math.exp(-2.0 * x)) - math.log(2.0 * x)
 
 
-def _scaled_zeta(s: np.ndarray, q: float | np.ndarray, m: float) -> tuple[np.ndarray, np.ndarray]:
-    """m^s zeta(s, q) for q > m >= 1 (q a float or an array broadcasting against s), and a bound on its error.
-
-    zeta(s, q) underflows long before m^s zeta(s, q) is negligible, so a
-    zeta below _ZETA_MIN is replaced by the midpoint of its integral-test
-    bracket q^-s [q / (s - 1), q / (s - 1) + 1], half the width being the
-    bound.  When every zeta is in range and every m^s finite, that is
-    m_s * z with zero error, and the fallback arrays are not built.
-    """
-    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        z = hurwitz_zeta(s, q)
-        m_s = np.power(m, s)
-        if np.all(z >= _ZETA_MIN) and np.all(np.isfinite(m_s)):
-            return m_s * z, np.zeros_like(z)
-        direct = np.where(np.isfinite(m_s), m_s * z, np.exp(s * math.log(m) + np.log(z)))
-        ratio = np.exp(s * np.log(m / q))
-        normal = z >= _ZETA_MIN
-        value = np.where(normal, direct, ratio * (q / (s - 1.0) + 0.5))
-        err = np.where(normal, 0.0, 0.5 * ratio)
-    return value, err
-
-
 def _head_size(n: int, wt: float, a_bar: float, alpha: float) -> int:
     """n1 = min(n, TERM_CAP, max(n_W, 4 wT / pi)), n_W the first mode with W_n <= _W0.
 
@@ -183,9 +160,11 @@ def _log_factor_tail(
     0 <= zeta(s, n1 + 1) - zeta(s, n + 1) <= zeta(s, n1 + 1), a row whose
     bound at q = n1 + 1, times |coefficient|, is below _TAIL_DROP times
     ``head`` (the sum of the first n1 factors; all factors are >= 0, so
-    head is at most the whole sum) is not evaluated, and that bound joins
-    the error.  Every kept row takes its zetas at both q = n1 + 1 and
-    q = n + 1 in one call.
+    head is at most the whole sum) is not evaluated; the tighter
+    Euler-Maclaurin bound (n1 / q)^s (q / (s - 1) + 1/2 + s / 12q) of the
+    dropped rows joins the error.  Every kept row takes its zetas at both
+    q = n1 + 1 and q = n + 1 in one call, each within special.ZETA_RTOL of
+    its value.
     Above k = _K the free series is alternating (x_m <= 1/16), and
     _series_remainder(W_m, u_m) is at most that of m = n1 times
     (n1 / m)^(2 alpha + (2 alpha - 2) _K).
@@ -196,13 +175,18 @@ def _log_factor_tail(
     # exact for every row: x^0 = 1.0, and 0.0 - (-2i) = 2i on the free rows
     s = 2.0 * alpha * _TAIL_K - _TAIL_2J
     coef = _TAIL_C * z2**_TAIL_I * w1**_TAIL_J * u1**_TAIL_U
-    b = np.abs(coef) * (n1 / (n1 + 1.0)) ** s * (1.0 + (n1 + 1.0) / (s - 1.0))
-    kept = b >= _TAIL_DROP * head
-    err = float(b[~kept].sum())
+    q = n1 + 1.0
+    scaled = np.abs(coef) * (n1 / q) ** s
+    ratio = q / (s - 1.0)
+    kept = scaled * (1.0 + ratio) >= _TAIL_DROP * head
+    # a dropped row adds at most n1^s zeta(s, q) <= (n1 / q)^s (q / (s - 1) + 1/2 + s / 12q)
+    ratio += 0.5 + s / (12.0 * q)
+    err = float(np.where(kept, 0.0, scaled) @ ratio)
     coef, s = coef[kept], s[kept]
-    (z_lo, z_hi), (e_lo, e_hi) = _scaled_zeta(s, np.array([[n1 + 1.0], [n + 1.0]]), n1)
+    z_lo, z_hi = hurwitz_zeta(s, np.array([[q], [n + 1.0]]), float(n1))
     value = math.fsum((coef * (z_lo - z_hi)).tolist())
-    err += float(np.abs(coef) @ (e_lo + e_hi))
+    # the truncation of each zeta
+    err += ZETA_RTOL * float(np.abs(coef) @ (z_lo + z_hi))
     # sum_{m>n1} (n1 / m)^p <= n1 / (p - 1)
     err += z2 ** (_K + 1) / (2 * _K + 2) * n1 / (2 * _K + 1)
     err += _series_remainder(w1, u1) * n1 / (2.0 * alpha + (2.0 * alpha - 2.0) * _K - 1.0)
@@ -358,7 +342,8 @@ def log_pi(
     Each factor omitted after N lies in [0, (1/2) ln(1 + x_n)] (Erf
     concavity: Erf(k x) <= k Erf(x)), so tail_bound is
     (wT)^2 / (2 pi^2 N) plus a rigorous bound on the series truncation,
-    the dropped terms and any zeta value below the floating-point range;
+    the dropped terms and the truncation of each Hurwitz zeta
+    (special.ZETA_RTOL = 2^-80 of its value);
     ``n_terms`` of the result is N.  A head cut at n1 = 2^24 < N takes no
     closed-form tail (W_n may exceed 1/4 there): the value sums 2^24
     factors, tail_bound is (wT)^2 / (2 pi^2 2^24) and ``n_terms`` 2^24.

@@ -6,7 +6,10 @@ Z(W) = exp(-W - l) the truncated-Gaussian moment factor, and the
 brackets of ln Pi(T) (differences of l) are taken, one split at W = 1/4
 between the two forms of each (_by_branch); the Taylor
 coefficients l_k that both the kernel and the tail of ln Pi sum, with a
-bound on the truncated series; exact Bernoulli numbers;
+bound on the truncated series; exact Bernoulli numbers; the Hurwitz
+zeta m^s zeta(s, q) by Euler-Maclaurin in numpy and ``math``, truncated
+within ZETA_RTOL = 2^-80 of its value (Johansson's remainder bound), so no
+value in this module needs scipy but the erf/erfc of the kernels;
 and the one series primitive every certified sum goes through: block_sum
 (compensated blocked summation of one range or of many, packed in blocks
 of BLOCK terms into kernel calls that get each range's own values),
@@ -271,36 +274,37 @@ def truncated_gaussian_ratio(b: float, big_b: float) -> float:
     return (0.5 / b) * one_minus_zed(b * big_b * big_b)
 
 
-def hurwitz_zeta(s, q):
-    """Hurwitz zeta(s, q) = sum_{k>=0} (k + q)^{-s} for s > 1, q > 0.
-
-    Broadcasts over array arguments; scalars give a float.
-    """
-    import scipy.special as sc
-    out = sc.zeta(s, q)
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Bernoulli numbers
 # ---------------------------------------------------------------------------
 
-_BERNOULLI_CACHE: list[Fraction] = [Fraction(1)]
 _BERNOULLI_MAX = 60
 
 
+def _tangent_numbers(n: int) -> list[int]:
+    """[0, T_1, ..., T_n], tan x = sum_k T_k x^(2k-1) / (2k-1)!, by Brent and
+    Harvey's integer recurrence ("Fast computation of Bernoulli, tangent and
+    secant numbers", 2011)."""
+    t = [0, 1] + [0] * (n - 1)
+    for k in range(2, n + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t
+
+
+_TANGENT = _tangent_numbers(_BERNOULLI_MAX // 2)
+
+
 def _bernoulli_fraction(k: int) -> Fraction:
-    # B_m from the recurrence sum_{j=0}^{m} C(m+1, j) B_j = 0 (B_1 = -1/2
-    # convention), computed exactly with rationals.
-    while len(_BERNOULLI_CACHE) <= k:
-        m = len(_BERNOULLI_CACHE)
-        acc = Fraction(0)
-        for j in range(m):
-            acc += math.comb(m + 1, j) * _BERNOULLI_CACHE[j]
-        _BERNOULLI_CACHE.append(-acc / (m + 1))
-    return _BERNOULLI_CACHE[k]
+    """B_k exactly (B_1 = -1/2): B_2n = (-1)^(n-1) 2n T_n / (4^n (4^n - 1)), 0 for odd k > 1."""
+    if k < 2:
+        return Fraction(1) if k == 0 else Fraction(-1, 2)
+    if k % 2:
+        return Fraction(0)
+    n = k // 2
+    return Fraction((-1) ** (n - 1) * 2 * n * _TANGENT[n], 4**n * (4**n - 1))
 
 
 def bernoulli(k: int) -> float:
@@ -308,3 +312,140 @@ def bernoulli(k: int) -> float:
     if not isinstance(k, (int, np.integer)) or k < 0 or k > _BERNOULLI_MAX:
         raise ValueError(f"unsupported Bernoulli index {k!r}")
     return float(_bernoulli_fraction(int(k)))
+
+
+# ---------------------------------------------------------------------------
+# Hurwitz zeta
+# ---------------------------------------------------------------------------
+
+# Euler-Maclaurin for zeta(s, q): N direct terms, then M <= _ZETA_M Bernoulli
+# terms at Q = q + N, whose remainder is at most ZETA_RTOL of the value
+_ZETA_M = 30
+ZETA_RTOL = 2.0**-80
+# c_j = B_2j / (2j)!, j = 1.._ZETA_M
+_ZETA_C = [float(_bernoulli_fraction(2 * j) / math.factorial(2 * j)) for j in range(1, _ZETA_M + 1)]
+# ln(4 / 2^-81): N and M are chosen for half of ZETA_RTOL, which leaves room
+# for the rounding of that choice
+_ZETA_LOG_TARGET = 83.0 * math.log(2.0)
+# kappa_M = exp(_ZETA_LOG_TARGET / 2M) / (2 pi), M = 1.._ZETA_M
+_ZETA_KAPPA = [math.exp(_ZETA_LOG_TARGET / (2 * j)) / (2.0 * math.pi) for j in range(1, _ZETA_M + 1)]
+# the array path: the powers t^0, t, t^2j of t = 1 / Q against the rows
+# 1/(s - 1), 1 and (s)_{2j-1} take the coefficients 1, 1/2 and c_j
+_ZETA_T_POW = np.array([0.0, 1.0] + [2.0 * j for j in range(1, _ZETA_M + 1)])
+_ZETA_T_COEF = np.array([1.0, 0.5] + _ZETA_C)
+# (s)_{2j+1} = (s)_{2j-1} (s + 2j - 1)(s + 2j), and (s + 2j - 1)(s + 2j) = (s + 2j - 1/2)^2 - 1/4
+_ZETA_PAIRS = 2.0 * np.arange(1, _ZETA_M) - 0.5
+
+
+def hurwitz_zeta(s, q, m=1.0):
+    """m^s zeta(s, q) = sum_{k>=0} (m / (q + k))^s for s > 1 and 0 < m <= q.
+
+    Broadcasts over s, q and m; scalars give a float.  The domain is
+    checked only where s and q are scalars and m = 1 (the path that takes
+    the same sum in ``math``).  Euler-Maclaurin with N direct terms,
+    Q = q + N and M Bernoulli terms,
+
+        zeta(s, q) = sum_{k<N} (q + k)^-s + Q^(1-s) [1/(s - 1) + 1/(2Q)
+                     + sum_{j<=M} B_2j / (2j)! (s)_{2j-1} Q^-2j] + R,
+
+    where |R| <= 4 Q^(1-s) (s)_{2M} / ((2 pi Q)^2M (s + 2M - 1)) (Johansson,
+    Numer. Algorithms 69 (2015) 253, Theorem 1).  The value is at least
+    m^s q^-s and at least m^s q^(1-s) / (s - 1) (integral test), and
+    (s)_{2M} <= L^2M with L = s + M - 1/2 (AM-GM); N and M, one pair for
+    all the elements (_zeta_plan), keep |R| within ZETA_RTOL / 2 = 2^-81
+    of the value.  Each power is taken of an exact base, m^s (a / m)^-s as
+    (m 2^-e)^s (a 2^-e)^-s with m 2^-e in [1/2, 1), so its rounding does
+    not grow with s ln a: the value is within a few ulp for s up to about
+    1000.  A value below the float range is 0.0 or subnormal.
+    """
+    if isinstance(s, (float, int)) and isinstance(q, (float, int)) and isinstance(m, (float, int)) and m == 1.0:
+        return _hurwitz_zeta_scalar(float(s), float(q))
+    s, q = np.asarray(s, dtype=float), np.asarray(q, dtype=float)
+    if isinstance(m, (float, int)):
+        mant, e = math.frexp(m)
+        scale = math.ldexp(1.0, -e)
+    else:
+        q, m = np.broadcast_arrays(q, np.asarray(m, dtype=float))
+        mant, e = np.frexp(m)
+        scale = np.ldexp(1.0, -e)
+    nd = max(s.ndim, q.ndim)
+    q = q.reshape((1,) * (nd - q.ndim) + q.shape)
+    n, m_terms = _zeta_plan(float(np.maximum.reduce(s, axis=None)), float(np.minimum.reduce(q, axis=None)))
+    # rows 1/(s - 1), 1, then s, (s + 1)(s + 2), ... multiplied out in place into (s)_{2j-1}
+    rows = np.empty((m_terms + 2,) + s.shape)
+    np.divide(1.0, s - 1.0, out=rows[0, ...])
+    rows[1] = 1.0
+    rows[2] = s
+    pairs = rows[3:]
+    np.add(s, _ZETA_PAIRS[: m_terms - 1].reshape((m_terms - 1,) + (1,) * s.ndim), out=pairs)
+    pairs *= pairs
+    pairs -= 0.25
+    np.multiply.accumulate(rows[2:], axis=0, out=rows[2:])
+    # 1/(s - 1) + t/2 + sum_j c_j (s)_{2j-1} t^2j: the powers of t (last axis) against the rows
+    big_q = q + float(n)
+    t_pow = np.power(big_q[..., None], -_ZETA_T_POW[: m_terms + 2])
+    t_pow *= _ZETA_T_COEF[: m_terms + 2]
+    if s.ndim == 1 and q.shape[-1] == 1:
+        out = np.matmul(t_pow, rows)[..., 0, :]
+    else:
+        out = np.einsum("...j,j...->...", t_pow, rows)
+    # times m (m / Q)^(s - 1) = m_s (Q 2^-e)^(1 - s) 2^e, the last factor last
+    m_s = np.power(mant, s)
+    out *= m_s
+    out *= np.power(big_q * scale, 1.0 - s)
+    out = np.ldexp(out, e)
+    if n:
+        # the direct terms (a 2^-e)^-s m_s for a = q + k, k < N, the smallest first
+        k = np.arange(n - 1.0, -1.0, -1.0).reshape((n,) + (1,) * nd)
+        direct = np.add.reduce(np.power((q + k) * scale, -s))
+        direct *= m_s
+        out += direct
+    if out.ndim == 0:
+        return float(out)
+    return out
+
+
+def _zeta_plan(s: float, q: float) -> tuple[int, int]:
+    """(N, M) for a call whose largest s and smallest q these are.
+
+    Where M = _ZETA_M has kappa_M L <= q, L = s + M - 1/2: N = 0 and the
+    least such M (this bounds |R| after dropping the factor
+    (q / Q)^(s - 1) <= 1 below).  Else M = _ZETA_M and, with
+    sigma = s + 2M - 1, the least N with Q = q + N >= q exp(y): |R| is then
+    within 2^-81 of both lower bounds of the value (the integral test's
+    after dropping (s - 1) / sigma <= 1, and q^-s), where
+
+        y sigma = x + min(0, ln(q / sigma)),  x = 83 ln 2 + 2M ln(L / (2 pi q)).
+
+    Where x <= 2M - 1 (so also at every smaller s and larger q), y grows
+    with s and Q - q falls with q, so this element needs the most terms of
+    the call; elsewhere Q >= kappa_M L serves every element.
+    """
+    if _ZETA_KAPPA[-1] * (s + _ZETA_M - 0.5) <= q:
+        for m_terms, kappa in enumerate(_ZETA_KAPPA, 1):
+            if kappa * (s + m_terms - 0.5) <= q:
+                return 0, m_terms
+    big_l, sig = s + _ZETA_M - 0.5, s + 2 * _ZETA_M - 1
+    x = _ZETA_LOG_TARGET + 2 * _ZETA_M * math.log(big_l / (2.0 * math.pi * q))
+    if x <= 2 * _ZETA_M - 1:
+        big_q = q * math.exp((x + min(0.0, math.log(q / sig))) / sig)
+    else:
+        big_q = _ZETA_KAPPA[-1] * big_l
+    return max(math.ceil(big_q - q), 0), _ZETA_M
+
+
+def _hurwitz_zeta_scalar(s: float, q: float) -> float:
+    """hurwitz_zeta(s, q) for float s and q: the same plan and sum in ``math``."""
+    if not (s > 1.0 and q > 0.0):
+        raise ValueError(f"hurwitz_zeta requires s > 1 and q > 0, not s={s!r}, q={q!r}")
+    n, m_terms = _zeta_plan(s, q)
+    big_q = q + n
+    t2 = 1.0 / (big_q * big_q)
+    # sum_j c_j (s)_{2j-1} Q^-2j by Horner's rule in Q^-2
+    acc = _ZETA_C[m_terms - 1]
+    for j in range(m_terms - 1, 0, -1):
+        acc = _ZETA_C[j - 1] + (s + 2 * j - 1) * (s + 2 * j) * t2 * acc
+    out = big_q ** (1.0 - s) * (1.0 / (s - 1.0) + 0.5 / big_q + s * t2 * acc)
+    if n:
+        out += math.fsum([(q + k) ** -s for k in range(n)])
+    return out

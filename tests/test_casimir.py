@@ -291,3 +291,8 @@ def test_epsilon_d_bound_validation():
     for args in ((1e300, 1e-300, 1e-300), (1e-300, 0.5, 1e300), (1e-300, 1e-300, 1.0)):
         with pytest.raises(ValueError, match=r"^omega_D,min = .* is not a positive finite float at L_exp="):
             epsilon_d_bound(*args)
+    # omega_D,min is finite, epsilon_d = L_exp / c is not: the same error, naming epsilon_d
+    with pytest.raises(ValueError) as err:
+        epsilon_d_bound(1e300, 1e-300, 1e-20)
+    assert str(err.value) == ("epsilon_d = L_exp / c = inf is not a positive finite float"
+                              " at L_exp=1e+300, rel_error=1e-300, c=1e-20")

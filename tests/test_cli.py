@@ -303,6 +303,9 @@ def test_casimir_scan_and_bound(capsys):
          " at L_exp=1e+300, rel_error=1e-300, c=1e-300"),
         (["casimir", "--bound", "--L-exp", "1e-300", "--rel-error", "0.5", "--c", "1e300"], EXIT_USAGE,
          "= inf is not a positive finite float at L_exp=1e-300, rel_error=0.5, c=1e+300"),
+        # omega_D,min is finite, the headline epsilon_d = L_exp / c is not
+        (["casimir", "--bound", "--L-exp", "1e300", "--rel-error", "1e-300", "--c", "1e-20"], EXIT_USAGE,
+         "epsilon_d = L_exp / c = inf is not a positive finite float at L_exp=1e+300, rel_error=1e-300, c=1e-20"),
     ],
 )
 @pytest.mark.filterwarnings("ignore::diffpath.mc.ModeTruncationWarning")
@@ -362,6 +365,29 @@ def test_casimir_and_paths_run_without_scipy(capsys, argv):
     out = _python(f"import sys; sys.modules['scipy'] = None\nfrom diffpath.cli import main\nsys.exit(main({argv!r}))")
     assert out.returncode == EXIT_OK, out.stderr
     assert out.stdout == expected
+
+
+def _mc_runs():
+    from diffpath.mc import estimate_pi_factor, estimate_v2
+    from diffpath.paths import ModelParams
+
+    runs = (estimate_v2(ModelParams(A=10.0), 0.05, N_modes=100, n_samples=2000, seed=0),
+            estimate_pi_factor(ModelParams(A=10.0, omega=1.0), N_modes=100, n_samples=2000, seed=0))
+    return [x.hex() for r in runs for x in (r.mean, r.stderr, r.truncation_bias_bound)]
+
+
+def test_mc_estimators_run_without_scipy():
+    # with every scipy import raising ImportError both estimators give the
+    # same bits as in this process, and without the block they load no scipy
+    import inspect
+
+    code = "import diffpath.cli\n" + inspect.getsource(_mc_runs) + "print(*_mc_runs())\n"
+    blocked = _python("import sys; sys.modules['scipy'] = None\n" + code)
+    assert blocked.returncode == 0, blocked.stderr
+    assert blocked.stdout.split() == _mc_runs()
+    loaded = _python(code + "import sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert loaded.returncode == 0, loaded.stderr
+    assert loaded.stdout.splitlines()[-1] == "[]"
 
 
 def test_oracle(capsys):

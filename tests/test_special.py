@@ -14,6 +14,7 @@ from diffpath import special, velocity
 from diffpath.special import (
     BLOCK,
     TERM_CAP,
+    ZETA_RTOL,
     _ELL,
     _ELL_M,
     _ELL_R,
@@ -23,9 +24,11 @@ from diffpath.special import (
     _log_erf_over_sqrt,
     _log_erf_sqrt,
     _series_remainder,
+    _zeta_plan,
     bernoulli,
     block_sum,
     certify,
+    hurwitz_zeta,
     one_minus_zed,
     tol_budget,
     truncated_gaussian_ratio,
@@ -396,3 +399,80 @@ def test_series_remainder_bounds_the_omitted_terms():
                 exact = mp_log_erf_series(wm + um) - mp_log_erf_series(wm)
                 head = mp.fsum(taylor[k] * ((wm + um) ** k - wm**k) for k in range(1, _K + 1))
                 assert abs(exact - head) <= bound
+
+
+# the Hurwitz zeta grid: s = 1.01, 1.5, 2, 2 alpha for alpha in (1, 4], and on to
+# 300; each q with m = 1 and m = q - 1
+ZETA_S = [1.01, 1.5, 2.0, 2.1, 4.2, 6.0, 8.0, 20.0, 77.6, 144.0, 300.0]
+ZETA_Q = [1.0, 2.0, 17.0, 151.0, 4097.0, 1e6 + 1.0, 1e15 + 1.0]
+ZETA_QM = [(q, m) for q in ZETA_Q for m in sorted({1.0, q - 1.0} - {0.0})]
+
+
+def zeta_em(s, q, m, n, m_terms):
+    """m^s zeta(s, q) by Euler-Maclaurin in mpmath: n direct terms, then m_terms Bernoulli terms."""
+    s, q, m = mp.mpf(s), mp.mpf(q), mp.mpf(m)
+    big_q = q + n
+    em = big_q / (s - 1) + mp.mpf(1) / 2 + mp.fsum(
+        mp.bernoulli(2 * j) / mp.factorial(2 * j) * mp.rf(s, 2 * j - 1) / big_q ** (2 * j - 1)
+        for j in range(1, m_terms + 1))
+    return mp.fsum((m / (q + k)) ** s for k in range(n)) + (m / big_q) ** s * em
+
+
+def zeta_reference(s, q, m):
+    """Well past the terms the code takes: q + n >= 3 s + 60 and 40 Bernoulli terms,
+    a remainder below 1e-70 of the value; mpmath's own zeta(s, q) loses digits here."""
+    return zeta_em(s, q, m, max(0, math.ceil(3 * s + 60 - q)), 40)
+
+
+def johansson_bound(s, q, m, n, m_terms):
+    """Johansson's bound on the Euler-Maclaurin remainder after n direct and m_terms Bernoulli terms."""
+    s, big_q = mp.mpf(s), mp.mpf(q) + n
+    return (4 * (mp.mpf(m) / big_q) ** s * big_q * mp.rf(s, 2 * m_terms)
+            / ((2 * mp.pi * big_q) ** (2 * m_terms) * (s + 2 * m_terms - 1)))
+
+
+@pytest.mark.parametrize("q, m", ZETA_QM)
+def test_hurwitz_zeta_against_mpmath(q, m):
+    # the array path over the whole s grid and, for m = 1, the scalar path;
+    # a value below the float range is 0.0 or subnormal
+    with mp.workdps(60):
+        refs = [zeta_reference(s, q, m) for s in ZETA_S]
+        values = hurwitz_zeta(np.array(ZETA_S), q, m)
+        scalars = [hurwitz_zeta(s, q) for s in ZETA_S] if m == 1.0 else values
+        for s, ref, value, scalar in zip(ZETA_S, refs, values, scalars):
+            for v in (value, scalar):
+                assert abs(v - ref) <= 1e-14 * ref + 4 * 2.0**-1074, (s, q, m, v, ref)
+
+
+@pytest.mark.parametrize("q, m", ZETA_QM)
+def test_hurwitz_zeta_remainder_bound_covers_the_truncation(q, m):
+    # the terms the code takes: one plan for the whole s grid (the array call
+    # above) and one per s (a scalar call); for each, the truncation error,
+    # measured against many more terms, lies within Johansson's bound, and
+    # that bound within ZETA_RTOL / 2 of the value
+    with mp.workdps(60):
+        plans = [(s, _zeta_plan(max(ZETA_S), q)) for s in ZETA_S] + [(s, _zeta_plan(s, q)) for s in ZETA_S]
+        for s, (n, m_terms) in plans:
+            ref = zeta_reference(s, q, m)
+            error = abs(zeta_em(s, q, m, n, m_terms) - ref)
+            bound = johansson_bound(s, q, m, n, m_terms)
+            # 1e-50 of the value is the floor of these 60-digit sums
+            assert error <= bound + mp.mpf(10) ** -50 * ref, (s, q, m, n, m_terms)
+            assert bound <= ZETA_RTOL / 2 * ref, (s, q, m, n, m_terms)
+
+
+def test_hurwitz_zeta_broadcasts():
+    # s against q and m of another shape: each element as its own call gives
+    with mp.workdps(60):
+        s = np.array([[2.0], [4.2], [77.6]])
+        q = np.array([3.0, 151.0, 1e6 + 1.0])
+        m = q - 1.0
+        values = hurwitz_zeta(s, q, m)
+        assert values.shape == (3, 3)
+        for i, j in np.ndindex(values.shape):
+            ref = zeta_reference(s[i, 0], q[j], m[j])
+            assert abs(values[i, j] - ref) <= 1e-14 * ref
+            assert abs(hurwitz_zeta(s[i], q[j], m[j])[0] - ref) <= 1e-14 * ref
+        assert isinstance(hurwitz_zeta(2.0, 17.0, 16.0), float)
+        with pytest.raises(ValueError, match="s > 1"):
+            hurwitz_zeta(1.0, 17.0)

@@ -57,14 +57,13 @@ def test_s_feynman_zero():
 
 @pytest.mark.parametrize("k", range(7))
 def test_trigamma_is_hurwitz_zeta_at_the_certified_term_counts(k):
-    # s_feynman and the Z-form take psi_1(n + 1) as zeta(2, n + 1); scipy's
-    # polygamma(1, x) is zeta(2, x) times 1.0, so the two agree bit for bit at
-    # every n = 4096 * 4^k that certify runs (a scipy upgrade that moves
-    # either shows here)
-    import scipy.special as sc
-
+    # s_feynman and the Z-form take psi_1(n + 1) as zeta(2, n + 1) at every
+    # n = 4096 * 4^k that certify runs: within 2 ulp of mpmath's trigamma
     n = 4096 * 4**k
-    assert hurwitz_zeta(2.0, n + 1.0) == float(sc.polygamma(1, n + 1))
+    with mp.workdps(60):
+        ref = mp.psi(1, n + 1)
+        value = hurwitz_zeta(2.0, n + 1.0)
+        assert abs(value - ref) <= 2 * math.ulp(float(ref))
 
 
 def test_s_feynman_brute_force_oracle():
