@@ -156,15 +156,19 @@ def _log_factor_tail(
     every sum over m into zeta(s, n1 + 1) - zeta(s, n + 1), one per _TAIL_*
     row: s = 2i for x^i of the free part, 2 alpha k - 2j for W^j u^(k-j)
     of the bracket.  Powers are taken at m = n1, so the coefficients stay <= 1.
-    Since 0 <= n1^s zeta(s, q) <= (n1 / q)^s (1 + q / (s - 1)), and
-    0 <= zeta(s, n1 + 1) - zeta(s, n + 1) <= zeta(s, n1 + 1), a row whose
-    bound at q = n1 + 1, times |coefficient|, is below _TAIL_DROP times
-    ``head`` (the sum of the first n1 factors; all factors are >= 0, so
-    head is at most the whole sum) is not evaluated; the tighter
-    Euler-Maclaurin bound (n1 / q)^s (q / (s - 1) + 1/2 + s / 12q) of the
-    dropped rows joins the error.  Every kept row takes its zetas at both
-    q = n1 + 1 and q = n + 1 in one call, each within special.ZETA_RTOL of
-    its value.
+    Since 0 <= n1^s zeta(s, q) <= (n1 / q)^s (1 + q / (s - 1)) (integral
+    test), and 0 <= zeta(s, n1 + 1) - zeta(s, n + 1) <= zeta(s, n1 + 1), a
+    row whose bound at q = n1 + 1, times |coefficient|, is below _TAIL_DROP
+    times ``head`` (the sum of the first n1 factors; all factors are >= 0,
+    so head is at most the whole sum) is not evaluated.  The error of a
+    dropped row takes a second bound, from Euler-Maclaurin with its
+    remainder after the B_2 term <= 0:
+    n1^s zeta(s, q) <= (n1 / q)^s (q / (s - 1) + 1/2 + s / 12q).  Two bounds
+    on purpose: the first decides the rows, so the values are those of
+    that rule; the second is below it wherever s < 6q, which leaves room
+    in the error for the truncation of each kept zeta (special.ZETA_RTOL of
+    its value).  Every kept row takes its zetas at q = n1 + 1 and
+    q = n + 1 in one call.
     Above k = _K the free series is alternating (x_m <= 1/16), and
     _series_remainder(W_m, u_m) is at most that of m = n1 times
     (n1 / m)^(2 alpha + (2 alpha - 2) _K).
@@ -179,11 +183,11 @@ def _log_factor_tail(
     scaled = np.abs(coef) * (n1 / q) ** s
     ratio = q / (s - 1.0)
     kept = scaled * (1.0 + ratio) >= _TAIL_DROP * head
-    # a dropped row adds at most n1^s zeta(s, q) <= (n1 / q)^s (q / (s - 1) + 1/2 + s / 12q)
+    # the second bound on the dropped rows
     ratio += 0.5 + s / (12.0 * q)
     err = float(np.where(kept, 0.0, scaled) @ ratio)
     coef, s = coef[kept], s[kept]
-    z_lo, z_hi = hurwitz_zeta(s, np.array([[q], [n + 1.0]]), float(n1))
+    z_lo, z_hi = hurwitz_zeta(s, [q, n + 1.0], float(n1))
     value = math.fsum((coef * (z_lo - z_hi)).tolist())
     # the truncation of each zeta
     err += ZETA_RTOL * float(np.abs(coef) @ (z_lo + z_hi))

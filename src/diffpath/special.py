@@ -329,21 +329,26 @@ _ZETA_C = [float(_bernoulli_fraction(2 * j) / math.factorial(2 * j)) for j in ra
 _ZETA_LOG_TARGET = 83.0 * math.log(2.0)
 # kappa_M = exp(_ZETA_LOG_TARGET / 2M) / (2 pi), M = 1.._ZETA_M
 _ZETA_KAPPA = [math.exp(_ZETA_LOG_TARGET / (2 * j)) / (2.0 * math.pi) for j in range(1, _ZETA_M + 1)]
-# the array path: the powers t^0, t, t^2j of t = 1 / Q against the rows
-# 1/(s - 1), 1 and (s)_{2j-1} take the coefficients 1, 1/2 and c_j
-_ZETA_T_POW = np.array([0.0, 1.0] + [2.0 * j for j in range(1, _ZETA_M + 1)])
-_ZETA_T_COEF = np.array([1.0, 0.5] + _ZETA_C)
+# the array path: Q^(1 - p), p = 0, 1, 2j, times 1, 1/2 and c_j, against the
+# rows 1/(s - 1), 1 and (s)_{2j-1}
+_ZETA_Q_POW = np.array([1.0, 0.0] + [1.0 - 2.0 * j for j in range(1, _ZETA_M + 1)])
+_ZETA_COEF = np.array([1.0, 0.5] + _ZETA_C)
 # (s)_{2j+1} = (s)_{2j-1} (s + 2j - 1)(s + 2j), and (s + 2j - 1)(s + 2j) = (s + 2j - 1/2)^2 - 1/4
-_ZETA_PAIRS = 2.0 * np.arange(1, _ZETA_M) - 0.5
+_ZETA_PAIRS = (2.0 * np.arange(1, _ZETA_M) - 0.5)[:, None]
+# s stays below this, so (s)_{2 _ZETA_M - 1} stays in the float range and the
+# up to about 0.42 s direct terms of a small q stay few
+ZETA_S_MAX = 2.0**16
 
 
 def hurwitz_zeta(s, q, m=1.0):
-    """m^s zeta(s, q) = sum_{k>=0} (m / (q + k))^s for s > 1 and 0 < m <= q.
+    """m^s zeta(s, q) = sum_{k>=0} (m / (q + k))^s for 1 < s < ZETA_S_MAX and 0 < m <= q.
 
-    Broadcasts over s, q and m; scalars give a float.  The domain is
-    checked only where s and q are scalars and m = 1 (the path that takes
-    the same sum in ``math``).  Euler-Maclaurin with N direct terms,
-    Q = q + N and M Bernoulli terms,
+    Float s and q give a float.  Otherwise m is a float and the result is
+    the table over q and s, of shape q.shape + s.shape: the tail of ln Pi
+    takes one row of s at two q.  The domain is checked in full only where
+    s and q are floats and m = 1 (the path that takes the same sum in
+    ``math``); else only s < ZETA_S_MAX.  Euler-Maclaurin with N direct
+    terms, Q = q + N and M Bernoulli terms,
 
         zeta(s, q) = sum_{k<N} (q + k)^-s + Q^(1-s) [1/(s - 1) + 1/(2Q)
                      + sum_{j<=M} B_2j / (2j)! (s)_{2j-1} Q^-2j] + R,
@@ -351,62 +356,70 @@ def hurwitz_zeta(s, q, m=1.0):
     where |R| <= 4 Q^(1-s) (s)_{2M} / ((2 pi Q)^2M (s + 2M - 1)) (Johansson,
     Numer. Algorithms 69 (2015) 253, Theorem 1).  The value is at least
     m^s q^-s and at least m^s q^(1-s) / (s - 1) (integral test), and
-    (s)_{2M} <= L^2M with L = s + M - 1/2 (AM-GM); N and M, one pair for
-    all the elements (_zeta_plan), keep |R| within ZETA_RTOL / 2 = 2^-81
-    of the value.  Each power is taken of an exact base, m^s (a / m)^-s as
-    (m 2^-e)^s (a 2^-e)^-s with m 2^-e in [1/2, 1), so its rounding does
-    not grow with s ln a: the value is within a few ulp for s up to about
-    1000.  A value below the float range is 0.0 or subnormal.
+    (s)_{2M} <= L^2M with L = s + M - 1/2 (AM-GM); N and M, from the
+    largest s and that q (_zeta_plan), keep |R| within ZETA_RTOL / 2 =
+    2^-81 of the value.  A table takes each q's own N and the largest M of
+    its q's: where a plan takes M < _ZETA_M it leaves
+    2 pi Q >= s + 2 _ZETA_M - 2, so each further Bernoulli term only lowers
+    the bound.
+
+    Each power is (m / a)^s for a = q + k or Q, taken of exact bases as
+    mant^s (a 2^-e)^-s with m = mant 2^e, mant in [1/2, 1), so its rounding
+    does not grow with s ln a; from s = 512 on it is the 2^k-th power of
+    that of s 2^-k < 512, which keeps both factors normal, and its rounding
+    grows as 2^k (at most 2^7).  A value below the float range, or within a factor
+    Q / (s - 1) of its bottom, may come out 0.0 or subnormal.
     """
-    if isinstance(s, (float, int)) and isinstance(q, (float, int)) and isinstance(m, (float, int)) and m == 1.0:
+    if isinstance(s, (float, int)) and isinstance(q, (float, int)) and m == 1.0:
         return _hurwitz_zeta_scalar(float(s), float(q))
     s, q = np.asarray(s, dtype=float), np.asarray(q, dtype=float)
-    if isinstance(m, (float, int)):
-        mant, e = math.frexp(m)
-        scale = math.ldexp(1.0, -e)
-    else:
-        q, m = np.broadcast_arrays(q, np.asarray(m, dtype=float))
-        mant, e = np.frexp(m)
-        scale = np.ldexp(1.0, -e)
-    nd = max(s.ndim, q.ndim)
-    q = q.reshape((1,) * (nd - q.ndim) + q.shape)
-    n, m_terms = _zeta_plan(float(np.maximum.reduce(s, axis=None)), float(np.minimum.reduce(q, axis=None)))
+    sv, qs = s.ravel(), q.ravel().tolist()
+    s_max = max(sv.tolist())
+    if not s_max < ZETA_S_MAX:
+        raise ValueError(f"hurwitz_zeta requires s < {ZETA_S_MAX:g}, not s={s_max!r}")
+    plans = [_zeta_plan(s_max, qi) for qi in qs]
+    m_max = max(m_terms for _, m_terms in plans)
     # rows 1/(s - 1), 1, then s, (s + 1)(s + 2), ... multiplied out in place into (s)_{2j-1}
-    rows = np.empty((m_terms + 2,) + s.shape)
-    np.divide(1.0, s - 1.0, out=rows[0, ...])
+    rows = np.empty((m_max + 2, sv.size))
+    np.divide(1.0, sv - 1.0, out=rows[0])
     rows[1] = 1.0
-    rows[2] = s
+    rows[2] = sv
     pairs = rows[3:]
-    np.add(s, _ZETA_PAIRS[: m_terms - 1].reshape((m_terms - 1,) + (1,) * s.ndim), out=pairs)
+    np.add(sv, _ZETA_PAIRS[: m_max - 1], out=pairs)
     pairs *= pairs
     pairs -= 0.25
     np.multiply.accumulate(rows[2:], axis=0, out=rows[2:])
-    # 1/(s - 1) + t/2 + sum_j c_j (s)_{2j-1} t^2j: the powers of t (last axis) against the rows
-    big_q = q + float(n)
-    t_pow = np.power(big_q[..., None], -_ZETA_T_POW[: m_terms + 2])
-    t_pow *= _ZETA_T_COEF[: m_terms + 2]
-    if s.ndim == 1 and q.shape[-1] == 1:
-        out = np.matmul(t_pow, rows)[..., 0, :]
-    else:
-        out = np.einsum("...j,j...->...", t_pow, rows)
-    # times m (m / Q)^(s - 1) = m_s (Q 2^-e)^(1 - s) 2^e, the last factor last
-    m_s = np.power(mant, s)
-    out *= m_s
-    out *= np.power(big_q * scale, 1.0 - s)
-    out = np.ldexp(out, e)
-    if n:
-        # the direct terms (a 2^-e)^-s m_s for a = q + k, k < N, the smallest first
-        k = np.arange(n - 1.0, -1.0, -1.0).reshape((n,) + (1,) * nd)
-        direct = np.add.reduce(np.power((q + k) * scale, -s))
-        direct *= m_s
-        out += direct
-    if out.ndim == 0:
-        return float(out)
-    return out
+    # Q [1/(s - 1) + 1/(2Q) + sum_j c_j (s)_{2j-1} Q^-2j] for each q
+    big_q = [qi + n for qi, (n, _) in zip(qs, plans)]
+    t_pow = np.power(np.array(big_q)[:, None], _ZETA_Q_POW[: m_max + 2])
+    t_pow *= _ZETA_COEF[: m_max + 2]
+    out = t_pow @ rows
+    # (m / a)^s for a = Q of each q, then a = q + k, k = N - 1 .. 0, of each
+    mant, e = math.frexp(m)
+    scale = math.ldexp(1.0, -e)
+    bases = [a * scale for a in big_q] + [
+        (qi + k) * scale for qi, (n, _) in zip(qs, plans) for k in range(n - 1, -1, -1)
+    ]
+    k_sq = max(0, math.frexp(s_max)[1] - 9)
+    part = sv * 0.5**k_sq if k_sq else sv
+    terms = np.power(np.array(bases)[:, None], -part)
+    terms *= np.power(mant, part)
+    for _ in range(k_sq):
+        terms *= terms
+    out *= terms[: len(qs)]
+    # the direct terms, the smallest first, after the Q part
+    start = len(qs)
+    for i, (n, _) in enumerate(plans):
+        if n:
+            out[i] += np.add.reduce(terms[start : start + n])
+            start += n
+    if s.ndim == 0 and q.ndim == 0:
+        return float(out[0, 0])
+    return out.reshape(q.shape + s.shape)
 
 
 def _zeta_plan(s: float, q: float) -> tuple[int, int]:
-    """(N, M) for a call whose largest s and smallest q these are.
+    """(N, M) for one q and the s up to this one.
 
     Where M = _ZETA_M has kappa_M L <= q, L = s + M - 1/2: N = 0 and the
     least such M (this bounds |R| after dropping the factor
@@ -417,9 +430,8 @@ def _zeta_plan(s: float, q: float) -> tuple[int, int]:
 
         y sigma = x + min(0, ln(q / sigma)),  x = 83 ln 2 + 2M ln(L / (2 pi q)).
 
-    Where x <= 2M - 1 (so also at every smaller s and larger q), y grows
-    with s and Q - q falls with q, so this element needs the most terms of
-    the call; elsewhere Q >= kappa_M L serves every element.
+    Where x <= 2M - 1 (so also at every smaller s), y grows with s, so the
+    largest s needs the most terms; elsewhere Q >= kappa_M L serves every s.
     """
     if _ZETA_KAPPA[-1] * (s + _ZETA_M - 0.5) <= q:
         for m_terms, kappa in enumerate(_ZETA_KAPPA, 1):
@@ -436,8 +448,8 @@ def _zeta_plan(s: float, q: float) -> tuple[int, int]:
 
 def _hurwitz_zeta_scalar(s: float, q: float) -> float:
     """hurwitz_zeta(s, q) for float s and q: the same plan and sum in ``math``."""
-    if not (s > 1.0 and q > 0.0):
-        raise ValueError(f"hurwitz_zeta requires s > 1 and q > 0, not s={s!r}, q={q!r}")
+    if not (1.0 < s < ZETA_S_MAX and q > 0.0):
+        raise ValueError(f"hurwitz_zeta requires 1 < s < {ZETA_S_MAX:g} and q > 0, not s={s!r}, q={q!r}")
     n, m_terms = _zeta_plan(s, q)
     big_q = q + n
     t2 = 1.0 / (big_q * big_q)

@@ -226,6 +226,43 @@ def test_log_pi_fixed_n_tail_keeps_its_values(params, T, n_terms, n1, log_pi_hex
     assert res.tail_bound <= float.fromhex(tail_hex)
 
 
+def test_log_pi_fixed_n_tail_past_s_1074_at_a_power_of_two_head(monkeypatch):
+    # alpha = 50 with n_W = 512 = n1: the tail's kept rows reach s > 1074 at
+    # m = n1 = 2^9, where mant^s alone would leave the float range; the tail
+    # stays finite and within its error of an mpmath sum (modes n1 < m <= 1500
+    # summed, the rest the free part, W_1500 < 1e-46)
+    a_bar = 0.5 * 511.5**49
+    params = ModelParams(A=2.0 * a_bar / math.pi, alpha=50.0, omega=1.0)
+    assert _head_size(10**15, 1.0, a_bar_at(params, 1.0), 50.0) == 512
+    seen, tails = [], []
+    zeta, tail = oscillator.hurwitz_zeta, oscillator._log_factor_tail
+
+    def spy_zeta(s, q, m):
+        seen.append((max(s), m))
+        return zeta(s, q, m)
+
+    def spy_tail(*args):
+        tails.append((args, tail(*args)))
+        return tails[-1][1]
+
+    monkeypatch.setattr(oscillator, "hurwitz_zeta", spy_zeta)
+    monkeypatch.setattr(oscillator, "_log_factor_tail", spy_tail)
+    res = log_pi(1.0, params, n_terms=10**15)
+    assert seen[0][0] > 1074 and seen[0][1] == 512.0
+    assert math.isfinite(res.log_pi) and math.isfinite(res.tail_bound) and res.converged
+    ((n1, n, wt, a_b, _, _), (value, err)), = tails
+    with mp.workdps(40):
+        w = lambda k: (mp.mpf(a_b) / mp.mpf(k) ** 49) ** 2
+        x = lambda k: (mp.mpf(wt) / (k * mp.pi)) ** 2
+        a = mp.mpf(wt) / mp.pi
+        ref = mp.fsum(mp.log(mp.erf(mp.sqrt(w(k) * (1 + x(k))))) - mp.log(mp.erf(mp.sqrt(w(k))))
+                      for k in range(n1 + 1, 1501))
+        ref += (mp.log(mp.sinh(mp.pi * a) / (mp.pi * a)) - mp.fsum(mp.log(1 + x(k)) for k in range(1, 1501))) / 2
+        # sum_{m>n} (1/2) ln(1 + x_m) to within 1e-45
+        ref -= a**2 / (2 * mp.mpf(n))
+        assert abs(value - ref) <= err + 4e-16 * ref
+
+
 def test_log_pi_all_zero_head_calls_no_kernel(monkeypatch, capsys):
     # W_n >= 1.7e3 up to the capped head's last mode: every Erf ratio is 1.0
     # in floats, so no factor is evaluated, and n_terms and the tail bound are

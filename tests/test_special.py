@@ -15,6 +15,7 @@ from diffpath.special import (
     BLOCK,
     TERM_CAP,
     ZETA_RTOL,
+    ZETA_S_MAX,
     _ELL,
     _ELL_M,
     _ELL_R,
@@ -461,18 +462,56 @@ def test_hurwitz_zeta_remainder_bound_covers_the_truncation(q, m):
             assert bound <= ZETA_RTOL / 2 * ref, (s, q, m, n, m_terms)
 
 
-def test_hurwitz_zeta_broadcasts():
-    # s against q and m of another shape: each element as its own call gives
+@pytest.mark.parametrize("q, m", [(1.0, 1.0), (1.5, 1.0), (513.0, 512.0)])
+def test_hurwitz_zeta_past_s_512_against_mpmath(q, m):
+    # mant^s alone would leave the float range past s = 1074 (mant = 1/2 at
+    # m = 1 and m = 512), and its base's power would overflow
     with mp.workdps(60):
-        s = np.array([[2.0], [4.2], [77.6]])
-        q = np.array([3.0, 151.0, 1e6 + 1.0])
-        m = q - 1.0
-        values = hurwitz_zeta(s, q, m)
-        assert values.shape == (3, 3)
-        for i, j in np.ndindex(values.shape):
-            ref = zeta_reference(s[i, 0], q[j], m[j])
-            assert abs(values[i, j] - ref) <= 1e-14 * ref
-            assert abs(hurwitz_zeta(s[i], q[j], m[j])[0] - ref) <= 1e-14 * ref
+        s_grid = [1030.0, 1100.0]
+        values = hurwitz_zeta(np.array(s_grid), q, m)
+        scalars = [hurwitz_zeta(s, q) for s in s_grid] if m == 1.0 else values
+        for s, value, scalar in zip(s_grid, values, scalars):
+            ref = zeta_reference(s, q, m)
+            for v in (value, scalar):
+                assert abs(v - ref) <= 1e-14 * ref, (s, q, m, v, ref)
+
+
+def test_hurwitz_zeta_table_takes_each_q_its_terms():
+    # the ln Pi tail's call: one row of s at q = n1 + 1 and q = N + 1, N = 1e15;
+    # each q takes the direct terms of its own plan and the call's largest M,
+    # within Johansson's bound, which stays within ZETA_RTOL / 2 at both q
+    n1, qs = 28.0, [29.0, 1e15 + 1.0]
+    plans = [_zeta_plan(max(ZETA_S), q) for q in qs]
+    m_terms = max(m for _, m in plans)
+    assert plans[1][1] < m_terms
+    with mp.workdps(60):
+        values = hurwitz_zeta(np.array(ZETA_S), qs, n1)
+        assert values.shape == (2, len(ZETA_S))
+        for row, q, (n, _) in zip(values, qs, plans):
+            for s, value in zip(ZETA_S, row):
+                ref = zeta_reference(s, q, n1)
+                bound = johansson_bound(s, q, n1, n, m_terms)
+                assert abs(zeta_em(s, q, n1, n, m_terms) - ref) <= bound + mp.mpf(10) ** -50 * ref, (s, q)
+                assert bound <= ZETA_RTOL / 2 * ref, (s, q)
+                assert abs(value - ref) <= 1e-14 * ref + 4 * 2.0**-1074, (s, q, value, ref)
+
+
+def test_hurwitz_zeta_tables_q_against_s():
+    # a table of shape q.shape + s.shape for one m; floats give a float
+    with mp.workdps(60):
+        s = np.array([2.0, 4.2, 77.6])
+        q = np.array([[3.0, 151.0, 1e6 + 1.0]])
+        values = hurwitz_zeta(s, q, 2.0)
+        assert values.shape == (1, 3, 3)
+        for j, i in np.ndindex(3, 3):
+            ref = zeta_reference(s[i], q[0, j], 2.0)
+            # a value below the float range is 0.0 or subnormal
+            assert abs(values[0, j, i] - ref) <= 1e-14 * ref + 4 * 2.0**-1074
+            assert abs(hurwitz_zeta(s[i], q[0, j:j + 1], 2.0)[0] - ref) <= 1e-14 * ref + 4 * 2.0**-1074
+        assert hurwitz_zeta(s, 151.0, 2.0).shape == (3,)
         assert isinstance(hurwitz_zeta(2.0, 17.0, 16.0), float)
-        with pytest.raises(ValueError, match="s > 1"):
+        with pytest.raises(ValueError, match="1 < s < 65536"):
             hurwitz_zeta(1.0, 17.0)
+        for s_big in (ZETA_S_MAX, math.inf):
+            with pytest.raises(ValueError, match="s < 65536"):
+                hurwitz_zeta(np.array([2.0, s_big]), 2.0)
