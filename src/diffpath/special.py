@@ -373,12 +373,20 @@ def hurwitz_zeta(s, q, m=1.0):
     if isinstance(s, (float, int)) and isinstance(q, (float, int)) and m == 1.0:
         return _hurwitz_zeta_scalar(float(s), float(q))
     s, q = np.asarray(s, dtype=float), np.asarray(q, dtype=float)
-    sv, qs = s.ravel(), q.ravel().tolist()
+    sv = s.ravel()
     s_max = max(sv.tolist())
     if not s_max < ZETA_S_MAX:
         raise ValueError(f"hurwitz_zeta requires s < {ZETA_S_MAX:g}, not s={s_max!r}")
-    plans = [_zeta_plan(s_max, qi) for qi in qs]
-    m_max = max(m_terms for _, m_terms in plans)
+    mant, e = math.frexp(m)
+    scale = math.ldexp(1.0, -e)
+    # each q's Q = q + N, and the bases a 2^-e of Q, then of q + k, k = N - 1 .. 0
+    big_q, ns, m_max, direct = [], [], 1, []
+    for qi in q.ravel().tolist():
+        n, m_terms = _zeta_plan(s_max, qi)
+        big_q.append(qi + n)
+        ns.append(n)
+        m_max = max(m_max, m_terms)
+        direct += [(qi + k) * scale for k in range(n - 1, -1, -1)]
     # rows 1/(s - 1), 1, then s, (s + 1)(s + 2), ... multiplied out in place into (s)_{2j-1}
     rows = np.empty((m_max + 2, sv.size))
     np.divide(1.0, sv - 1.0, out=rows[0])
@@ -390,26 +398,20 @@ def hurwitz_zeta(s, q, m=1.0):
     pairs -= 0.25
     np.multiply.accumulate(rows[2:], axis=0, out=rows[2:])
     # Q [1/(s - 1) + 1/(2Q) + sum_j c_j (s)_{2j-1} Q^-2j] for each q
-    big_q = [qi + n for qi, (n, _) in zip(qs, plans)]
-    t_pow = np.power(np.array(big_q)[:, None], _ZETA_Q_POW[: m_max + 2])
+    t_pow = np.power.outer(big_q, _ZETA_Q_POW[: m_max + 2])
     t_pow *= _ZETA_COEF[: m_max + 2]
     out = t_pow @ rows
-    # (m / a)^s for a = Q of each q, then a = q + k, k = N - 1 .. 0, of each
-    mant, e = math.frexp(m)
-    scale = math.ldexp(1.0, -e)
-    bases = [a * scale for a in big_q] + [
-        (qi + k) * scale for qi, (n, _) in zip(qs, plans) for k in range(n - 1, -1, -1)
-    ]
+    # (m / a)^s for a = each Q, then each q's q + k
     k_sq = max(0, math.frexp(s_max)[1] - 9)
     part = sv * 0.5**k_sq if k_sq else sv
-    terms = np.power(np.array(bases)[:, None], -part)
+    terms = np.power.outer([a * scale for a in big_q] + direct, -part)
     terms *= np.power(mant, part)
     for _ in range(k_sq):
         terms *= terms
-    out *= terms[: len(qs)]
+    out *= terms[: len(ns)]
     # the direct terms, the smallest first, after the Q part
-    start = len(qs)
-    for i, (n, _) in enumerate(plans):
+    start = len(ns)
+    for i, n in enumerate(ns):
         if n:
             out[i] += np.add.reduce(terms[start : start + n])
             start += n
