@@ -336,7 +336,7 @@ _ZETA_COEF = np.array([1.0, 0.5] + _ZETA_C)
 # (s)_{2j+1} = (s)_{2j-1} (s + 2j - 1)(s + 2j), and (s + 2j - 1)(s + 2j) = (s + 2j - 1/2)^2 - 1/4
 _ZETA_PAIRS = (2.0 * np.arange(1, _ZETA_M) - 0.5)[:, None]
 # s stays below this, so (s)_{2 _ZETA_M - 1} stays in the float range and the
-# up to about 0.42 s direct terms of a small q stay few
+# up to about 0.16 s direct terms of a small q stay few
 ZETA_S_MAX = 2.0**16
 
 
@@ -426,14 +426,18 @@ def _zeta_plan(s: float, q: float) -> tuple[int, int]:
     Where M = _ZETA_M has kappa_M L <= q, L = s + M - 1/2: N = 0 and the
     least such M (this bounds |R| after dropping the factor
     (q / Q)^(s - 1) <= 1 below).  Else M = _ZETA_M and, with
-    sigma = s + 2M - 1, the least N with Q = q + N >= q exp(y): |R| is then
-    within 2^-81 of both lower bounds of the value (the integral test's
-    after dropping (s - 1) / sigma <= 1, and q^-s), where
+    sigma = s + 2M - 1, the least N with Q = q + N >= q exp(y): at one s,
+    |R| is within 2^-81 of both lower bounds of the value (the integral
+    test's after dropping (s - 1) / sigma <= 1, and q^-s) once
 
-        y sigma = x + min(0, ln(q / sigma)),  x = 83 ln 2 + 2M ln(L / (2 pi q)).
+        y sigma >= x + min(0, ln(q / sigma)),  x = 83 ln 2 + 2M ln(L / (2 pi q)).
 
     Where x <= 2M - 1 (so also at every smaller s), y grows with s, so the
-    largest s needs the most terms; elsewhere Q >= kappa_M L serves every s.
+    largest s needs the most terms.  Elsewhere y bounds x / sigma at every
+    s' <= s: ln L' <= ln L + (L' - L) / L gives
+    x(s') / sigma' <= 2M / L + (x - 2M sigma / L) / sigma', largest at
+    s' = s (x / sigma) where x < 2M sigma / L, else as s' -> 1
+    (x / 2M - (s - 1) / L).
     """
     if _ZETA_KAPPA[-1] * (s + _ZETA_M - 0.5) <= q:
         for m_terms, kappa in enumerate(_ZETA_KAPPA, 1):
@@ -442,10 +446,12 @@ def _zeta_plan(s: float, q: float) -> tuple[int, int]:
     big_l, sig = s + _ZETA_M - 0.5, s + 2 * _ZETA_M - 1
     x = _ZETA_LOG_TARGET + 2 * _ZETA_M * math.log(big_l / (2.0 * math.pi * q))
     if x <= 2 * _ZETA_M - 1:
-        big_q = q * math.exp((x + min(0.0, math.log(q / sig))) / sig)
+        y = (x + min(0.0, math.log(q / sig))) / sig
+    elif x * big_l < 2 * _ZETA_M * sig:
+        y = x / sig
     else:
-        big_q = _ZETA_KAPPA[-1] * big_l
-    return max(math.ceil(big_q - q), 0), _ZETA_M
+        y = x / (2 * _ZETA_M) - (s - 1.0) / big_l
+    return max(math.ceil(q * math.exp(y) - q), 0), _ZETA_M
 
 
 def _hurwitz_zeta_scalar(s: float, q: float) -> float:

@@ -462,6 +462,21 @@ def test_hurwitz_zeta_remainder_bound_covers_the_truncation(q, m):
             assert bound <= ZETA_RTOL / 2 * ref, (s, q, m, n, m_terms)
 
 
+@pytest.mark.parametrize("s_max, q", [(60.0, 29.0), (100.0, 17.0), (70.0, 4.0), (1100.0, 1.0), (60000.0, 3.0)])
+def test_zeta_plan_bounds_every_smaller_s(s_max, q):
+    # one (N, M) serves a row of s up to s_max: at every s in (1, s_max],
+    # Johansson's bound stays within ZETA_RTOL / 2 of the larger of the two
+    # lower bounds of the value, q^-s and q^(1-s) / (s - 1); the cases take
+    # each branch of the plan (x <= 2M - 1, x < 2M sigma / L, and beyond)
+    n, m_terms = _zeta_plan(s_max, q)
+    with mp.workdps(40):
+        for s in [1.0 + 1e-6, 1.01, 1.5] + [s_max * k / 40 for k in range(1, 41)]:
+            if s <= 1.0:
+                continue
+            lower = max(mp.mpf(q) ** -s, mp.mpf(q) ** (1 - s) / (s - 1))
+            assert johansson_bound(s, q, 1.0, n, m_terms) <= ZETA_RTOL / 2 * lower, (s, q, n, m_terms)
+
+
 @pytest.mark.parametrize("q, m", [(1.0, 1.0), (1.5, 1.0), (513.0, 512.0)])
 def test_hurwitz_zeta_past_s_512_against_mpmath(q, m):
     # mant^s alone would leave the float range past s = 1074 (mant = 1/2 at
