@@ -366,9 +366,10 @@ def hurwitz_zeta(s, q, m=1.0):
     Each power is (m / a)^s for a = q + k or Q, taken of exact bases as
     mant^s (a 2^-e)^-s with m = mant 2^e, mant in [1/2, 1), so its rounding
     does not grow with s ln a; from s = 512 on it is the 2^k-th power of
-    that of s 2^-k < 512, which keeps both factors normal, and its rounding
-    grows as 2^k (at most 2^7).  A value below the float range, or within a factor
-    Q / (s - 1) of its bottom, may come out 0.0 or subnormal.
+    that of s 2^-k < 512, which keeps both factors normal, and its
+    rounding grows as 2^k (at most 2^7).  A value below the float range,
+    or within a factor Q / (s - 1) of its bottom, may come out 0.0 or
+    subnormal.
     """
     if isinstance(s, (float, int)) and isinstance(q, (float, int)) and m == 1.0:
         return _hurwitz_zeta_scalar(float(s), float(q))
