@@ -11,10 +11,11 @@ the command, a header line and one comma-separated line per row, every
 line ending in '\\n'; floats are written as repr(float(x)).  JSON is
 indented by 2 with sorted keys.  Each subcommand returns its text and
 whether every value converged, and ``main`` writes it once, to --out or
-stdout.  Each subcommand imports the library modules it uses, so casimir
-and paths start without scipy; the others load scipy.special for the
-erf/erfc kernels of the series (oracle for its analytic value, v2_diff),
-and oracle's samples and omitted-mode bound need none.
+stdout.  Each subcommand imports the library modules it uses, and none
+loads scipy: the erf/erfc, Si and Hurwitz-zeta kernels of the series are
+numpy and ``math``.  scipy.integrate is imported only where the tail of
+the restricted velocity series takes one of its two QUADPACK integrals
+(velocity._z_integral, _w_cosine_integral), which no README example reaches.
 """
 
 from __future__ import annotations

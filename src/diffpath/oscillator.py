@@ -49,6 +49,7 @@ from .special import (
     TERM_CAP,
     ZETA_RTOL,
     _ELL,
+    _ERFC_ZERO,
     _K,
     _W0,
     _log_erf_over_sqrt,
@@ -138,11 +139,25 @@ def _head_size(n: int, wt: float, a_bar: float, alpha: float) -> int:
     return min(cap, max(math.ceil(math.exp(log_n_w)), math.ceil(4.0 * wt / math.pi)))
 
 
+def _float_head(n1: int, a_bar: float, alpha: float) -> int:
+    """The modes n <= n1 whose W_n = (Abar / n^(alpha - 1))^2 is at least e^-700 (all of them
+    for alpha <= 1).  Past them n^(alpha - 1) may overflow or W_n underflow in floats, and each
+    factor of ln Pi is (1/2) ln(1 + x_n) to double precision (the rest is below W_n x_n)."""
+    if alpha <= 1.0:
+        return n1
+    if not a_bar > 0.0:
+        return 0
+    log_n = (math.log(a_bar) + 350.0) / (alpha - 1.0)
+    return n1 if log_n >= math.log(n1) else math.floor(math.exp(log_n))
+
+
 def _zero_head(params: ModelParams, n1: int, a_bar: float) -> bool:
-    """Whether every factor of the fixed-N head to n1 is 0.0: ln Erf(sqrt W) is 0.0 at its smallest W
-    (W_n1 for alpha > 1, else W_1), taken as the kernel takes it once its float value passes 700."""
+    """Whether every factor of the fixed-N head to n1 is 0.0: its smallest W (W_n1 for alpha > 1,
+    else W_1) is at least special._ERFC_ZERO, from where ln Erf(sqrt W) is -0.0 with no erfc
+    evaluated.  Compared in logs, 2 (ln Abar - (alpha - 1) ln n) >= ln _ERFC_ZERO: n^(alpha - 1)
+    overflows long before W_n1 reaches it at a large alpha."""
     n = float(n1) if params.alpha > 1.0 else 1.0
-    return params.mode_w(n, a_bar) > 700.0 and _log_erf_sqrt(params.mode_w(np.array([n]), a_bar))[0] == 0.0
+    return a_bar > 0.0 and 2.0 * (math.log(a_bar) - (params.alpha - 1.0) * math.log(n)) >= math.log(_ERFC_ZERO)
 
 
 def _log_factor_tail(
@@ -250,7 +265,8 @@ def _log_pi_core(points: list, params: ModelParams, tol: float, n_terms: Optiona
     one T).  Every point is checked before anything is summed; per point,
     the term counts, the free factor and the tail bounds are the scalar
     expressions of log_pi's docstring, and the sums of all points are one
-    block_sum call, with Abar and wT as its cols.  Each term depends on its
+    block_sum call, with Abar and wT as its cols (and one more for the
+    free factors of head modes past _float_head).  Each term depends on its
     own (n, Abar, wT) only, so no value depends on which points share a call.
     """
     alpha = params.alpha
@@ -258,7 +274,7 @@ def _log_pi_core(points: list, params: ModelParams, tol: float, n_terms: Optiona
     if n_terms is not None and not (n_terms >= 1 and n_terms % 1 == 0):
         raise ValueError(f"n_terms must be an integer >= 1, not {n_terms!r}")
     # omega T = 0 gives Pi = 1 exactly; the other points are summed, over sizes[i] terms each
-    live, sizes, heads = [], [], []
+    live, sizes, heads, frees = [], [], [], []
     for point in points:
         T, a_bar, wt = point
         if wt == 0.0:
@@ -278,13 +294,22 @@ def _log_pi_core(points: list, params: ModelParams, tol: float, n_terms: Optiona
         if n_terms is None:
             sizes.append(_bracket_terms_needed(tol, wt, a_bar, alpha))
         else:
-            heads.append(_head_size(int(n_terms), wt, a_bar, alpha))
-            sizes.append(0 if _zero_head(params, heads[-1], a_bar) else heads[-1])
+            n1 = _head_size(int(n_terms), wt, a_bar, alpha)
+            zero = _zero_head(params, n1, a_bar)
+            size = 0 if zero else _float_head(n1, a_bar, alpha)
+            heads.append(n1)
+            sizes.append(size)
+            frees.append(0 if zero else n1 - size)
         live.append(point)
 
     kernel = _brackets if n_terms is None else _erf_ratios
     a_bars, wts = [p[1] for p in live], [p[2] for p in live]
     sums = block_sum(lambda n, a_bar, wt: kernel(*_mode_pair(params, a_bar, wt, n)), sizes, a_bars, wts)
+    if any(frees):
+        # the head modes past _float_head, each factor (1/2) ln(1 + x_n)
+        rest = block_sum(lambda n, first, wt: 0.5 * np.log1p((wt / ((n + first) * math.pi)) ** 2),
+                         frees, sizes, wts)
+        sums = [a + b for a, b in zip(sums, rest)]
     pis = []
     if n_terms is not None:
         for (T, a_bar, wt), n1, value in zip(live, heads, sums):
@@ -335,14 +360,16 @@ def log_pi(
     ln[Erf(sqrt(W_n (1 + x_n))) / Erf(sqrt W_n)].  The first
     n1 = min(N, 2^24, max(n_W, 4 wT / pi)) are summed directly, n_W being
     the first mode with W_n <= 1/4 (never when alpha <= 1); so for N <= n1
-    the value is the direct sum.  Modes n1 < n <= N are summed in closed
-    form: the power series of (1/2) ln(1 + x_n) and of the bracket in W_n
-    and u_n = W_n x_n, truncated at k = 18, make every sum over n a
-    difference of Hurwitz zetas zeta(s, n1 + 1) - zeta(s, N + 1).  Only
-    the terms whose a-priori bound is at least 2^-60 times the head sum are
-    evaluated; the others are dropped and their bounds (one per term, so
-    together below 189 * 2^-60 = 1.6e-16 times the head sum) added to
-    tail_bound.
+    the value is the direct sum (head modes with W_n below e^-700, where
+    n^(alpha - 1) may overflow, take the factor (1/2) ln(1 + x_n), which
+    their ratio equals to double precision).  Modes n1 < n <= N are
+    summed in closed form: the power series of (1/2) ln(1 + x_n) and of
+    the bracket in W_n and u_n = W_n x_n, truncated at k = 18, make every
+    sum over n a difference of Hurwitz zetas zeta(s, n1 + 1) -
+    zeta(s, N + 1).  Only the terms whose a-priori bound is at least 2^-60
+    times the head sum are evaluated; the others are dropped and their
+    bounds (one per term, so together below 189 * 2^-60 = 1.6e-16 times
+    the head sum) added to tail_bound.
     Each factor omitted after N lies in [0, (1/2) ln(1 + x_n)] (Erf
     concavity: Erf(k x) <= k Erf(x)), so tail_bound is
     (wT)^2 / (2 pi^2 N) plus a rigorous bound on the series truncation,

@@ -1,16 +1,20 @@
 """Numerically hardened special functions shared by every other module.
 
-Everything here is pure and deterministic: ln Erf(sqrt W) and
+Everything here is pure and deterministic, and computed with numpy and
+``math`` alone (no scipy): ln Erf(sqrt W) and
 l(W) = ln(sqrt(pi) Erf(sqrt W) / (2 sqrt W)), from which 1 - Z, with
 Z(W) = exp(-W - l) the truncated-Gaussian moment factor, and the
 brackets of ln Pi(T) (differences of l) are taken, one split at W = 1/4
-between the two forms of each (_by_branch); the Taylor
-coefficients l_k that both the kernel and the tail of ln Pi sum, with a
-bound on the truncated series; exact Bernoulli numbers; the Hurwitz
-zeta m^s zeta(s, q) by Euler-Maclaurin in numpy and ``math``, truncated
-within ZETA_RTOL = 2^-80 of its value (Johansson's remainder bound), so no
-value in this module needs scipy but the erf/erfc of the kernels;
-and the one series primitive every certified sum goes through: block_sum
+between the two forms of each (_by_branch): below it the Taylor series of
+l, as a product of quadratics, and from it on erfc(sqrt W) as
+e^-W sqrt(W) sum_i v_i / (W + s_i), a rational fit in 1/W with positive
+poles and weights, zero past its underflow at W = 745 (the tables come
+from tools/erf_tables.py); the Taylor coefficients l_k that both the
+kernel and the tail of ln Pi sum, with a bound on the truncated series;
+pi/2 - Si(x) for the Fourier tail of the velocity series; exact
+Bernoulli numbers; the Hurwitz zeta m^s zeta(s, q) by Euler-Maclaurin,
+truncated within ZETA_RTOL = 2^-80 of its value (Johansson's remainder
+bound); and the one series primitive every certified sum goes through: block_sum
 (compensated blocked summation of one range or of many, packed in blocks
 of BLOCK terms into kernel calls that get each range's own values),
 tol_budget (tail <= tol * max(1, |value|), absolute for |value| < 1) and
@@ -20,6 +24,7 @@ certify (the x4 term-count loop that returns a SeriesValue).
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -178,29 +183,143 @@ def _series_remainder(w: float, u: float) -> float:
     return _ELL_M * u / _ELL_R * rho**_K * (_K + 1 - _K * rho) / (1.0 - rho) ** 2
 
 
+# The kernels' tables, derived in 60-digit mpmath by tools/erf_tables.py
+# (its docstring has the derivations).
+#
+# erfc(sqrt W) for _W0 <= W < _ERFC_ZERO is e^-W sqrt(W) sum_i v_i / (W + s_i),
+# a relative-minimax rational of degree 15 in 1/W, within 1.4e-20 of
+# sqrt(pi W) erfcx(sqrt W) over the whole range: three ufunc calls on a
+# (16, elements) array, where Cody's erfc takes two ranges of degree 8 and
+# 5 and about 20 calls in numpy.  Every s_i >= 0 and v_i > 0, so no term
+# or sum cancels.  Rows (s_i, v_i), the largest pole first and s = 0 last:
+_ERFC_TABLE = np.array([
+    (16.625982953166975, 3.045268542785186e-08),
+    (11.580922149915926, 3.4936877838003237e-06),
+    (8.241027016607408, 8.146259965442911e-05),
+    (5.866281452842691, 0.0007489999008126033),
+    (4.143361615785664, 0.0036322103705697666),
+    (2.890854728180435, 0.011034276289801182),
+    (1.9861543108624868, 0.023640513986955432),
+    (1.33954556312966, 0.039026692631592835),
+    (0.8831277621369714, 0.05317998406231929),
+    (0.5652355776554346, 0.06315513638968588),
+    (0.34700683974280966, 0.06824160075838019),
+    (0.1998257624360341, 0.0694280794420737),
+    (0.1032153204792167, 0.06834221663120203),
+    (0.04308801755834877, 0.0664962012421923),
+    (0.010367233766990419, 0.06497667430132721),
+    (0.0, 0.0322020108007202),
+])
+# -s_i, so that -s_i - W = -(W + s_i) and its last row is -W, the argument of e^-W
+_ERFC_NEG_POLES = -_ERFC_TABLE[:, :1]
+_ERFC_WEIGHTS = _ERFC_TABLE[:, 1:].copy()
+# erfc(sqrt W) < 2^-1075 from W = 741.3 on; from _ERFC_ZERO on it is taken as
+# 0.0 with no rational evaluated
+_ERFC_ZERO = 745.0
+# l(W) for W < _W0 is W (l_1 + W h(W)), h = sum_{k=2}^{_K} l_k W^(k-2), with h
+# _ELL_LEAD times the product of the eight quadratics W^2 + a W + b of its
+# roots (near |W| = 6.6, and one at W = -67, so no factor cancels by more
+# than 8% on [0, _W0]): eight ufunc calls where Horner's rule takes 36.
+# W h is at most 0.034 of l_1 there, so the rounding of the product costs
+# l(W) below half an ulp.  Rows (a, b):
+_ELL_LEAD = -2.9074423638229054e-16
+_ELL_QUADS = np.array([
+    (-12.493128799667648, 45.27354065380526),
+    (-9.679981096618036, 44.75365944064537),
+    (-5.474798874745413, 43.67333920046259),
+    (-0.5801675039474142, 41.401504919948174),
+    (7.293245726456209, 43.39877433074767),
+    (11.243933949051746, 45.692352875276775),
+    (13.38823289653228, 46.578571686055135),
+    (60.28217581916774, -451.7453334316246),
+])
+_ELL_A, _ELL_B = _ELL_QUADS[:, :1].copy(), _ELL_QUADS[:, 1:].copy()
+
+
+# The most elements a kernel takes in one pass, and the per-thread scratch
+# array each pass writes its (rows, elements) table into: at most 16 x 4096
+# floats (512 KB), allocated once, so that no pass allocates (and faults in)
+# a fresh table of that size.
+_CHUNK = 4096
+_SCRATCH = threading.local()
+
+
+def _rows(k: int, n: int) -> np.ndarray:
+    """A (k, n) view of this thread's scratch array, for k <= 16 rows and n <= _CHUNK."""
+    buf = getattr(_SCRATCH, "buf", None)
+    if buf is None:
+        buf = _SCRATCH.buf = np.empty(16 * _CHUNK)
+    return buf[: k * n].reshape(k, n)
+
+
+def _chunked(kernel: Callable, w: np.ndarray) -> np.ndarray:
+    """kernel(w) for a 1-d w, in passes of at most _CHUNK elements."""
+    if w.size <= _CHUNK:
+        return kernel(w)
+    return np.concatenate([kernel(w[i : i + _CHUNK]) for i in range(0, w.size, _CHUNK)])
+
+
 def _ell_series(w: np.ndarray) -> np.ndarray:
-    """sum_{k<=_K} l_k w^k by Horner's rule in place."""
-    acc = w * _ELL[-1]
-    acc += _ELL[-2]
-    for ell in _ELL[-3::-1]:
-        acc *= w
-        acc += ell
-    acc *= w
-    return acc
+    """sum_{k<=_K} l_k w^k as w (l_1 + w _ELL_LEAD prod_i (w^2 + a_i w + b_i)),
+    w a 1-d array, the factors multiplied in order of i."""
+    return _chunked(_ell_series_pass, w)
 
 
-# ln Erf(sqrt W) as log(Erf) below _W0, and from _W0 on as log1p(-erfc), which
-# keeps the 1 - Erf tail where Erf rounds to 1, down to erfc's underflow threshold
+def _ell_series_pass(w: np.ndarray) -> np.ndarray:
+    f = np.add(_ELL_A, w, out=_rows(len(_ELL_A), w.size))
+    f *= w
+    f += _ELL_B
+    t = np.multiply.reduce(f, axis=0)
+    t *= w
+    t *= _ELL_LEAD
+    t += _ELL[0]
+    t *= w
+    return t
+
+
+def _neg_erfc_sqrt(w: np.ndarray) -> np.ndarray:
+    """-erfc(sqrt W) for W >= _W0, a 1-d array; -0.0 from _ERFC_ZERO on, where
+    no rational is evaluated."""
+    live = w < _ERFC_ZERO
+    out = np.empty_like(w)
+    out.fill(-0.0)
+    out[live] = _chunked(_neg_erfc_pass, w[live])
+    return out
+
+
+def _neg_erfc_pass(w: np.ndarray) -> np.ndarray:
+    """-erfc(sqrt W) for _W0 <= W < _ERFC_ZERO.  e^-W is taken of W itself, not
+    of the square of a rounded sqrt(W), and each element takes the same ufunc
+    calls whatever the array, so none depends on its neighbours."""
+    t = np.subtract(_ERFC_NEG_POLES, w, out=_rows(len(_ERFC_NEG_POLES), w.size))
+    e = np.exp(t[-1])
+    # -v_i / (W + s_i), summed from the largest pole, the smallest term, on;
+    # np.add.reduce adds the rows of t one after another, but sums a lone
+    # column pairwise, so one element is summed as one of two
+    np.divide(_ERFC_WEIGHTS, t, out=t)
+    if w.size == 1:
+        t = np.repeat(t, 2, axis=1)
+    r = np.add.reduce(t, axis=0)[: w.size]
+    r *= np.sqrt(w)
+    r *= e
+    return r
+
+
+# ln Erf(sqrt W) below _W0 as ln(2/sqrt(pi)) + (1/2) ln W + l(W), where l is
+# at most 0.08 and keeps its relative accuracy, so the sum is within about
+# an ulp; from _W0 on as log1p(-erfc), which keeps the 1 - Erf tail where Erf
+# rounds to 1, down to erfc's underflow threshold
 def _log_erf_small(w: np.ndarray) -> np.ndarray:
-    # imported on first use: import diffpath, casimir and paths load numpy only
-    import scipy.special as sc
-    with np.errstate(divide="ignore"):
-        return np.log(sc.erf(np.sqrt(w)))
+    out = np.log(w)
+    out *= 0.5
+    out += _LOG_2_OVER_SQRT_PI
+    out += _ell_series(w)
+    return out
 
 
 def _log_erf_large(w: np.ndarray) -> np.ndarray:
-    import scipy.special as sc
-    return np.log1p(-sc.erfc(np.sqrt(w)))
+    out = _neg_erfc_sqrt(w)
+    return np.log1p(out, out=out)
 
 
 def _ell_direct(w: np.ndarray) -> np.ndarray:
@@ -209,27 +328,47 @@ def _ell_direct(w: np.ndarray) -> np.ndarray:
 
 def _by_branch(w, small: Callable, large: Callable):
     """small(W) where W < _W0 = 1/4, large(W) elsewhere, a float for a 0-d W:
-    each form runs only on the elements that take it, on w itself when all
-    do, so no element's value depends on the array it sits in."""
+    each form runs on a 1-d array of only the elements that take it (w
+    itself, raveled, when all do), so no element's value depends on the
+    array it sits in."""
     w = np.asarray(w, dtype=float)
-    below = w < _W0
+    flat = w.ravel()
+    below = flat < _W0
     n_small = np.count_nonzero(below)
-    if n_small == w.size:
-        out = small(w)
+    if n_small == flat.size:
+        out = small(flat)
     elif n_small == 0:
-        out = large(w)
+        out = large(flat)
     else:
-        out = np.empty_like(w)
-        out[below] = small(w[below])
-        out[~below] = large(w[~below])
-    if out.ndim == 0:
-        return float(out)
-    return out
+        out = np.empty_like(flat)
+        out[below] = small(flat[below])
+        above = ~below
+        out[above] = large(flat[above])
+    if w.ndim == 0:
+        return float(out[0])
+    return out.reshape(w.shape)
 
 
 def _log_erf_sqrt(w):
-    """ln Erf(sqrt W) for W > 0, stable for both tiny and large W."""
-    return _by_branch(w, _log_erf_small, _log_erf_large)
+    """ln Erf(sqrt W) for W > 0, stable for both tiny and large W.
+
+    _by_branch's split, with the large branch's own split at _ERFC_ZERO made
+    in the same pass: -0.0 from there on, _log_erf_small below _W0 and
+    log1p(-erfc) between, each on only the elements that take it."""
+    w = np.asarray(w, dtype=float)
+    flat = w.ravel()
+    out = np.empty_like(flat)
+    out.fill(-0.0)
+    small = flat < _W0
+    live = flat < _ERFC_ZERO
+    if np.count_nonzero(small):
+        live ^= small
+        out[small] = _log_erf_small(flat[small])
+    e = _chunked(_neg_erfc_pass, flat[live])
+    out[live] = np.log1p(e, out=e)
+    if w.ndim == 0:
+        return float(out[0])
+    return out.reshape(w.shape)
 
 
 def _log_erf_over_sqrt(w):
@@ -237,7 +376,7 @@ def _log_erf_over_sqrt(w):
 
     This is ln(Erf(sqrt W) / sqrt W) less its W -> 0 limit ln(2/sqrt(pi)),
     so it keeps relative accuracy as W -> 0 (l = -W/3 + O(W^2)).  For
-    W < _W0 = 1/4 it is sum_{k<=_K} l_k W^k by Horner's rule in place (the
+    W < _W0 = 1/4 it is sum_{k<=_K} l_k W^k, evaluated by _ell_series (the
     direct logs would cancel), truncated within _series_remainder(0, W),
     below 1e-20 |l(W)|; otherwise
     log1p(-erfc(sqrt W)) - (1/2) ln W - ln(2/sqrt(pi)), where
@@ -262,6 +401,32 @@ def one_minus_zed(w):
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def _sine_integral_tail(x: float) -> float:
+    """pi/2 - Si(x) = int_x^inf sin(t) / t dt for a float x > 0, in ``math``.
+
+    Up to x = 3 the power series of Si, whose terms and -pi/2 are summed
+    exactly by fsum, so the difference is not taken of two rounded numbers;
+    above, -Im(e^-ix E1(ix)), with E1(ix) e^ix the continued fraction
+    1/(ix + 1 - 1/(ix + 3 - 4/(ix + 5 - 9/(...)))) evaluated from its
+    (8 + 320/x)-th level back to the first: from about 160/x levels on its
+    value no longer moves.  Within a few ulp of max(|value|, min(1, 1/x))
+    over [1e-8, 1e8] (tests/test_velocity.py).
+    """
+    if x <= 3.0:
+        x2 = x * x
+        term, terms, k = x, [x, -0.5 * math.pi], 0
+        while abs(term) > 1e-18:
+            k += 1
+            term *= -x2 / ((2 * k) * (2 * k + 1))
+            terms.append(term / (2 * k + 1))
+        return -math.fsum(terms)
+    z = complex(0.0, x)
+    t = 0.0
+    for k in range(8 + int(320.0 / x), 0, -1):
+        t = k * k / (z + (2 * k + 1) - t)
+    return -(complex(math.cos(x), -math.sin(x)) / (z + 1.0 - t)).imag
 
 
 def truncated_gaussian_ratio(b: float, big_b: float) -> float:

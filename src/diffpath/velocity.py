@@ -60,8 +60,8 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .paths import ModelParams
-from .special import (BLOCK, ZETA2, ConvergenceError, SeriesValue, block_sum, certify, hurwitz_zeta,
-                      one_minus_zed, tol_budget)
+from .special import (BLOCK, ZETA2, ConvergenceError, SeriesValue, _sine_integral_tail, block_sum, certify,
+                      hurwitz_zeta, one_minus_zed, tol_budget)
 
 __all__ = [
     "RegimeReport",
@@ -136,8 +136,7 @@ def _feynman_terms(tau: float, t0_frac: float, j: np.ndarray) -> np.ndarray:
 
 def _cos_over_t2_integral(a: float, theta: float) -> float:
     """int_a^inf cos(theta t) / t^2 dt = cos(theta a) / a - theta (pi/2 - Si(theta a)), a > 0."""
-    import scipy.special as sc
-    return math.cos(theta * a) / a - theta * (0.5 * math.pi - float(sc.sici(theta * a)[0]))
+    return math.cos(theta * a) / a - theta * _sine_integral_tail(theta * a)
 
 
 def s_feynman(tau: float, t0_frac: float = 0.0, tol: float = 1e-10) -> SeriesValue:

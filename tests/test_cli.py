@@ -353,13 +353,35 @@ def test_casimir_em_table_not_built_at_import():
     assert out.stdout.strip() == "None"
 
 
+def _readme_commands():
+    lines, in_bash = [], False
+    for line in README.read_text().splitlines():
+        if line.startswith("```"):
+            in_bash = line.strip() == "```bash"
+        elif in_bash and line.startswith("diffpath "):
+            lines.append(line)
+    return lines
+
+
+def _readme_argvs():
+    """The argv of every README example, --out dropped so that stdout carries the output."""
+    argvs = []
+    for line in _readme_commands():
+        argv = shlex.split(line)[1:]
+        if "--out" in argv:
+            del argv[argv.index("--out") : argv.index("--out") + 2]
+        argvs.append(argv)
+    return argvs
+
+
 @pytest.mark.parametrize("argv", [
     ["casimir", "--model", "tanh", "--points", "10"],
     ["casimir", "--bound", "--L-exp", "1e-7", "--rel-error", "0.01", "--c", "3e8"],
     ["paths", "--A", "10", "--modes", "200", "--seed", "7", "--grid-points", "500", "--export", "coeffs"],
-])
+] + _readme_argvs())
 def test_casimir_and_paths_run_without_scipy(capsys, argv):
-    # sys.modules["scipy"] = None makes every scipy import raise ImportError
+    # every README example, and the casimir and paths ones again: no command
+    # needs scipy; sys.modules["scipy"] = None makes every scipy import raise ImportError
     code, expected = run(capsys, argv)
     assert code == EXIT_OK
     out = _python(f"import sys; sys.modules['scipy'] = None\nfrom diffpath.cli import main\nsys.exit(main({argv!r}))")
@@ -603,16 +625,6 @@ def test_commutator_reports_convergence_failure(capsys, monkeypatch):
     assert code == EXIT_CONVERGENCE
     assert captured.out == ""
     assert captured.err.startswith("convergence failure: ")
-
-
-def _readme_commands():
-    lines, in_bash = [], False
-    for line in README.read_text().splitlines():
-        if line.startswith("```"):
-            in_bash = line.strip() == "```bash"
-        elif in_bash and line.startswith("diffpath "):
-            lines.append(line)
-    return lines
 
 
 def test_readme_examples_exit_zero(tmp_path, capsys):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from diffpath import oscillator, special
-from diffpath.cli import EXIT_OK, EXIT_USAGE, main
+from diffpath.cli import EXIT_CONVERGENCE, EXIT_OK, EXIT_USAGE, main
 from diffpath.oscillator import (
     _head_size,
     _log_sinh_over_x,
@@ -211,10 +211,10 @@ def test_log_pi_fixed_n_evaluates_only_the_non_negligible_zetas(monkeypatch):
     "params, T, n_terms, n1, log_pi_hex, tail_hex",
     [
         (ModelParams(epsilon_D=0.1, alpha=2.5, omega=1.0), 2.0, 10**5, 43,
-         "0x1.e78d46d87f6a8p-8", "0x1.0ffb6320f6b58p-19"),
-        (FIG4, 1.0, 10**15, 29, "0x1.c1413f9c59d8ep-9", "0x1.d344562d02a39p-55"),
+         "0x1.e78d46d87f4e4p-8", "0x1.0ffb6320f6b58p-19"),
+        (FIG4, 1.0, 10**15, 29, "0x1.c1413f9c5a842p-9", "0x1.d344562d02a39p-55"),
         (ModelParams(A=1.4e6, alpha=2.05, omega=1.0), 1.0, 10**15, 2122909,
-         "0x1.974ced5c58a2cp-25", "0x1.d342f0c171454p-55"),
+         "0x1.974667d121c9ep-25", "0x1.d342f0c171454p-55"),
     ],
 )
 def test_log_pi_fixed_n_tail_keeps_its_values(params, T, n_terms, n1, log_pi_hex, tail_hex):
@@ -224,6 +224,23 @@ def test_log_pi_fixed_n_tail_keeps_its_values(params, T, n_terms, n1, log_pi_hex
     res = log_pi(T, params, n_terms=n_terms)
     assert res.log_pi.hex() == log_pi_hex and res.n_terms == n_terms and res.converged == (n_terms > 10**5)
     assert res.tail_bound <= float.fromhex(tail_hex)
+
+
+def test_log_pi_fixed_n_head_past_the_float_range(capsys):
+    # alpha = 3000: n^(alpha - 1) overflows from n = 2 on, and W_2 = (Abar / 2^2999)^2
+    # underflows, so each head factor past n = 1 is the free one, (1/2) ln(1 + x_n), and
+    # W_1 = Abar^2 = 2.5e6 makes the first one 0
+    params = ModelParams(A=1e3, alpha=3000.0, omega=1.0)
+    n = 100_000
+    for T in (1.0, 2.0):
+        res = log_pi(T, params, n_terms=n)
+        ref = math.fsum(0.5 * math.log1p((T / (k * math.pi)) ** 2) for k in range(2, n + 1))
+        assert res.n_terms == n and abs(res.log_pi - ref) <= 1e-14 * ref, T
+    # 1e5 terms meet tol 1e-6 at T = 1 (tail bound 5.1e-7) but not at T = 2: exit 2, no traceback
+    argv = ["spectrum", "--A", "1e3", "--alpha", "3000", "--omega", "1", "--T-grid-min", "1",
+            "--T-grid-max", "2", "--points", "2", "--n-terms", "100000"]
+    assert main(argv) == EXIT_CONVERGENCE
+    assert capsys.readouterr().err == ""
 
 
 def test_log_pi_fixed_n_tail_past_s_1074_at_a_power_of_two_head(monkeypatch):

@@ -1,6 +1,7 @@
 """Special-function tests against independent oracles (quadrature, mpmath)."""
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath as mp
 import numpy as np
@@ -45,45 +46,46 @@ def test_log_erf_difference_huge_args_mpmath_oracle():
 
 
 def _log_erf_both_branches(w):
-    """The two-branch formula of _log_erf_sqrt, with both branches over the whole array."""
+    """The two-branch formula of _log_erf_sqrt, each branch's kernel over the whole raveled array."""
     w = np.asarray(w, dtype=float)
-    small = w < 0.25
+    flat = w.ravel()
+    small = flat < 0.25
+    ws = np.where(small, flat, 0.125)
     with np.errstate(divide="ignore"):
-        return np.where(
-            small,
-            np.log(sc.erf(np.sqrt(np.where(small, w, 1.0)))),
-            np.log1p(-sc.erfc(np.sqrt(np.where(small, 1.0, w)))),
-        )
+        lo = 0.5 * np.log(ws) + math.log(2.0 / math.sqrt(math.pi)) + special._ell_series(ws)
+    hi = np.log1p(special._neg_erfc_sqrt(np.where(small, 1.0, flat)))
+    return np.where(small, lo, hi).reshape(w.shape)
 
 
 def _log_erf_over_sqrt_both_branches(w):
-    """The series/direct formula of _log_erf_over_sqrt, both over the whole array."""
+    """The series/direct formula of _log_erf_over_sqrt, both over the whole raveled array."""
     w = np.asarray(w, dtype=float)
-    small = w < 0.25
-    x = np.where(small, w, 0.0)
-    # Horner's rule over l_k, k = 18 down to 1
-    acc = np.full_like(x, _ELL[17])
-    for k in range(17, 0, -1):
-        acc = acc * x + _ELL[k - 1]
-    series = acc * x
-    wl = np.where(small, 1.0, w)
-    direct = np.log1p(-sc.erfc(np.sqrt(wl))) - 0.5 * np.log(wl) - math.log(2.0 / math.sqrt(math.pi))
-    return np.where(small, series, direct)
+    flat = w.ravel()
+    small = flat < 0.25
+    series = special._ell_series(np.where(small, flat, 0.0))
+    wl = np.where(small, 1.0, flat)
+    direct = np.log1p(special._neg_erfc_sqrt(wl)) - 0.5 * np.log(wl) - math.log(2.0 / math.sqrt(math.pi))
+    return np.where(small, series, direct).reshape(w.shape)
 
 
 def _masked_kernel_inputs(split):
     rng = np.random.default_rng(5)
-    near = split + np.arange(-64, 65) * np.spacing(split)
-    spread = np.geomspace(1e-300, 30.0, 2000)
-    shuffled = rng.permutation(np.concatenate([near, spread, 10.0 ** rng.uniform(-300, np.log10(30.0), 4000)]))
+    near = np.concatenate([x + np.arange(-64, 65) * np.spacing(x) for x in (split, 745.0)])
+    spread = np.geomspace(1e-300, 1e4, 3000)
+    shuffled = rng.permutation(np.concatenate([near, spread, 10.0 ** rng.uniform(-300, 4, 4000)]))
     return np.concatenate([near, spread, shuffled])
 
 
 def test_log_erf_masked_branches_bit_identical():
     w = _masked_kernel_inputs(0.25)
-    assert np.array_equal(_log_erf_sqrt(w), _log_erf_both_branches(w))
+    whole = _log_erf_sqrt(w)
+    assert np.array_equal(whole, _log_erf_both_branches(w))
     assert np.array_equal(_log_erf_sqrt(w.reshape(-1, 2)), _log_erf_both_branches(w.reshape(-1, 2)))
-    for w0 in (0.25, np.nextafter(0.25, 0.0), 1e-300, 30.0, 900.0):
+    # every element keeps its bits in any slice of the array
+    for a in range(0, 4000, 397):
+        for length in (1, 2, 3, 7, 64, 129):
+            assert np.array_equal(_log_erf_sqrt(w[a:a + length]), whole[a:a + length]), (a, length)
+    for w0 in (0.25, np.nextafter(0.25, 0.0), 1e-300, 16.0, 30.0, np.nextafter(745.0, 0.0), 745.0, 900.0):
         got = _log_erf_sqrt(np.float64(w0))
         assert type(got) is float
         assert got == float(_log_erf_both_branches(w0))
@@ -91,11 +93,24 @@ def test_log_erf_masked_branches_bit_identical():
 
 def test_log_erf_over_sqrt_masked_branches_bit_identical():
     w = _masked_kernel_inputs(0.25)
-    assert np.array_equal(_log_erf_over_sqrt(w), _log_erf_over_sqrt_both_branches(w))
-    for w0 in (0.25, np.nextafter(0.25, 0.0), 1e-300, 30.0):
+    whole = _log_erf_over_sqrt(w)
+    assert np.array_equal(whole, _log_erf_over_sqrt_both_branches(w))
+    for a in range(0, 4000, 397):
+        for length in (1, 2, 3, 7, 64, 129):
+            assert np.array_equal(_log_erf_over_sqrt(w[a:a + length]), whole[a:a + length]), (a, length)
+    for w0 in (0.25, np.nextafter(0.25, 0.0), 1e-300, 16.0, 30.0, np.nextafter(745.0, 0.0), 745.0, 900.0):
         got = _log_erf_over_sqrt(w0)
         assert type(got) is float
         assert got == float(_log_erf_over_sqrt_both_branches(w0))
+
+
+def test_kernels_keep_their_values_across_threads():
+    # each thread's kernel passes write into a scratch array of its own
+    w = _masked_kernel_inputs(0.25)
+    want = (_log_erf_sqrt(w), _log_erf_over_sqrt(w))
+    with ThreadPoolExecutor(4) as pool:
+        got = list(pool.map(lambda _: (_log_erf_sqrt(w), _log_erf_over_sqrt(w)), range(8)))
+    assert all(np.array_equal(a, want[0]) and np.array_equal(b, want[1]) for a, b in got)
 
 
 def _mp_ell(w):
@@ -134,12 +149,129 @@ def test_one_minus_zed_relative_against_mpmath():
 def test_one_minus_zed_is_position_independent():
     # velocity's weight table computes 1 - Z once for j = 1..n and serves
     # slices of it; every element must be the value it has in any other array
-    w = np.random.default_rng(3).permutation(np.geomspace(1e-12, 50.0, 97))  # both sides of 1/4
+    # (both sides of 1/4, and past 745, where erfc is 0.0 unevaluated)
+    w = np.random.default_rng(3).permutation(np.geomspace(1e-12, 2000.0, 97))
     whole = [x.hex() for x in one_minus_zed(w)]
     for a in range(9):
         for length in range(1, 34):
             assert [x.hex() for x in one_minus_zed(w[a:a + length])] == whole[a:a + length], (a, length)
     assert [one_minus_zed(np.array(x)).hex() for x in w] == whole  # 0-d
+
+
+def _ulps(got, ref):
+    """|got - ref| in ulps of ref (a 40-digit mpf)."""
+    return float(abs(mp.mpf(float(got)) - ref) / mp.mpf(math.ulp(float(ref))))
+
+
+def test_erfc_sqrt_against_mpmath():
+    # erfc(sqrt W) at exact W from 1/4 to past its underflow: within 8 ulp where
+    # it is a normal float, within one subnormal step below, 0.0 from W = 745 on
+    rng = np.random.default_rng(11)
+    w = np.concatenate([np.geomspace(0.25, 760.0, 1500), 10.0 ** rng.uniform(math.log10(0.25), math.log10(745.0), 1500),
+                        745.0 + np.arange(-40, 41) * np.spacing(745.0)])
+    got = -special._neg_erfc_sqrt(w)
+    with mp.workdps(40):
+        for x, g in zip(w, got):
+            ref = mp.erfc(mp.sqrt(mp.mpf(float(x))))
+            if ref >= mp.mpf(2) ** -1022:
+                assert _ulps(g, ref) <= 8, x
+            else:
+                assert abs(mp.mpf(float(g)) - ref) <= mp.mpf(2) ** -1074, x
+            if x >= 745.0:
+                assert g == 0.0
+    assert np.all(np.signbit(special._neg_erfc_sqrt(w)))
+
+
+def _mp_log_erf(w):
+    """ln Erf(sqrt W) in mpmath, through log1p(-erfc) where Erf is near 1."""
+    r = mp.sqrt(mp.mpf(float(w)))
+    return mp.log(mp.erf(r)) if w < 1 else mp.log1p(-mp.erfc(r))
+
+
+def _old_ell_series(w):
+    """The Horner form of sum_{k<=18} l_k W^k that the product form replaced."""
+    acc = np.full_like(w, _ELL[17])
+    for k in range(17, 0, -1):
+        acc = acc * w + _ELL[k - 1]
+    return acc * w
+
+
+def _kernel_points():
+    rng = np.random.default_rng(12)
+    return np.concatenate([np.geomspace(1e-300, 700.0, 700), 10.0 ** rng.uniform(-300, math.log10(700.0), 700),
+                           np.linspace(0.01, 40.0, 300), np.linspace(0.25, 0.8, 1000)])
+
+
+def _ulp_errors(got, refs):
+    return np.array([_ulps(g, r) for g, r in zip(got, refs) if r != 0])
+
+
+def test_log_erf_no_less_accurate_than_the_scipy_form():
+    # ln Erf(sqrt W) against log(erf(sqrt W)) below 1/4 and log1p(-erfc(sqrt W))
+    # from 1/4 on, scipy's erf and erfc of the rounded sqrt W, at the same points
+    w = _kernel_points()
+    wl = np.where(w < 0.25, 1.0, w)
+    with np.errstate(divide="ignore"):
+        theirs = np.where(w < 0.25, np.log(sc.erf(np.sqrt(w))), np.log1p(-sc.erfc(np.sqrt(wl))))
+    with mp.workdps(40):
+        refs = [_mp_log_erf(x) for x in w]
+    e_ours, e_theirs = _ulp_errors(_log_erf_sqrt(w), refs), _ulp_errors(theirs, refs)
+    assert e_ours.max() <= min(6.0, e_theirs.max()) and e_ours.mean() <= e_theirs.mean()
+
+
+def test_ell_and_one_minus_zed_no_less_accurate_than_before():
+    # l(W) and 1 - Z(W) against their previous forms at the same points: the
+    # Horner series below 1/4, log1p(-erfc) - ln(W)/2 - ln(2/sqrt(pi)) with
+    # scipy's erfc of the rounded sqrt W from 1/4 on.  Just above 1/4,
+    # l = ln g with g = sqrt(pi) Erf(sqrt W) / (2 sqrt W) near 0.92 turns an
+    # ulp of Erf into about 12 of l in either form; which point rounds worst
+    # there decides the largest error (about 24 ulp for both, 1.07 times
+    # the old one for ours), so the largest is held within 10% and the mean
+    # and the 99th percentile to the old ones
+    w = _kernel_points()
+    wl = np.where(w < 0.25, 1.0, w)
+    old_ell = np.where(w < 0.25, _old_ell_series(np.where(w < 0.25, w, 0.0)),
+                       np.log1p(-sc.erfc(np.sqrt(wl))) - 0.5 * np.log(wl) - math.log(2.0 / math.sqrt(math.pi)))
+    for ours, theirs, ref_of in (
+        (_log_erf_over_sqrt(w), old_ell, _mp_ell),
+        (one_minus_zed(w), -np.expm1(-(w + old_ell)), lambda x: -mp.expm1(-(mp.mpf(float(x)) + _mp_ell(x)))),
+    ):
+        with mp.workdps(40):
+            refs = [ref_of(x) for x in w]
+        e_ours, e_theirs = _ulp_errors(ours, refs), _ulp_errors(theirs, refs)
+        assert e_ours.mean() <= e_theirs.mean()
+        assert np.percentile(e_ours, 99) <= np.percentile(e_theirs, 99)
+        assert e_ours.max() <= 1.1 * e_theirs.max()
+
+
+def test_erfc_table_is_a_relative_minimax_fit():
+    # the table itself, evaluated in mpmath: within 1.4e-20 of erfc(sqrt W) e^W
+    # over [1/4, 745] before its entries were rounded to floats, within 1e-17
+    # after; the poles s_i fall to 0 and every weight v_i > 0
+    s_col, v_col = special._ERFC_TABLE[:, 0], special._ERFC_TABLE[:, 1]
+    assert s_col[-1] == 0.0 and np.all(np.diff(s_col) < 0) and np.all(v_col > 0)
+    with mp.workdps(40):
+        for w in np.geomspace(0.25, 745.0, 400):
+            x = mp.mpf(float(w))
+            fit = mp.sqrt(x) * mp.fsum(mp.mpf(float(v)) / (x + mp.mpf(float(s))) for s, v in zip(s_col, v_col))
+            assert abs(fit / (mp.erfc(mp.sqrt(x)) * mp.exp(x)) - 1) <= 1e-17, w
+
+
+def test_ell_quadratics_are_the_series():
+    # _ELL_LEAD times the product of the quadratics W^2 + a W + b expands to
+    # h(W) = sum_{k=2}^{18} l_k W^(k-2), up to the rounding of the table
+    with mp.workdps(40):
+        poly = [mp.mpf(special._ELL_LEAD)]  # in ascending powers of W
+        for a, b in special._ELL_QUADS:
+            new = [mp.mpf(0)] * (len(poly) + 2)
+            for i, c in enumerate(poly):
+                new[i] += c * float(b)
+                new[i + 1] += c * float(a)
+                new[i + 2] += c
+            poly = new
+    assert len(poly) == _K - 1
+    errs = [float(abs(c / _ELL[k - 1] - 1)) for k, c in enumerate(poly, start=2)]
+    assert max(errs) <= 1e-13, errs
 
 
 def test_truncated_gaussian_ratio_flat_limit_relative():
