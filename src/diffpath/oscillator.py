@@ -242,21 +242,6 @@ def _bracket_terms_needed(tol: float, wt: float, a_bar: float, alpha: float) -> 
     return n
 
 
-def _brackets(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """b_n = l(W_n (1 + x_n)) - l(W_n), one kernel call on both arguments."""
-    # ln(2/sqrt(pi)) cancels in the difference
-    l_w = _log_erf_over_sqrt(np.concatenate((hi, lo)))
-    # each bracket is <= 0 exactly; clip roundoff-positive values
-    return np.minimum(l_w[: lo.size] - l_w[lo.size :], 0.0)
-
-
-def _erf_ratios(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """ln Erf(sqrt(W_n (1 + x_n))) - ln Erf(sqrt W_n), one _log_erf_sqrt call on both arguments."""
-    l_e = _log_erf_sqrt(np.concatenate((hi, lo)))
-    # each factor is >= 0 exactly; clip roundoff-negative values
-    return np.maximum(l_e[: lo.size] - l_e[lo.size :], 0.0)
-
-
 def _log_pi_core(points: list, params: ModelParams, tol: float, n_terms: Optional[int]) -> list:
     """ln Pi at each (T, Abar(T), omega T) of ``points``, alpha that of ``params``.
 
@@ -302,9 +287,18 @@ def _log_pi_core(points: list, params: ModelParams, tol: float, n_terms: Optiona
             frees.append(0 if zero else n1 - size)
         live.append(point)
 
-    kernel = _brackets if n_terms is None else _erf_ratios
+    # the bracket l(W_n (1 + x_n)) - l(W_n) is <= 0 exactly (ln(2/sqrt(pi)) cancels in it), the
+    # factor ln Erf(sqrt(W_n (1 + x_n))) - ln Erf(sqrt W_n) >= 0: one kernel call on both
+    # arguments, its roundoff of the wrong sign clipped
+    kernel, clip = (_log_erf_over_sqrt, np.minimum) if n_terms is None else (_log_erf_sqrt, np.maximum)
+
+    def terms(n, a_bar, wt):
+        hi, lo = _mode_pair(params, a_bar, wt, n)
+        l_w = kernel(np.concatenate((hi, lo)))
+        return clip(l_w[: lo.size] - l_w[lo.size :], 0.0)
+
     a_bars, wts = [p[1] for p in live], [p[2] for p in live]
-    sums = block_sum(lambda n, a_bar, wt: kernel(*_mode_pair(params, a_bar, wt, n)), sizes, a_bars, wts)
+    sums = block_sum(terms, sizes, a_bars, wts)
     if any(frees):
         # the head modes past _float_head, each factor (1/2) ln(1 + x_n)
         rest = block_sum(lambda n, first, wt: 0.5 * np.log1p((wt / ((n + first) * math.pi)) ** 2),

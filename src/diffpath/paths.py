@@ -162,10 +162,13 @@ class ModelParams:
     def mode_w(self, j, a_bar: Optional[float] = None):
         """W_j = (Abar / j^(alpha-1))^2, the per-mode number through which the
         restriction enters every restricted weight and factor.  ``a_bar``
-        (default: ``self.a_bar``) gives W_j at another time, as from ``a_bar_at``."""
+        (default: ``self.a_bar``) gives W_j at another time, as from ``a_bar_at``.
+        ``j`` is a numpy float or array: a j^(alpha-1) past the float range then
+        gives W_j = 0.0, the float it underflows to (a Python float would raise)."""
         if a_bar is None:
             a_bar = self.a_bar
-        return (a_bar / j ** (self.alpha - 1.0)) ** 2
+        with np.errstate(over="ignore"):
+            return (a_bar / j ** (self.alpha - 1.0)) ** 2
 
     @property
     def j_d(self) -> int:

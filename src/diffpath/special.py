@@ -4,13 +4,14 @@ Everything here is pure and deterministic, and computed with numpy and
 ``math`` alone (no scipy): ln Erf(sqrt W) and
 l(W) = ln(sqrt(pi) Erf(sqrt W) / (2 sqrt W)), from which 1 - Z, with
 Z(W) = exp(-W - l) the truncated-Gaussian moment factor, and the
-brackets of ln Pi(T) (differences of l) are taken, one split at W = 1/4
-between the two forms of each (_by_branch): below it the Taylor series of
-l, as a product of quadratics, and from it on erfc(sqrt W) as
+brackets of ln Pi(T) (differences of l) are taken.  Both kernels make one
+three-way split of W (_by_branch): below W = 1/4 the Taylor series of l,
+as a product of quadratics; up to W = 745 erfc(sqrt W) as
 e^-W sqrt(W) sum_i v_i / (W + s_i), a rational fit in 1/W with positive
-poles and weights, zero past its underflow at W = 745 (the tables come
-from tools/erf_tables.py); the Taylor coefficients l_k that both the
-kernel and the tail of ln Pi sum, with a bound on the truncated series;
+poles and weights; from there on, past erfc's underflow, erfc = 0.0 with
+nothing evaluated (the tables come from tools/erf_tables.py).  Also here:
+the Taylor coefficients l_k that both the kernel and the tail of ln Pi
+sum, with a bound on the truncated series;
 pi/2 - Si(x) for the Fourier tail of the velocity series; exact
 Bernoulli numbers; the Hurwitz zeta m^s zeta(s, q) by Euler-Maclaurin,
 truncated within ZETA_RTOL = 2^-80 of its value (Johansson's remainder
@@ -43,7 +44,6 @@ __all__ = [
     "certify",
 ]
 
-ZETA2 = math.pi**2 / 6.0
 # block_sum's block, the most terms one kernel call sees, and its cap, the
 # most terms any certified sum evaluates (block_sum refuses a longer range)
 BLOCK, TERM_CAP = 1 << 16, 1 << 24
@@ -259,13 +259,36 @@ def _chunked(kernel: Callable, w: np.ndarray) -> np.ndarray:
     return np.concatenate([kernel(w[i : i + _CHUNK]) for i in range(0, w.size, _CHUNK)])
 
 
-def _ell_series(w: np.ndarray) -> np.ndarray:
-    """sum_{k<=_K} l_k w^k as w (l_1 + w _ELL_LEAD prod_i (w^2 + a_i w + b_i)),
-    w a 1-d array, the factors multiplied in order of i."""
-    return _chunked(_ell_series_pass, w)
+def _by_branch(w, small: Callable, mid: Callable, far: Callable):
+    """The one split of the kernels: small(W) where W < _W0 = 1/4, mid(W) where
+    _W0 <= W < _ERFC_ZERO = 745, far(W) elsewhere (NaN included), a float for
+    a 0-d W.  Each form runs in passes of at most _CHUNK elements (_chunked)
+    on a 1-d array of only the elements that take it (w itself, raveled, when
+    all do), so no element's value depends on the array it sits in."""
+    w = np.asarray(w, dtype=float)
+    flat = w.ravel()
+    below = flat < _W0
+    live = flat < _ERFC_ZERO
+    n_below, n_live = np.count_nonzero(below), np.count_nonzero(live)
+    out = None
+    # _W0 < _ERFC_ZERO: below lies within live, and live ^ below takes mid
+    for n, take, form in ((n_below, below, small), (n_live - n_below, live ^ below, mid),
+                          (flat.size - n_live, ~live, far)):
+        if n == flat.size:
+            out = _chunked(form, flat)
+            break
+        if n:
+            if out is None:
+                out = np.empty_like(flat)
+            out[take] = _chunked(form, flat[take])
+    if w.ndim == 0:
+        return float(out[0])
+    return out.reshape(w.shape)
 
 
 def _ell_series_pass(w: np.ndarray) -> np.ndarray:
+    """sum_{k<=_K} l_k w^k as w (l_1 + w _ELL_LEAD prod_i (w^2 + a_i w + b_i)),
+    w a 1-d array of at most _CHUNK elements, the factors multiplied in order of i."""
     f = np.add(_ELL_A, w, out=_rows(len(_ELL_A), w.size))
     f *= w
     f += _ELL_B
@@ -277,20 +300,11 @@ def _ell_series_pass(w: np.ndarray) -> np.ndarray:
     return t
 
 
-def _neg_erfc_sqrt(w: np.ndarray) -> np.ndarray:
-    """-erfc(sqrt W) for W >= _W0, a 1-d array; -0.0 from _ERFC_ZERO on, where
-    no rational is evaluated."""
-    live = w < _ERFC_ZERO
-    out = np.empty_like(w)
-    out.fill(-0.0)
-    out[live] = _chunked(_neg_erfc_pass, w[live])
-    return out
-
-
 def _neg_erfc_pass(w: np.ndarray) -> np.ndarray:
-    """-erfc(sqrt W) for _W0 <= W < _ERFC_ZERO.  e^-W is taken of W itself, not
-    of the square of a rounded sqrt(W), and each element takes the same ufunc
-    calls whatever the array, so none depends on its neighbours."""
+    """-erfc(sqrt W) for _W0 <= W < _ERFC_ZERO, at most _CHUNK elements.  e^-W
+    is taken of W itself, not of the square of a rounded sqrt(W), and each
+    element takes the same ufunc calls whatever the array, so none depends on
+    its neighbours."""
     t = np.subtract(_ERFC_NEG_POLES, w, out=_rows(len(_ERFC_NEG_POLES), w.size))
     e = np.exp(t[-1])
     # -v_i / (W + s_i), summed from the largest pole, the smallest term, on;
@@ -305,84 +319,42 @@ def _neg_erfc_pass(w: np.ndarray) -> np.ndarray:
     return r
 
 
-# ln Erf(sqrt W) below _W0 as ln(2/sqrt(pi)) + (1/2) ln W + l(W), where l is
-# at most 0.08 and keeps its relative accuracy, so the sum is within about
-# an ulp; from _W0 on as log1p(-erfc), which keeps the 1 - Erf tail where Erf
-# rounds to 1, down to erfc's underflow threshold
+# The small and mid forms of ln Erf(sqrt W): ln(2/sqrt(pi)) + (1/2) ln W + l(W),
+# where l is at most 0.08 and keeps its relative accuracy, so the sum is
+# within about an ulp; and log1p(-erfc), which keeps the 1 - Erf tail where
+# Erf rounds to 1
 def _log_erf_small(w: np.ndarray) -> np.ndarray:
     out = np.log(w)
     out *= 0.5
     out += _LOG_2_OVER_SQRT_PI
-    out += _ell_series(w)
+    out += _ell_series_pass(w)
     return out
 
 
-def _log_erf_large(w: np.ndarray) -> np.ndarray:
-    out = _neg_erfc_sqrt(w)
+def _log_erf_mid(w: np.ndarray) -> np.ndarray:
+    out = _neg_erfc_pass(w)
     return np.log1p(out, out=out)
 
 
-def _ell_direct(w: np.ndarray) -> np.ndarray:
-    return _log_erf_large(w) - 0.5 * np.log(w) - _LOG_2_OVER_SQRT_PI
-
-
-def _by_branch(w, small: Callable, large: Callable):
-    """small(W) where W < _W0 = 1/4, large(W) elsewhere, a float for a 0-d W:
-    each form runs on a 1-d array of only the elements that take it (w
-    itself, raveled, when all do), so no element's value depends on the
-    array it sits in."""
-    w = np.asarray(w, dtype=float)
-    flat = w.ravel()
-    below = flat < _W0
-    n_small = np.count_nonzero(below)
-    if n_small == flat.size:
-        out = small(flat)
-    elif n_small == 0:
-        out = large(flat)
-    else:
-        out = np.empty_like(flat)
-        out[below] = small(flat[below])
-        above = ~below
-        out[above] = large(flat[above])
-    if w.ndim == 0:
-        return float(out[0])
-    return out.reshape(w.shape)
-
-
 def _log_erf_sqrt(w):
-    """ln Erf(sqrt W) for W > 0, stable for both tiny and large W.
-
-    _by_branch's split, with the large branch's own split at _ERFC_ZERO made
-    in the same pass: -0.0 from there on, _log_erf_small below _W0 and
-    log1p(-erfc) between, each on only the elements that take it."""
-    w = np.asarray(w, dtype=float)
-    flat = w.ravel()
-    out = np.empty_like(flat)
-    out.fill(-0.0)
-    small = flat < _W0
-    live = flat < _ERFC_ZERO
-    if np.count_nonzero(small):
-        live ^= small
-        out[small] = _log_erf_small(flat[small])
-    e = _chunked(_neg_erfc_pass, flat[live])
-    out[live] = np.log1p(e, out=e)
-    if w.ndim == 0:
-        return float(out[0])
-    return out.reshape(w.shape)
+    """ln Erf(sqrt W) for W > 0, stable for both tiny and large W: _log_erf_small,
+    _log_erf_mid, and -0.0 where erfc is 0.0."""
+    return _by_branch(w, _log_erf_small, _log_erf_mid, lambda w: np.full(w.size, -0.0))
 
 
 def _log_erf_over_sqrt(w):
     """l(W) = ln(sqrt(pi) Erf(sqrt W) / (2 sqrt W)) for W > 0.
 
     This is ln(Erf(sqrt W) / sqrt W) less its W -> 0 limit ln(2/sqrt(pi)),
-    so it keeps relative accuracy as W -> 0 (l = -W/3 + O(W^2)).  For
-    W < _W0 = 1/4 it is sum_{k<=_K} l_k W^k, evaluated by _ell_series (the
-    direct logs would cancel), truncated within _series_remainder(0, W),
-    below 1e-20 |l(W)|; otherwise
-    log1p(-erfc(sqrt W)) - (1/2) ln W - ln(2/sqrt(pi)), where
-    sqrt W >= 1/2 keeps every log finite.
+    so it keeps relative accuracy as W -> 0 (l = -W/3 + O(W^2)).  Small W
+    take the series sum_{k<=_K} l_k W^k (_ell_series_pass; the direct logs
+    would cancel), truncated within _series_remainder(0, W), below
+    1e-20 |l(W)|; mid W log1p(-erfc(sqrt W)) - (1/2) ln W - ln(2/sqrt(pi)),
+    where sqrt W >= 1/2 keeps every log finite; far W, where erfc is 0.0,
+    -(1/2) ln W - ln(2/sqrt(pi)).
     """
-    return _by_branch(w, _ell_series, _ell_direct)
+    return _by_branch(w, _ell_series_pass, lambda w: _log_erf_mid(w) - 0.5 * np.log(w) - _LOG_2_OVER_SQRT_PI,
+                      lambda w: -0.5 * np.log(w) - _LOG_2_OVER_SQRT_PI)
 
 
 def one_minus_zed(w):

@@ -60,13 +60,12 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .paths import ModelParams
-from .special import (BLOCK, ZETA2, ConvergenceError, SeriesValue, _sine_integral_tail, block_sum, certify,
+from .special import (BLOCK, ConvergenceError, SeriesValue, _sine_integral_tail, block_sum, certify,
                       hurwitz_zeta, one_minus_zed, tol_budget)
 
 __all__ = [
     "RegimeReport",
     "s_feynman",
-    "s_feynman_closed",
     "v2_feynman",
     "s_diff",
     "v2_diff",
@@ -177,18 +176,6 @@ def s_feynman(tau: float, t0_frac: float = 0.0, tol: float = 1e-10) -> SeriesVal
         return value, tail
 
     return certify(evaluate, tol, 1 << 14)
-
-
-def s_feynman_closed(tau: float) -> float:
-    """Dilogarithm closed form of the free series.
-
-    S_F(tau) = zeta(2)/2 - Re Li2(e^{2 pi i tau}) / 2, which reduces to
-    (pi^2/2) tau (1 - tau); scipy's spence(z) is Li2(1 - z).
-    """
-    if not 0.0 < tau < 1.0:
-        raise ValueError("tau must lie in (0, 1)")
-    import scipy.special as sc
-    return float(0.5 * ZETA2 - 0.5 * sc.spence(1.0 - np.exp(2j * math.pi * tau)).real)
 
 
 def _s_feynman_exact(tau: float) -> float:
@@ -306,7 +293,7 @@ def _z_form(tau: float, params: ModelParams, n: int, head: float, free_head: flo
 
     f_c = hurwitz_zeta(2.0, n + 1.0) - 2.0 * rest  # sum_{j>n} cos(j theta) / j^2
     # (1 - Z)/t^2 at n + 1
-    w_1 = _weights(params, n + 1)[n] if n < BLOCK else one_minus_zed(params.mode_w(n + 1.0))
+    w_1 = _weights(params, n + 1)[n] if n < BLOCK else one_minus_zed(params.mode_w(np.float64(n + 1.0)))
     u_1 = float(w_1) / (n + 1.0) ** 2
     d_n = math.sin(a * theta) / (2.0 * sin_h)  # Dirichlet kernel
     estimates = [

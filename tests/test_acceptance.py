@@ -47,7 +47,7 @@ from diffpath.mc import estimate_v2, mode_second_moment_reference, sample_trunca
 from diffpath.oscillator import log_pi, scan_E0_vs_omega, spectrum_shift, unitarity_diagnostic
 from diffpath.paths import ModelParams
 from diffpath.special import truncated_gaussian_ratio
-from diffpath.velocity import crossing_eps, s_feynman, s_feynman_closed, v2_diff, v2_feynman
+from diffpath.velocity import crossing_eps, s_feynman, v2_diff, v2_feynman
 
 FIG2 = ModelParams(m=1.0, hbar=1.0, T=1.0, alpha=2.1, A=10.0)
 FIG4 = ModelParams(m=1.0, hbar=1.0, T=1.0, alpha=2.1, epsilon_D=0.1, omega=1.0)
@@ -133,7 +133,7 @@ def test_criterion_02_t0_independence():
     )
 
 
-def test_criterion_03_closed_form_vs_series():
+def test_criterion_03_closed_form_vs_series(s_feynman_closed):
     start = time.monotonic()
     _report(
         3,

@@ -23,6 +23,11 @@ from diffpath.oscillator import (
 from diffpath.paths import ModelParams
 from diffpath.special import TERM_CAP, _log_erf_sqrt, _series_remainder
 
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # numpy < 2
+    from numpy.core._multiarray_umath import __cpu_features__
+
 FIG4 = ModelParams(m=1.0, hbar=1.0, T=1.0, alpha=2.1, epsilon_D=0.1, omega=1.0)
 EPS = np.finfo(float).eps
 
@@ -207,14 +212,22 @@ def test_log_pi_fixed_n_evaluates_only_the_non_negligible_zetas(monkeypatch):
     assert res.converged
 
 
+def _by_dispatch(x86_v4: str, x86_v2: str) -> str:
+    """The pin of the dispatch level numpy runs at: its AVX-512 kernels (X86_V4) of exp, log,
+    log1p and power round otherwise than its AVX2 (X86_V3) and baseline (X86_V2) ones, which agree.
+    A numpy without the X86_V4 group names the same level AVX512_SKX."""
+    return x86_v4 if __cpu_features__.get("X86_V4", __cpu_features__.get("AVX512_SKX", False)) else x86_v2
+
+
 @pytest.mark.parametrize(
     "params, T, n_terms, n1, log_pi_hex, tail_hex",
     [
         (ModelParams(epsilon_D=0.1, alpha=2.5, omega=1.0), 2.0, 10**5, 43,
-         "0x1.e78d46d87f4e4p-8", "0x1.0ffb6320f6b58p-19"),
-        (FIG4, 1.0, 10**15, 29, "0x1.c1413f9c5a842p-9", "0x1.d344562d02a39p-55"),
+         _by_dispatch("0x1.e78d46d87f4e4p-8", "0x1.e78d46d87f71cp-8"), "0x1.0ffb6320f6b58p-19"),
+        (FIG4, 1.0, 10**15, 29, _by_dispatch("0x1.c1413f9c5a842p-9", "0x1.c1413f9c5a7dap-9"),
+         "0x1.d344562d02a39p-55"),
         (ModelParams(A=1.4e6, alpha=2.05, omega=1.0), 1.0, 10**15, 2122909,
-         "0x1.974667d121c9ep-25", "0x1.d342f0c171454p-55"),
+         _by_dispatch("0x1.974667d121c9ep-25", "0x1.97467bcada58cp-25"), "0x1.d342f0c171454p-55"),
     ],
 )
 def test_log_pi_fixed_n_tail_keeps_its_values(params, T, n_terms, n1, log_pi_hex, tail_hex):
@@ -238,8 +251,11 @@ def test_log_pi_fixed_n_head_past_the_float_range(capsys):
         assert res.n_terms == n and abs(res.log_pi - ref) <= 1e-14 * ref, T
     # 1e5 terms meet tol 1e-6 at T = 1 (tail bound 5.1e-7) but not at T = 2: exit 2, no traceback
     argv = ["spectrum", "--A", "1e3", "--alpha", "3000", "--omega", "1", "--T-grid-min", "1",
-            "--T-grid-max", "2", "--points", "2", "--n-terms", "100000"]
-    assert main(argv) == EXIT_CONVERGENCE
+            "--T-grid-max", "2", "--points", "2"]
+    assert main(argv + ["--n-terms", "100000"]) == EXIT_CONVERGENCE
+    assert capsys.readouterr().err == ""
+    # the adaptive route takes the same W_n = 0.0 past n = 1, with no overflow warning
+    assert main(argv) == EXIT_OK
     assert capsys.readouterr().err == ""
 
 
@@ -286,13 +302,14 @@ def test_log_pi_all_zero_head_calls_no_kernel(monkeypatch, capsys):
     # still those of the 2^24-term head
     params = ModelParams(A=1e9, alpha=2.05, omega=1.0)
     calls = []
-    kernel = oscillator._erf_ratios
+    kernel = oscillator._log_erf_sqrt
 
-    def counting_kernel(hi, lo):
-        calls.append(lo.size)
-        return kernel(hi, lo)
+    def counting_kernel(w):
+        # one call takes both arguments of each mode
+        calls.append(w.size // 2)
+        return kernel(w)
 
-    monkeypatch.setattr(oscillator, "_erf_ratios", counting_kernel)
+    monkeypatch.setattr(oscillator, "_log_erf_sqrt", counting_kernel)
     res = log_pi(1.0, params, n_terms=10**15)
     assert calls == []
     assert hexed(res) == hexed(oscillator.PiResult(0.0, 1.0, TERM_CAP, float.fromhex("0x1.9f02f6222c720p-29"), True))

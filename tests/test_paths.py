@@ -176,6 +176,10 @@ def test_mode_w_is_the_per_mode_number():
         assert np.array_equal(params.mode_w(j), (params.a_bar / j ** (params.alpha - 1.0)) ** 2)
     # with epsilon_D primary, a_bar = (pi / 2)(T / eps_D)^(alpha - 1) whatever m and hbar are
     assert eps_primary.a_bar == pytest.approx(0.5 * math.pi * 25.0**2, rel=1e-14)
+    # a j^(alpha-1) past the float range, for a numpy array or float j: W_j = 0.0 and no
+    # overflow warning (which pytest's filterwarnings makes an error)
+    far = ModelParams(A=1e3, alpha=3000.0, omega=1.0)
+    assert far.mode_w(np.float64(1e5)) == 0.0 and np.all(far.mode_w(j[1:]) == 0.0)
 
 
 def test_eps_d_fig2_value():

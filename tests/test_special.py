@@ -45,27 +45,35 @@ def test_log_erf_difference_huge_args_mpmath_oracle():
     assert _log_erf_sqrt(100.0) - _log_erf_sqrt(400.0) == pytest.approx(ref, abs=1e-13)
 
 
+def _by_passes(kernel, w):
+    """A pass kernel of special over a whole 1-d array, in passes of 1000 elements."""
+    return np.concatenate([kernel(w[i:i + 1000]) for i in range(0, w.size, 1000)])
+
+
 def _log_erf_both_branches(w):
-    """The two-branch formula of _log_erf_sqrt, each branch's kernel over the whole raveled array."""
+    """The three-way formula of _log_erf_sqrt, each form over the whole raveled array."""
     w = np.asarray(w, dtype=float)
     flat = w.ravel()
-    small = flat < 0.25
+    small, far = flat < 0.25, flat >= 745.0
     ws = np.where(small, flat, 0.125)
     with np.errstate(divide="ignore"):
-        lo = 0.5 * np.log(ws) + math.log(2.0 / math.sqrt(math.pi)) + special._ell_series(ws)
-    hi = np.log1p(special._neg_erfc_sqrt(np.where(small, 1.0, flat)))
-    return np.where(small, lo, hi).reshape(w.shape)
+        lo = 0.5 * np.log(ws) + math.log(2.0 / math.sqrt(math.pi)) + _by_passes(special._ell_series_pass, ws)
+    hi = np.log1p(_by_passes(special._neg_erfc_pass, np.where(small | far, 1.0, flat)))
+    # past 745 erfc is 0.0 unevaluated, so ln Erf is -0.0
+    return np.where(small, lo, np.where(far, -0.0, hi)).reshape(w.shape)
 
 
 def _log_erf_over_sqrt_both_branches(w):
-    """The series/direct formula of _log_erf_over_sqrt, both over the whole raveled array."""
+    """The three-way formula of _log_erf_over_sqrt, each form over the whole raveled array."""
     w = np.asarray(w, dtype=float)
     flat = w.ravel()
-    small = flat < 0.25
-    series = special._ell_series(np.where(small, flat, 0.0))
+    small, far = flat < 0.25, flat >= 745.0
+    series = _by_passes(special._ell_series_pass, np.where(small, flat, 0.0))
     wl = np.where(small, 1.0, flat)
-    direct = np.log1p(special._neg_erfc_sqrt(wl)) - 0.5 * np.log(wl) - math.log(2.0 / math.sqrt(math.pi))
-    return np.where(small, series, direct).reshape(w.shape)
+    c = math.log(2.0 / math.sqrt(math.pi))
+    direct = np.log1p(_by_passes(special._neg_erfc_pass, np.where(far, 1.0, wl))) - 0.5 * np.log(wl) - c
+    # past 745 erfc is 0.0 unevaluated: l(W) = -(1/2) ln W - ln(2/sqrt(pi))
+    return np.where(small, series, np.where(far, -0.5 * np.log(wl) - c, direct)).reshape(w.shape)
 
 
 def _masked_kernel_inputs(split):
@@ -169,7 +177,13 @@ def test_erfc_sqrt_against_mpmath():
     rng = np.random.default_rng(11)
     w = np.concatenate([np.geomspace(0.25, 760.0, 1500), 10.0 ** rng.uniform(math.log10(0.25), math.log10(745.0), 1500),
                         745.0 + np.arange(-40, 41) * np.spacing(745.0)])
-    got = -special._neg_erfc_sqrt(w)
+    live = w < 745.0
+    neg = _by_passes(special._neg_erfc_pass, w[live])
+    # from W = 745 on no erfc is evaluated: ln Erf(sqrt W) = log1p(-erfc) is -0.0
+    far = _log_erf_sqrt(w[~live])
+    assert np.all(np.signbit(neg)) and np.all(np.signbit(far)) and np.all(far == 0.0)
+    got = np.empty_like(w)
+    got[live], got[~live] = -neg, -far
     with mp.workdps(40):
         for x, g in zip(w, got):
             ref = mp.erfc(mp.sqrt(mp.mpf(float(x))))
@@ -179,7 +193,6 @@ def test_erfc_sqrt_against_mpmath():
                 assert abs(mp.mpf(float(g)) - ref) <= mp.mpf(2) ** -1074, x
             if x >= 745.0:
                 assert g == 0.0
-    assert np.all(np.signbit(special._neg_erfc_sqrt(w)))
 
 
 def _mp_log_erf(w):
@@ -334,14 +347,14 @@ def test_truncated_gaussian_ratio_domain():
             truncated_gaussian_ratio(*bad)
 
 
-def test_s_feynman_closed_against_mpmath():
-    # (pi^2/2) tau (1 - tau) from the spence form, on both sides of tau = 1/2
+def test_s_feynman_closed_against_mpmath(s_feynman_closed):
+    # (pi^2/2) tau (1 - tau) from the polylog form, on both sides of tau = 1/2
     half = np.geomspace(1e-9, 0.5, 200)
     for tau in np.concatenate((half, 1.0 - half)):
         t = mp.mpf(float(tau))
-        assert abs(velocity.s_feynman_closed(float(tau)) - float(mp.pi**2 / 2 * t * (1 - t))) <= 4e-15, tau
+        assert abs(s_feynman_closed(float(tau)) - float(mp.pi**2 / 2 * t * (1 - t))) <= 4e-15, tau
     for tau in half:
-        assert abs(velocity.s_feynman_closed(float(tau)) - velocity.s_feynman_closed(float(1.0 - tau))) <= 4e-15
+        assert abs(s_feynman_closed(float(tau)) - s_feynman_closed(float(1.0 - tau))) <= 4e-15
 
 
 def test_block_sum_compensates_across_blocks():

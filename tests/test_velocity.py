@@ -19,7 +19,6 @@ from diffpath.velocity import (
     regime_report,
     s_diff,
     s_feynman,
-    s_feynman_closed,
     scan_v2,
     uv_plateau_scale,
     v2_diff,
@@ -134,12 +133,12 @@ def test_s_feynman_domain():
         s_feynman(0.1, -0.2)
 
 
-def test_s_feynman_closed_matches_series():
+def test_s_feynman_closed_matches_series(s_feynman_closed):
     for tau in (0.001, 0.01, 0.1):
         assert s_feynman_closed(tau) == pytest.approx(s_feynman(tau, 0.0, 1e-10).value, abs=1e-8)
 
 
-def test_s_feynman_closed_small_tau():
+def test_s_feynman_closed_small_tau(s_feynman_closed):
     tau = 1e-5
     assert s_feynman_closed(tau) == pytest.approx(math.pi**2 / 2.0 * tau, rel=1e-4)
 
