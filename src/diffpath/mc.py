@@ -82,7 +82,9 @@ def sample_truncated_gaussian(b: float, big_b: float, rng: np.random.Generator, 
       u < p.  Wedge samples come by rejection from the uniform envelope,
       accepting a with probability (e^{-b a^2} - c) / (1 - c), taken with
       expm1 so it stays accurate at tiny x; that acceptance falls from
-      2/3 as x -> 0 to 0.59948 at x = 1.
+      2/3 as x -> 0 to 0.59948 at x = 1.  An x^2 that underflows to 0.0
+      (B = 0, the point mass at 0, too) takes the x -> 0 limit, p = 1:
+      every sample comes from the rectangle.
     * x > 1: rejection from the untruncated Gaussian, accepting |a| <= B;
       acceptance Erf(x) >= Erf(1) = 0.843.
 
@@ -91,8 +93,8 @@ def sample_truncated_gaussian(b: float, big_b: float, rng: np.random.Generator, 
     most 1 / 0.843 = 1.19 Gaussian ones above.  Both rejection samplers
     draw in rounds sized from their known acceptance (``_rejection_fill``).
     """
-    if b <= 0 or big_b <= 0:
-        raise ValueError("b and B must be positive")
+    if b <= 0 or big_b < 0:
+        raise ValueError("b must be positive and B non-negative")
     out = np.empty(int(size))
     x = big_b * math.sqrt(b)
     if x > 1.0:
@@ -107,10 +109,12 @@ def sample_truncated_gaussian(b: float, big_b: float, rng: np.random.Generator, 
         x2 = x * x
         c = math.exp(-x2)
         one_minus_c = -math.expm1(-x2)
-        z = math.sqrt(math.pi) * math.erf(x) / (2.0 * x)  # mean of e^{-b a^2} on [-B, B]
-        p = c / z
-        # it only sizes the rounds; z - c cancels at tiny x, so keep it in its range
-        acceptance = min(max((z - c) / one_minus_c, 0.599), 2.0 / 3.0)
+        p, acceptance = 1.0, 2.0 / 3.0
+        if one_minus_c > 0.0:
+            z = math.sqrt(math.pi) * math.erf(x) / (2.0 * x)  # mean of e^{-b a^2} on [-B, B]
+            p = c / z
+            # it only sizes the rounds; z - c cancels at tiny x, so keep it in its range
+            acceptance = min(max((z - c) / one_minus_c, 0.599), 2.0 / 3.0)
 
         def wedge(batch):
             cand = rng.random(batch)
@@ -137,7 +141,10 @@ def _mode_params(params: ModelParams, j: int) -> tuple[float, float]:
     """(b_j, B_j): Gaussian weight m T lambda_j / 4 hbar and bound A / j^alpha."""
     lam = (j * math.pi / params.T) ** 2
     b_j = params.m * params.T * lam / (4.0 * params.hbar)
-    big_b = params.amplitude / j**params.alpha
+    try:
+        big_b = params.amplitude / j**params.alpha
+    except OverflowError:  # j^alpha past the float range: B_j is 0.0, and a_j = 0
+        big_b = 0.0
     return b_j, big_b
 
 

@@ -21,12 +21,13 @@ W_n x_n = (omega T abar / pi)^2 n^(-2 alpha): it decays like n^(-2 alpha),
 not like the 1/n^2 of the log factors, so a few hundred terms certify
 what the direct product needs millions for.
 The exact N-mode product (``n_terms=N``) is summed directly only up to
-n1, where W_n has fallen to 1/4 and n >= 4 omega T / pi; above n1 the
-power series of the free factor and of L in W_n and W_n x_n turn the rest
-into Hurwitz zeta differences, with a rigorous bound on the truncated
-series.  Only the terms whose a-priori bound is non-negligible next to the
-head sum are evaluated; the bounds of the rest join the tail bound.  A
-head longer than special.TERM_CAP = 2^24 terms is cut there (log_pi).
+n1, where W_n has fallen to 1/4 and n >= 4 omega T / pi (one plan, _head,
+also finds the head factors that take no kernel); above n1 the power
+series of the free factor and of L in W_n and W_n x_n turn the rest into
+Hurwitz zeta differences, with a rigorous bound on the truncated series.
+Only the terms whose a-priori bound is non-negligible next to the head
+sum are evaluated; the bounds of the rest join the tail bound.  A head
+longer than special.TERM_CAP = 2^24 terms is cut there (log_pi).
 One core, _log_pi_core, evaluates ln Pi at many (omega T, abar(T)) points
 of one alpha: log_pi is its one-point case, while log_pi_grid,
 unitarity_diagnostic (T grids) and scan_E0_vs_omega (an omega grid) pass
@@ -104,15 +105,6 @@ class SpectrumShift:
     converged: bool  # ln Pi met its tolerance
 
 
-def _mode_pair(params: ModelParams, a_bar, wt, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """W_n (1 + x_n) and W_n for the modes n at Abar = a_bar, x_n = (wT / n pi)^2.
-
-    ``a_bar`` and ``wt`` are floats, or arrays like n (one value per mode).
-    """
-    lo = params.mode_w(n, a_bar)
-    return lo * (1.0 + (wt / (n * math.pi)) ** 2), lo
-
-
 def _log_sinh_over_x(x: float) -> float:
     """ln(sinh x / x) for x > 0, without cancellation at small x."""
     if x < 1.0:
@@ -125,39 +117,28 @@ def _log_sinh_over_x(x: float) -> float:
     return x + math.log1p(-math.exp(-2.0 * x)) - math.log(2.0 * x)
 
 
-def _head_size(n: int, wt: float, a_bar: float, alpha: float) -> int:
-    """n1 = min(n, TERM_CAP, max(n_W, 4 wT / pi)), n_W the first mode with W_n <= _W0.
-
-    W_n = a_bar^2 n^(2 - 2 alpha), so W_n <= _W0 from
-    n_W = (a_bar / sqrt(_W0))^(1 / (alpha - 1)) on, and never for
-    alpha <= 1; above 4 wT / pi the free series ratio (wT / n pi)^2 is <= 1/16.
-    """
+def _head(n: int, wt: float, a_bar: float, alpha: float) -> tuple[int, int, int]:
+    """(n1, live, free), the fixed-N head to N = n: W_n = a_bar^2 n^(2 - 2 alpha) is compared in
+    logs, as n^(alpha - 1) overflows long before W_n leaves the float range at a large alpha.
+    n1 = min(n, TERM_CAP, max(n_W, 4 wT / pi)), n_W the first mode with W_n <= _W0 (never for
+    alpha <= 1); above 4 wT / pi the free series ratio (wT / n pi)^2 is <= 1/16.  Where the
+    head's smallest W (W_n1, or W_1 for alpha <= 1) is >= special._ERFC_ZERO, every factor is
+    0.0 and live = free = 0.  Else the first ``live`` modes (W_n >= e^-700; all for alpha <= 1)
+    go to the kernel, and the ``free`` = n1 - live past them, where W_n may underflow, take
+    (1/2) ln(1 + x_n), their factor to double precision (the rest is below W_n x_n)."""
     cap = min(n, TERM_CAP)
-    log_n_w = math.log(a_bar / math.sqrt(_W0)) / (alpha - 1.0) if alpha > 1.0 else math.inf
-    if log_n_w >= math.log(cap):
-        return cap
-    return min(cap, max(math.ceil(math.exp(log_n_w)), math.ceil(4.0 * wt / math.pi)))
-
-
-def _float_head(n1: int, a_bar: float, alpha: float) -> int:
-    """The modes n <= n1 whose W_n = (Abar / n^(alpha - 1))^2 is at least e^-700 (all of them
-    for alpha <= 1).  Past them n^(alpha - 1) may overflow or W_n underflow in floats, and each
-    factor of ln Pi is (1/2) ln(1 + x_n) to double precision (the rest is below W_n x_n)."""
+    log_a = math.log(a_bar)
     if alpha <= 1.0:
-        return n1
-    if not a_bar > 0.0:
-        return 0
-    log_n = (math.log(a_bar) + 350.0) / (alpha - 1.0)
-    return n1 if log_n >= math.log(n1) else math.floor(math.exp(log_n))
-
-
-def _zero_head(params: ModelParams, n1: int, a_bar: float) -> bool:
-    """Whether every factor of the fixed-N head to n1 is 0.0: its smallest W (W_n1 for alpha > 1,
-    else W_1) is at least special._ERFC_ZERO, from where ln Erf(sqrt W) is -0.0 with no erfc
-    evaluated.  Compared in logs, 2 (ln Abar - (alpha - 1) ln n) >= ln _ERFC_ZERO: n^(alpha - 1)
-    overflows long before W_n1 reaches it at a large alpha."""
-    n = float(n1) if params.alpha > 1.0 else 1.0
-    return a_bar > 0.0 and 2.0 * (math.log(a_bar) - (params.alpha - 1.0) * math.log(n)) >= math.log(_ERFC_ZERO)
+        return (cap, 0, 0) if 2.0 * log_a >= math.log(_ERFC_ZERO) else (cap, cap, 0)
+    log_n_w = math.log(a_bar / math.sqrt(_W0)) / (alpha - 1.0)
+    n1 = cap
+    if log_n_w < math.log(cap):
+        n1 = min(cap, max(math.ceil(math.exp(log_n_w)), math.ceil(4.0 * wt / math.pi)))
+    if 2.0 * (log_a - (alpha - 1.0) * math.log(n1)) >= math.log(_ERFC_ZERO):
+        return n1, 0, 0
+    log_n = (log_a + 350.0) / (alpha - 1.0)
+    live = n1 if log_n >= math.log(n1) else math.floor(math.exp(log_n))
+    return n1, live, n1 - live
 
 
 def _log_factor_tail(
@@ -251,7 +232,7 @@ def _log_pi_core(points: list, params: ModelParams, tol: float, n_terms: Optiona
     the term counts, the free factor and the tail bounds are the scalar
     expressions of log_pi's docstring, and the sums of all points are one
     block_sum call, with Abar and wT as its cols (and one more for the
-    free factors of head modes past _float_head).  Each term depends on its
+    factors of the free modes of _head's plan).  Each term depends on its
     own (n, Abar, wT) only, so no value depends on which points share a call.
     """
     alpha = params.alpha
@@ -279,12 +260,10 @@ def _log_pi_core(points: list, params: ModelParams, tol: float, n_terms: Optiona
         if n_terms is None:
             sizes.append(_bracket_terms_needed(tol, wt, a_bar, alpha))
         else:
-            n1 = _head_size(int(n_terms), wt, a_bar, alpha)
-            zero = _zero_head(params, n1, a_bar)
-            size = 0 if zero else _float_head(n1, a_bar, alpha)
+            n1, size, free = _head(int(n_terms), wt, a_bar, alpha)
             heads.append(n1)
             sizes.append(size)
-            frees.append(0 if zero else n1 - size)
+            frees.append(free)
         live.append(point)
 
     # the bracket l(W_n (1 + x_n)) - l(W_n) is <= 0 exactly (ln(2/sqrt(pi)) cancels in it), the
@@ -293,14 +272,14 @@ def _log_pi_core(points: list, params: ModelParams, tol: float, n_terms: Optiona
     kernel, clip = (_log_erf_over_sqrt, np.minimum) if n_terms is None else (_log_erf_sqrt, np.maximum)
 
     def terms(n, a_bar, wt):
-        hi, lo = _mode_pair(params, a_bar, wt, n)
-        l_w = kernel(np.concatenate((hi, lo)))
+        lo = params.mode_w(n, a_bar)
+        l_w = kernel(np.concatenate((lo * (1.0 + (wt / (n * math.pi)) ** 2), lo)))
         return clip(l_w[: lo.size] - l_w[lo.size :], 0.0)
 
     a_bars, wts = [p[1] for p in live], [p[2] for p in live]
     sums = block_sum(terms, sizes, a_bars, wts)
     if any(frees):
-        # the head modes past _float_head, each factor (1/2) ln(1 + x_n)
+        # _head's free modes, each factor (1/2) ln(1 + x_n)
         rest = block_sum(lambda n, first, wt: 0.5 * np.log1p((wt / ((n + first) * math.pi)) ** 2),
                          frees, sizes, wts)
         sums = [a + b for a, b in zip(sums, rest)]

@@ -240,7 +240,8 @@ def differentiable_twin(p: FourierPath, params: ModelParams) -> dict:
     j_d = params.j_d
     a = params.amplitude
     j = np.arange(1, p.coeffs.size + 1, dtype=float)
-    cap = a / j**params.alpha
+    with np.errstate(over="ignore"):  # a j^alpha past the float range caps a_j at 0.0
+        cap = a / j**params.alpha
     clamped = np.sign(p.coeffs) * np.minimum(np.abs(p.coeffs), cap)
     coeffs = np.where(j <= j_d, p.coeffs, clamped)
     return {"twin": FourierPath(T=p.T, coeffs=coeffs), "j_D": j_d}

@@ -364,11 +364,12 @@ def one_minus_zed(w):
     instead write Z = e^{-g(W)} with g = W + l(W), l(W) =
     ln(sqrt(pi) Erf(sqrt W) / (2 sqrt W)) = -W/3 + O(W^2) from
     _log_erf_over_sqrt, and use expm1.  g keeps its relative accuracy down
-    to the smallest W, so 1 - Z does too.
+    to the smallest W, so 1 - Z does too, and W = 0.0 (a W_j that
+    underflows) gives 1 - Z(0) = 0.0.
     """
     w_arr = np.asarray(w, dtype=float)
-    if np.any(w_arr <= 0):
-        raise ValueError("one_minus_zed requires W > 0")
+    if np.any(w_arr < 0):
+        raise ValueError("one_minus_zed requires W >= 0")
     out = -np.expm1(-(w_arr + _log_erf_over_sqrt(w_arr)))
     if out.ndim == 0:
         return float(out)

@@ -306,13 +306,22 @@ def test_casimir_scan_and_bound(capsys):
         # omega_D,min is finite, the headline epsilon_d = L_exp / c is not
         (["casimir", "--bound", "--L-exp", "1e300", "--rel-error", "1e-300", "--c", "1e-20"], EXIT_USAGE,
          "epsilon_d = L_exp / c = inf is not a positive finite float at L_exp=1e+300, rel_error=1e-300, c=1e-20"),
+        # alpha = 3000: W_j and B_j = A / j^alpha are 0.0 in floats from j = 2 on, weight 0.0 and a_j = 0
+        (["v2", "--A", "10", "--alpha", "3000", "--points", "2"], EXIT_OK, None),
+        (["commutator", "--A", "10", "--alpha", "3000", "--points", "2"], EXIT_OK, None),
+        (["oracle", "--A", "10", "--alpha", "3000"], EXIT_OK, None),
+        (["paths", "--A", "10", "--alpha", "3000", "--modes", "5", "--grid-points", "3"], EXIT_OK, None),
+        # (B_j sqrt(b_j))^2 underflows to 0.0 from j = 22 on: the sampler's x -> 0 limit
+        (["oracle", "--A", "1e-150", "--alpha", "10", "--modes", "100"], EXIT_OK, None),
     ],
 )
 @pytest.mark.filterwarnings("ignore::diffpath.mc.ModeTruncationWarning")
 def test_extreme_scales_exit_with_a_reason(capsys, argv, code, message):
     # an exception other than ValueError or ConvergenceError would leave main
     # as a traceback and fail here
-    flags = ["--modes", "5", "--samples", "100"] if argv[0] == "oracle" else []
+    flags = []
+    if argv[0] == "oracle":
+        flags = ["--samples", "100"] if "--modes" in argv else ["--modes", "5", "--samples", "100"]
     assert main(argv + flags) == code
     err = capsys.readouterr().err
     if message is None:

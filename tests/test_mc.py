@@ -166,6 +166,15 @@ def test_sampler_fills_after_a_short_round():
 def test_sampler_domain():
     with pytest.raises(ValueError):
         sample_truncated_gaussian(0.0, 1.0, _rng(0), size=1)
+    with pytest.raises(ValueError):
+        sample_truncated_gaussian(1.0, -1.0, _rng(0), size=1)
+    # x^2 = (B sqrt(b))^2 underflows to 0.0: the x -> 0 limit, the uniform density on [-B, B],
+    # every sample a = B (2 u - 1) from the rectangle, one uniform each
+    big_b = 1e-170
+    u = _rng(3).random(1000)
+    assert np.array_equal(sample_truncated_gaussian(1.0, big_b, _rng(3), size=1000), u * (2.0 * big_b) - big_b)
+    # B = 0 (B_j = A / j^alpha past the float range) is the point mass at a = 0
+    assert np.array_equal(sample_truncated_gaussian(1.0, 0.0, _rng(3), size=10), np.zeros(10))
 
 
 def test_estimate_v2_reproducible_bitwise():

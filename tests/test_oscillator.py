@@ -12,7 +12,7 @@ import pytest
 from diffpath import oscillator, special
 from diffpath.cli import EXIT_CONVERGENCE, EXIT_OK, EXIT_USAGE, main
 from diffpath.oscillator import (
-    _head_size,
+    _head,
     _log_sinh_over_x,
     log_pi,
     log_pi_grid,
@@ -102,7 +102,7 @@ def test_log_pi_fixed_n_against_mpmath(alpha, primary):
     # closed form), 2 n1 and 1e5; omega = 1e4 puts n1 at 4 wT / pi
     for T, omega in ((1.0, 1.0), (0.5, 0.1), (1.0, 1e4)):
         params = ModelParams(alpha=alpha, omega=omega, **primary)
-        n1 = _head_size(100_000, omega * T, a_bar_at(params, T), alpha)
+        n1 = _head(100_000, omega * T, a_bar_at(params, T), alpha)[0]
         assert n1 < 50_000
         if omega == 1e4:
             assert n1 == math.ceil(4e4 / math.pi)
@@ -124,7 +124,7 @@ def test_log_pi_fixed_n_huge_n_against_mpmath(T):
     res = log_pi(T, FIG4, n_terms=n)
     # panels growing 16-fold agree with 2-fold ones to 1e-25 here, at a quarter of the cost
     ref = mpmath_log_pi(FIG4, T, n, growth=16)
-    n1 = _head_size(n, FIG4.omega * T, a_bar_at(FIG4, T), FIG4.alpha)
+    n1 = _head(n, FIG4.omega * T, a_bar_at(FIG4, T), FIG4.alpha)[0]
     assert res.converged and res.n_terms == n
     assert abs(res.log_pi - float(ref)) <= res.tail_bound + head_rounding(FIG4, T, n1, res.log_pi)
 
@@ -148,7 +148,7 @@ def direct_log_pi(params, T, n_terms):
     ],
 )
 def test_log_pi_fixed_n_direct_up_to_n1(params, n_terms):
-    assert _head_size(n_terms, params.omega, a_bar_at(params, 1.0), params.alpha) == n_terms
+    assert _head(n_terms, params.omega, a_bar_at(params, 1.0), params.alpha)[0] == n_terms
     res = log_pi(1.0, params, n_terms=n_terms)
     assert res.log_pi == direct_log_pi(params, 1.0, n_terms)
     assert res.tail_bound == params.omega**2 / (2.0 * math.pi**2 * n_terms)
@@ -191,7 +191,7 @@ def test_log_pi_fixed_n_evaluates_only_the_head(monkeypatch):
 
     monkeypatch.setattr(oscillator, "_log_erf_sqrt", counting_log_erf)
     res = log_pi(1.0, FIG4, n_terms=100_000)
-    n1 = _head_size(100_000, FIG4.omega, FIG4.a_bar, FIG4.alpha)
+    n1 = _head(100_000, FIG4.omega, FIG4.a_bar, FIG4.alpha)[0]
     assert n1 == 29
     assert sum(elems) <= 2 * n1
     assert res.n_terms == 100_000
@@ -233,7 +233,7 @@ def _by_dispatch(x86_v4: str, x86_v2: str) -> str:
 def test_log_pi_fixed_n_tail_keeps_its_values(params, T, n_terms, n1, log_pi_hex, tail_hex):
     # pinned fixed-N values, the last with a 2.1e6-mode head: how the tail
     # prunes its zeta rows may tighten tail_bound, never loosen it or move a value
-    assert _head_size(n_terms, params.omega * T, a_bar_at(params, T), params.alpha) == n1
+    assert _head(n_terms, params.omega * T, a_bar_at(params, T), params.alpha)[0] == n1
     res = log_pi(T, params, n_terms=n_terms)
     assert res.log_pi.hex() == log_pi_hex and res.n_terms == n_terms and res.converged == (n_terms > 10**5)
     assert res.tail_bound <= float.fromhex(tail_hex)
@@ -245,6 +245,8 @@ def test_log_pi_fixed_n_head_past_the_float_range(capsys):
     # W_1 = Abar^2 = 2.5e6 makes the first one 0
     params = ModelParams(A=1e3, alpha=3000.0, omega=1.0)
     n = 100_000
+    # the plan: a head of n1 = 2 modes, W_1 to the kernel, the second mode free
+    assert _head(n, 1.0, params.a_bar, params.alpha) == (2, 1, 1)
     for T in (1.0, 2.0):
         res = log_pi(T, params, n_terms=n)
         ref = math.fsum(0.5 * math.log1p((T / (k * math.pi)) ** 2) for k in range(2, n + 1))
@@ -266,7 +268,7 @@ def test_log_pi_fixed_n_tail_past_s_1074_at_a_power_of_two_head(monkeypatch):
     # summed, the rest the free part, W_1500 < 1e-46)
     a_bar = 0.5 * 511.5**49
     params = ModelParams(A=2.0 * a_bar / math.pi, alpha=50.0, omega=1.0)
-    assert _head_size(10**15, 1.0, a_bar_at(params, 1.0), 50.0) == 512
+    assert _head(10**15, 1.0, a_bar_at(params, 1.0), 50.0)[0] == 512
     seen, tails = [], []
     zeta, tail = oscillator.hurwitz_zeta, oscillator._log_factor_tail
 
@@ -311,7 +313,7 @@ def test_log_pi_all_zero_head_calls_no_kernel(monkeypatch, capsys):
 
     monkeypatch.setattr(oscillator, "_log_erf_sqrt", counting_kernel)
     res = log_pi(1.0, params, n_terms=10**15)
-    assert calls == []
+    assert calls == [] and _head(10**15, 1.0, params.a_bar, params.alpha) == (TERM_CAP, 0, 0)
     assert hexed(res) == hexed(oscillator.PiResult(0.0, 1.0, TERM_CAP, float.fromhex("0x1.9f02f6222c720p-29"), True))
     # a grid of a point with no head to sum (T = 1) and one with (T = 1e14,
     # W_10 = 196): the kernel sees the second point's 10 modes only, and
@@ -404,7 +406,7 @@ def hexed(record):
 def term_counts(params, t_grid, route):
     """Terms each grid point sums: N for the adaptive route, n1 for the fixed-N head."""
     if "n_terms" in route:
-        return [_head_size(route["n_terms"], params.omega * t, a_bar_at(params, t), params.alpha) for t in t_grid]
+        return [_head(route["n_terms"], params.omega * t, a_bar_at(params, t), params.alpha)[0] for t in t_grid]
     return [log_pi(t, params, **route).n_terms for t in t_grid]
 
 

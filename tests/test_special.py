@@ -297,6 +297,10 @@ def test_truncated_gaussian_ratio_flat_limit_relative():
 
 def test_zed_small_w_branch():
     assert one_minus_zed(1e-6) == pytest.approx(2.0 / 3.0 * 1e-6, rel=1e-2)
+    # W = 0.0, a W_j that underflows, weighs 1 - Z(0) = 0.0; a negative W is refused
+    assert one_minus_zed(0.0) == 0.0 and np.array_equal(one_minus_zed(np.array([0.0, 1e-300])), [0.0, 2e-300 / 3.0])
+    with pytest.raises(ValueError, match="W >= 0"):
+        one_minus_zed(np.array([1.0, -1e-300]))
 
 
 def test_zed_at_one_quadrature_oracle():
