@@ -74,9 +74,11 @@ class ModelParams:
         """Abar at time T, or ValueError where it leaves the float range."""
         # every restricted series reads the restriction through
         # W_j = Abar^2 / j^(2 alpha - 2): an Abar^2 below the normal floats
-        # leaves them no precision, and an amplitude that overflows no value
+        # leaves them no precision, and an amplitude that overflows no value;
+        # a Python float, so that squaring it (here and in every caller) never
+        # warns, as a numpy float64 from a grid T would
         try:
-            a_bar = self._a_bar_at(T)
+            a_bar = float(self._a_bar_at(T))
         except OverflowError:
             a_bar = math.inf
         if math.isfinite(a_bar) and a_bar * a_bar >= sys.float_info.min:

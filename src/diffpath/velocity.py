@@ -41,14 +41,20 @@ the partial sum is corrected and bounded analytically:
   error estimate included) within the midpoint-rule error, bounded
   through k2 and the integrals and total variations of u and f.
 
-The weights 1 - Z(W_j) do not depend on tau, so s_diff reads them from one
-read-only table instead of recomputing them per eps and per term count:
-1 - Z(W_j) for j = 1..n, keyed by (Abar, alpha) and holding one key at a
-time.  It is filled on first use, extended (not recomputed) when a later
-call needs more modes, and capped at one block_sum block, special.BLOCK =
-2^16 entries (512 KB); blocks past it and u(n+1) for n >= BLOCK bypass
-it.  The kernel works element by element, so the head sums are
-bit-identical with and without the table.
+The head's two factors each depend on one side only: the weights
+1 - Z(W_j) on (Abar, alpha), the sines s_j on tau.  So s_diff reads both
+from read-only tables instead of recomputing them per eps, per parameter
+set and per term count.  The weight table holds 1 - Z(W_j) for j = 1..n
+for one (Abar, alpha) at a time; the sine store holds one table of s_j
+per tau, at most 2^18 elements (2 MB) over all its tau (64 tau at s_diff's
+4096-term start), and starts over empty when a table would take it past
+that.  A scan over A and alpha at one eps grid thus evaluates each sine
+once.  Each table is filled on first use, extended (not recomputed) when
+a later call needs more modes, capped at one block_sum block,
+special.BLOCK = 2^16 entries (512 KB), and replaced whole, never edited;
+blocks past it and u(n+1) for n >= BLOCK bypass the tables.  Each entry
+is the kernel's own expression on the same j, so the head sums are
+bit-identical with and without the tables.
 """
 
 from __future__ import annotations
@@ -183,6 +189,16 @@ def _s_feynman_exact(tau: float) -> float:
     return 0.5 * math.pi**2 * tau * (1.0 - tau)
 
 
+def _extended(table: np.ndarray, n: int, fill) -> np.ndarray:
+    """``table`` (entries j = 1..len) grown to n entries by ``fill(j)`` for
+    the missing j, as a new read-only array; ``table`` itself if it is long enough."""
+    if table.size >= n:
+        return table
+    table = np.concatenate((table, fill(np.arange(table.size + 1, n + 1, dtype=float))))
+    table.flags.writeable = False
+    return table
+
+
 # The weight table (module docstring): ((Abar, alpha), read-only 1 - Z(W_j)
 # for j = 1..len), read once per use and replaced whole, never edited.
 _WEIGHTS: tuple[tuple[float, float], np.ndarray] = ((0.0, 0.0), np.empty(0))
@@ -196,23 +212,51 @@ def _weights(params: ModelParams, n: int) -> np.ndarray:
     if table_key != key:
         table = table[:0]
     if table.size < n:
-        extra = one_minus_zed(params.mode_w(np.arange(table.size + 1, n + 1, dtype=float)))
-        table = np.concatenate((table, extra))
-        table.flags.writeable = False
+        table = _extended(table, n, lambda j: one_minus_zed(params.mode_w(j)))
         _WEIGHTS = (key, table)
+    return table[:n]
+
+
+def _sine_terms(tau: float, j: np.ndarray) -> np.ndarray:
+    """s_j = sin^2(j pi tau) / j^2."""
+    return (np.sin(j * (math.pi * tau)) / j) ** 2
+
+
+# The sine store (module docstring): tau -> read-only s_j for j = 1..len,
+# at most _SINE_CAP elements in all.  Both the store and its tables are read
+# once per use and replaced whole, never edited, so a thread whose fill races
+# another's may drop that table, which costs a refill and no wrong value.
+_SINE_CAP = 1 << 18
+_SINES: dict[float, np.ndarray] = {}
+
+
+def _sines(tau: float, n: int) -> np.ndarray:
+    """s_j for j = 1..n, n <= BLOCK, extending tau's table if it is short."""
+    global _SINES
+    store = _SINES
+    table = store.get(tau, np.empty(0))
+    if table.size < n:
+        table = _extended(table, n, lambda j: _sine_terms(tau, j))
+        store = {t: s for t, s in store.items() if t != tau}
+        if sum(s.size for s in store.values()) + table.size > _SINE_CAP:
+            store = {}
+        store[tau] = table
+        _SINES = store
     return table[:n]
 
 
 def _head_terms(tau: float, params: ModelParams, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """w_j s_j and s_j, s_j = sin^2(j pi tau) / j^2, evaluating the sines once.
 
-    j is one block of consecutive indices; within the table's reach its
-    weights are a slice of the table.
+    j is one block of consecutive indices; within the tables' reach its
+    weights and sines are slices of the tables, and the returned s_j is
+    read-only.
     """
-    s = (np.sin(j * (math.pi * tau)) / j) ** 2
-    hi = int(j[-1])
+    lo, hi = int(j[0]) - 1, int(j[-1])
     if hi <= BLOCK:
-        return s * _weights(params, hi)[int(j[0]) - 1:], s
+        s = _sines(tau, hi)[lo:]
+        return s * _weights(params, hi)[lo:], s
+    s = _sine_terms(tau, j)
     return s * one_minus_zed(params.mode_w(j)), s
 
 

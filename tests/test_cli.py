@@ -313,6 +313,10 @@ def test_casimir_scan_and_bound(capsys):
         (["paths", "--A", "10", "--alpha", "3000", "--modes", "5", "--grid-points", "3"], EXIT_OK, None),
         # (B_j sqrt(b_j))^2 underflows to 0.0 from j = 22 on: the sampler's x -> 0 limit
         (["oracle", "--A", "1e-150", "--alpha", "10", "--modes", "100"], EXIT_OK, None),
+        # a grid T is a numpy float; Abar(T) ~ 1e186 at T = 5 is finite and its square is not,
+        # which is named (a numpy Abar would warn on the square, an error under pytest's filters)
+        (["spectrum", "--epsilon-D", "0.00286", "--alpha", "58.4", "--T", "0.0204", "--points", "2",
+          "--omega", "1"], EXIT_USAGE, "log_pi requires a finite Abar(T)^2 = m pi^2 A(T)^2 / (4 hbar T) at T=5.0"),
     ],
 )
 @pytest.mark.filterwarnings("ignore::diffpath.mc.ModeTruncationWarning")

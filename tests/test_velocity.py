@@ -442,9 +442,10 @@ def test_abel_peak_constant_bounds_z_over_t_squared(alpha):
     assert slopes[0] > 0 > slopes[-1]
 
 
-# The weight table: one (key, read-only array) entry in velocity._WEIGHTS.
-# Values pinned in hex were computed without the table; a row must not
-# depend on what the table held before the call.
+# The weight table: one (key, read-only array) entry in velocity._WEIGHTS;
+# the sine store: one read-only array per tau in velocity._SINES.  Values
+# pinned in hex were computed without the tables; a row must not depend on
+# what the tables held before the call.
 TABLE_P = ModelParams(alpha=2.22, A=1.54e5)
 TABLE_FAR = ModelParams(alpha=3.49, A=7.76e11)
 TABLE_PINS = [
@@ -459,14 +460,24 @@ TABLE_PINS = [
 ]
 
 
-def _clear_table():
+def _clear_weights():
     velocity._WEIGHTS = ((0.0, 0.0), np.empty(0))
+
+
+def _clear_sines():
+    velocity._SINES = {}
+
+
+def _clear_table():
+    _clear_weights()
+    _clear_sines()
 
 
 @pytest.fixture
 def empty_table(monkeypatch):
-    # monkeypatch puts the module's table back after the test
+    # monkeypatch puts the module's tables back after the test
     monkeypatch.setattr(velocity, "_WEIGHTS", ((0.0, 0.0), np.empty(0)))
+    monkeypatch.setattr(velocity, "_SINES", {})
 
 
 def _row(sv):
@@ -524,17 +535,18 @@ def test_weight_table_shared_by_threads(empty_table):
     import sys
     import threading
 
-    cases = [(TABLE_P, 0.05), (replace(TABLE_P, alpha=2.1), 0.05), (FIG2, 0.2)]
+    # switch tau under each other too (0.05 needs 16384 terms, 0.3 and 0.2 4096)
+    cases = [(TABLE_P, 0.05), (replace(TABLE_P, alpha=2.1), 0.05), (FIG2, 0.2), (TABLE_P, 0.3), (FIG2, 0.05)]
     cold = {}
-    for params, tau in cases:
+    for case in cases:
         _clear_table()
-        cold[params] = _row(s_diff(tau, params))
+        cold[case] = _row(s_diff(case[1], case[0]))
     wrong = []
 
     def work(k):
-        for i in range(12):
-            params, tau = cases[(k + i) % len(cases)]
-            if _row(s_diff(tau, params)) != cold[params]:
+        for i in range(15):
+            case = cases[(k + i) % len(cases)]
+            if _row(s_diff(case[1], case[0])) != cold[case]:
                 wrong.append((k, i))
 
     interval = sys.getswitchinterval()
@@ -565,6 +577,94 @@ def test_readme_v2_computes_each_weight_once(empty_table, monkeypatch, capsys):
     assert cli.main(argv) == 0
     # 40 points of 4096 terms each: 163840 elements without the table
     assert 0 < sum(sizes) <= 1 << 16
+
+
+def test_sine_table_rows_independent_of_table_state(empty_table):
+    grid = [1e-4, 0.003, 0.05, 0.3, 0.7]
+    others = [replace(TABLE_P, alpha=2.1), TABLE_FAR, FIG2]  # other weights, same tau
+    cold = {}
+    for params in [TABLE_P] + others:
+        rows = []
+        for tau in grid:  # each point with both tables empty
+            _clear_table()
+            rows.append(_row(s_diff(tau, params)))
+        cold[params] = rows
+    # sines warm from other (A, alpha), with the weights cold or warm
+    for params in [TABLE_P] + others + [TABLE_P]:
+        _clear_weights()
+        assert [_row(s_diff(tau, params)) for tau in grid] == cold[params]
+        assert [_row(s_diff(tau, params)) for tau in grid] == cold[params]
+    # after other tau, some an ulp or a few 1e-4 off the grid, then after the same ones
+    _clear_sines()
+    for tau in (2e-4, math.nextafter(0.003, 1.0), 0.0501, math.nextafter(0.3, 0.0), 0.6):
+        s_diff(tau, FIG2)
+    for params in [TABLE_P] + others:
+        assert [_row(s_diff(tau, params)) for tau in grid] == cold[params]
+
+
+@pytest.mark.parametrize("params, tau, tol, value_hex, n_terms, tail_hex", TABLE_PINS)
+def test_sine_table_values_pinned_with_one_table_warm(empty_table, params, tau, tol, value_hex, n_terms, tail_hex):
+    pinned = (value_hex, n_terms, tail_hex, True)
+    other = replace(params, alpha=params.alpha + 0.5)
+    s_diff(tau, other, tol)  # warm sines, other weights
+    assert _row(s_diff(tau, params, tol)) == pinned
+    _clear_sines()  # warm weights, cold sines
+    assert _row(s_diff(tau, params, tol)) == pinned
+    _clear_table()
+    velocity._sines(tau, 4096)  # a shorter table first, then the extension
+    assert _row(s_diff(tau, params, tol)) == pinned
+
+
+def test_sine_table_extension_matches_one_pass(empty_table):
+    tau = 0.137
+    for n in (4096, 4097, 16384, 65536):
+        grown = velocity._sines(tau, n)
+    j = np.arange(1, 65537, dtype=float)
+    assert [x.hex() for x in grown] == [x.hex() for x in (np.sin(j * (math.pi * tau)) / j) ** 2]
+
+
+def test_sine_store_read_only_and_bounded(empty_table):
+    # 4096 sines for each of 100 tau, a few extended to 2^16: the store starts
+    # over when a table would take it past _SINE_CAP elements
+    cap = velocity._SINE_CAP
+    assert cap * 8 <= 2 * 1024 * 1024
+    for k in range(100):
+        tau = (k + 0.5) / 100
+        velocity._sines(tau, 1 << 16 if k % 17 == 0 else 4096)
+        store = velocity._SINES
+        assert tau in store
+        assert sum(t.size for t in store.values()) <= cap
+    s_diff(0.05, TABLE_P)
+    for table in velocity._SINES.values():
+        assert table.ndim == 1 and table.size <= 1 << 16
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 0.0
+    weighted, s = velocity._head_terms(0.05, TABLE_P, np.arange(1.0, 4097.0))
+    assert not s.flags.writeable and weighted.flags.writeable
+
+
+def test_readme_v2_computes_each_sine_once(empty_table, monkeypatch, capsys):
+    # the sines depend on tau only: a second scan of the README grid with
+    # other (A, alpha) reads every sine from the store
+    from diffpath import cli
+
+    sizes = []
+    sine_terms = velocity._sine_terms
+
+    def counted(tau, j):
+        sizes.append(np.size(j))
+        return sine_terms(tau, j)
+
+    monkeypatch.setattr(velocity, "_sine_terms", counted)
+    argv = "v2 --A 10 --alpha 2.1 --eps-min 1e-4 --eps-max 0.5 --points 40".split()
+    assert cli.main(argv) == 0
+    first = sum(sizes)
+    # 40 points of 4096 terms each
+    assert first == 40 * 4096
+    for other in (["--A", "1e6", "--alpha", "3"], ["--A", "10", "--alpha", "2.5"]):
+        assert cli.main(argv[:1] + other + argv[5:]) == 0
+    assert sum(sizes) == first
 
 
 def test_s_diff_refuses_overflowing_abar_squared():
