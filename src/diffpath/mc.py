@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -148,11 +148,17 @@ def _mode_params(params: ModelParams, j: int) -> tuple[float, float]:
     return b_j, big_b
 
 
-def _check_sizes(N_modes: int, n_samples: int) -> None:
+def _mode_samples(params: ModelParams, N_modes: int, n_samples: int,
+                  seed: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(j, n_samples draws of a_j) for j = 1..N_modes in order, all from the one
+    stream of ``seed``; the sizes are checked here, before any is drawn."""
     if N_modes < 1:
         raise ValueError(f"N_modes must be >= 1, got {N_modes!r}")
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2 for a stderr, got {n_samples!r}")
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    return ((j, sample_truncated_gaussian(*_mode_params(params, j), rng, size=n_samples))
+            for j in range(1, N_modes + 1))
 
 
 def _omitted_mode_bound(params: ModelParams, eps: float, N_modes: int) -> float:
@@ -197,13 +203,10 @@ def estimate_v2(
     rivals the stderr — never silent).
     """
     _check_eps(eps, params)
-    _check_sizes(N_modes, n_samples)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    modes = _mode_samples(params, N_modes, n_samples, seed)
     v = np.zeros(n_samples)
-    for j in range(1, N_modes + 1):
-        b_j, big_b = _mode_params(params, j)
+    for j, a in modes:
         ds = math.sin(j * math.pi * (t0 + eps) / params.T) - math.sin(j * math.pi * t0 / params.T)
-        a = sample_truncated_gaussian(b_j, big_b, rng, size=n_samples)
         v += a * ds
     v /= eps
     # moments of v 2^-e (max |v| 2^-e in [1/2, 1)) scaled back by 2^(2e): bit
@@ -253,15 +256,12 @@ def estimate_pi_factor(
     if T is not None:
         params = replace(params, T=T)  # validates T
     T = params.T
-    _check_sizes(N_modes, n_samples)
+    modes = _mode_samples(params, N_modes, n_samples, seed)
     if params.omega <= 0:
         raise ValueError("estimate_pi_factor requires omega > 0")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     log_w = np.zeros(n_samples)
     coef = params.m * T * params.omega**2 / (4.0 * params.hbar)
-    for j in range(1, N_modes + 1):
-        b_j, big_b = _mode_params(params, j)
-        a = sample_truncated_gaussian(b_j, big_b, rng, size=n_samples)
+    for _, a in modes:
         log_w -= coef * a * a
     w = np.exp(log_w)
     n = np.arange(1, N_modes + 1, dtype=float)

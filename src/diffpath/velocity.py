@@ -42,25 +42,28 @@ the partial sum is corrected and bounded analytically:
   through k2 and the integrals and total variations of u and f.
 
 The head's two factors each depend on one side only: the weights
-1 - Z(W_j) on (Abar, alpha), the sines s_j on tau.  So s_diff reads both
-from read-only tables instead of recomputing them per eps, per parameter
-set and per term count.  The weight table holds 1 - Z(W_j) for j = 1..n
-for one (Abar, alpha) at a time; the sine store holds one table of s_j
-per tau, at most 2^18 elements (2 MB) over all its tau (64 tau at s_diff's
-4096-term start), and starts over empty when a table would take it past
-that.  A scan over A and alpha at one eps grid thus evaluates each sine
-once.  Each table is filled on first use, extended (not recomputed) when
-a later call needs more modes, capped at one block_sum block,
-special.BLOCK = 2^16 entries (512 KB), and replaced whole, never edited;
-blocks past it and u(n+1) for n >= BLOCK bypass the tables.  Each entry
-is the kernel's own expression on the same j, so the head sums are
-bit-identical with and without the tables.
+w_j = 1 - Z(W_j) on (Abar, alpha), the sines s_j on tau.  So s_diff reads
+both, for j <= special.BLOCK = 2^16, from read-only tables instead of
+recomputing them per eps, per parameter set and per term count.  One rule
+(``_table``) keeps both stores, the weights keyed by (Abar, alpha) and the
+sines by tau: a table is filled on first use, extended (not recomputed)
+when a later call needs more modes, and replaced whole, never edited; a
+store that a new table would take past its bound starts over empty.  The
+weight store holds at most BLOCK elements (512 KB: one full table, or
+sixteen of s_diff's 4096-entry start), the sine store 2^18 (2 MB: 64 tau
+at 4096).  A scan over A and alpha at one eps grid thus evaluates each
+sine once.  A store and its tables are read once per use, so a thread
+whose fill races another's may drop that table, which costs a refill and
+no wrong value.  Blocks past BLOCK and u(n+1) for n >= BLOCK bypass the
+tables.  Each entry is the kernel's own expression on the same j, so the
+head sums are bit-identical with and without the tables.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Iterable, Optional
 
 import numpy as np
@@ -189,32 +192,9 @@ def _s_feynman_exact(tau: float) -> float:
     return 0.5 * math.pi**2 * tau * (1.0 - tau)
 
 
-def _extended(table: np.ndarray, n: int, fill) -> np.ndarray:
-    """``table`` (entries j = 1..len) grown to n entries by ``fill(j)`` for
-    the missing j, as a new read-only array; ``table`` itself if it is long enough."""
-    if table.size >= n:
-        return table
-    table = np.concatenate((table, fill(np.arange(table.size + 1, n + 1, dtype=float))))
-    table.flags.writeable = False
-    return table
-
-
-# The weight table (module docstring): ((Abar, alpha), read-only 1 - Z(W_j)
-# for j = 1..len), read once per use and replaced whole, never edited.
-_WEIGHTS: tuple[tuple[float, float], np.ndarray] = ((0.0, 0.0), np.empty(0))
-
-
-def _weights(params: ModelParams, n: int) -> np.ndarray:
-    """1 - Z(W_j) for j = 1..n, n <= BLOCK, extending the table if it is short."""
-    global _WEIGHTS
-    key = (params.a_bar, params.alpha)
-    table_key, table = _WEIGHTS
-    if table_key != key:
-        table = table[:0]
-    if table.size < n:
-        table = _extended(table, n, lambda j: one_minus_zed(params.mode_w(j)))
-        _WEIGHTS = (key, table)
-    return table[:n]
+def _weight_terms(params: ModelParams, j: np.ndarray) -> np.ndarray:
+    """w_j = 1 - Z(W_j)."""
+    return one_minus_zed(params.mode_w(j))
 
 
 def _sine_terms(tau: float, j: np.ndarray) -> np.ndarray:
@@ -222,26 +202,25 @@ def _sine_terms(tau: float, j: np.ndarray) -> np.ndarray:
     return (np.sin(j * (math.pi * tau)) / j) ** 2
 
 
-# The sine store (module docstring): tau -> read-only s_j for j = 1..len,
-# at most _SINE_CAP elements in all.  Both the store and its tables are read
-# once per use and replaced whole, never edited, so a thread whose fill races
-# another's may drop that table, which costs a refill and no wrong value.
-_SINE_CAP = 1 << 18
-_SINES: dict[float, np.ndarray] = {}
+# The head's two stores (module docstring): key -> read-only table of the
+# entries j = 1..len, at most ``cap`` elements over all keys.
+_WEIGHTS = SimpleNamespace(cap=BLOCK, tables={})  # (Abar, alpha) -> w_j
+_SINES = SimpleNamespace(cap=1 << 18, tables={})  # tau -> s_j
 
 
-def _sines(tau: float, n: int) -> np.ndarray:
-    """s_j for j = 1..n, n <= BLOCK, extending tau's table if it is short."""
-    global _SINES
-    store = _SINES
-    table = store.get(tau, np.empty(0))
+def _table(store: SimpleNamespace, key, n: int, fill) -> np.ndarray:
+    """Entries j = 1..n, n <= BLOCK, of key's table in ``store``, extended by
+    ``fill(j)`` for the missing j if it is short."""
+    tables = store.tables
+    table = tables.get(key, np.empty(0))
     if table.size < n:
-        table = _extended(table, n, lambda j: _sine_terms(tau, j))
-        store = {t: s for t, s in store.items() if t != tau}
-        if sum(s.size for s in store.values()) + table.size > _SINE_CAP:
-            store = {}
-        store[tau] = table
-        _SINES = store
+        table = np.concatenate((table, fill(np.arange(table.size + 1, n + 1, dtype=float))))
+        table.flags.writeable = False
+        tables = {k: t for k, t in tables.items() if k != key}
+        if sum(t.size for t in tables.values()) + table.size > store.cap:
+            tables = {}
+        tables[key] = table
+        store.tables = tables
     return table[:n]
 
 
@@ -254,10 +233,10 @@ def _head_terms(tau: float, params: ModelParams, j: np.ndarray) -> tuple[np.ndar
     """
     lo, hi = int(j[0]) - 1, int(j[-1])
     if hi <= BLOCK:
-        s = _sines(tau, hi)[lo:]
-        return s * _weights(params, hi)[lo:], s
+        s = _table(_SINES, tau, hi, lambda j: _sine_terms(tau, j))[lo:]
+        return s * _table(_WEIGHTS, (params.a_bar, params.alpha), hi, lambda j: _weight_terms(params, j))[lo:], s
     s = _sine_terms(tau, j)
-    return s * one_minus_zed(params.mode_w(j)), s
+    return s * _weight_terms(params, j), s
 
 
 def _zed_scalar(w: float) -> float:
@@ -337,7 +316,8 @@ def _z_form(tau: float, params: ModelParams, n: int, head: float, free_head: flo
 
     f_c = hurwitz_zeta(2.0, n + 1.0) - 2.0 * rest  # sum_{j>n} cos(j theta) / j^2
     # (1 - Z)/t^2 at n + 1
-    w_1 = _weights(params, n + 1)[n] if n < BLOCK else one_minus_zed(params.mode_w(np.float64(n + 1.0)))
+    w_1 = (_table(_WEIGHTS, (abar, alpha), n + 1, lambda j: _weight_terms(params, j))[n] if n < BLOCK
+           else _weight_terms(params, np.float64(n + 1.0)))
     u_1 = float(w_1) / (n + 1.0) ** 2
     d_n = math.sin(a * theta) / (2.0 * sin_h)  # Dirichlet kernel
     estimates = [

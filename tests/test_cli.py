@@ -4,7 +4,10 @@ import dataclasses
 import json
 import math
 import os
+import random
+import re
 import shlex
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -333,6 +336,75 @@ def test_extreme_scales_exit_with_a_reason(capsys, argv, code, message):
     else:
         assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
+
+
+def _domain_argvs(count=63, seed=18):
+    """A fixed, seeded list of argument vectors for the seven subcommands over
+    the documented domain: alpha in (2, 4.5], A log-uniform in [1e-3, 1e13] or
+    epsilon_D in [1e-6, 10], T in [1e-3, 1e3] (the eps and T grids scaled to
+    it), omega in [0.1, 10]; two grid points, 50 modes and 200 samples, and
+    --n-terms 100000 on half the spectrum runs."""
+    rng = random.Random(seed)
+    commands = ("v2", "spectrum", "unitarity", "paths", "commutator", "casimir", "oracle")
+    argvs = []
+    for k in range(count):
+        cmd = commands[k % len(commands)]
+        if cmd == "casimir":
+            argvs.append([cmd, "--model", rng.choice(("standard", "tanh")),
+                          "--omega-D", f"{10 ** rng.uniform(-1, 3):.6g}", "--points", "2"])
+            continue
+        t = 10 ** rng.uniform(-3, 3)
+        argv = [cmd, "--alpha", f"{4.5 - 2.5 * rng.random():.6g}", "--T", f"{t:.6g}"]
+        if rng.random() < 0.5:
+            argv += ["--A", f"{10 ** rng.uniform(-3, 13):.6g}"]
+        else:
+            argv += ["--epsilon-D", f"{10 ** rng.uniform(-6, 1):.6g}"]
+        if cmd in ("v2", "commutator"):
+            argv += ["--eps-min", f"{1e-4 * t:.6g}", "--eps-max", f"{0.5 * t:.6g}", "--points", "2"]
+        elif cmd in ("spectrum", "unitarity"):
+            argv += ["--omega", f"{10 ** rng.uniform(-1, 1):.6g}", "--T-grid-min", f"{t:.6g}",
+                     "--T-grid-max", f"{2 * t:.6g}", "--points", "2"]
+            if cmd == "spectrum" and k // len(commands) % 2:
+                argv += ["--n-terms", "100000"]
+        elif cmd == "oracle":
+            argv += ["--eps", f"{0.05 * t:.6g}", "--modes", "50", "--samples", "200"]
+        else:
+            argv += ["--modes", "50"]
+        argvs.append(argv)
+    return argvs
+
+
+# a reason line names at least one input
+_INPUT_NAME = re.compile(r"\b(A|Abar|alpha|T|eps|epsilon_D|omega|omega_D|m|hbar|c|L|modes|samples|n_terms|N|points)\b")
+
+
+@pytest.mark.filterwarnings("ignore::diffpath.mc.ModeTruncationWarning")
+def test_domain_fuzz_exits_with_a_reason(capsys):
+    # each run within 20 s, with a numpy RuntimeWarning an error (pytest's
+    # setting): exit 0 or 2, or 1 with one error line that names an input
+    argvs = _domain_argvs()
+    assert len(argvs) == 63 and {a[0] for a in argvs} == {
+        "v2", "spectrum", "unitarity", "paths", "commutator", "casimir", "oracle"}
+
+    def timed_out(signum, frame):
+        raise TimeoutError("no exit within 20 s")
+
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    try:
+        for argv in argvs:
+            signal.alarm(20)
+            try:
+                code = main(argv)
+            finally:
+                signal.alarm(0)
+            err = capsys.readouterr().err
+            if code == EXIT_USAGE:
+                assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+                assert _INPUT_NAME.search(err), (argv, err)
+            else:
+                assert code in (EXIT_OK, EXIT_CONVERGENCE), (argv, code, err)
+    finally:
+        signal.signal(signal.SIGALRM, previous)
 
 def test_casimir_rejects_small_cutoff(capsys):
     # delta is the n_c -> infinity limit: the cutoff and regulator flags are gone

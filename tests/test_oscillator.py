@@ -95,6 +95,7 @@ def test_log_pi_against_mpmath_oracle():
     assert res.log_pi == pytest.approx(ref, rel=1e-11)
 
 
+@pytest.mark.dispatch
 @pytest.mark.parametrize("alpha", [2.05, 3.0, 4.0])
 @pytest.mark.parametrize("primary", [{"A": 100.0}, {"epsilon_D": 0.1}])
 def test_log_pi_fixed_n_against_mpmath(alpha, primary):
@@ -117,6 +118,7 @@ def test_log_pi_fixed_n_against_mpmath(alpha, primary):
             assert abs(res.log_pi - float(ref)) <= allowed, (T, omega, n, n1)
 
 
+@pytest.mark.dispatch
 @pytest.mark.parametrize("T", [0.5, 1.0])
 def test_log_pi_fixed_n_huge_n_against_mpmath(T):
     # N = 1e15: every zeta(s, N + 1) term but the first few is dropped by its bound
@@ -128,6 +130,16 @@ def test_log_pi_fixed_n_huge_n_against_mpmath(T):
     assert res.converged and res.n_terms == n
     assert abs(res.log_pi - float(ref)) <= res.tail_bound + head_rounding(FIG4, T, n1, res.log_pi)
 
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP finding 1, item 1 step 1")
+def test_log_pi_fixed_n_huge_n_within_its_bound_at_large_a():
+    # A = 1e6, alpha = 2.05: a certified value 1.5e5 times its tail bound
+    # off the oracle; the fix of the ln factor's accuracy removes the marker
+    params = ModelParams(A=1e6, alpha=2.05, omega=1.0)
+    res = log_pi(0.5, params, 1e-6, 10**15)
+    assert res.converged
+    assert abs(res.log_pi - float(mpmath_log_pi(params, 0.5, 10**15))) <= res.tail_bound
 
 def direct_log_pi(params, T, n_terms):
     """The N-mode sum term by term, as the direct route computes it (N <= 2^20)."""
@@ -147,6 +159,7 @@ def direct_log_pi(params, T, n_terms):
         (FIG4, 29),  # N = n1
     ],
 )
+@pytest.mark.dispatch
 def test_log_pi_fixed_n_direct_up_to_n1(params, n_terms):
     assert _head(n_terms, params.omega, a_bar_at(params, 1.0), params.alpha)[0] == n_terms
     res = log_pi(1.0, params, n_terms=n_terms)
@@ -154,6 +167,7 @@ def test_log_pi_fixed_n_direct_up_to_n1(params, n_terms):
     assert res.tail_bound == params.omega**2 / (2.0 * math.pi**2 * n_terms)
 
 
+@pytest.mark.dispatch
 def test_log_pi_fixed_n_head_stops_at_the_term_cap(capsys):
     # alpha < 1 keeps every W_n above 1/4, so the head would run to N = 1e15
     res = log_pi(1.0, ModelParams(A=10.0, alpha=0.9, omega=1.0), tol=1e-6, n_terms=10**15)
@@ -182,6 +196,7 @@ def test_log_pi_head_cut_at_the_cap_is_its_direct_sum(monkeypatch, params):
     assert hexed(log_pi(1.0, FIG4, n_terms=10**6)) == under_cap
 
 
+@pytest.mark.dispatch
 def test_log_pi_fixed_n_evaluates_only_the_head(monkeypatch):
     elems = []
 
@@ -197,6 +212,7 @@ def test_log_pi_fixed_n_evaluates_only_the_head(monkeypatch):
     assert res.n_terms == 100_000
 
 
+@pytest.mark.dispatch
 def test_log_pi_fixed_n_evaluates_only_the_non_negligible_zetas(monkeypatch):
     elems = []
     zeta = oscillator.hurwitz_zeta
@@ -230,6 +246,7 @@ def _by_dispatch(x86_v4: str, x86_v2: str) -> str:
          _by_dispatch("0x1.974667d121c9ep-25", "0x1.97467bcada58cp-25"), "0x1.d342f0c171454p-55"),
     ],
 )
+@pytest.mark.dispatch
 def test_log_pi_fixed_n_tail_keeps_its_values(params, T, n_terms, n1, log_pi_hex, tail_hex):
     # pinned fixed-N values, the last with a 2.1e6-mode head: how the tail
     # prunes its zeta rows may tighten tail_bound, never loosen it or move a value
@@ -239,6 +256,7 @@ def test_log_pi_fixed_n_tail_keeps_its_values(params, T, n_terms, n1, log_pi_hex
     assert res.tail_bound <= float.fromhex(tail_hex)
 
 
+@pytest.mark.dispatch
 def test_log_pi_fixed_n_head_past_the_float_range(capsys):
     # alpha = 3000: n^(alpha - 1) overflows from n = 2 on, and W_2 = (Abar / 2^2999)^2
     # underflows, so each head factor past n = 1 is the free one, (1/2) ln(1 + x_n), and
@@ -261,6 +279,7 @@ def test_log_pi_fixed_n_head_past_the_float_range(capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.dispatch
 def test_log_pi_fixed_n_tail_past_s_1074_at_a_power_of_two_head(monkeypatch):
     # alpha = 50 with n_W = 512 = n1: the tail's kept rows reach s > 1074 at
     # m = n1 = 2^9, where mant^s alone would leave the float range; the tail
@@ -429,6 +448,7 @@ def assert_packing(sizes, mixed):
         (ModelParams(alpha=2.1, epsilon_D=3e-4, omega=1.0), {"n_terms": 100_000}, False),
     ],
 )
+@pytest.mark.dispatch
 def test_log_pi_grid_is_log_pi_per_point(monkeypatch, params, route, mixed):
     t_grid = np.linspace(0.2, 5.0, 12)
     assert_packing(term_counts(params, t_grid, route), mixed)
@@ -465,6 +485,7 @@ def test_scan_e0_is_spectrum_shift_per_omega(params, T, route, mixed):
     assert fit["converged"] == all(s.converged for s in shifts)
 
 
+@pytest.mark.dispatch
 def test_unitarity_grid_shares_one_kernel_call(monkeypatch):
     t_grid = np.linspace(0.2, 5.0, 12)
     total = sum(term_counts(FIG4, t_grid, {"tol": 1e-4}))
@@ -649,6 +670,7 @@ def test_unitarity_sub_eps_d_large_deviation():
     assert rep.verdict == "sub-epsilon-D"
 
 
+@pytest.mark.dispatch
 def test_unitarity_eps_d_per_grid_t():
     # A primary: eps_D(T) is 0.096, 1 and 10.4 at T = 0.2, 1 and 5
     params = ModelParams(alpha=2.1, A=1.0, omega=1.0)

@@ -84,6 +84,7 @@ def _masked_kernel_inputs(split):
     return np.concatenate([near, spread, shuffled])
 
 
+@pytest.mark.dispatch
 def test_log_erf_masked_branches_bit_identical():
     w = _masked_kernel_inputs(0.25)
     whole = _log_erf_sqrt(w)
@@ -99,6 +100,7 @@ def test_log_erf_masked_branches_bit_identical():
         assert got == float(_log_erf_both_branches(w0))
 
 
+@pytest.mark.dispatch
 def test_log_erf_over_sqrt_masked_branches_bit_identical():
     w = _masked_kernel_inputs(0.25)
     whole = _log_erf_over_sqrt(w)
@@ -154,6 +156,7 @@ def test_one_minus_zed_relative_against_mpmath():
             assert abs(one_minus_zed(w) - ref) <= 1e-15 * ref, w
 
 
+@pytest.mark.dispatch
 def test_one_minus_zed_is_position_independent():
     # velocity's weight table computes 1 - Z once for j = 1..n and serves
     # slices of it; every element must be the value it has in any other array
@@ -171,6 +174,7 @@ def _ulps(got, ref):
     return float(abs(mp.mpf(float(got)) - ref) / mp.mpf(math.ulp(float(ref))))
 
 
+@pytest.mark.dispatch
 def test_erfc_sqrt_against_mpmath():
     # erfc(sqrt W) at exact W from 1/4 to past its underflow: within 8 ulp where
     # it is a normal float, within one subnormal step below, 0.0 from W = 745 on
@@ -219,6 +223,7 @@ def _ulp_errors(got, refs):
     return np.array([_ulps(g, r) for g, r in zip(got, refs) if r != 0])
 
 
+@pytest.mark.dispatch
 def test_log_erf_no_less_accurate_than_the_scipy_form():
     # ln Erf(sqrt W) against log(erf(sqrt W)) below 1/4 and log1p(-erfc(sqrt W))
     # from 1/4 on, scipy's erf and erfc of the rounded sqrt W, at the same points
@@ -232,6 +237,7 @@ def test_log_erf_no_less_accurate_than_the_scipy_form():
     assert e_ours.max() <= min(6.0, e_theirs.max()) and e_ours.mean() <= e_theirs.mean()
 
 
+@pytest.mark.dispatch
 def test_ell_and_one_minus_zed_no_less_accurate_than_before():
     # l(W) and 1 - Z(W) against their previous forms at the same points: the
     # Horner series below 1/4, log1p(-erfc) - ln(W)/2 - ln(2/sqrt(pi)) with
@@ -257,6 +263,7 @@ def test_ell_and_one_minus_zed_no_less_accurate_than_before():
         assert e_ours.max() <= 1.1 * e_theirs.max()
 
 
+@pytest.mark.dispatch
 def test_erfc_table_is_a_relative_minimax_fit():
     # the table itself, evaluated in mpmath: within 1.4e-20 of erfc(sqrt W) e^W
     # over [1/4, 745] before its entries were rounded to floats, within 1e-17
@@ -361,12 +368,14 @@ def test_s_feynman_closed_against_mpmath(s_feynman_closed):
         assert abs(s_feynman_closed(float(tau)) - s_feynman_closed(float(1.0 - tau))) <= 4e-15
 
 
+@pytest.mark.dispatch
 def test_block_sum_compensates_across_blocks():
     # block totals 1e16, 1, -1e16: adding them in order would give 0.0
     terms = lambda n: np.where(n == 1.0, 1e16, np.where(n == 2.0, 1.0, -1e16))
     assert block_sum(terms, 3, block=1) == 1.0
 
 
+@pytest.mark.dispatch
 def test_block_sum_ranges_and_blocks():
     seen = []
 
@@ -380,6 +389,7 @@ def test_block_sum_ranges_and_blocks():
     assert block_sum(lambda n: (n, n * n), 10, block=3) == (55.0, 385.0)
 
 
+@pytest.mark.dispatch
 @pytest.mark.parametrize("block", [1, 2, 3, 5])
 def test_block_sum_of_many_ranges_is_block_sum_per_range(block):
     def f(c, n):
@@ -429,6 +439,7 @@ def test_block_sum_of_many_ranges_is_block_sum_per_range(block):
     assert shared or block == 1
 
 
+@pytest.mark.dispatch
 def test_block_sum_refuses_a_range_past_the_term_cap():
     def terms(n, *args):
         raise AssertionError("no term may be evaluated")
@@ -443,6 +454,7 @@ def test_block_sum_refuses_a_range_past_the_term_cap():
     assert sizes == [BLOCK] * (TERM_CAP // BLOCK)
 
 
+@pytest.mark.dispatch
 def test_block_sum_bit_identical_to_blocked_fsum():
     n = np.arange(1, 200_001, dtype=float)
     terms = lambda n: np.sin(n) / n**2
@@ -581,6 +593,7 @@ def johansson_bound(s, q, m, n, m_terms):
             / ((2 * mp.pi * big_q) ** (2 * m_terms) * (s + 2 * m_terms - 1)))
 
 
+@pytest.mark.dispatch
 @pytest.mark.parametrize("q, m", ZETA_QM)
 def test_hurwitz_zeta_against_mpmath(q, m):
     # the array path over the whole s grid and, for m = 1, the scalar path;
@@ -594,6 +607,7 @@ def test_hurwitz_zeta_against_mpmath(q, m):
                 assert abs(v - ref) <= 1e-14 * ref + 4 * 2.0**-1074, (s, q, m, v, ref)
 
 
+@pytest.mark.dispatch
 @pytest.mark.parametrize("q, m", ZETA_QM)
 def test_hurwitz_zeta_remainder_bound_covers_the_truncation(q, m):
     # the terms the code takes: one plan for the whole s grid (the array call
@@ -626,6 +640,7 @@ def test_zeta_plan_bounds_every_smaller_s(s_max, q):
             assert johansson_bound(s, q, 1.0, n, m_terms) <= ZETA_RTOL / 2 * lower, (s, q, n, m_terms)
 
 
+@pytest.mark.dispatch
 @pytest.mark.parametrize("q, m", [(1.0, 1.0), (1.5, 1.0), (513.0, 512.0)])
 def test_hurwitz_zeta_past_s_512_against_mpmath(q, m):
     # mant^s alone would leave the float range past s = 1074 (mant = 1/2 at
@@ -640,6 +655,7 @@ def test_hurwitz_zeta_past_s_512_against_mpmath(q, m):
                 assert abs(v - ref) <= 1e-14 * ref, (s, q, m, v, ref)
 
 
+@pytest.mark.dispatch
 def test_hurwitz_zeta_table_takes_each_q_its_terms():
     # the ln Pi tail's call: one row of s at q = n1 + 1 and q = N + 1, N = 1e15;
     # each q takes the direct terms of its own plan and the call's largest M,
@@ -660,6 +676,7 @@ def test_hurwitz_zeta_table_takes_each_q_its_terms():
                 assert abs(value - ref) <= 1e-14 * ref + 4 * 2.0**-1074, (s, q, value, ref)
 
 
+@pytest.mark.dispatch
 def test_hurwitz_zeta_tables_q_against_s():
     # a table of shape q.shape + s.shape for one m; floats give a float
     with mp.workdps(60):

@@ -54,6 +54,7 @@ def test_s_feynman_zero():
     assert s_feynman(0.0, 0.0).value == 0.0
 
 
+@pytest.mark.dispatch
 @pytest.mark.parametrize("k", range(7))
 def test_trigamma_is_hurwitz_zeta_at_the_certified_term_counts(k):
     # s_feynman and the Z-form take psi_1(n + 1) as zeta(2, n + 1) at every
@@ -109,6 +110,7 @@ def test_cos_over_t2_integral_against_mpmath():
         assert abs(got - float(ref)) <= 4.0 * EPS * (1.0 / a + theta), (a, theta)
 
 
+@pytest.mark.dispatch
 def test_sine_integral_tail_against_mpmath():
     # pi/2 - Si(x) from 1e-8 to 1e8, on both sides of the series/fraction switch at
     # x = 3: within 4 ulp of max(|value|, min(1, 1/x)), its size where it crosses 0
@@ -442,10 +444,10 @@ def test_abel_peak_constant_bounds_z_over_t_squared(alpha):
     assert slopes[0] > 0 > slopes[-1]
 
 
-# The weight table: one (key, read-only array) entry in velocity._WEIGHTS;
-# the sine store: one read-only array per tau in velocity._SINES.  Values
-# pinned in hex were computed without the tables; a row must not depend on
-# what the tables held before the call.
+# The weight store: one read-only array per (Abar, alpha) in
+# velocity._WEIGHTS.tables; the sine store: one per tau in
+# velocity._SINES.tables.  Values pinned in hex were computed without the
+# tables; a row must not depend on what the tables held before the call.
 TABLE_P = ModelParams(alpha=2.22, A=1.54e5)
 TABLE_FAR = ModelParams(alpha=3.49, A=7.76e11)
 TABLE_PINS = [
@@ -460,12 +462,21 @@ TABLE_PINS = [
 ]
 
 
+def _weights(params, n):
+    return velocity._table(velocity._WEIGHTS, (params.a_bar, params.alpha), n,
+                           lambda j: velocity._weight_terms(params, j))
+
+
+def _sines(tau, n):
+    return velocity._table(velocity._SINES, tau, n, lambda j: velocity._sine_terms(tau, j))
+
+
 def _clear_weights():
-    velocity._WEIGHTS = ((0.0, 0.0), np.empty(0))
+    velocity._WEIGHTS.tables = {}
 
 
 def _clear_sines():
-    velocity._SINES = {}
+    velocity._SINES.tables = {}
 
 
 def _clear_table():
@@ -476,8 +487,8 @@ def _clear_table():
 @pytest.fixture
 def empty_table(monkeypatch):
     # monkeypatch puts the module's tables back after the test
-    monkeypatch.setattr(velocity, "_WEIGHTS", ((0.0, 0.0), np.empty(0)))
-    monkeypatch.setattr(velocity, "_SINES", {})
+    monkeypatch.setattr(velocity._WEIGHTS, "tables", {})
+    monkeypatch.setattr(velocity._SINES, "tables", {})
 
 
 def _row(sv):
@@ -489,6 +500,7 @@ def _scan_rows(params, grid):
             for r in scan_v2(grid, params, "differentiable")]
 
 
+@pytest.mark.dispatch
 def test_weight_table_rows_independent_of_table_state(empty_table):
     grid = [1e-4, 0.003, 0.05, 0.3, 0.7]
     other = replace(TABLE_P, alpha=2.1)  # same Abar, other weights
@@ -501,6 +513,7 @@ def test_weight_table_rows_independent_of_table_state(empty_table):
         assert (_scan_rows(params, grid), _row(s_diff(0.05, params))) == cold[params]
 
 
+@pytest.mark.dispatch
 @pytest.mark.parametrize("params, tau, tol, value_hex, n_terms, tail_hex", TABLE_PINS)
 def test_weight_table_values_pinned(empty_table, params, tau, tol, value_hex, n_terms, tail_hex):
     pinned = (value_hex, n_terms, tail_hex, True)
@@ -511,26 +524,55 @@ def test_weight_table_values_pinned(empty_table, params, tau, tol, value_hex, n_
     assert _row(s_diff(tau, params, tol)) == pinned
 
 
+@pytest.mark.dispatch
 def test_weight_table_extension_matches_one_pass(empty_table):
     for n in (4096, 4097, 16384, 16385, 65536):
-        grown = velocity._weights(TABLE_P, n)
+        grown = _weights(TABLE_P, n)
     j = np.arange(1, 65537, dtype=float)
     assert [x.hex() for x in grown] == [x.hex() for x in one_minus_zed(TABLE_P.mode_w(j))]
 
 
-def test_weight_table_holds_one_read_only_entry(empty_table):
-    for params, tau, tol, *_ in TABLE_PINS + [(FIG2, 0.2, 1e-9)]:
+@pytest.mark.dispatch
+def test_weight_store_read_only_and_bounded(empty_table):
+    # the store starts over when a table would take it past BLOCK = 2^16
+    # elements (512 KB): one full table, or several 4096-entry ones
+    cap = velocity._WEIGHTS.cap
+    assert cap == 1 << 16 and cap * 8 <= 512 * 1024
+    cases = [(params, tau, tol) for params, tau, tol, *_ in TABLE_PINS]
+    cases += [(ModelParams(alpha=2.1 + k / 50, A=10.0 ** (k % 7)), 0.3, 1e-9) for k in range(40)]
+    for params, tau, tol in cases + [(FIG2, 0.2, 1e-9)]:
         s_diff(tau, params, tol)
-        key, table = velocity._WEIGHTS
-        assert key == (params.a_bar, params.alpha)
-        assert table.ndim == 1 and table.size <= 1 << 16 and table.nbytes <= 512 * 1024
-        assert not table.flags.writeable
-        with pytest.raises(ValueError):
-            table[0] = 0.0
+        tables = velocity._WEIGHTS.tables
+        assert (params.a_bar, params.alpha) in tables
+        assert sum(t.size for t in tables.values()) <= cap
+        for table in tables.values():
+            assert table.ndim == 1 and not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 0.0
 
 
+def test_weight_store_keeps_alternating_parameter_sets(empty_table, monkeypatch):
+    # three 4096-term parameter sets fit in the store together, so a scan
+    # that alternates them computes each weight once
+    sizes = []
+
+    def counted(w):
+        sizes.append(np.size(w))
+        return one_minus_zed(w)
+
+    monkeypatch.setattr(velocity, "one_minus_zed", counted)
+    cases = [TABLE_P, replace(TABLE_P, alpha=2.1), FIG2]
+    first = [_row(s_diff(0.3, params)) for params in cases]
+    computed = sum(sizes)
+    assert computed == sum(t.size for t in velocity._WEIGHTS.tables.values()) < 4 * 4096
+    for _ in range(2):
+        assert [_row(s_diff(0.3, params)) for params in cases] == first
+    assert sum(sizes) == computed
+
+
+@pytest.mark.dispatch
 def test_weight_table_shared_by_threads(empty_table):
-    # the entry is read once per call and replaced whole, so threads that
+    # the stores are read once per call and replaced whole, so threads that
     # switch parameter sets under each other still get their own weights
     import sys
     import threading
@@ -579,6 +621,7 @@ def test_readme_v2_computes_each_weight_once(empty_table, monkeypatch, capsys):
     assert 0 < sum(sizes) <= 1 << 16
 
 
+@pytest.mark.dispatch
 def test_sine_table_rows_independent_of_table_state(empty_table):
     grid = [1e-4, 0.003, 0.05, 0.3, 0.7]
     others = [replace(TABLE_P, alpha=2.1), TABLE_FAR, FIG2]  # other weights, same tau
@@ -602,6 +645,7 @@ def test_sine_table_rows_independent_of_table_state(empty_table):
         assert [_row(s_diff(tau, params)) for tau in grid] == cold[params]
 
 
+@pytest.mark.dispatch
 @pytest.mark.parametrize("params, tau, tol, value_hex, n_terms, tail_hex", TABLE_PINS)
 def test_sine_table_values_pinned_with_one_table_warm(empty_table, params, tau, tol, value_hex, n_terms, tail_hex):
     pinned = (value_hex, n_terms, tail_hex, True)
@@ -611,31 +655,32 @@ def test_sine_table_values_pinned_with_one_table_warm(empty_table, params, tau, 
     _clear_sines()  # warm weights, cold sines
     assert _row(s_diff(tau, params, tol)) == pinned
     _clear_table()
-    velocity._sines(tau, 4096)  # a shorter table first, then the extension
+    _sines(tau, 4096)  # a shorter table first, then the extension
     assert _row(s_diff(tau, params, tol)) == pinned
 
 
+@pytest.mark.dispatch
 def test_sine_table_extension_matches_one_pass(empty_table):
     tau = 0.137
     for n in (4096, 4097, 16384, 65536):
-        grown = velocity._sines(tau, n)
+        grown = _sines(tau, n)
     j = np.arange(1, 65537, dtype=float)
     assert [x.hex() for x in grown] == [x.hex() for x in (np.sin(j * (math.pi * tau)) / j) ** 2]
 
 
 def test_sine_store_read_only_and_bounded(empty_table):
     # 4096 sines for each of 100 tau, a few extended to 2^16: the store starts
-    # over when a table would take it past _SINE_CAP elements
-    cap = velocity._SINE_CAP
+    # over when a table would take it past 2^18 elements
+    cap = velocity._SINES.cap
     assert cap * 8 <= 2 * 1024 * 1024
     for k in range(100):
         tau = (k + 0.5) / 100
-        velocity._sines(tau, 1 << 16 if k % 17 == 0 else 4096)
-        store = velocity._SINES
+        _sines(tau, 1 << 16 if k % 17 == 0 else 4096)
+        store = velocity._SINES.tables
         assert tau in store
         assert sum(t.size for t in store.values()) <= cap
     s_diff(0.05, TABLE_P)
-    for table in velocity._SINES.values():
+    for table in velocity._SINES.tables.values():
         assert table.ndim == 1 and table.size <= 1 << 16
         assert not table.flags.writeable
         with pytest.raises(ValueError):
@@ -675,6 +720,7 @@ def test_s_diff_refuses_overflowing_abar_squared():
     assert s_diff(0.1, ModelParams(A=1e150)).converged
 
 
+@pytest.mark.dispatch
 @pytest.mark.parametrize("params", [FIG2, ModelParams(alpha=3.0, A=1e6)])
 def test_weight_table_matches_mc_second_moments(empty_table, params):
     # mc computes each mode's <a_j^2> = (1 - Z(b_j B_j^2)) / 2 b_j on its own
@@ -686,7 +732,7 @@ def test_weight_table_matches_mc_second_moments(empty_table, params):
     n, eps = 500, 0.05
     second = [mc.mode_second_moment_reference(params, j) for j in range(1, n + 1)]
     b = [mc._mode_params(params, j)[0] for j in range(1, n + 1)]
-    weights = velocity._weights(params, n)
+    weights = _weights(params, n)
     np.testing.assert_allclose(weights, 2.0 * np.array(b) * np.array(second), rtol=1e-14, atol=0.0)
     tau = eps / params.T
     head, _ = block_sum(lambda j: velocity._head_terms(tau, params, j), n)
