@@ -5,9 +5,14 @@ factorizes into independent truncated Gaussians — direct sampling, no
 Metropolis chain, zero autocorrelation.  Each ``estimate_v2`` or
 ``estimate_pi_factor`` call draws all its modes, j = 1..N in order, from
 one stream, Generator(PCG64(SeedSequence(seed))), so results are
-reproducible bit-for-bit for a fixed seed; how the stream is consumed
-(the sampler's rectangle/wedge split for B_j sqrt(b_j) <= 1, its Gaussian
-envelope above, and the round sizes) is part of the version.
+reproducible bit-for-bit for a fixed seed.  The stream is consumed per
+block: consecutive modes with x_j = B_j sqrt(b_j) <= 1, up to ``_BLOCK``
+samples in all, take their part-picking uniforms from one draw and their
+wedge samples from one rejection loop (``_near_uniform_block``); a mode
+with x_j > 1 takes its Gaussian envelope alone.  The block size, the
+sampler's split at x = 1 and its round sizes are part of the version.
+``estimate_v2`` adds a block to its velocities with one matrix-vector
+product and ``estimate_pi_factor`` its squares with one ``einsum``.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .paths import ModelParams
-from .special import hurwitz_zeta, truncated_gaussian_ratio
+from .special import _log_erf_over_sqrt, hurwitz_zeta, truncated_gaussian_ratio
 from .velocity import _check_eps, _v2_prefactor
 
 __all__ = [
@@ -46,26 +51,106 @@ class McEstimate:
     truncation_bias_bound: float = 0.0
 
 
-# Samples per rejection round: a round's few arrays then stay in cache.
-_BLOCK = 1 << 13
+# Samples per rejection round of one mode: a round's few arrays then stay in
+# cache.
+_ROUND = 1 << 13
+# Samples per block of near-uniform modes: one block's uniforms take 1 MB.
+_BLOCK = 1 << 17
+
+
+def _round_size(need, acceptance):
+    """Candidates for ``need`` accepted ones at a known acceptance: need / acceptance
+    plus three binomial standard deviations and 16, so that a round almost never
+    falls short (a short one is followed by another)."""
+    return (need + 3.0 * np.sqrt(need * (1.0 - acceptance))) / acceptance + 16.0
 
 
 def _rejection_fill(out: np.ndarray, acceptance: float, draw) -> np.ndarray:
-    """Fill ``out`` with the candidates that ``draw(batch)`` accepts.
-
-    The acceptance is known, so each round of at most ``_BLOCK`` samples
-    draws need / acceptance candidates plus three binomial standard
-    deviations and almost never falls short; a short round is followed by
-    another.
-    """
+    """Fill ``out`` with the candidates that ``draw(batch)`` accepts, in rounds
+    of at most ``_ROUND`` samples sized by ``_round_size``."""
     filled = 0
     while filled < out.size:
-        need = min(out.size - filled, _BLOCK)
-        batch = int((need + 3.0 * math.sqrt(need * (1.0 - acceptance))) / acceptance) + 16
+        need = min(out.size - filled, _ROUND)
+        batch = int(_round_size(need, acceptance))
         keep = draw(batch)
         take = min(keep.size, need)
         out[filled : filled + take] = keep[:take]
         filled += take
+    return out
+
+
+def _rectangle_mass(x2: np.ndarray) -> np.ndarray:
+    """p = Z(x^2) = e^{-x^2} / z, z = sqrt(pi) Erf(x) / (2 x) the mean of
+    e^{-b a^2} on [-B, B], for 0 <= x <= 1; p = 1 at x^2 = 0."""
+    return np.exp(-(x2 + _log_erf_over_sqrt(x2)))
+
+
+def _near_uniform_block(x2: np.ndarray, p: np.ndarray, rng: np.random.Generator,
+                        u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sample k modes with x_j^2 = b_j B_j^2 <= 1, one row of the (k, n) array ``u`` each.
+
+    e^{-b a^2} on [-B, B] is the rectangle c = e^{-x^2} plus the wedge
+    e^{-b a^2} - c (the one-layer ziggurat).  The rectangle holds the mass
+    p (``_rectangle_mass``): 0.993 at x = 0.1 and 0.493 at x = 1.  One draw
+    fills ``u`` with a uniform per sample that picks the part and, where
+    u < p, is the sample a = B (2 u / p - 1), since u / p is uniform given
+    u < p.  The other entries, the wedge slots, are filled by one rejection
+    loop over the whole block (``_wedge_fill``).  An x^2 that underflows to
+    0.0 (B = 0, the point mass at 0, too) gives p = 1: every sample is in
+    the rectangle.
+
+    On return each entry t of row j gives the sample a = B_j (2 t / p_j - 1):
+    t is the part-picking uniform in the rectangle and p_j s in the wedge,
+    where a = B_j (2 s - 1).  Returns the flat indices of the wedge slots in
+    ``u`` and their s.
+    """
+    rng.random(u.shape, out=u)
+    wedge = np.flatnonzero(u >= p[:, None])
+    rows = wedge // u.shape[1]
+    s = _wedge_fill(x2, np.bincount(rows, minlength=x2.size), rng)
+    u.reshape(-1)[wedge] = p[rows] * s
+    return wedge, s
+
+
+# The smallest wedge acceptance, 0.59948 at x = 1: it sizes the rounds.
+_WEDGE_ACCEPTANCE = 0.599
+
+
+def _wedge_fill(x2: np.ndarray, need: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """The s of need[j] wedge samples a = B_j (2 s - 1) of each row j, row after row.
+
+    The wedge e^{-b a^2} - c comes by rejection from the uniform envelope:
+    a candidate takes two uniforms (s, r) and is accepted where
+    r (1 - c) < e^{-b a^2} - c, that is r expm1(x^2) < expm1(4 x^2 s (1 - s)),
+    as a = B (2 s - 1) gives x^2 - b a^2 = 4 x^2 s (1 - s); expm1 keeps it
+    accurate at tiny x.  The acceptance falls from 2/3 as x -> 0 to 0.59948
+    at x = 1.  Each round draws, for every row still short, the
+    ``_round_size`` of its need, capped at ``_ROUND`` as in
+    ``_rejection_fill``, at acceptance 0.599, and keeps each row's first
+    accepted ones; a row still short takes another round.
+    """
+    out = np.empty(int(need.sum()))
+    start = np.cumsum(need) - need  # where each row's next sample goes in out
+    need = need.copy()
+    four_x2, ratio = 4.0 * x2, np.expm1(x2)
+    while need.any():
+        count = np.where(need > 0, _round_size(np.minimum(need, _ROUND), _WEDGE_ACCEPTANCE), 0.0)
+        count = count.astype(np.intp)
+        cand, level = rng.random((2, int(count.sum())))
+        excess = 1.0 - cand  # (e^{-b a^2} - c) / c
+        excess *= cand
+        excess *= np.repeat(four_x2, count)
+        np.expm1(excess, out=excess)
+        level *= np.repeat(ratio, count)
+        took = np.flatnonzero(level < excess)  # row after row
+        ends = np.searchsorted(took, np.cumsum(count))
+        accepted = np.diff(ends, prepend=0)
+        got = np.minimum(accepted, need)
+        # each row's first got accepted candidates, into its next got places in out
+        offset = np.arange(int(got.sum())) - np.repeat(np.cumsum(got) - got, got)
+        out[np.repeat(start, got) + offset] = cand[took[np.repeat(ends - accepted, got) + offset]]
+        start += got
+        need -= got
     return out
 
 
@@ -74,24 +159,17 @@ def sample_truncated_gaussian(b: float, big_b: float, rng: np.random.Generator, 
 
     Two methods, switched at x = B sqrt(b) = 1:
 
-    * x <= 1: e^{-b a^2} is the rectangle c = e^{-x^2} on [-B, B] plus the
-      wedge e^{-b a^2} - c (the one-layer ziggurat).  The rectangle holds
-      the mass p = 2 x c / (sqrt(pi) Erf x), 0.993 at x = 0.1 and 0.493 at
-      x = 1.  One uniform u per sample picks the part and, when u < p,
-      also the sample a = B (2 u / p - 1), since u / p is uniform given
-      u < p.  Wedge samples come by rejection from the uniform envelope,
-      accepting a with probability (e^{-b a^2} - c) / (1 - c), taken with
-      expm1 so it stays accurate at tiny x; that acceptance falls from
-      2/3 as x -> 0 to 0.59948 at x = 1.  An x^2 that underflows to 0.0
-      (B = 0, the point mass at 0, too) takes the x -> 0 limit, p = 1:
-      every sample comes from the rectangle.
+    * x <= 1: the rectangle plus wedge of ``_near_uniform_block``, on one
+      row.  The rectangle samples are B (2 u / p - 1); the wedge samples
+      B (2 s - 1) are written after that map, so every sample lies in
+      [-B, B] exactly.
     * x > 1: rejection from the untruncated Gaussian, accepting |a| <= B;
-      acceptance Erf(x) >= Erf(1) = 0.843.
+      acceptance Erf(x) >= Erf(1) = 0.843, in rounds sized from it
+      (``_rejection_fill``).
 
     A sample costs 1.00 random numbers on average at x <= 1e-3, 1.02 at
-    x = 0.1, 1.48 at 0.5 and 2.69 at 1 (two per wedge candidate), and at
-    most 1 / 0.843 = 1.19 Gaussian ones above.  Both rejection samplers
-    draw in rounds sized from their known acceptance (``_rejection_fill``).
+    x = 0.1, 1.48 at 0.5 and 2.7 at 1 (two per wedge candidate), and at
+    most 1 / 0.843 = 1.19 Gaussian ones above, each with its rounds' margins.
     """
     if b <= 0 or big_b < 0:
         raise ValueError("b must be positive and B non-negative")
@@ -106,59 +184,75 @@ def sample_truncated_gaussian(b: float, big_b: float, rng: np.random.Generator, 
 
         _rejection_fill(out, math.erf(x), gaussian)
     else:
-        x2 = x * x
-        c = math.exp(-x2)
-        one_minus_c = -math.expm1(-x2)
-        p, acceptance = 1.0, 2.0 / 3.0
-        if one_minus_c > 0.0:
-            z = math.sqrt(math.pi) * math.erf(x) / (2.0 * x)  # mean of e^{-b a^2} on [-B, B]
-            p = c / z
-            # it only sizes the rounds; z - c cancels at tiny x, so keep it in its range
-            acceptance = min(max((z - c) / one_minus_c, 0.599), 2.0 / 3.0)
-
-        def wedge(batch):
-            cand = rng.random(batch)
-            cand *= 2.0 * big_b
-            cand -= big_b
-            excess = cand * cand  # e^{-b a^2} - c = c expm1(x^2 - b a^2)
-            excess *= -b
-            excess += x2
-            np.expm1(excess, out=excess)
-            excess *= c
-            return cand[rng.random(batch) * one_minus_c < excess]
-
-        u = rng.random(out.size, out=out)  # in place: each u becomes its sample
-        in_wedge = u >= p
-        out *= 2.0 * big_b / p
+        x2 = np.array([x * x])
+        p = _rectangle_mass(x2)
+        wedge, s = _near_uniform_block(x2, p, rng, out.reshape(1, -1))
+        out *= 2.0 * big_b / p[0]
         out -= big_b
-        n_wedge = int(np.count_nonzero(in_wedge))
-        if n_wedge:
-            out[in_wedge] = _rejection_fill(np.empty(n_wedge), acceptance, wedge)
+        out[wedge] = s * (2.0 * big_b) - big_b
     return out
 
 
-def _mode_params(params: ModelParams, j: int) -> tuple[float, float]:
-    """(b_j, B_j): Gaussian weight m T lambda_j / 4 hbar and bound A / j^alpha."""
+def _mode_params(params: ModelParams, j):
+    """(b_j, B_j): Gaussian weight m T lambda_j / 4 hbar and bound A / j^alpha,
+    for an int j or a float array of them."""
     lam = (j * math.pi / params.T) ** 2
     b_j = params.m * params.T * lam / (4.0 * params.hbar)
     try:
-        big_b = params.amplitude / j**params.alpha
+        with np.errstate(over="ignore"):
+            big_b = params.amplitude / j**params.alpha
     except OverflowError:  # j^alpha past the float range: B_j is 0.0, and a_j = 0
         big_b = 0.0
     return b_j, big_b
 
 
-def _mode_samples(params: ModelParams, N_modes: int, n_samples: int,
-                  seed: int) -> Iterator[tuple[int, np.ndarray]]:
-    """(j, n_samples draws of a_j) for j = 1..N_modes in order, all from the one
-    stream of ``seed``; the sizes are checked here, before any is drawn."""
+def _mode_blocks(params: ModelParams, N_modes: int, n_samples: int,
+                 seed: int) -> Iterator[tuple[slice, np.ndarray, np.ndarray, np.ndarray]]:
+    """The modes j = 1..N_modes in order, all drawn from the one stream of ``seed``,
+    as (modes, scale, shift, t): row i of t holds the samples of mode
+    j = modes.start + i + 1, a_j = scale_i t_i - shift_i.  The sizes are
+    checked here, before any mode is drawn.
+
+    Consecutive modes with x_j = B_j sqrt(b_j) <= 1, up to ``_BLOCK`` samples
+    in all, are one block (``_near_uniform_block``), whose rows are views of
+    one buffer allocated per call, so that no block faults in fresh pages;
+    their rectangle masses p_j are computed in one call, for these modes
+    only.  A mode with x_j > 1 is drawn alone by ``sample_truncated_gaussian``
+    (scale 1, shift 0).
+    """
     if N_modes < 1:
         raise ValueError(f"N_modes must be >= 1, got {N_modes!r}")
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2 for a stderr, got {n_samples!r}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    return ((j, sample_truncated_gaussian(*_mode_params(params, j), rng, size=n_samples))
-            for j in range(1, N_modes + 1))
+    b, big_b = _mode_params(params, np.arange(1.0, N_modes + 1.0))
+    with np.errstate(over="ignore"):
+        x = big_b * np.sqrt(b)
+    near_uniform = x <= 1.0
+    x2 = np.zeros(N_modes)
+    x2[near_uniform] = x[near_uniform] ** 2
+    p = np.ones(N_modes)
+    p[near_uniform] = _rectangle_mass(x2[near_uniform])
+    rows = max(1, _BLOCK // n_samples)
+
+    def blocks():
+        buffer = np.empty(min(rows, N_modes) * n_samples)
+        one, zero = np.ones(1), np.zeros(1)
+        j = 0
+        while j < N_modes:
+            if not near_uniform[j]:
+                a = sample_truncated_gaussian(float(b[j]), float(big_b[j]), rng, n_samples)
+                yield slice(j, j + 1), one, zero, a[None, :]
+                j += 1
+                continue
+            gaussian = np.flatnonzero(~near_uniform[j : j + rows])
+            stop = j + int(gaussian[0]) if gaussian.size else min(j + rows, N_modes)
+            t = buffer[: (stop - j) * n_samples].reshape(stop - j, n_samples)
+            _near_uniform_block(x2[j:stop], p[j:stop], rng, t)
+            yield slice(j, stop), 2.0 * big_b[j:stop] / p[j:stop], big_b[j:stop], t
+            j = stop
+
+    return blocks()
 
 
 def _omitted_mode_bound(params: ModelParams, eps: float, N_modes: int) -> float:
@@ -203,11 +297,19 @@ def estimate_v2(
     rivals the stderr — never silent).
     """
     _check_eps(eps, params)
-    modes = _mode_samples(params, N_modes, n_samples, seed)
-    v = np.zeros(n_samples)
-    for j, a in modes:
-        ds = math.sin(j * math.pi * (t0 + eps) / params.T) - math.sin(j * math.pi * t0 / params.T)
-        v += a * ds
+    blocks = _mode_blocks(params, N_modes, n_samples, seed)
+    j = np.arange(1.0, N_modes + 1.0)
+    ds = np.sin(j * math.pi * (t0 + eps) / params.T) - np.sin(j * math.pi * t0 / params.T)
+    # v = sum_j ds_j (scale_j t_j - shift_j): one matrix-vector product per block
+    v, row = np.zeros(n_samples), np.empty(n_samples)
+    offset = 0.0
+    for modes, scale, shift, t in blocks:
+        w = ds[modes] * scale
+        # a one-row block (a mode above x = 1, or n_samples over 2^16) as a plain
+        # product: OpenBLAS runs a one-row product on two threads at twice the CPU time
+        v += np.dot(w, t, out=row) if w.size > 1 else np.multiply(t[0], w[0], out=row)
+        offset += float(ds[modes] @ shift)
+    v -= offset
     v /= eps
     # moments of v 2^-e (max |v| 2^-e in [1/2, 1)) scaled back by 2^(2e): bit
     # for bit those of v where v^2 and its spread are normal floats, and kept
@@ -256,14 +358,16 @@ def estimate_pi_factor(
     if T is not None:
         params = replace(params, T=T)  # validates T
     T = params.T
-    modes = _mode_samples(params, N_modes, n_samples, seed)
+    blocks = _mode_blocks(params, N_modes, n_samples, seed)
     if params.omega <= 0:
         raise ValueError("estimate_pi_factor requires omega > 0")
-    log_w = np.zeros(n_samples)
+    squares, row = np.zeros(n_samples), np.empty(n_samples)
+    for _, scale, shift, t in blocks:
+        t *= scale[:, None]
+        t -= shift[:, None]
+        squares += np.einsum("ij,ij->j", t, t, out=row)
     coef = params.m * T * params.omega**2 / (4.0 * params.hbar)
-    for _, a in modes:
-        log_w -= coef * a * a
-    w = np.exp(log_w)
+    w = np.exp(squares * -coef)
     n = np.arange(1, N_modes + 1, dtype=float)
     lam = (n * math.pi / T) ** 2
     gauss_norm = math.exp(0.5 * float(np.log1p(params.omega**2 / lam).sum()))

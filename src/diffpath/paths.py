@@ -75,15 +75,17 @@ class ModelParams:
         # every restricted series reads the restriction through
         # W_j = Abar^2 / j^(2 alpha - 2): an Abar^2 below the normal floats
         # leaves them no precision, and an amplitude that overflows no value;
-        # a Python float, so that squaring it (here and in every caller) never
-        # warns, as a numpy float64 from a grid T would
+        # T and Abar as Python floats, so that neither A(T) nor the square of
+        # Abar (here and in every caller) warns where a numpy float64 from a
+        # grid T would overflow: Python raises OverflowError or gives inf
+        T = float(T)
         try:
             a_bar = float(self._a_bar_at(T))
         except OverflowError:
             a_bar = math.inf
         if math.isfinite(a_bar) and a_bar * a_bar >= sys.float_info.min:
             return a_bar
-        inputs = f"m={self.m!r}, hbar={self.hbar!r}, T={float(T)!r}, "
+        inputs = f"m={self.m!r}, hbar={self.hbar!r}, T={T!r}, "
         if self.A is not None:
             inputs += f"A={self.A!r}"
         else:
@@ -212,7 +214,9 @@ def eval_path(p: FourierPath, t):
     if np.any(t < 0) or np.any(t > p.T):
         raise ValueError("t outside [0, T]")
     n = np.arange(1, p.coeffs.size + 1, dtype=float)
-    out = np.sin(np.multiply.outer(t, n) * (math.pi / p.T)) @ p.coeffs
+    phase = np.multiply.outer(t, n)  # the (grid x modes) table, scaled and sined in place
+    phase *= math.pi / p.T
+    out = np.sin(phase, out=phase) @ p.coeffs
     return float(out) if out.ndim == 0 else out
 
 

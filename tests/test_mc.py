@@ -9,7 +9,10 @@ from scipy import stats
 from scipy.special import erf
 
 from diffpath.mc import (
+    _mode_blocks,
+    _near_uniform_block,
     _omitted_mode_bound,
+    _rectangle_mass,
     estimate_pi_factor,
     estimate_v2,
     mode_second_moment_reference,
@@ -136,6 +139,73 @@ def test_sampler_wedge_ks_against_exact_cdf(x):
     c = math.exp(-x * x)
     mass = lambda t: math.sqrt(math.pi / b) / 2.0 * (erf(t * math.sqrt(b)) + erf(x)) - c * (t + big_b)
     assert stats.kstest(a, lambda t: mass(t) / mass(big_b)).pvalue > 1e-3
+
+
+def test_block_rows_ks_against_exact_cdf():
+    # one block, one stream: rows at x = 1e-3, 0.3 and 1 (b = 3), a row whose x^2 underflows
+    # to 0.0 (the uniform density) and one with B = 0 (the point mass at 0)
+    b = np.array([3.0, 3.0, 3.0, 1.0, 1.0])
+    big_b = np.array([1e-3 / math.sqrt(3.0), 0.3 / math.sqrt(3.0), 1.0 / math.sqrt(3.0), 1e-170, 0.0])
+    t = np.empty((5, 100_000))
+    x2 = big_b * np.sqrt(b)
+    x2 *= x2
+    p = _rectangle_mass(x2)
+    _near_uniform_block(x2, p, _rng(46), t)
+    a = big_b[:, None] * (2.0 * t / p[:, None] - 1.0)
+    for row, x in enumerate((1e-3, 0.3, 1.0)):
+        cdf = lambda s: 0.5 * (1.0 + erf(s * math.sqrt(3.0)) / erf(x))
+        assert stats.kstest(a[row], cdf).pvalue > 1e-3, x
+    assert stats.kstest(a[3], lambda s: (s + 1e-170) / 2e-170).pvalue > 1e-3
+    assert p[3] == p[4] == 1.0 and np.array_equal(a[4], np.zeros(a.shape[1]))
+
+
+@pytest.mark.filterwarnings("ignore::diffpath.mc.ModeTruncationWarning")
+def test_folded_accumulation_matches_explicit_sum():
+    # 40 near-uniform modes (x_1 = 0.94) x 3000 samples are one block: estimate_v2 adds it
+    # as one matrix-vector product, sum_j (ds_j 2 B_j / p_j) t_j - sum_j ds_j B_j; the same
+    # stream, mapped to the samples a_j and summed mode by mode, agrees with it per sample
+    # within (3 k + 10) eps sum_j |ds_j| B_j / eps_t for k = 40 modes (products and sums of
+    # terms of at most 2 |ds_j| B_j, each rounded once, on both sides)
+    params, eps_t, t0, k, n = ModelParams(A=0.6, alpha=2.5), 0.05, 0.1, 40, 3000
+    est = estimate_v2(params, eps_t, t0, k, n, seed=7)
+    (modes, scale, shift, t), = _mode_blocks(params, k, n, 7)
+    assert modes == slice(0, k)
+    j = np.arange(1.0, k + 1.0)
+    ds = np.sin(j * math.pi * (t0 + eps_t) / params.T) - np.sin(j * math.pi * t0 / params.T)
+    v = np.zeros(n)
+    for row in range(k):
+        v += ds[row] * (scale[row] * t[row] - shift[row])
+    v /= eps_t
+    delta = (3 * k + 10) * np.finfo(float).eps * float(np.abs(ds) @ shift) / eps_t
+    mean = float((v * v).mean())
+    assert abs(est.mean - mean) <= 2.0 * float(np.abs(v).max()) * delta + delta * delta + 1e-14 * mean
+
+
+class _EdgeRng:
+    """Part-picking uniforms at the rectangle's edge: the 129 floats p + k ulp(p),
+    |k| <= 64, repeated; every other draw from the wrapped Generator."""
+
+    def __init__(self, rng, p):
+        self._rng = rng
+        self._edge = np.minimum(p + np.spacing(p) * np.arange(-64.0, 65.0), 1.0 - 2.0**-53)
+
+    def random(self, size, out=None):
+        if out is None:
+            return self._rng.random(size)
+        out.reshape(-1)[:] = np.resize(self._edge, out.size)
+        return out
+
+
+@pytest.mark.parametrize("big_b", (1.0 / 3.0, 7.77e-5, 1e10 / 3.0, 0.1))
+@pytest.mark.parametrize("x", (1e-3, 0.3, 0.7, 1.0))
+def test_sampler_samples_within_the_bound_exactly(x, big_b):
+    # the rectangle's largest uniforms (just below its mass p) and the wedge (written
+    # after the rectangle's map, not pushed through it) stay in [-B, B] with no rounding past it
+    b = (x / big_b) ** 2
+    p = math.exp(-x * x) * 2.0 * x / (math.sqrt(math.pi) * math.erf(x))
+    for rng in (_EdgeRng(_rng(47), p), _WedgeOnlyRng(_rng(48)), _rng(49)):
+        a = sample_truncated_gaussian(b, big_b, rng, size=20_000)
+        assert a.min() >= -big_b and a.max() <= big_b
 
 
 class _ShortFirstRoundRng:
