@@ -10,49 +10,35 @@ independent of the smooth cutoff g and equal, by Euler-Maclaurin, to
 famous -1/12; the bounded-frequency toy spectrum
 f_D(n) = (L omega_D / c pi) tanh(c pi n / L omega_D) shifts it by
 O(x^2), x = pi c / (L omega_D), which an experiment constrains.
-``casimir_energy`` evaluates delta in closed form with a rigorous bound;
-``sum_minus_integral`` keeps the regulated sum as the check that it does
-not depend on g.
+``casimir_energy`` evaluates delta in closed form with a rigorous bound.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .special import bernoulli, block_sum
+from .special import bernoulli
 
 __all__ = [
     "CasimirConfig",
     "CasimirResult",
     "EpsilonDBound",
-    "REGULATORS",
     "euler_maclaurin_delta",
     "tanh_model_derivs",
-    "sum_minus_integral",
     "casimir_energy",
     "epsilon_d_bound",
 ]
 
-# Named smooth regulators g(x); their specific form is irrelevant in the
-# n_c -> infinity limit, which is what the regulator cross-check tests.
-REGULATORS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
-    "exp": lambda x: np.exp(-x),
-    "gauss": lambda x: np.exp(-(x**2)),
-}
-
-# How far (in units of n_c) each regulator needs to be summed before the
-# remaining terms are below 1e-18 relative.
-_REG_RANGE = {"exp": 45.0, "gauss": 7.0}
-
 
 @dataclass(frozen=True)
 class CasimirConfig:
-    """One Casimir point.  n_c and regulator configure only the regulated
-    check ``sum_minus_integral``; ``casimir_energy`` ignores them."""
+    """One Casimir point.  n_c and regulator (an exp or gauss cutoff at
+    index n_c) are checked but not used: ``casimir_energy`` takes the
+    cutoff-independent limit."""
 
     L: float  # plate separation
     omega_D: float  # bounded-frequency scale
@@ -66,7 +52,7 @@ class CasimirConfig:
             raise ValueError("all config scales must be positive")
         if self.n_c < 10:
             raise ValueError(f"n_c must be >= 10, got {self.n_c}")
-        if self.regulator not in REGULATORS:
+        if self.regulator not in ("exp", "gauss"):
             raise ValueError(f"unknown regulator {self.regulator!r}")
 
     @property
@@ -130,33 +116,6 @@ def _build_em_table() -> tuple:
         abs(bernoulli(24)),
     )
     return _EM_TABLE
-
-
-def sum_minus_integral(
-    f: Callable[[np.ndarray], np.ndarray], regulator: str, n_c: int
-) -> float:
-    """sum_{n>=0} F(n) - int_0^inf F(n) dn for F(n) = f(n) g(n/n_c).
-
-    Adds the local differences F(n) - int_n^{n+1} F (12-node Gauss-Legendre)
-    over n < N = _REG_RANGE[regulator] n_c + 1 (block_sum's terms m = 1..N,
-    taken at n = m - 1, which is exact in floats), f seeing at most 2^16
-    points at a time; block_sum refuses an N past 2^24 (exp: n_c > 372827).
-    For F decreasing beyond N, the dropped remainder is in [0, F(N)].
-    """
-    if n_c < 10:
-        raise ValueError("n_c must be >= 10")
-    g = REGULATORS[regulator]
-    F = lambda t: np.asarray(f(t), dtype=float) * g(t / n_c)
-    x, w = np.polynomial.legendre.leggauss(12)
-    n_max = int(_REG_RANGE[regulator] * n_c) + 1
-
-    def local_differences(n):
-        d = F(n)
-        for xk, wk in zip(0.5 * (x + 1.0), 0.5 * w):
-            d -= wk * F(n + xk)
-        return d
-
-    return block_sum(lambda m: local_differences(m - 1.0), n_max)
 
 
 def casimir_energy(config: CasimirConfig, model: str = "standard") -> CasimirResult:

@@ -218,12 +218,20 @@ def _mode_blocks(params: ModelParams, N_modes: int, n_samples: int,
     one buffer allocated per call, so that no block faults in fresh pages;
     their rectangle masses p_j are computed in one call, for these modes
     only.  A mode with x_j > 1 is drawn alone by ``sample_truncated_gaussian``
-    (scale 1, shift 0).
+    (scale 1, shift 0).  A b_N past the float range is refused.
     """
     if N_modes < 1:
         raise ValueError(f"N_modes must be >= 1, got {N_modes!r}")
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2 for a stderr, got {n_samples!r}")
+    try:  # b_j rises with j: a finite b_N bounds every mode's
+        with np.errstate(over="ignore"):
+            b_n = _mode_params(params, float(N_modes))[0]
+    except OverflowError:
+        b_n = math.inf
+    if not b_n < math.inf:
+        raise ValueError(f"b_N = m T (N pi / T)^2 / (4 hbar) overflows at m={params.m!r}, "
+                         f"hbar={params.hbar!r}, T={float(params.T)!r}, N_modes={N_modes!r}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     b, big_b = _mode_params(params, np.arange(1.0, N_modes + 1.0))
     with np.errstate(over="ignore"):

@@ -205,7 +205,9 @@ class FourierPath:
     def restriction_satisfied(self, A: float, alpha: float, rtol: float = 1e-12) -> bool:
         """Whether |a_n| <= A / n^alpha holds for every stored mode."""
         n = np.arange(1, self.coeffs.size + 1, dtype=float)
-        return bool(np.all(np.abs(self.coeffs) <= A / n**alpha * (1.0 + rtol)))
+        with np.errstate(over="ignore"):  # an n^alpha past the float range caps a_n at 0.0
+            cap = A / n**alpha
+        return bool(np.all(np.abs(self.coeffs) <= cap * (1.0 + rtol)))
 
 
 def eval_path(p: FourierPath, t):

@@ -12,15 +12,8 @@ Accuracy notes: a naive truncation of these series needs ~1e8 terms for
 1e-9 absolute accuracy because the tail only decays like 1/N.  Instead
 the partial sum is corrected and bounded analytically:
 
-* the free series sums to S_F(tau) = (pi^2/2) tau (1 - tau), which
-  v2_feynman and scan_v2 use.  s_feynman, the independent check, expands
-  the squared sine difference into a constant plus four cosine terms; the
-  constant's exact tail is the trigamma psi_1(N+1) = zeta(2, N+1), while each
-  oscillatory tail obeys the Abel/Dirichlet-kernel bound
-  |sum_{j>N} cos(j theta)/j^2| <= 2 / ((N+1)^2 sin(theta/2)); where that
-  bound is too weak (theta near 0) the tail is instead the Fourier
-  integral from N+1/2, cos(theta a)/a - theta (pi/2 - Si(theta a)), with a
-  midpoint-rule error bound;
+* the free series sums to S_F(tau) = (pi^2/2) tau (1 - tau) exactly, for
+  every t0, which v2_feynman and scan_v2 use;
 * s_diff sums the head of S_D = sum_j w_j s_j, s_j = sin^2(j pi tau)/j^2,
   up to n = 4096 * 4^k and certifies the tail R_n by the tighter of two
   bounds.  W-form: the weights 1 - Z(W_j) <= min(1, 2 W_j / 3) give a
@@ -64,7 +57,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -74,7 +67,6 @@ from .special import (BLOCK, ConvergenceError, SeriesValue, _sine_integral_tail,
 
 __all__ = [
     "RegimeReport",
-    "s_feynman",
     "v2_feynman",
     "s_diff",
     "v2_diff",
@@ -107,88 +99,13 @@ class RegimeReport:
     p_D: float
 
 
-def _cosine_components(tau: float, t0_frac: float):
-    """Decompose [sin(j pi (t0+tau)) - sin(j pi t0)]^2 / j^2 summed over j.
-
-    Returns (c0, [(coef, theta_hat), ...]) such that the j-th term equals
-    c0/j^2 + sum_i coef_i cos(j theta_i)/j^2, with theta_hat the distance
-    of theta to the nearest multiple of 2 pi.  Components with equal
-    theta_hat are merged so exact cancellations (e.g. t0 = 0) are kept.
-    """
-    raw = [
-        (-0.5, 2.0 * math.pi * (t0_frac + tau)),
-        (-0.5, 2.0 * math.pi * t0_frac),
-        (-1.0, math.pi * tau),
-        (1.0, math.pi * (2.0 * t0_frac + tau)),
-    ]
-    c0 = 1.0
-    merged: dict[float, float] = {}
-    for coef, theta in raw:
-        theta_hat = abs(math.remainder(theta, 2.0 * math.pi))
-        merged[theta_hat] = merged.get(theta_hat, 0.0) + coef
-    components = []
-    for theta_hat, coef in sorted(merged.items()):
-        if coef == 0.0:
-            continue
-        if theta_hat == 0.0:
-            c0 += coef
-        else:
-            components.append((coef, theta_hat))
-    return c0, components
-
-
-def _feynman_terms(tau: float, t0_frac: float, j: np.ndarray) -> np.ndarray:
-    ds = np.sin(j * (math.pi * (t0_frac + tau))) - np.sin(j * (math.pi * t0_frac))
-    return (ds / j) ** 2
-
-
 def _cos_over_t2_integral(a: float, theta: float) -> float:
     """int_a^inf cos(theta t) / t^2 dt = cos(theta a) / a - theta (pi/2 - Si(theta a)), a > 0."""
     return math.cos(theta * a) / a - theta * _sine_integral_tail(theta * a)
 
 
-def s_feynman(tau: float, t0_frac: float = 0.0, tol: float = 1e-10) -> SeriesValue:
-    """Free-measure series sum_j j^{-2} [sin(j pi (t0+tau)) - sin(j pi t0)]^2.
-
-    Equals (pi^2/2) tau (1 - tau) exactly and is independent of t0; both
-    facts are left to tests — this routine only sums.  The partial sum is
-    corrected by the exact trigamma tail of its smooth part, so tail_bound
-    covers only the oscillatory remainder.
-    """
-    if not 0.0 <= tau < 1.0:
-        raise ValueError("tau must lie in [0, 1)")
-    if not 0.0 <= t0_frac < 1.0:
-        raise ValueError("t0_frac must lie in [0, 1)")
-    if tau == 0.0:
-        return SeriesValue(0.0, 0, 0.0, True)
-
-    c0, components = _cosine_components(tau, t0_frac)
-
-    def evaluate(n: int) -> tuple[float, float]:
-        partial = block_sum(lambda j: _feynman_terms(tau, t0_frac, j), n)
-        trigamma = hurwitz_zeta(2.0, n + 1.0)
-        value = partial + c0 * trigamma
-        tail = 0.0
-        share = tol_budget(value, tol) / max(1, len(components))
-        for coef, theta in components:
-            cheap = min(2.0 / ((n + 1) ** 2 * math.sin(0.5 * theta)), trigamma)
-            if cheap <= share:
-                tail += abs(coef) * cheap
-                continue
-            # Evaluate the oscillatory tail itself: sum_{j>n} cos(j theta)/j^2
-            # equals the Fourier integral from n+1/2 (midpoint rule) up to a
-            # correction bounded through f'' of cos(theta t)/t^2.
-            a = n - 0.5
-            midpoint_err = (theta**2 / a + 2.0 * theta / a**2 + 2.0 / a**3) / 24.0
-            value += coef * _cos_over_t2_integral(n + 0.5, theta)
-            tail += abs(coef) * midpoint_err
-        return value, tail
-
-    return certify(evaluate, tol, 1 << 14)
-
-
 def _s_feynman_exact(tau: float) -> float:
-    """(pi^2/2) tau (1 - tau), the exact sum of the free series at t0 = 0."""
+    """(pi^2/2) tau (1 - tau), the exact sum of the free series at any t0."""
     return 0.5 * math.pi**2 * tau * (1.0 - tau)
 
 
@@ -346,7 +263,7 @@ def s_diff(tau: float, params: ModelParams, tol: float = 1e-10) -> SeriesValue:
     """Restricted-measure series sum_j j^{-2} sin^2(j pi tau) (1 - Z(W_j)).
 
     t0 is fixed to 0 for the restricted measure (mean velocity at the
-    origin); the t0-dependence is only exposed in s_feynman.  Tail bounds:
+    origin); the free series does not depend on t0.  Tail bounds:
     module docstring; where the W-form meets tol the value is the head sum.
     """
     if not 0.0 <= tau < 1.0:
@@ -465,20 +382,20 @@ def uv_plateau_scale(params: ModelParams) -> float:
     return (math.pi * a / params.T) * math.sqrt(params.hbar / (params.m * params.T))
 
 
-def crossing_eps(params: ModelParams, lo: float = 1e-6, hi: Optional[float] = None) -> float:
+def crossing_eps(params: ModelParams) -> float:
     """eps where v2_diff falls to 50% of v2_feynman (regime boundary).
 
     The ratio v2_diff/v2_feynman is monotone in eps for practical
-    parameters; bisection on log(eps).
+    parameters; bisection on log(eps) over [min(1e-6, 1e-3 eps_D), T/2].
     """
-    hi = hi if hi is not None else 0.5 * params.T
+    lo, hi = min(1e-6, 1e-3 * params.eps_d), 0.5 * params.T
 
     def ratio(eps: float) -> float:
         return v2_diff(eps, params, 1e-7) / v2_feynman(eps, params)
 
     r_lo, r_hi = ratio(lo), ratio(hi)
     if not (r_lo < 0.5 < r_hi):
-        raise ValueError("crossing not bracketed by [lo, hi]")
+        raise ValueError(f"crossing not bracketed by [{lo!r}, {hi!r}]")
     for _ in range(60):
         mid = math.sqrt(lo * hi)
         if ratio(mid) < 0.5:

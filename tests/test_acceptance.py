@@ -7,6 +7,11 @@ captured output of failing tests), so a failing clause never hides the
 state of the others, and the assertion message names each clause that
 failed.
 
+Criteria 2, 3 and 14 compare the closed forms the library computes, the
+free series (pi^2/2) tau (1 - tau) and the Casimir delta, with exact mpmath
+sums from conftest: the free series at any t0 as its dilogarithm sum, and
+the exp- and gauss-regulated sum-minus-integral of f(n) = n.
+
 Two criteria check against exact references rather than leading-order
 scales:
 
@@ -39,7 +44,6 @@ from diffpath.casimir import (
     casimir_energy,
     epsilon_d_bound,
     euler_maclaurin_delta,
-    sum_minus_integral,
     tanh_model_derivs,
 )
 from diffpath.commutator import commutator_expectation
@@ -47,7 +51,7 @@ from diffpath.mc import estimate_v2, mode_second_moment_reference, sample_trunca
 from diffpath.oscillator import log_pi, scan_E0_vs_omega, spectrum_shift, unitarity_diagnostic
 from diffpath.paths import ModelParams
 from diffpath.special import truncated_gaussian_ratio
-from diffpath.velocity import crossing_eps, s_feynman, v2_diff, v2_feynman
+from diffpath.velocity import _s_feynman_exact, crossing_eps, v2_diff, v2_feynman
 
 FIG2 = ModelParams(m=1.0, hbar=1.0, T=1.0, alpha=2.1, A=10.0)
 FIG4 = ModelParams(m=1.0, hbar=1.0, T=1.0, alpha=2.1, epsilon_D=0.1, omega=1.0)
@@ -118,15 +122,15 @@ def test_criterion_01_feynman_velocity_law():
     )
 
 
-def test_criterion_02_t0_independence():
+def test_criterion_02_t0_independence(s_feynman_closed):
     start = time.monotonic()
-    base = s_feynman(0.01, 0.0, 1e-10).value
+    value = _s_feynman_exact(0.01)  # the free series as v2_feynman takes it
     _report(
         2,
-        "s_feynman independent of t0 to 1e-8",
+        "free series independent of t0 to 1e-8",
         {
             "t0 independence": all(
-                abs(s_feynman(0.01, t0, 1e-10).value - base) <= 1e-8 for t0 in (0.1, 0.3, 0.7)
+                abs(s_feynman_closed(0.01, t0) - value) <= 1e-8 for t0 in (0.1, 0.3, 0.7)
             ),
             "runtime": _within_runtime(start, 30.0),
         },
@@ -140,7 +144,7 @@ def test_criterion_03_closed_form_vs_series(s_feynman_closed):
         "dilogarithm closed form matches series to 1e-8",
         {
             "closed form": all(
-                abs(s_feynman_closed(tau) - s_feynman(tau, 0.0, 1e-10).value) <= 1e-8
+                abs(s_feynman_closed(tau) - _s_feynman_exact(tau)) <= 1e-8
                 for tau in (0.001, 0.01, 0.1)
             ),
             "runtime": _within_runtime(start, 30.0),
@@ -320,10 +324,13 @@ def test_criterion_13_large_omega_linearity():
     )
 
 
-def test_criterion_14_casimir():
+def test_criterion_14_casimir(regulated_linear_delta):
     start = time.monotonic()
-    v_exp = sum_minus_integral(lambda n: n, "exp", 10_000)
-    v_gauss = sum_minus_integral(lambda n: n, "gauss", 10_000)
+    # the regulator-free delta of f(n) = n, against the exact regulated sum of each regulator
+    delta = {
+        reg: casimir_energy(CasimirConfig(L=1.0, omega_D=1.0, n_c=10_000, regulator=reg)).delta
+        for reg in ("exp", "gauss")
+    }
     x = 0.1
     tanh_val = casimir_energy(CasimirConfig(L=1.0, omega_D=math.pi / x), "tanh").delta
     # target as stated, with O(x^4)-scale slack; the x^2 coefficient itself
@@ -333,8 +340,8 @@ def test_criterion_14_casimir():
         14,
         "Casimir: -1/12 to 1e-4, regulator-invariant, tanh correction O(x^2)",
         {
-            "-1/12": abs(v_exp + 1.0 / 12.0) <= 1e-4,
-            "regulator invariance": abs(v_exp - v_gauss) < 1e-4,
+            "-1/12": abs(regulated_linear_delta("exp", 10_000) - delta["exp"]) <= 1e-4,
+            "regulator invariance": abs(regulated_linear_delta("gauss", 10_000) - delta["gauss"]) < 1e-4,
             "Euler-Maclaurin": abs(tanh_val - em) <= 1e-4,
             # O(x^4)-level band
             "tanh correction": abs(tanh_val - (-1.0 / 12.0 - x**2 / 40.0)) <= 2.5e-4,

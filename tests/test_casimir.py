@@ -1,4 +1,4 @@
-"""Casimir toy model: Euler-Maclaurin, closed-form delta, regulated sums, eps_D bound."""
+"""Casimir toy model: Euler-Maclaurin, closed-form delta against regulated sums, eps_D bound."""
 
 import math
 
@@ -8,15 +8,12 @@ import pytest
 
 from diffpath import casimir
 from diffpath.casimir import (
-    REGULATORS,
     CasimirConfig,
     casimir_energy,
     epsilon_d_bound,
     euler_maclaurin_delta,
-    sum_minus_integral,
     tanh_model_derivs,
 )
-from diffpath.special import BLOCK
 
 EPS = np.finfo(float).eps
 
@@ -74,71 +71,39 @@ def test_tanh_derivs_order_cap():
         tanh_model_derivs(0.1, 61)
 
 
-def test_sum_minus_integral_standard_exp_regulator():
-    # single n_c, modest accuracy: the O(1/n_c^2) error and ~n_c^2 eps rounding
-    val = sum_minus_integral(lambda n: n, "exp", 1000)
-    assert val == pytest.approx(-1.0 / 12.0, abs=1e-4)
+def test_sum_minus_integral_standard_exp_regulator(regulated_linear_delta):
+    # single n_c, modest accuracy: the O(1/n_c^2) regulator error
+    delta = casimir_energy(CasimirConfig(L=1.0, omega_D=1.0, n_c=1000), "standard").delta
+    assert regulated_linear_delta("exp", 1000) == pytest.approx(delta, abs=1e-4)
 
 
 @pytest.mark.parametrize("n_c", [10, 100, 1000, 10_000])
-def test_sum_minus_integral_linear_exp_closed_form(n_c):
-    # sum_n n q^n = q/(1-q)^2 with q = e^(-1/n_c), and int_0^inf n e^(-n/n_c) dn = n_c^2;
-    # the sum and the integral each carry a few ulps of n_c^2
-    with mpmath.workdps(40):
-        q = mpmath.exp(-mpmath.mpf(1) / n_c)
-        exact = q / (1 - q) ** 2 - mpmath.mpf(n_c) ** 2
-        err = abs(sum_minus_integral(lambda n: n, "exp", n_c) - exact)
-    assert err <= 2.0 * np.finfo(float).eps * n_c**2
+def test_sum_minus_integral_linear_exp_closed_form(regulated_linear_delta, n_c):
+    # sum_n n q^n - int_0^inf n e^(-n/n_c) dn = q/(1-q)^2 - n_c^2 = 1/(4 sinh^2(h/2)) - 1/h^2,
+    # q = e^-h, h = 1/n_c: -1/12 + h^2/240 - h^4/6048 + h^6/172800, within the next term
+    # h^8/5322240, is delta plus its regulator terms; both sides round -1/12 by an ulp or less
+    h = 1.0 / n_c
+    delta = casimir_energy(CasimirConfig(L=1.0, omega_D=1.0, n_c=n_c), "standard").delta
+    err = regulated_linear_delta("exp", n_c) - delta - (h**2 / 240 - h**4 / 6048 + h**6 / 172800)
+    assert abs(err) <= h**8 / 5322240 + EPS / 8
 
 
-@pytest.mark.parametrize("regulator, n_max", [("exp", 450_001), ("gauss", 70_001)])
-def test_sum_minus_integral_works_in_blocks(regulator, n_max):
-    # one point and 12 Gauss-Legendre nodes per unit interval, in blocks of
-    # at most special.BLOCK points: no array of the size of the whole range
-    sizes = []
-
-    def f(n):
-        sizes.append(np.size(n))
-        return n
-
-    sum_minus_integral(f, regulator, 10_000)
-    assert max(sizes) <= BLOCK
-    assert sum(sizes) == 13 * n_max
-
-
-def test_sum_minus_integral_refuses_a_range_past_the_term_cap():
-    # exp sums n < 45 n_c + 1: 2^24 terms at most, so n_c = 372827 is the last one taken
-    def f(n):
-        raise AssertionError("no term may be evaluated")
-
-    with pytest.raises(ValueError, match="TERM_CAP"):
-        sum_minus_integral(f, "exp", 372_828)
-
-
-def test_sum_minus_integral_zero_function():
-    assert sum_minus_integral(lambda n: np.zeros_like(n), "exp", 100) == 0.0
-
-
-def test_sum_minus_integral_standard_gauss_regulator():
-    v_exp = sum_minus_integral(lambda n: n, "exp", 1000)
-    v_gauss = sum_minus_integral(lambda n: n, "gauss", 1000)
-    assert v_gauss == pytest.approx(-1.0 / 12.0, abs=1e-4)
+def test_sum_minus_integral_standard_gauss_regulator(regulated_linear_delta):
+    v_exp = regulated_linear_delta("exp", 1000)
+    v_gauss = regulated_linear_delta("gauss", 1000)
+    delta = casimir_energy(CasimirConfig(L=1.0, omega_D=1.0, n_c=1000, regulator="gauss"), "standard").delta
+    assert v_gauss == pytest.approx(delta, abs=1e-4)
     # regulator swap invariance
     assert abs(v_exp - v_gauss) < 1e-4
 
 
 def test_cross_method_agreement_tanh():
-    # closed-form delta vs five Euler-Maclaurin terms across x, to O(x^4),
-    # and vs the regulated sum of either regulator, whose O(1/n_c^2) error
-    # (1/(240 n_c^2) for exp, -1/(120 n_c^2) for gauss) is below 1e-8 at n_c = 1000
+    # closed-form delta vs five Euler-Maclaurin terms across x, to O(x^4)
     for x in (0.05, 0.1, 0.2):
         cfg = CasimirConfig(L=1.0, omega_D=math.pi / x)
         closed = casimir_energy(cfg, "tanh").delta
         analytic = euler_maclaurin_delta(tanh_model_derivs(x, 5), 5)
         assert abs(closed - analytic) < 2.0 * x**4 / 100.0 + 1e-7
-        for regulator in REGULATORS:
-            regulated = sum_minus_integral(lambda n: np.tanh(x * n) / x, regulator, 1000)
-            assert abs(regulated - closed) <= 1e-8, (x, regulator)
 
 
 def _mpmath_tanh_delta(x):
@@ -225,17 +190,14 @@ def test_tanh_em_table_built_on_first_em_call(monkeypatch):
 
 
 @pytest.mark.parametrize("model", ["standard", "tanh"])
-def test_casimir_energy_never_sums_regulated(monkeypatch, model):
+def test_casimir_energy_never_sums_regulated(model):
     # delta is the n_c -> infinity limit: n_c and regulator are ignored
-    calls = []
-    monkeypatch.setattr(casimir, "sum_minus_integral", lambda *a, **k: calls.append(a))
     results = [
         casimir_energy(CasimirConfig(L=1.0, omega_D=omega_d, n_c=n_c, regulator=reg), model)
         for omega_d in (1.0, 100.0)
         for n_c in (10, 10_000)
-        for reg in REGULATORS
+        for reg in ("exp", "gauss")
     ]
-    assert calls == []
     assert len({(r.delta, r.route) for r in results}) == (1 if model == "standard" else 2)
 
 
@@ -262,8 +224,6 @@ def test_config_validation():
         CasimirConfig(L=1.0, omega_D=1.0, regulator="nope")
     with pytest.raises(ValueError, match="n_c"):
         CasimirConfig(L=1.0, omega_D=1.0, n_c=5)
-    with pytest.raises(ValueError):
-        sum_minus_integral(lambda n: n, "exp", 5)
 
 
 def test_epsilon_d_bound_order_of_magnitude():

@@ -328,6 +328,9 @@ def test_casimir_scan_and_bound(capsys):
         (["spectrum", "--epsilon-D", "1", "--alpha", "401", "--omega", "1", "--T-grid-min", "5",
           "--T-grid-max", "10", "--points", "2", "--n-terms", "1000"], EXIT_USAGE,
          "Abar = sqrt(m pi^2 / (4 hbar T)) A overflows at m=1.0, hbar=1.0, T=10.0"),
+        # b_N = m T (N pi / T)^2 / (4 hbar): (N pi / T)^2 overflows at T = 1e-160, refused before any draw
+        (["oracle", "--A", "1", "--T", "1e-160", "--eps", "1e-161"], EXIT_USAGE,
+         "b_N = m T (N pi / T)^2 / (4 hbar) overflows at m=1.0, hbar=1.0, T=1e-160, N_modes=5"),
     ],
 )
 @pytest.mark.filterwarnings("ignore::diffpath.mc.ModeTruncationWarning")

@@ -125,6 +125,13 @@ def test_twin_clamps_and_is_idempotent():
     np.testing.assert_array_equal(twin.coeffs[:jd], p.coeffs[:jd])
 
 
+def test_restriction_satisfied_past_the_float_range():
+    # n^alpha overflows from n = 2 on at alpha = 3000: the cap A / n^alpha is 0.0, with
+    # no overflow warning (an error under pytest's filterwarnings)
+    assert FourierPath(T=1.0, coeffs=[1.0, 0.0, 0.0]).restriction_satisfied(10.0, 3000.0)
+    assert not FourierPath(T=1.0, coeffs=[1.0, 1e-300]).restriction_satisfied(10.0, 3000.0)
+
+
 def test_twin_identity_when_amplitude_huge():
     params = ModelParams(alpha=2.1, A=1e12)
     p = sample_brownian(params, 100, seed=1)

@@ -12,6 +12,7 @@ import scipy.special as sc
 from scipy.integrate import quad
 
 from diffpath import special, velocity
+from diffpath.paths import ModelParams
 from diffpath.special import (
     BLOCK,
     TERM_CAP,
@@ -463,20 +464,20 @@ def test_block_sum_bit_identical_to_blocked_fsum():
     assert block_sum(terms, 200_000) == ref
 
 
-def test_s_feynman_blocks_are_bounded(monkeypatch):
+def test_s_diff_head_blocks_are_bounded(monkeypatch):
     # tol = 0 is never met, so the x4 loop runs to the (lowered) cap of 2^18
     sizes = []
-    feynman_terms = velocity._feynman_terms
+    head_terms = velocity._head_terms
 
-    def recording(tau, t0_frac, j):
+    def recording(tau, params, j):
         sizes.append(j.size)
-        return feynman_terms(tau, t0_frac, j)
+        return head_terms(tau, params, j)
 
-    monkeypatch.setattr(velocity, "_feynman_terms", recording)
+    monkeypatch.setattr(velocity, "_head_terms", recording)
     monkeypatch.setattr(special, "TERM_CAP", 1 << 18)
-    res = velocity.s_feynman(0.1, 0.3, tol=0.0)
+    res = velocity.s_diff(0.1, ModelParams(alpha=2.1, A=10.0), tol=0.0)
     assert res.n_terms == 1 << 18 and not res.converged
-    assert max(sizes) == 1 << 16 and sum(sizes) == (1 << 14) + (1 << 16) + (1 << 18)
+    assert max(sizes) == 1 << 16 and sum(sizes) == (1 << 12) + (1 << 14) + (1 << 16) + (1 << 18)
 
 
 def test_tol_budget_rule():
@@ -494,7 +495,7 @@ def test_certify_returns_first_n_meeting_budget(monkeypatch):
     assert certify(evaluate, 1e-2, 1) == SeriesValue(100.0, 64, 50.0 / 64, True)
     assert calls == [1, 4, 16, 64]
     assert certify(lambda n: (0.5, 1.0 / n), 1e-3, 1).n_terms == 1024
-    # s_diff's n0 = 2^12 and s_feynman's 2^14 both step to the cap, 2^24, and stop there
+    # s_diff's n0 = 2^12, and an n0 of 2^14, step to the cap, 2^24, and stop there
     for n0 in (1 << 12, 1 << 14):
         calls.clear()
         assert certify(evaluate, 0.0, n0) == SeriesValue(100.0, TERM_CAP, 50.0 / TERM_CAP, False)

@@ -18,7 +18,6 @@ from diffpath.velocity import (
     crossing_eps,
     regime_report,
     s_diff,
-    s_feynman,
     scan_v2,
     uv_plateau_scale,
     v2_diff,
@@ -44,21 +43,11 @@ def brute_s_diff(tau, params, n):
     return float(np.sum((np.sin(j * math.pi * tau) / j) ** 2 * weights))
 
 
-def test_s_feynman_small_tau_limit():
-    sv = s_feynman(1e-6, 0.0, 1e-10)
-    assert sv.converged
-    assert sv.value == pytest.approx(math.pi**2 / 2.0 * 1e-6, rel=1e-2)
-
-
-def test_s_feynman_zero():
-    assert s_feynman(0.0, 0.0).value == 0.0
-
-
 @pytest.mark.dispatch
 @pytest.mark.parametrize("k", range(7))
 def test_trigamma_is_hurwitz_zeta_at_the_certified_term_counts(k):
-    # s_feynman and the Z-form take psi_1(n + 1) as zeta(2, n + 1) at every
-    # n = 4096 * 4^k that certify runs: within 2 ulp of mpmath's trigamma
+    # the Z-form takes psi_1(n + 1) as zeta(2, n + 1) at every n = 4096 * 4^k
+    # that certify runs: within 2 ulp of mpmath's trigamma
     n = 4096 * 4**k
     with mp.workdps(60):
         ref = mp.psi(1, n + 1)
@@ -66,39 +55,36 @@ def test_trigamma_is_hurwitz_zeta_at_the_certified_term_counts(k):
         assert abs(value - ref) <= 2 * math.ulp(float(ref))
 
 
+def test_s_feynman_small_tau_limit(s_feynman_closed):
+    # (pi^2/2) tau to O(tau^2), the value of the series at t0 = 0.3 too
+    value = velocity._s_feynman_exact(1e-6)
+    assert value == pytest.approx(math.pi**2 / 2.0 * 1e-6, rel=1e-2)
+    assert value == pytest.approx(s_feynman_closed(1e-6, 0.3), rel=1e-12)
+
+
 def test_s_feynman_brute_force_oracle():
+    # the closed form v2_feynman takes, for the series at any t0
     for tau, t0 in [(0.1, 0.0), (0.01, 0.3), (0.37, 0.12)]:
-        sv = s_feynman(tau, t0, 1e-9)
         ref = brute_s_feynman(tau, t0, 2_000_000)
         # brute truncation itself is ~1/N; compare at its level
-        assert sv.value == pytest.approx(ref, abs=5e-6)
-        assert sv.converged and sv.tail_bound <= 1e-9 * max(1.0, abs(sv.value))
+        assert velocity._s_feynman_exact(tau) == pytest.approx(ref, abs=5e-6)
 
 
-def test_s_feynman_exact_closed_value():
+def test_s_feynman_exact_closed_value(s_feynman_closed):
     # the series sums to (pi^2/2) tau (1 - tau) exactly
     for tau in (0.001, 0.05, 0.25, 0.9):
-        sv = s_feynman(tau, 0.0, 1e-10)
-        assert sv.value == pytest.approx(math.pi**2 / 2.0 * tau * (1.0 - tau), abs=2e-10)
-
-
-def test_s_feynman_small_tau_tight_tol_converges():
-    # cos(j pi tau)/j^2 tails near theta = 0 take the closed-form Fourier integral
-    tau = 1e-3
-    sv = s_feynman(tau, 0.3, 1e-12)
-    assert sv.converged
-    assert abs(sv.value - math.pi**2 / 2.0 * tau * (1.0 - tau)) <= 1e-15
+        assert velocity._s_feynman_exact(tau) == pytest.approx(s_feynman_closed(tau), abs=2e-10)
 
 
 def test_s_feynman_needs_no_quadpack(monkeypatch):
     import scipy.integrate
 
     def refuse(*args, **kwargs):
-        raise AssertionError("s_feynman called QUADPACK")
+        raise AssertionError("the free series called QUADPACK")
 
     monkeypatch.setattr(scipy.integrate, "quad", refuse)
-    sv = s_feynman(1e-3, 0.3, 1e-12)
-    assert sv.converged
+    rows = scan_v2([1e-3, 0.3], FIG2, "feynman", 1e-12)
+    assert [r.v2 for r in rows] == [v2_feynman(1e-3, FIG2), v2_feynman(0.3, FIG2)]
 
 
 def test_cos_over_t2_integral_against_mpmath():
@@ -122,22 +108,24 @@ def test_sine_integral_tail_against_mpmath():
             assert abs(_sine_integral_tail(x) - ref) <= 4 * EPS * scale, x
 
 
-def test_s_feynman_t0_independence():
-    base = s_feynman(0.01, 0.0, 1e-10).value
+def test_s_feynman_t0_independence(s_feynman_closed):
+    base = velocity._s_feynman_exact(0.01)
     for t0 in (0.1, 0.3, 0.7):
-        assert abs(s_feynman(0.01, t0, 1e-10).value - base) <= 1e-8
+        assert abs(s_feynman_closed(0.01, t0) - base) <= 1e-8
 
 
 def test_s_feynman_domain():
-    with pytest.raises(ValueError):
-        s_feynman(1.2, 0.0)
-    with pytest.raises(ValueError):
-        s_feynman(0.1, -0.2)
+    # the free route takes tau = eps / T in (0, 1) only
+    for eps in (1.2, -0.2, 0.0):
+        with pytest.raises(ValueError):
+            v2_feynman(eps, FIG2)
+        with pytest.raises(ValueError):
+            scan_v2([eps], FIG2, "feynman")
 
 
 def test_s_feynman_closed_matches_series(s_feynman_closed):
     for tau in (0.001, 0.01, 0.1):
-        assert s_feynman_closed(tau) == pytest.approx(s_feynman(tau, 0.0, 1e-10).value, abs=1e-8)
+        assert s_feynman_closed(tau) == pytest.approx(velocity._s_feynman_exact(tau), abs=1e-8)
 
 
 def test_s_feynman_closed_small_tau(s_feynman_closed):
@@ -174,9 +162,8 @@ def test_s_diff_feynman_limit_large_amplitude():
     params = ModelParams(alpha=2.1, A=1e12)
     for tau in (0.01, 0.1):
         sd = s_diff(tau, params, 1e-9)
-        sf = s_feynman(tau, 0.0, 1e-9)
         assert sd.converged
-        assert abs(sd.value - sf.value) <= 1e-9
+        assert abs(sd.value - velocity._s_feynman_exact(tau)) <= 1e-9
 
 
 def test_s_diff_small_tau_envelope():
@@ -196,8 +183,7 @@ def test_s_diff_small_tau_envelope():
 @settings(deadline=None, max_examples=25)
 def test_s_diff_below_s_feynman(tau):
     sd = s_diff(tau, FIG2, 1e-8).value
-    sf = s_feynman(tau, 0.0, 1e-8).value
-    assert 0.0 <= sd <= sf + 1e-12
+    assert 0.0 <= sd <= velocity._s_feynman_exact(tau) + 1e-12
 
 
 def test_v2_diff_plateau():
@@ -250,6 +236,14 @@ def test_crossing_eps_band():
     assert 0.005 <= eps <= 0.1
 
 
+def test_crossing_eps_below_1e_6():
+    # eps_D = 2.7e-9: the bracket starts at 1e-3 eps_D, not at 1e-6
+    params = ModelParams(alpha=2.05, A=1e9)
+    eps = crossing_eps(params)
+    assert eps < params.eps_d
+    assert v2_diff(eps, params, 1e-7) / v2_feynman(eps, params) == pytest.approx(0.5, abs=1e-6)
+
+
 def test_scan_v2():
     # a decade step in the small-eps regime scales the result by ~10; at
     # larger eps the exact (1 - eps/T) factor skews the ratio visibly
@@ -266,7 +260,7 @@ def test_uv_plateau_scale_matches_regime_report():
     )
 
 
-def test_v2_feynman_is_the_closed_form():
+def test_v2_feynman_is_the_closed_form(s_feynman_closed):
     # (2 hbar / m T)(T / pi eps)^2 (pi^2/2) tau (1 - tau) = (hbar / m eps)(1 - eps / T)
     for eps in (1e-4, 0.01, 0.3, 0.9):
         exact = 2.0 * (1.0 / (math.pi * eps)) ** 2 * (0.5 * math.pi**2 * eps * (1.0 - eps))
@@ -275,9 +269,8 @@ def test_v2_feynman_is_the_closed_form():
     rows = scan_v2([0.01, 0.3], FIG2, "feynman")
     assert [r.v2 for r in rows] == [v2_feynman(0.01, FIG2), v2_feynman(0.3, FIG2)]
     assert all(r.n_terms == 0 and r.tail_bound == 0.0 and r.converged for r in rows)
-    # the series, kept as the independent route, sums to the same value
-    sf = s_feynman(0.3, 0.0, 1e-10)
-    assert abs(0.5 * math.pi**2 * 0.3 * 0.7 - sf.value) <= sf.tail_bound + 1e-15
+    # the series, summed in mpmath, has the same value
+    assert abs(0.5 * math.pi**2 * 0.3 * 0.7 - s_feynman_closed(0.3, 0.5)) <= 1e-15
 
 
 # W-form values at Fig. 2 parameters, pinned in hex: where the W-form bound
