@@ -208,8 +208,6 @@ def _bracket_tail(n: int, wt: float, a_bar: float, alpha: float) -> float:
 
 def _bracket_terms_needed(tol: float, wt: float, a_bar: float, alpha: float) -> int:
     """Smallest N <= TERM_CAP whose bracket tail bound is <= tol (the cap if none is)."""
-    if not tol > 0:
-        return TERM_CAP
     log_n = 2.0 * math.log(wt) - math.log(2.0 * math.pi**2 * tol)
     if alpha > 0.5:
         k = 2.0 * alpha - 1.0
@@ -239,6 +237,8 @@ def _log_pi_core(points: list, params: ModelParams, tol: float, n_terms: Optiona
     # an integral float such as 1e5 is a term count too
     if n_terms is not None and not (n_terms >= 1 and n_terms % 1 == 0):
         raise ValueError(f"n_terms must be an integer >= 1, not {n_terms!r}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be a positive finite float, not {tol!r}")
     # omega T = 0 gives Pi = 1 exactly; the other points are summed, over sizes[i] terms each
     live, sizes, heads, frees = [], [], [], []
     for point in points:
@@ -299,8 +299,6 @@ def _log_pi_core(points: list, params: ModelParams, tol: float, n_terms: Optiona
             value = min(max(free + s, 0.0), free)
             tail = _bracket_tail(n, wt, a_bar, alpha)
             pis.append(PiResult(value, T, n, tail, tail <= tol_budget(value, tol)))
-    if len(live) == len(points):
-        return pis
     summed = iter(pis)
     return [PiResult(0.0, T, 0, 0.0, True) if wt == 0.0 else next(summed) for T, _, wt in points]
 

@@ -96,7 +96,7 @@ class ModelParams:
 
     # -- derived scales -----------------------------------------------------
     # Each is a function of the time T; the properties take the field T, and
-    # ``a_bar_at``/``eps_d_at`` another T without building a copy.
+    # ``a_bar_at`` another T without building a copy.
 
     def _sigma_at(self, T: float) -> float:
         return math.sqrt(self.hbar * T / self.m)
@@ -155,13 +155,6 @@ class ModelParams:
         if not T > 0:
             raise ValueError("T must be positive")
         return self._check_abar(T)
-
-    def eps_d_at(self, T: float) -> float:
-        """``replace(self, T=T).eps_d``, with the same checks and errors, without the copy."""
-        if self.A is None and self.alpha <= 1:  # no A(T) to check: the copy's constructor skips it
-            return replace(self, T=T).eps_d
-        self.a_bar_at(T)
-        return self._eps_d_at(T)
 
     def mode_w(self, j, a_bar: Optional[float] = None):
         """W_j = (Abar / j^(alpha-1))^2, the per-mode number through which the

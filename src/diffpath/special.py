@@ -16,8 +16,8 @@ pi/2 - Si(x) for the Fourier tail of the velocity series; exact
 Bernoulli numbers; the Hurwitz zeta m^s zeta(s, q) by Euler-Maclaurin,
 truncated within ZETA_RTOL = 2^-80 of its value (Johansson's remainder
 bound); and the one series primitive every certified sum goes through: block_sum
-(compensated blocked summation of one range or of many, packed in blocks
-of BLOCK terms into kernel calls that get each range's own values),
+(compensated blocked summation of a list of ranges, packed in blocks of
+BLOCK terms into kernel calls that get each range's own values),
 tol_budget (tail <= tol * max(1, |value|), absolute for |value| < 1) and
 certify (the x4 term-count loop that returns a SeriesValue).
 """
@@ -68,29 +68,26 @@ class ConvergenceError(RuntimeError):
     """A series failed to meet its tail-bound tolerance within the term cap."""
 
 
-def block_sum(terms: Callable, stops, *cols, block: int = BLOCK):
-    """Compensated sums of terms over n = 1..stop, for one stop or a list of them.
+def block_sum(terms: Callable, stops: list, *cols) -> list:
+    """Compensated sums of ``terms(n, *args)`` over n = 1..stop, one per stop.
 
-    ``stops`` an int: the sum of ``terms(n)``; a list: the list of sums of
-    ``terms(n, *args)``, n a float array.  Each col of ``cols`` holds one
-    value per range; its arg is the value of the range of each n, a float
-    when the call holds one range, else an array like n.  Each range is cut
-    into blocks of ``block`` consecutive n, packed in order into calls of at
-    most ``block`` terms; numpy's pairwise sum of each block's slice and one
-    ``math.fsum`` per range fix the accumulation order, so no sum depends on
-    the packing and rounding stays near one ulp even for ~1e7 terms.  An
-    empty range gives 0.0, and tuples of arrays from ``terms`` tuples of sums.
-    A range past TERM_CAP raises ValueError first.  ``block`` is for tests.
+    n is a float array.  Each col of ``cols`` holds one value per range; its
+    arg is the value of the range of each n, a float when the call holds one
+    range, else an array like n.  Each range is cut into blocks of BLOCK
+    consecutive n, packed in order into calls of at most BLOCK terms; numpy's
+    pairwise sum of each block's slice and one ``math.fsum`` per range fix
+    the accumulation order, so no sum depends on the packing and rounding
+    stays near one ulp even for ~1e7 terms.  An empty range gives 0.0, and
+    tuples of arrays from ``terms`` tuples of sums.  A range past TERM_CAP
+    raises ValueError first.
     """
-    one = not isinstance(stops, list)
-    stops = [stops] if one else stops
     if max(stops, default=0) > TERM_CAP:
         raise ValueError(f"block_sum sums at most TERM_CAP = {TERM_CAP} terms per range, not {max(stops)}")
-    calls, total = [], block  # starts full, so the first block opens a call
+    calls, total = [], BLOCK  # starts full, so the first block opens a call
     for i, stop in enumerate(stops):
-        for lo in range(1, stop + 1, block):
-            size = min(block, stop + 1 - lo)
-            if total + size > block:
+        for lo in range(1, stop + 1, BLOCK):
+            size = min(BLOCK, stop + 1 - lo)
+            if total + size > BLOCK:
                 calls.append([])
                 total = 0
             calls[-1].append((i, lo, size))
@@ -110,8 +107,7 @@ def block_sum(terms: Callable, stops, *cols, block: int = BLOCK):
         for (i, _, size), end in zip(pack, end.tolist()):
             part = slice(end - size, end)
             partials[i].append(_total(tuple(a[part] for a in out) if isinstance(out, tuple) else out[part]))
-    sums = [tuple(map(math.fsum, zip(*p))) if p and isinstance(p[0], tuple) else math.fsum(p) for p in partials]
-    return sums[0] if one else sums
+    return [tuple(map(math.fsum, zip(*p))) if p and isinstance(p[0], tuple) else math.fsum(p) for p in partials]
 
 
 def _total(out):

@@ -270,6 +270,8 @@ def s_diff(tau: float, params: ModelParams, tol: float = 1e-10) -> SeriesValue:
         raise ValueError("tau must lie in [0, 1)")
     if params.alpha <= 1:
         raise ValueError("s_diff requires alpha > 1")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be a positive finite float, not {tol!r}")
     if tau == 0.0:
         return SeriesValue(0.0, 0, 0.0, True)
     abar = params.a_bar
@@ -284,7 +286,7 @@ def s_diff(tau: float, params: ModelParams, tol: float = 1e-10) -> SeriesValue:
     p_high = 2.0 * alpha
 
     def evaluate(n: int) -> tuple[float, float]:
-        value, free_head = block_sum(lambda j: _head_terms(tau, params, j), n)
+        value, free_head = block_sum(lambda j: _head_terms(tau, params, j), [n])[0]
         hi_start = max(float(n), j_turn)
         tail = pref * hi_start ** (1.0 - p_high) / (p_high - 1.0)
         if j_turn > n:

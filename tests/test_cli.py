@@ -10,6 +10,7 @@ import shlex
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -136,6 +137,45 @@ def test_non_finite_scales_exit_one(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and message in captured.err and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, -0.0, math.nan, math.inf, -math.inf])
+@pytest.mark.filterwarnings("ignore::diffpath.mc.ModeTruncationWarning")
+def test_tol_must_be_positive_and_finite(capsys, tol):
+    # refused where every certified sum starts, before any is summed: a tol no tail
+    # bound can meet ran each point to the 2^24-term cap, and inf certified anything
+    from diffpath import oscillator
+    from diffpath.commutator import commutator_expectation
+    from diffpath.paths import ModelParams
+
+    message = f"tol must be a positive finite float, not {tol!r}"
+    params = ModelParams(A=10.0, omega=1.0)
+    calls = [
+        lambda: velocity.s_diff(0.1, params, tol),
+        lambda: velocity.v2_diff(0.1, params, tol),
+        lambda: velocity.scan_v2([0.1], params, "differentiable", tol),
+        lambda: commutator_expectation(0.1, params, "differentiable", tol),
+        lambda: oscillator.log_pi(1.0, params, tol),
+        lambda: oscillator.log_pi(1.0, params, tol, 1000),
+        lambda: oscillator.log_pi_grid([0.5, 1.0], params, tol),
+        lambda: oscillator.unitarity_diagnostic([0.5, 1.0], params, tol),
+        lambda: oscillator.scan_E0_vs_omega([0.5, 1.0, 2.0], params, 1.0, tol),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+    # the free model sums no series, so its rows ignore tol
+    assert velocity.scan_v2([0.1], params, "feynman", tol)[0].converged
+    assert commutator_expectation(0.1, params, "feynman", tol).value > 0.0
+    for argv in (["v2", "--points", "2"], ["spectrum", "--epsilon-D", "0.1", "--points", "2"],
+                 ["commutator", "--points", "2"], ["unitarity", "--epsilon-D", "0.1", "--points", "3"],
+                 ["oracle", "--modes", "5", "--samples", "100"]):
+        start = time.perf_counter()
+        code = main(argv + [f"--tol={tol!r}"])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (EXIT_USAGE, "", f"error: {message}\n"), argv
+        assert elapsed < 1.0, (argv, elapsed)
 
 
 def test_spectrum(capsys):

@@ -53,7 +53,8 @@ def test_params_refuse_scales_out_of_float_range():
 
 
 def test_scales_at_another_time_match_a_copy():
-    # a_bar_at / eps_d_at give what a copy with that T gives, checks and errors included
+    # a_bar_at gives what a copy with that T gives, checks and errors included; once
+    # it has checked T, _eps_d_at (what unitarity_diagnostic reads) gives the copy's eps_d
     from dataclasses import replace
 
     for params in (ModelParams(A=3.0, m=0.7, hbar=1.3), ModelParams(epsilon_D=0.2, alpha=2.6),
@@ -62,22 +63,19 @@ def test_scales_at_another_time_match_a_copy():
             try:
                 copy = replace(params, T=T)
             except ValueError as exc:
-                for method in (params.a_bar_at, params.eps_d_at):
-                    with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
-                        method(T)
+                with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                    params.a_bar_at(T)
                 continue
             assert params.a_bar_at(T).hex() == copy.a_bar.hex()
-            assert params.eps_d_at(T).hex() == copy.eps_d.hex()
+            assert params._eps_d_at(T).hex() == copy.eps_d.hex()
     # epsilon_D primary with alpha <= 1: the copy has no A(T), and T is still checked
     params = ModelParams(epsilon_D=0.2, alpha=0.5)
     with pytest.raises(ValueError, match=r"^A\(T\) from epsilon_D requires alpha > 1$"):
         replace(params, T=2.0).a_bar
     with pytest.raises(ValueError, match=r"^A\(T\) from epsilon_D requires alpha > 1$"):
         params.a_bar_at(2.0)
-    assert params.eps_d_at(2.0) == replace(params, T=2.0).eps_d == 0.2
-    for method in (params.a_bar_at, params.eps_d_at):
-        with pytest.raises(ValueError, match="^T must be positive$"):
-            method(0.0)
+    with pytest.raises(ValueError, match="^T must be positive$"):
+        params.a_bar_at(0.0)
 
 
 def test_single_mode_path_values():
@@ -220,7 +218,7 @@ def test_amplitude_grows_as_eps_d_falls():
 def test_eps_d_and_j_d_past_the_float_range():
     # (A / sigma)^(-1 / (alpha - 1)) = 1e2000: eps_D takes its A / sigma -> 0 limit
     tiny = ModelParams(alpha=1.05, A=1e-100)
-    assert tiny.eps_d == math.inf and tiny.eps_d_at(5.0) == math.inf
+    assert tiny.eps_d == math.inf and tiny._eps_d_at(5.0) == math.inf
     # (A / sigma)^(1 / (alpha - 1)) = 1e1000 has no integer j_D
     with pytest.raises(ValueError, match=r"j_D overflows at A=10000000000\.0, alpha=1\.01"):
         ModelParams(alpha=1.01, A=1e10).j_d

@@ -370,29 +370,34 @@ def test_s_feynman_closed_against_mpmath(s_feynman_closed):
 
 
 @pytest.mark.dispatch
-def test_block_sum_compensates_across_blocks():
+def test_block_sum_compensates_across_blocks(monkeypatch):
     # block totals 1e16, 1, -1e16: adding them in order would give 0.0
     terms = lambda n: np.where(n == 1.0, 1e16, np.where(n == 2.0, 1.0, -1e16))
-    assert block_sum(terms, 3, block=1) == 1.0
+    monkeypatch.setattr(special, "BLOCK", 1)
+    assert block_sum(terms, [3]) == [1.0]
 
 
 @pytest.mark.dispatch
-def test_block_sum_ranges_and_blocks():
+def test_block_sum_ranges_and_blocks(monkeypatch):
     seen = []
 
     def terms(n):
         seen.append(n.copy())
         return n
 
-    assert block_sum(terms, 0) == 0.0 and seen == []  # empty range
-    assert block_sum(terms, 10, block=4) == 55.0
+    assert block_sum(terms, [0]) == [0.0] and seen == []  # empty range
+    monkeypatch.setattr(special, "BLOCK", 4)
+    assert block_sum(terms, [10]) == [55.0]
     assert [list(n) for n in seen] == [[1, 2, 3, 4], [5, 6, 7, 8], [9, 10]]  # ragged last block
-    assert block_sum(lambda n: (n, n * n), 10, block=3) == (55.0, 385.0)
+    monkeypatch.setattr(special, "BLOCK", 3)
+    assert block_sum(lambda n: (n, n * n), [10]) == [(55.0, 385.0)]
 
 
 @pytest.mark.dispatch
 @pytest.mark.parametrize("block", [1, 2, 3, 5])
-def test_block_sum_of_many_ranges_is_block_sum_per_range(block):
+def test_block_sum_of_many_ranges_is_block_sum_per_range(monkeypatch, block):
+    monkeypatch.setattr(special, "BLOCK", block)
+
     def f(c, n):
         return np.sin(n * c) / (n + c) ** 1.5
 
@@ -424,17 +429,17 @@ def test_block_sum_of_many_ranges_is_block_sum_per_range(block):
                 seen.append((k, nk))
             return f(c, n)
 
-        got = block_sum(terms, stops, cs, stops, block=block)
-        want = [block_sum(lambda n, ck=ck: f(ck, n), stop, block=block) for ck, stop in zip(cs, stops)]
+        got = block_sum(terms, stops, cs, stops)
+        want = [block_sum(lambda n, ck=ck: f(ck, n), [stop])[0] for ck, stop in zip(cs, stops)]
         assert [x.hex() for x in got] == [x.hex() for x in want]
         # every term once, at most ``block`` per call
         assert max(calls) <= block and sum(calls) == sum(stops)
         assert sorted(seen) == [(k, float(m)) for k, stop in enumerate(stops) for m in range(1, stop + 1)]
         # tuple outputs: a tuple of sums per range, 0.0 for an empty one; no cols, so terms(n)
-        pairs = block_sum(lambda n: (n, n * n), stops, block=block)
+        pairs = block_sum(lambda n: (n, n * n), stops)
         assert pairs == [(m * (m + 1) / 2, m * (m + 1) * (2 * m + 1) / 6) if m else 0.0 for m in stops]
-        assert block_sum(lambda n, c: (c * n, n), stops, cs, block=block) == [
-            block_sum(lambda n, c=c: (c * n, n), stop, block=block) for c, stop in zip(cs, stops)
+        assert block_sum(lambda n, c: (c * n, n), stops, cs) == [
+            block_sum(lambda n, c=c: (c * n, n), [stop])[0] for c, stop in zip(cs, stops)
         ]
     # blocks of several ranges shared calls
     assert shared or block == 1
@@ -446,12 +451,12 @@ def test_block_sum_refuses_a_range_past_the_term_cap():
         raise AssertionError("no term may be evaluated")
 
     message = f"^block_sum sums at most TERM_CAP = {TERM_CAP} terms per range, not {TERM_CAP + 1}$"
-    for stops, cols in ((TERM_CAP + 1, ()), ([3, TERM_CAP + 1, 0], ([0.5, 1.5, 2.5],))):
+    for stops, cols in (([TERM_CAP + 1], ()), ([3, TERM_CAP + 1, 0], ([0.5, 1.5, 2.5],))):
         with pytest.raises(ValueError, match=message):
             block_sum(terms, stops, *cols)
     # a range of TERM_CAP terms is summed, in calls of BLOCK terms
     sizes = []
-    assert block_sum(lambda n: (sizes.append(n.size), np.ones_like(n))[1], TERM_CAP) == TERM_CAP
+    assert block_sum(lambda n: (sizes.append(n.size), np.ones_like(n))[1], [TERM_CAP]) == [TERM_CAP]
     assert sizes == [BLOCK] * (TERM_CAP // BLOCK)
 
 
@@ -461,11 +466,11 @@ def test_block_sum_bit_identical_to_blocked_fsum():
     terms = lambda n: np.sin(n) / n**2
     x = terms(n)
     ref = math.fsum(float(x[i : i + (1 << 16)].sum()) for i in range(0, x.size, 1 << 16))
-    assert block_sum(terms, 200_000) == ref
+    assert block_sum(terms, [200_000]) == [ref]
 
 
 def test_s_diff_head_blocks_are_bounded(monkeypatch):
-    # tol = 0 is never met, so the x4 loop runs to the (lowered) cap of 2^18
+    # no tail bound meets the smallest positive tol, so the x4 loop runs to the (lowered) cap of 2^18
     sizes = []
     head_terms = velocity._head_terms
 
@@ -475,7 +480,7 @@ def test_s_diff_head_blocks_are_bounded(monkeypatch):
 
     monkeypatch.setattr(velocity, "_head_terms", recording)
     monkeypatch.setattr(special, "TERM_CAP", 1 << 18)
-    res = velocity.s_diff(0.1, ModelParams(alpha=2.1, A=10.0), tol=0.0)
+    res = velocity.s_diff(0.1, ModelParams(alpha=2.1, A=10.0), tol=5e-324)
     assert res.n_terms == 1 << 18 and not res.converged
     assert max(sizes) == 1 << 16 and sum(sizes) == (1 << 12) + (1 << 14) + (1 << 16) + (1 << 18)
 

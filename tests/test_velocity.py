@@ -728,7 +728,7 @@ def test_weight_table_matches_mc_second_moments(empty_table, params):
     weights = _weights(params, n)
     np.testing.assert_allclose(weights, 2.0 * np.array(b) * np.array(second), rtol=1e-14, atol=0.0)
     tau = eps / params.T
-    head, _ = block_sum(lambda j: velocity._head_terms(tau, params, j), n)
+    head, _ = block_sum(lambda j: velocity._head_terms(tau, params, j), [n])[0]
     exact = math.fsum(math.sin(j * math.pi * tau) ** 2 * a2 / eps**2 for j, a2 in zip(range(1, n + 1), second))
     assert velocity._v2_prefactor(eps, params) * head == pytest.approx(exact, rel=1e-14, abs=0.0)
 
