@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .paths import RNG_ALGORITHM, ModelParams, differentiable_twin, eval_path, sample_brownian
-from .special import ConvergenceError
+from .special import ConvergenceError, _check_tol
 
 __all__ = ["main", "build_parser"]
 
@@ -231,6 +231,7 @@ def cmd_oracle(args) -> tuple[str, bool]:
     from .mc import estimate_v2
     from .velocity import v2_diff
     params = _params_from_args(args)
+    _check_tol(args.tol)  # before the sampling, whose cost a refused tol would waste
     est = estimate_v2(params, args.eps, N_modes=args.modes, n_samples=args.samples, seed=args.seed)
     analytic = v2_diff(args.eps, params, args.tol)
     rows = [

@@ -3,22 +3,28 @@
 The action is diagonal in Fourier modes, so the restricted measure
 factorizes into independent truncated Gaussians — direct sampling, no
 Metropolis chain, zero autocorrelation.  Each ``estimate_v2`` or
-``estimate_pi_factor`` call draws all its modes, j = 1..N in order, from
-one stream, Generator(PCG64(SeedSequence(seed))), so results are
-reproducible bit-for-bit for a fixed seed.  The stream is consumed per
-block: consecutive modes with x_j = B_j sqrt(b_j) <= 1, up to ``_BLOCK``
-samples in all, take their part-picking uniforms from one draw and their
-wedge samples from one rejection loop (``_near_uniform_block``); a mode
-with x_j > 1 takes its Gaussian envelope alone.  The block size, the
-sampler's split at x = 1 and its round sizes are part of the version.
-``estimate_v2`` adds a block to its velocities with one matrix-vector
-product and ``estimate_pi_factor`` its squares with one ``einsum``.
+``estimate_pi_factor`` call takes its modes j = 1..N in order, per block:
+consecutive modes with x_j = B_j sqrt(b_j) <= 1, up to ``_BLOCK`` samples
+in all, take their part-picking uniforms from one draw and their wedge
+samples from one rejection loop (``_near_uniform_block``); a mode with
+x_j > 1 takes its Gaussian envelope alone.  SeedSequence(seed) spawns two
+PCG64 streams: the parts stream holds the blocks' part-picking uniforms,
+which a fill thread draws ahead of the caller, and the draws stream the
+wedge candidates and the Gaussian-envelope modes, in j order, drawn by
+the calling thread alone.  So results are reproducible bit for bit for a
+fixed seed, whatever the timing of the two threads.  The block size, the
+sampler's split at x = 1, its round sizes and the two streams are part of
+the version.  ``estimate_v2`` adds a block to its velocities with one
+matrix-vector product and ``estimate_pi_factor`` its squares with one
+``einsum``.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 import warnings
+from contextlib import closing
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
@@ -56,6 +62,11 @@ class McEstimate:
 _ROUND = 1 << 13
 # Samples per block of near-uniform modes: one block's uniforms take 1 MB.
 _BLOCK = 1 << 17
+# Buffers in the fill thread's ring, each the size of one block: while the caller
+# works on one block, the fill thread draws the next _RING - 1.  One buffer
+# serializes the two threads; on the sampling deck three took 1-2% less wall
+# time than two, for 1 MB more memory.
+_RING = 2
 
 
 def _round_size(need, acceptance):
@@ -91,20 +102,20 @@ def _near_uniform_block(x2: np.ndarray, p: np.ndarray, rng: np.random.Generator,
 
     e^{-b a^2} on [-B, B] is the rectangle c = e^{-x^2} plus the wedge
     e^{-b a^2} - c (the one-layer ziggurat).  The rectangle holds the mass
-    p (``_rectangle_mass``): 0.993 at x = 0.1 and 0.493 at x = 1.  One draw
-    fills ``u`` with a uniform per sample that picks the part and, where
-    u < p, is the sample a = B (2 u / p - 1), since u / p is uniform given
-    u < p.  The other entries, the wedge slots, are filled by one rejection
-    loop over the whole block (``_wedge_fill``).  An x^2 that underflows to
-    0.0 (B = 0, the point mass at 0, too) gives p = 1: every sample is in
-    the rectangle.
+    p (``_rectangle_mass``): 0.993 at x = 0.1 and 0.493 at x = 1.  ``u``
+    holds on entry a uniform per sample, drawn by the caller, that picks
+    the part and, where u < p, is the sample a = B (2 u / p - 1), since
+    u / p is uniform given u < p.  The other entries, the wedge slots, are
+    filled by one rejection loop over the whole block (``_wedge_fill``),
+    whose candidates come from ``rng``.  An x^2 that underflows to 0.0
+    (B = 0, the point mass at 0, too) gives p = 1: every sample is in the
+    rectangle.
 
     On return each entry t of row j gives the sample a = B_j (2 t / p_j - 1):
     t is the part-picking uniform in the rectangle and p_j s in the wedge,
     where a = B_j (2 s - 1).  Returns the flat indices of the wedge slots in
     ``u`` and their s.
     """
-    rng.random(u.shape, out=u)
     wedge = np.flatnonzero(u >= p[:, None])
     rows = wedge // u.shape[1]
     s = _wedge_fill(x2, np.bincount(rows, minlength=x2.size), rng)
@@ -160,9 +171,9 @@ def sample_truncated_gaussian(b: float, big_b: float, rng: np.random.Generator, 
     Two methods, switched at x = B sqrt(b) = 1:
 
     * x <= 1: the rectangle plus wedge of ``_near_uniform_block``, on one
-      row.  The rectangle samples are B (2 u / p - 1); the wedge samples
-      B (2 s - 1) are written after that map, so every sample lies in
-      [-B, B] exactly.
+      row, its part-picking uniforms drawn first from ``rng``.  The
+      rectangle samples are B (2 u / p - 1); the wedge samples B (2 s - 1)
+      are written after that map, so every sample lies in [-B, B] exactly.
     * x > 1: rejection from the untruncated Gaussian, accepting |a| <= B;
       acceptance Erf(x) >= Erf(1) = 0.843, in rounds sized from it
       (``_rejection_fill``).
@@ -186,6 +197,7 @@ def sample_truncated_gaussian(b: float, big_b: float, rng: np.random.Generator, 
     else:
         x2 = np.array([x * x])
         p = _rectangle_mass(x2)
+        rng.random(out.shape, out=out)
         wedge, s = _near_uniform_block(x2, p, rng, out.reshape(1, -1))
         out *= 2.0 * big_b / p[0]
         out -= big_b
@@ -208,17 +220,27 @@ def _mode_params(params: ModelParams, j):
 
 def _mode_blocks(params: ModelParams, N_modes: int, n_samples: int,
                  seed: int) -> Iterator[tuple[slice, np.ndarray, np.ndarray, np.ndarray]]:
-    """The modes j = 1..N_modes in order, all drawn from the one stream of ``seed``,
+    """The modes j = 1..N_modes in order, drawn from the two streams of ``seed``,
     as (modes, scale, shift, t): row i of t holds the samples of mode
     j = modes.start + i + 1, a_j = scale_i t_i - shift_i.  The sizes are
     checked here, before any mode is drawn.
 
     Consecutive modes with x_j = B_j sqrt(b_j) <= 1, up to ``_BLOCK`` samples
-    in all, are one block (``_near_uniform_block``), whose rows are views of
-    one buffer allocated per call, so that no block faults in fresh pages;
-    their rectangle masses p_j are computed in one call, for these modes
-    only.  A mode with x_j > 1 is drawn alone by ``sample_truncated_gaussian``
-    (scale 1, shift 0).  A b_N past the float range is refused.
+    in all, are one block (``_near_uniform_block``); their rectangle masses
+    p_j are computed in one call, for these modes only.  A mode with
+    x_j > 1 is drawn alone by ``sample_truncated_gaussian`` (scale 1,
+    shift 0).  A b_N past the float range is refused.
+
+    SeedSequence(seed) spawns two PCG64 streams.  The first holds the
+    blocks' part-picking uniforms, block after block: a fill thread, started
+    at the first block asked for, draws them into a ring of ``_RING``
+    buffers allocated per call, ahead of the caller, while numpy releases
+    the interpreter lock.  The second holds, in j order, the wedge
+    candidates and the Gaussian-envelope modes, and only the calling thread
+    draws from it.  So every value is fixed by the seed, whatever the
+    timing.  A block's t is a view of the ring, valid until the next block
+    is asked for.  The fill thread has ended when the generator is
+    exhausted or closed, so callers close it, also when they raise.
     """
     if N_modes < 1:
         raise ValueError(f"N_modes must be >= 1, got {N_modes!r}")
@@ -232,7 +254,7 @@ def _mode_blocks(params: ModelParams, N_modes: int, n_samples: int,
     if not b_n < math.inf:
         raise ValueError(f"b_N = m T (N pi / T)^2 / (4 hbar) overflows at m={params.m!r}, "
                          f"hbar={params.hbar!r}, T={float(params.T)!r}, N_modes={N_modes!r}")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    parts, draws = (np.random.Generator(np.random.PCG64(s)) for s in np.random.SeedSequence(seed).spawn(2))
     b, big_b = _mode_params(params, np.arange(1.0, N_modes + 1.0))
     with np.errstate(over="ignore"):
         x = big_b * np.sqrt(b)
@@ -242,23 +264,56 @@ def _mode_blocks(params: ModelParams, N_modes: int, n_samples: int,
     p = np.ones(N_modes)
     p[near_uniform] = _rectangle_mass(x2[near_uniform])
     rows = max(1, _BLOCK // n_samples)
-
-    def blocks():
-        buffer = np.empty(min(rows, N_modes) * n_samples)
-        one, zero = np.ones(1), np.zeros(1)
-        j = 0
-        while j < N_modes:
-            if not near_uniform[j]:
-                a = sample_truncated_gaussian(float(b[j]), float(big_b[j]), rng, n_samples)
-                yield slice(j, j + 1), one, zero, a[None, :]
-                j += 1
-                continue
+    spans, j = [], 0  # (j, stop) of each block and of each Gaussian-envelope mode
+    while j < N_modes:
+        stop = j + 1
+        if near_uniform[j]:
             gaussian = np.flatnonzero(~near_uniform[j : j + rows])
             stop = j + int(gaussian[0]) if gaussian.size else min(j + rows, N_modes)
-            t = buffer[: (stop - j) * n_samples].reshape(stop - j, n_samples)
-            _near_uniform_block(x2[j:stop], p[j:stop], rng, t)
-            yield slice(j, stop), 2.0 * big_b[j:stop] / p[j:stop], big_b[j:stop], t
-            j = stop
+        spans.append((j, stop))
+        j = stop
+
+    def blocks():
+        uniform = [(j, stop) for j, stop in spans if near_uniform[j]]
+        ring = np.empty((min(_RING, len(uniform)), min(rows, N_modes) * n_samples))
+        views = [ring[i % len(ring), : (stop - j) * n_samples].reshape(stop - j, n_samples)
+                 for i, (j, stop) in enumerate(uniform)]
+        free, ready = threading.Semaphore(len(ring)), threading.Semaphore(0)
+        stopped, failed = threading.Event(), []
+
+        def fill():
+            try:
+                for t in views:
+                    free.acquire()
+                    if stopped.is_set():
+                        return
+                    parts.random(t.shape, out=t)
+                    ready.release()
+            except Exception as exc:  # raised by the calling thread at its next block
+                failed.append(exc)
+                ready.release()
+
+        filler = threading.Thread(target=fill, name="diffpath-mc-fill", daemon=True)
+        filler.start()
+        try:
+            one, zero = np.ones(1), np.zeros(1)
+            filled = iter(views)
+            for j, stop in spans:
+                if not near_uniform[j]:
+                    a = sample_truncated_gaussian(float(b[j]), float(big_b[j]), draws, n_samples)
+                    yield slice(j, stop), one, zero, a[None, :]
+                    continue
+                ready.acquire()
+                if failed:
+                    raise failed[0]
+                t = next(filled)
+                _near_uniform_block(x2[j:stop], p[j:stop], draws, t)
+                yield slice(j, stop), 2.0 * big_b[j:stop] / p[j:stop], big_b[j:stop], t
+                free.release()
+        finally:
+            stopped.set()
+            free.release()
+            filler.join()
 
     return blocks()
 
@@ -311,12 +366,13 @@ def estimate_v2(
     # v = sum_j ds_j (scale_j t_j - shift_j): one matrix-vector product per block
     v, row = np.zeros(n_samples), np.empty(n_samples)
     offset = 0.0
-    for modes, scale, shift, t in blocks:
-        w = ds[modes] * scale
-        # a one-row block (a mode above x = 1, or n_samples over 2^16) as a plain
-        # product: OpenBLAS runs a one-row product on two threads at twice the CPU time
-        v += np.dot(w, t, out=row) if w.size > 1 else np.multiply(t[0], w[0], out=row)
-        offset += float(ds[modes] @ shift)
+    with closing(blocks):
+        for modes, scale, shift, t in blocks:
+            w = ds[modes] * scale
+            # a one-row block (a mode above x = 1, or n_samples over 2^16) as a plain
+            # product: OpenBLAS runs a one-row product on two threads at twice the CPU time
+            v += np.dot(w, t, out=row) if w.size > 1 else np.multiply(t[0], w[0], out=row)
+            offset += float(ds[modes] @ shift)
     v -= offset
     v /= eps
     # moments of v 2^-e (max |v| 2^-e in [1/2, 1)) scaled back by 2^(2e): bit
@@ -370,10 +426,11 @@ def estimate_pi_factor(
     if params.omega <= 0:
         raise ValueError("estimate_pi_factor requires omega > 0")
     squares, row = np.zeros(n_samples), np.empty(n_samples)
-    for _, scale, shift, t in blocks:
-        t *= scale[:, None]
-        t -= shift[:, None]
-        squares += np.einsum("ij,ij->j", t, t, out=row)
+    with closing(blocks):
+        for _, scale, shift, t in blocks:
+            t *= scale[:, None]
+            t -= shift[:, None]
+            squares += np.einsum("ij,ij->j", t, t, out=row)
     coef = params.m * T * params.omega**2 / (4.0 * params.hbar)
     w = np.exp(squares * -coef)
     n = np.arange(1, N_modes + 1, dtype=float)

@@ -53,6 +53,7 @@ from .special import (
     _ERFC_ZERO,
     _K,
     _W0,
+    _check_tol,
     _log_erf_over_sqrt,
     _log_erf_sqrt,
     _series_remainder,
@@ -237,8 +238,7 @@ def _log_pi_core(points: list, params: ModelParams, tol: float, n_terms: Optiona
     # an integral float such as 1e5 is a term count too
     if n_terms is not None and not (n_terms >= 1 and n_terms % 1 == 0):
         raise ValueError(f"n_terms must be an integer >= 1, not {n_terms!r}")
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be a positive finite float, not {tol!r}")
+    _check_tol(tol)
     # omega T = 0 gives Pi = 1 exactly; the other points are summed, over sizes[i] terms each
     live, sizes, heads, frees = [], [], [], []
     for point in points:

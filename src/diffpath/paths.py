@@ -203,16 +203,69 @@ class FourierPath:
         return bool(np.all(np.abs(self.coeffs) <= cap * (1.0 + rtol)))
 
 
+def _split(x):
+    """x = hi + lo exactly, hi with at most 26 significant bits (Veltkamp's split)."""
+    c = x * 134217729.0  # 2^27 + 1
+    hi = c - (c - x)
+    return hi, x - hi
+
+
 def eval_path(p: FourierPath, t):
-    """x(t): exact finite sum over the stored coefficients."""
+    """x(t): the finite sum over the stored coefficients, within a few ulps of sum |a_n|.
+
+    With M = isqrt(N), B = ceil(N / M) and n = b M + m (1 <= m <= M), the
+    product-to-sum identity gives
+    x = sum_b [sin(b M theta) C_b + cos(b M theta) S_b], theta = pi t / T,
+    C_b = sum_m a_{bM+m} cos(m theta) and S_b = sum_m a_{bM+m} sin(m theta):
+    2 (M + B) sines per point in place of N.  Each is sin(pi k u) or
+    cos(pi k u) of u = t / T, whose rounding is carried in a low part
+    (Dekker's product), with k u reduced exactly (for k < 2^27) to an
+    argument within pi/2 of 0: no phase error grows with n, and x(0) and
+    x(T) are 0.0.  Both contractions are ``einsum`` sums without BLAS, so
+    the value does not depend on which BLAS kernel the CPU selects.
+    """
     t = np.asarray(t, dtype=float)
     if np.any(t < 0) or np.any(t > p.T):
         raise ValueError("t outside [0, T]")
-    n = np.arange(1, p.coeffs.size + 1, dtype=float)
-    phase = np.multiply.outer(t, n)  # the (grid x modes) table, scaled and sined in place
-    phase *= math.pi / p.T
-    out = np.sin(phase, out=phase) @ p.coeffs
-    return float(out) if out.ndim == 0 else out
+    n_modes = p.coeffs.size
+    m = math.isqrt(n_modes)
+    b = -(-n_modes // m)
+    a = np.zeros(b * m)
+    a[:n_modes] = p.coeffs
+    a = a.reshape(b, m)
+    # u = hi + lo = t / T: t and T scaled by 2^-e exactly, then the remainder
+    # t - u T of the rounded quotient, exact to O(eps^2), moved into lo
+    mant, e = math.frexp(p.T)
+    ts = np.ldexp(t.reshape(-1), -e)
+    u = ts / mant
+    hi, lo = _split(u)
+    mant_hi, mant_lo = _split(mant)
+    lo += ((((ts - hi * mant_hi) - hi * mant_lo) - lo * mant_hi) - lo * mant_lo) / mant
+    k = np.concatenate((np.arange(1.0, m + 1.0), m * np.arange(float(b))))
+    phase = np.multiply.outer(hi, k)  # exact: k hi has at most 53 bits
+    phase -= 2.0 * np.rint(0.5 * phase)  # exact: k hi mod 2, in [-1, 1]
+    near = np.rint(phase)  # -1, 0 or 1
+    phase -= near  # exact: in [-1/2, 1/2]
+    phase += np.multiply.outer(lo, k)
+    # sin(pi k u) = (-1)^near sin(pi phase) and cos(pi k u) = (-1)^near
+    # sin(pi (1/2 - |phase|)): sines of arguments within pi/2 of 0, the sign
+    # taken into the argument, as sin is odd
+    np.abs(near, out=near)
+    near *= -2.0 * math.pi
+    near += math.pi
+    sines = np.empty((2,) + phase.shape)
+    np.multiply(phase, near, out=sines[0])
+    np.abs(phase, out=phase)
+    np.subtract(0.5, phase, out=phase)
+    np.multiply(phase, near, out=sines[1])
+    np.sin(sines, out=sines)
+    sin_m, sin_b = sines[0, :, :m], sines[0, :, m:]
+    cos_m, cos_b = sines[1, :, :m], sines[1, :, m:]
+    c_b = np.einsum("gm,bm->gb", cos_m, a, optimize=False)
+    s_b = np.einsum("gm,bm->gb", sin_m, a, optimize=False)
+    out = np.einsum("gb,gb->g", sin_b, c_b, optimize=False)
+    out += np.einsum("gb,gb->g", cos_b, s_b, optimize=False)
+    return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 
 
 def sample_brownian(params: ModelParams, N: int, seed: int) -> FourierPath:

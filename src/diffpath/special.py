@@ -115,6 +115,12 @@ def _total(out):
     return tuple([float(a.sum()) for a in out]) if isinstance(out, tuple) else float(out.sum())
 
 
+def _check_tol(tol: float) -> None:
+    """Refuse a tol that no tail bound can meet, before anything is summed or sampled."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be a positive finite float, not {tol!r}")
+
+
 def tol_budget(value: float, tol: float) -> float:
     """The largest tail bound that certifies ``value`` at tolerance ``tol``.
 

@@ -62,8 +62,8 @@ from typing import Iterable
 import numpy as np
 
 from .paths import ModelParams
-from .special import (BLOCK, ConvergenceError, SeriesValue, _sine_integral_tail, block_sum, certify,
-                      hurwitz_zeta, one_minus_zed, tol_budget)
+from .special import (BLOCK, ConvergenceError, SeriesValue, _check_tol, _sine_integral_tail, block_sum,
+                      certify, hurwitz_zeta, one_minus_zed, tol_budget)
 
 __all__ = [
     "RegimeReport",
@@ -270,8 +270,7 @@ def s_diff(tau: float, params: ModelParams, tol: float = 1e-10) -> SeriesValue:
         raise ValueError("tau must lie in [0, 1)")
     if params.alpha <= 1:
         raise ValueError("s_diff requires alpha > 1")
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be a positive finite float, not {tol!r}")
+    _check_tol(tol)
     if tau == 0.0:
         return SeriesValue(0.0, 0, 0.0, True)
     abar = params.a_bar

@@ -178,6 +178,19 @@ def test_tol_must_be_positive_and_finite(capsys, tol):
         assert elapsed < 1.0, (argv, elapsed)
 
 
+def test_oracle_refuses_tol_before_sampling(capsys):
+    # with its defaults (1000 modes x 1e5 samples) it drew every mode before the series
+    # refused the tol; a tol both calls would refuse is named ahead of the sampler's reasons
+    for argv in (["oracle", "--tol", "-1"], ["oracle", "--tol", "-1", "--modes", "0"]):
+        start = time.perf_counter()
+        code = main(argv)
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (
+            EXIT_USAGE, "", "error: tol must be a positive finite float, not -1.0\n"), argv
+        assert elapsed < 0.5, (argv, elapsed)
+
+
 def test_spectrum(capsys):
     code, out = run(
         capsys,
@@ -561,18 +574,58 @@ def test_oracle(capsys):
     assert abs(mc - analytic) < 4.0 * stderr
 
 
+# The README oracle example and its row's float.hex: the sampled digits are part
+# of the version, so a change to how the parts and draws streams are consumed
+# must show here (15.323961349073858, 0.15277992940111315)
+README_ORACLE = ["oracle", "--A", "10", "--eps", "0.05", "--modes", "500", "--samples", "20000", "--seed", "1"]
+README_ORACLE_HEX = ["0x1.ea5de430ee16ap+3", "0x1.38e4af021a8ffp-3"]
+
+
 @pytest.mark.dispatch
 def test_oracle_readme_example_pinned(capsys):
-    # the sampled digits are part of the version: a change to how the one
-    # stream is consumed must show here; B_j and the rectangle masses p_j
-    # read numpy's dispatched power, exp and log, whose last bits differ
-    # between dispatch levels, but this row reads the same at each
-    code, out = run(capsys, ["oracle", "--A", "10", "--eps", "0.05", "--modes", "500",
-                             "--samples", "20000", "--seed", "1"])
+    # B_j and the rectangle masses p_j read numpy's dispatched power, exp and
+    # log, whose last bits differ between dispatch levels, but this row reads
+    # the same at each
+    code, out = run(capsys, README_ORACLE)
     assert code == EXIT_OK
     row = next(l for l in out.splitlines() if l.startswith("v2,")).split(",")
-    assert float(row[1]).hex() == "0x1.e0f9264069732p+3"  # 15.030413747601049
-    assert float(row[2]).hex() == "0x1.3297163be8e18p-3"  # 0.1497022377999293
+    assert [float(row[1]).hex(), float(row[2]).hex()] == README_ORACLE_HEX
+
+
+# The README row and two estimates whose modes 1-2 lie above x = 1, followed by
+# seven blocks, more than the fill thread's ring holds
+_ORACLE_HEXES = f"""
+import contextlib, io
+from diffpath.cli import main
+from diffpath.mc import estimate_pi_factor, estimate_v2
+from diffpath.paths import ModelParams
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    main({README_ORACLE!r})
+row = next(l for l in out.getvalue().splitlines() if l.startswith("v2,")).split(",")
+v2 = estimate_v2(ModelParams(alpha=2.5, A=3.0), 0.1, 0.2, 300, 3000, seed=5)
+pi = estimate_pi_factor(ModelParams(alpha=2.5, A=3.0, omega=1.5), None, 300, 3000, seed=6)
+hexes = [float(row[1]).hex(), float(row[2]).hex(), v2.mean.hex(), v2.stderr.hex(), pi.mean.hex(), pi.stderr.hex()]
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+def test_oracle_values_on_one_core():
+    # the fill thread draws the part-picking uniforms while the caller draws the rest:
+    # the values are the seed's whatever the timing, also where both threads share one CPU
+    from diffpath.mc import _RING, _mode_blocks
+    from diffpath.paths import ModelParams
+
+    spans = [(m.start, t.shape[0]) for m, _, _, t in _mode_blocks(ModelParams(alpha=2.5, A=3.0), 300, 3000, 5)]
+    assert spans[:2] == [(0, 1), (1, 1)] and sum(rows > 1 for _, rows in spans) > _RING
+    here = {}
+    exec(_ORACLE_HEXES, here)
+    assert here["hexes"][:2] == README_ORACLE_HEX
+    code = ("import os\nos.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n" + _ORACLE_HEXES
+            + "print(len(os.sched_getaffinity(0)), *hexes)")
+    result = _python(code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["1", *here["hexes"]]
 
 
 def test_oracle_keeps_stderr_at_tiny_amplitude(capsys):

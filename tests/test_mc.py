@@ -1,6 +1,8 @@
 """Monte-Carlo oracle: sampler exactness, reproducibility, series agreement."""
 
 import math
+import sys
+import threading
 
 import mpmath as mp
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from scipy import stats
 from scipy.special import erf
 
+from diffpath import mc
 from diffpath.mc import (
     _mode_blocks,
     _near_uniform_block,
@@ -146,11 +149,12 @@ def test_block_rows_ks_against_exact_cdf():
     # to 0.0 (the uniform density) and one with B = 0 (the point mass at 0)
     b = np.array([3.0, 3.0, 3.0, 1.0, 1.0])
     big_b = np.array([1e-3 / math.sqrt(3.0), 0.3 / math.sqrt(3.0), 1.0 / math.sqrt(3.0), 1e-170, 0.0])
-    t = np.empty((5, 100_000))
+    rng = _rng(46)
+    t = rng.random((5, 100_000))
     x2 = big_b * np.sqrt(b)
     x2 *= x2
     p = _rectangle_mass(x2)
-    _near_uniform_block(x2, p, _rng(46), t)
+    _near_uniform_block(x2, p, rng, t)
     a = big_b[:, None] * (2.0 * t / p[:, None] - 1.0)
     for row, x in enumerate((1e-3, 0.3, 1.0)):
         cdf = lambda s: 0.5 * (1.0 + erf(s * math.sqrt(3.0)) / erf(x))
@@ -206,6 +210,111 @@ def test_sampler_samples_within_the_bound_exactly(x, big_b):
     for rng in (_EdgeRng(_rng(47), p), _WedgeOnlyRng(_rng(48)), _rng(49)):
         a = sample_truncated_gaussian(b, big_b, rng, size=20_000)
         assert a.min() >= -big_b and a.max() <= big_b
+
+
+def test_sampler_one_row_draw_pinned():
+    # x = 0.7 <= 1: one row of the block sampler, its part-picking uniforms and then its wedge
+    # candidates from the one rng it is given; 269 of the 1000 samples, a[0] among them, are
+    # wedge samples.  Pinned before the estimators split the seed into two streams, which
+    # leaves this draw as it was
+    b = 3.0
+    a = sample_truncated_gaussian(b, 0.7 / math.sqrt(b), _rng(50), size=1000)
+    assert math.fsum(a).hex() == "-0x1.6f015834b212ep+1"
+    assert math.fsum(a * a).hex() == "0x1.8aa9b3cdfb01bp+5"
+    assert a[0].hex() == "-0x1.8ffe61490833cp-4"
+
+
+def _fill_threads():
+    return [t for t in threading.enumerate() if t.name == "diffpath-mc-fill"]
+
+
+@pytest.mark.filterwarnings("ignore::diffpath.mc.ModeTruncationWarning")
+def test_no_fill_thread_outlives_its_call(monkeypatch):
+    # 300 modes x 3000 samples: modes 1-2 above x = 1, then seven blocks of at most 43 rows,
+    # more than the ring holds, so the fill thread is still waiting for a buffer after the
+    # first block
+    params = ModelParams(alpha=2.5, A=3.0, omega=1.5)
+    estimate_v2(params, 0.1, 0.2, 300, 3000, seed=5)
+    assert not _fill_threads()
+    estimate_pi_factor(params, None, 300, 3000, seed=6)
+    assert not _fill_threads()
+    blocks = _mode_blocks(params, 300, 3000, 5)
+    next(blocks)
+    assert _fill_threads()
+    blocks.close()
+    assert not _fill_threads()
+    # the calling thread raises in its second block
+    seen = []
+
+    def failing(*args):
+        seen.append(args)
+        if len(seen) == 2:
+            raise RuntimeError("wedge")
+        return _near_uniform_block(*args)
+
+    monkeypatch.setattr(mc, "_near_uniform_block", failing)
+    for call in (lambda: estimate_v2(params, 0.1, 0.2, 300, 3000, seed=5),
+                 lambda: estimate_pi_factor(params, None, 300, 3000, seed=6)):
+        seen.clear()
+        with pytest.raises(RuntimeError, match="wedge"):
+            call()
+        assert not _fill_threads()
+
+
+@pytest.mark.filterwarnings("ignore::diffpath.mc.ModeTruncationWarning")
+def test_estimates_repeat_under_thread_switching():
+    # four calls at once, each with its own fill thread (more threads than cores), the
+    # interpreter switching threads every microsecond: each reads the values of a lone call
+    params = ModelParams(alpha=2.5, A=3.0, omega=1.5)
+    lone = [estimate_v2(params, 0.1, 0.2, 300, 3000, seed=s) for s in range(2)]
+    lone += [estimate_pi_factor(params, None, 300, 3000, seed=s) for s in range(2)]
+    calls = [lambda s=s: estimate_v2(params, 0.1, 0.2, 300, 3000, seed=s) for s in range(2)]
+    calls += [lambda s=s: estimate_pi_factor(params, None, 300, 3000, seed=s) for s in range(2)]
+    results = [None] * len(calls)
+
+    def run(i):
+        results[i] = calls[i]()
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(calls))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == lone
+    assert not _fill_threads()
+
+
+class _FailingParts:
+    """A Generator whose ``random`` raises, noting the thread it was called in."""
+
+    def __init__(self, threads):
+        self._threads = threads
+
+    def random(self, *args, **kwargs):
+        self._threads.append(threading.current_thread().name)
+        raise RuntimeError("parts")
+
+
+def test_fill_thread_failure_is_raised_by_the_caller(monkeypatch):
+    # the part-picking stream, spawned first, fails in the fill thread: the estimator
+    # raises its exception at the first block, and the thread has ended
+    real, made, threads = np.random.Generator, [], []
+
+    def generator(bit_generator):
+        made.append(bit_generator)
+        return _FailingParts(threads) if len(made) == 1 else real(bit_generator)
+
+    monkeypatch.setattr(np.random, "Generator", generator)
+    with pytest.raises(RuntimeError, match="parts"):
+        estimate_v2(ModelParams(alpha=2.5, A=3.0), 0.1, 0.2, 300, 3000, seed=5)
+    assert threads == ["diffpath-mc-fill"]
+    assert not _fill_threads()
 
 
 class _ShortFirstRoundRng:

@@ -85,6 +85,32 @@ def test_single_mode_path_values():
     assert eval_path(p, 0.5) == pytest.approx(1.0, abs=1e-15)
 
 
+def _mp_path(p, t):
+    """x(t) = sum_n a_n sin(n pi t / T) at 40 digits, t and T the floats given."""
+    with mp.workdps(40):
+        theta = mp.pi * mp.mpf(float(t)) / mp.mpf(p.T)
+        return float(mp.fsum(mp.mpf(float(a)) * mp.sin(n * theta) for n, a in enumerate(p.coeffs, start=1)))
+
+
+@pytest.mark.parametrize("T", [1.0, 2.5])
+@pytest.mark.parametrize("n_modes", [1, 2, 7, 100, 1000])
+def test_eval_path_against_mpmath(n_modes, T):
+    # within 8 ulps of sum |a_n| at every t: no phase error grows with n, and T = 2.5
+    # rounds t / T; the endpoints are 0.0 exactly; scalar t gives a float, an array
+    # its own shape
+    p = FourierPath(T=T, coeffs=sample_brownian(ModelParams(A=10.0), n_modes, seed=n_modes).coeffs)
+    allowed = 8.0 * np.spacing(np.abs(p.coeffs).sum())
+    t = T * np.array([[0.0, 0.5, 1.0], [1.0 / 3.0, 0.1234, 0.987]])
+    x = eval_path(p, t)
+    assert x.shape == (2, 3) and x[0, 0] == 0.0 and x[0, 2] == 0.0
+    for i, ti in np.ndenumerate(t):
+        ref = _mp_path(p, ti)
+        scalar = eval_path(p, float(ti))
+        assert isinstance(scalar, float)
+        assert abs(x[i] - ref) <= allowed and abs(scalar - ref) <= allowed, (ti, x[i], scalar, ref)
+    assert eval_path(p, 0.0) == 0.0
+
+
 def test_eval_domain_error():
     p = FourierPath(T=1.0, coeffs=np.array([1.0]))
     with pytest.raises(ValueError):
